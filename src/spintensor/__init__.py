@@ -5,7 +5,8 @@ arithmetic, the double cover of the restricted Lorentz group, frame
 fields with their transition machinery, and construction of the unique
 metric spinor connection from a metric/tetrad scenario.  Everything the
 library claims is checkable as a numerical residual; the test suite and
-the CLI both drive the same verifiers.
+the CLI (spintensor.cli, or python -m spintensor) both drive the same
+verifiers.
 """
 
 from .tensor_core import (
@@ -20,13 +21,12 @@ from .tensor_core import (
 from .lorentz_cover import PauliBasis, LorentzMatrix, phi, random_sl2c
 from .frames import (
     Chart,
-    ScalarField,
     MatrixField,
     FrameField,
     StructuralConstants,
     FrameTransition,
     ThetaParameters,
-    lie_derivative,
+    lie_matrix,
     structural_constants,
     theta_parameters,
     transform_components,
@@ -69,8 +69,6 @@ from .scenarios import (
     dirac_scenario_from_spec,
     load_scenario_spec,
 )
-from .cli import ResidualReport, parse_expression, run
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -86,13 +84,12 @@ __all__ = [
     "phi",
     "random_sl2c",
     "Chart",
-    "ScalarField",
     "MatrixField",
     "FrameField",
     "StructuralConstants",
     "FrameTransition",
     "ThetaParameters",
-    "lie_derivative",
+    "lie_matrix",
     "structural_constants",
     "theta_parameters",
     "transform_components",
@@ -126,7 +123,4 @@ __all__ = [
     "chiral_scenario_from_spec",
     "dirac_scenario_from_spec",
     "load_scenario_spec",
-    "ResidualReport",
-    "parse_expression",
-    "run",
 ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import (
-    DEFAULT_FD_STEP,
     Chart,
     FrameField,
     FrameTransition,
@@ -29,11 +28,11 @@ from .tensor_core import (
     BARRED,
     SPINOR,
     TANGENT,
-    MetricMatrices,
     SpinTensorValue,
     TensorSignature,
     apply_matrix,
 )
+from .tetrads import derived_symbol_field
 
 D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
 
@@ -53,16 +52,6 @@ class ChiralConstants:
     G_lower: np.ndarray  # [q, i, ibar]
     g_lower: np.ndarray
     g_upper: np.ndarray
-
-    def metrics(self) -> MetricMatrices:
-        return MetricMatrices(
-            g_lower=self.g_lower,
-            g_upper=self.g_upper,
-            d_lower=self.d_lower,
-            d_upper=self.d_upper,
-            dbar_lower=self.dbar_lower,
-            dbar_upper=self.dbar_upper,
-        )
 
 
 def compute_g_lower_symbols(g_upper_mixed, g_upper, d_lower, dbar_lower):
@@ -198,8 +187,6 @@ class ChiralScenario:
             # The mixed symbols are tied to g by the structure identities;
             # in a non-orthonormal frame they carry the orthonormal factor
             # of g on the tangent slot instead of staying canonical.
-            from .tetrads import derived_symbol_field
-
             self.G = derived_symbol_field(g, G_UPPER)
         self.torsion = torsion
         self.validate()
@@ -223,9 +210,6 @@ class ChiralScenario:
                 t = np.asarray(self.torsion(point))
                 if np.max(np.abs(t + t.transpose(0, 2, 1))) > 1e-12:
                     raise ValueError(f"torsion is not antisymmetric at {point}")
-
-    def fd_step(self, override=None):
-        return self.chart.fd_step if override is None else override
 
     def torsion_at(self, point):
         if self.torsion is None:
@@ -259,17 +243,8 @@ class SpinorConnection:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def zero(cls, spinor_dim=2):
-        return cls(
-            np.zeros((4, 4, 4)),
-            np.zeros((4, spinor_dim, spinor_dim)),
-            np.zeros((4, spinor_dim, spinor_dim)),
-            spinor_dim=spinor_dim,
-        )
 
-
-def metric_tangent_connection(scenario, point, fd_step=None) -> np.ndarray:
+def metric_tangent_connection(scenario, point) -> np.ndarray:
     """Tangent coefficients Gamma[i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
@@ -279,13 +254,11 @@ def metric_tangent_connection(scenario, point, fd_step=None) -> np.ndarray:
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame and T the torsion.
     """
-    step = scenario.fd_step(fd_step)
-    g = np.real(np.asarray(scenario.g(point)))
+    g, lg = lie_matrix(scenario.g, scenario.frame, point)
+    g = np.real(g)
+    lg = np.real(lg)  # lg[r, a, b] = L_r(g)_{ab}
     ginv = np.linalg.inv(g)
-    lg = np.stack(
-        [np.real(lie_matrix(scenario.g, scenario.frame, r, point, step)) for r in range(4)]
-    )  # lg[r, a, b] = L_r(g)_{ab}
-    c = structural_constants(scenario.frame, point, step).c
+    c = structural_constants(scenario.frame, point).c
     t = scenario.torsion_at(point)
 
     gamma = 0.5 * (
@@ -306,7 +279,7 @@ def metric_tangent_connection(scenario, point, fd_step=None) -> np.ndarray:
 
 
 def build_chiral_metric_connection(
-    scenario: ChiralScenario, point, fd_step=None, reality_tol=1e-9
+    scenario: ChiralScenario, point, reality_tol=1e-9
 ) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G.
 
@@ -319,21 +292,16 @@ def build_chiral_metric_connection(
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  For real metric data Abar = conj(A).
     """
-    step = scenario.fd_step(fd_step)
-    gamma = metric_tangent_connection(scenario, point, fd_step=step)
+    gamma = metric_tangent_connection(scenario, point)
 
     g = np.real(np.asarray(scenario.g(point)))
     ginv = np.linalg.inv(g)
-    gu = np.asarray(scenario.G(point), dtype=complex)
-    d = np.asarray(scenario.d(point), dtype=complex)
-    db = np.asarray(scenario.dbar(point), dtype=complex)
+    gu, lgu = lie_matrix(scenario.G, scenario.frame, point)
+    d, ld = lie_matrix(scenario.d, scenario.frame, point)
+    db, ldb = lie_matrix(scenario.dbar, scenario.frame, point)
     du = np.linalg.inv(d)
     dbu = np.linalg.inv(db)
     gl = compute_g_lower_symbols(gu, ginv, d, db)
-
-    lgu = np.stack([lie_matrix(scenario.G, scenario.frame, r, point, step) for r in range(4)])
-    ld = np.stack([lie_matrix(scenario.d, scenario.frame, r, point, step) for r in range(4)])
-    ldb = np.stack([lie_matrix(scenario.dbar, scenario.frame, r, point, step) for r in range(4)])
 
     eye = np.eye(2, dtype=complex)
     a = 0.25 * np.einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
@@ -351,7 +319,7 @@ def build_chiral_metric_connection(
 
 
 def covariant_derivative(
-    x: SpinTensorField, conn: SpinorConnection, scenario, point, fd_step=None
+    x: SpinTensorField, conn: SpinorConnection, scenario, point
 ) -> SpinTensorValue:
     """Covariant derivative of a spin-tensor field at one point.
 
@@ -363,12 +331,9 @@ def covariant_derivative(
     sig = x.signature
     if sig.spinor_dim != conn.spinor_dim:
         raise ValueError("field and connection spinor dimensions differ")
-    step = scenario.fd_step(fd_step)
-    arr = np.asarray(x.components(point), dtype=complex)
-    out = np.stack(
-        [lie_matrix(x.components, scenario.frame, r, point, step) for r in range(4)],
-        axis=-1,
-    ).astype(complex)
+    arr, lie = lie_matrix(x.components, scenario.frame, point)
+    arr = np.asarray(arr, dtype=complex)
+    out = np.moveaxis(lie, 0, -1).astype(complex)
     coeff = {SPINOR: conn.A, BARRED: conn.Abar, TANGENT: conn.Gamma}
     for axis, (family, up) in enumerate(sig.slots):
         mats = coeff[family]
@@ -385,7 +350,7 @@ def covariant_derivative(
 
 
 def verify_chiral_concordance(
-    conn_at, scenario: ChiralScenario, points=None, fd_step=None
+    conn_at, scenario: ChiralScenario, points=None
 ) -> dict:
     """Residual report for the chiral concordance conditions.
 
@@ -393,10 +358,10 @@ def verify_chiral_concordance(
     or a callable point -> SpinorConnection.  Residuals: max absolute
     covariant derivative of g, d, dbar, G, the metric trace condition
     sum g^{qp} nabla_r g_{qp}, and the symbol-sandwich condition
-    sum G nabla g G + (i<->j) = 0.
+    sum G nabla g G + (i<->j) = 0.  A non-finite residual anywhere
+    makes the reported maximum non-finite.
     """
     points = points if points is not None else scenario.chart.sample_points
-    step = scenario.fd_step(fd_step)
     fields = {
         "metric": SpinTensorField(TensorSignature(n=2), scenario.g),
         "spin-metric": SpinTensorField(TensorSignature(beta=2), scenario.d),
@@ -410,14 +375,14 @@ def verify_chiral_concordance(
         conn = conn_at(point) if callable(conn_at) else conn_at
         grads = {}
         for name, fld in fields.items():
-            grad = covariant_derivative(fld, conn, scenario, point, fd_step=step)
+            grad = covariant_derivative(fld, conn, scenario, point)
             grads[name] = grad.components
-            out[f"nabla-{name}"] = max(out[f"nabla-{name}"], float(np.max(np.abs(grad.components))))
+            out[f"nabla-{name}"] = worst_residual(out[f"nabla-{name}"], grad.components)
         g = np.real(np.asarray(scenario.g(point)))
         ginv = np.linalg.inv(g)
         dg = grads["metric"]  # [q, p, r]
         trace = np.einsum("qp,qpr->r", ginv, dg)
-        out["metric-trace"] = max(out["metric-trace"], float(np.max(np.abs(trace))))
+        out["metric-trace"] = worst_residual(out["metric-trace"], trace)
         gu = np.asarray(scenario.G(point), dtype=complex)
         d = np.asarray(scenario.d(point), dtype=complex)
         db = np.asarray(scenario.dbar(point), dtype=complex)
@@ -425,8 +390,13 @@ def verify_chiral_concordance(
         sandwich = np.einsum("aix,abr,bjy->ixjyr", gl, dg, gl) + np.einsum(
             "ajx,abr,biy->ixjyr", gl, dg, gl
         )
-        out["symbol-sandwich"] = max(out["symbol-sandwich"], float(np.max(np.abs(sandwich))))
+        out["symbol-sandwich"] = worst_residual(out["symbol-sandwich"], sandwich)
     return out
+
+
+def worst_residual(running, residual):
+    """Running maximum of |residual| that keeps a NaN once one is seen."""
+    return float(np.max(np.abs(residual), initial=running))
 
 
 def transform_connection(

@@ -5,11 +5,15 @@ needed), build-connection (coefficient tables at the sample points),
 concordance (covariant-constancy residual suites), covariance (seeded
 frame-deformation transformation-law check) and all.
 
-Exit codes: 0 every check passed, 1 a numerical check failed, 2 the
-spec could not be read or parsed.  Flags may also be set through
-environment variables with the SPINTENSOR_ prefix (SPINTENSOR_SPEC,
-SPINTENSOR_OUT, SPINTENSOR_SEED, SPINTENSOR_FD_STEP,
-SPINTENSOR_TOL_SCALE, SPINTENSOR_FORMAT); explicit flags win.
+Exit codes: 0 every check passed, 1 a numerical check failed (a
+non-finite residual fails its check), 2 the spec, a flag or an
+environment override could not be read or parsed (one stderr line).
+Flags may also be set through environment variables with the
+SPINTENSOR_ prefix (SPINTENSOR_SPEC, SPINTENSOR_OUT, SPINTENSOR_SEED,
+SPINTENSOR_FD_STEP, SPINTENSOR_TOL_SCALE, SPINTENSOR_FORMAT); explicit
+flags win and both are validated alike.  The FD step sets only the
+raw finite-difference Christoffel oracle (tangent-oracle); every other
+derivative is exact.
 
 Report schema "residual-report/1": a JSON object with schema, name,
 subcommand, seed, timestamp, overall_pass and a checks object mapping
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +40,7 @@ from .chiral import (
     transform_connection,
     verify_chiral_concordance,
     verify_chiral_identities,
+    worst_residual,
 )
 from .dirac import (
     canonical_dirac_constants,
@@ -49,7 +55,7 @@ from .dirac_connection import (
     verify_dirac_concordance,
 )
 from .expressions import ParseError
-from .frames import ScalarField, theta_parameters
+from .frames import MatrixField, theta_parameters
 from .scenarios import (
     ScenarioSpec,
     SpecError,
@@ -76,9 +82,9 @@ SUBCOMMANDS = (
 )
 
 
-def parse_expression(text: str) -> ScalarField:
-    """Scalar field over x0..x3 from a DSL expression string."""
-    return ScalarField.from_expression(text)
+def parse_expression(text: str) -> MatrixField:
+    """Scalar (shape ()) field over x0..x3 from a DSL expression string."""
+    return MatrixField.from_expressions(text)
 
 
 @dataclass
@@ -92,10 +98,11 @@ class ResidualReport:
     tables: dict = field(default_factory=dict)
 
     def record(self, check, max_residual, tolerance, points_evaluated):
+        """Record one check; a non-finite residual never passes."""
         self.checks[check] = {
             "max_residual": float(max_residual),
             "tolerance": float(tolerance),
-            "passed": bool(max_residual <= tolerance),
+            "passed": bool(math.isfinite(max_residual) and max_residual <= tolerance),
             "points_evaluated": int(points_evaluated),
         }
 
@@ -177,8 +184,8 @@ def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=Non
     """Emit coefficient tables at every sample point.
 
     When the spec uses the coordinate frame, a raw finite-difference
-    Christoffel table is emitted next to the tangent coefficients and
-    their agreement is recorded as a check.
+    Christoffel table (step fd_step, else the spec's) is emitted next to
+    the tangent coefficients and their agreement is recorded as a check.
     """
     has_oracle = spec.frame is None and not spec.deform
     g_coord = _metric_field(spec) if has_oracle else None
@@ -192,7 +199,7 @@ def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=Non
         entries = []
         worst = 0.0
         for point in scenario.chart.sample_points:
-            conn = build(scenario, point, fd_step=fd_step)
+            conn = build(scenario, point)
             entry = {
                 "point": list(point),
                 "tangent": np.real(np.asarray(conn.Gamma)).tolist(),
@@ -200,11 +207,10 @@ def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=Non
                 "conjugate-spinor": _complex_table(conn.Abar),
             }
             if has_oracle:
-                oracle = coordinate_christoffel(
-                    g_coord, point, step=scenario.fd_step(fd_step)
-                )
+                step = scenario.chart.fd_step if fd_step is None else fd_step
+                oracle = coordinate_christoffel(g_coord, point, step=step)
                 entry["tangent-oracle"] = np.asarray(oracle).tolist()
-                worst = max(worst, float(np.max(np.abs(conn.Gamma - oracle))))
+                worst = worst_residual(worst, conn.Gamma - oracle)
             entries.append(entry)
         report.tables[f"{mode}-connection"] = entries
         if has_oracle:
@@ -216,29 +222,25 @@ def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=Non
             )
 
 
-def run_concordance(spec: ScenarioSpec, report: ResidualReport, fd_step=None, tol_scale=1.0):
+def run_concordance(spec: ScenarioSpec, report: ResidualReport, tol_scale=1.0):
     tol = spec.tolerances["concordance"] * tol_scale
     npoints = len(spec.sample_points)
     for mode in spec.modes:
         if mode == "chiral":
             scenario = chiral_scenario_from_spec(spec)
             residuals = verify_chiral_concordance(
-                lambda p: build_chiral_metric_connection(scenario, p, fd_step=fd_step),
-                scenario,
-                fd_step=fd_step,
+                lambda p: build_chiral_metric_connection(scenario, p), scenario
             )
         else:
             scenario = dirac_scenario_from_spec(spec)
             residuals = verify_dirac_concordance(
-                lambda p: build_dirac_metric_connection(scenario, p, fd_step=fd_step),
-                scenario,
-                fd_step=fd_step,
+                lambda p: build_dirac_metric_connection(scenario, p), scenario
             )
         for check, value in residuals.items():
             report.record(f"{mode}-{check}", value, tol, npoints)
 
 
-def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, fd_step=None, tol_scale=1.0):
+def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, tol_scale=1.0):
     """Transformation-law round trip under a seeded smooth deformation.
 
     The connection built directly in the deformed frame, mapped back
@@ -248,31 +250,26 @@ def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, fd_ste
     tol = spec.tolerances["covariance"] * tol_scale
     base_seed = spec.seed if seed is None else seed
     base = chiral_scenario_from_spec(spec)
-    step = base.fd_step(fd_step)
+    points = base.chart.sample_points
+    conn_base = [build_chiral_metric_connection(base, point) for point in points]
     worst = 0.0
-    npoints = 0
     for offset in range(3):
         trans = random_transition(seed=base_seed + offset, spinor_dim=2)
         moved = deform_scenario(base, trans)
-        for point in base.chart.sample_points:
-            conn_moved = build_chiral_metric_connection(moved, point, fd_step=fd_step)
-            conn_base = build_chiral_metric_connection(base, point, fd_step=fd_step)
-            theta = theta_parameters(trans, base.frame, point, fd_step=step)
+        for point, conn in zip(points, conn_base):
+            conn_moved = build_chiral_metric_connection(moved, point)
+            theta = theta_parameters(trans, base.frame, point)
             back = transform_connection(conn_moved, trans, theta, point)
-            worst = max(
-                worst,
-                float(np.max(np.abs(back.Gamma - conn_base.Gamma))),
-                float(np.max(np.abs(back.A - conn_base.A))),
-                float(np.max(np.abs(back.Abar - conn_base.Abar))),
-            )
-            npoints += 1
-    report.record("chiral-transformation-law", worst, tol, npoints)
+            for ours, theirs in (
+                (back.Gamma, conn.Gamma), (back.A, conn.A), (back.Abar, conn.Abar)
+            ):
+                worst = worst_residual(worst, ours - theirs)
+    report.record("chiral-transformation-law", worst, tol, 3 * len(points))
     if "dirac" in spec.modes:
         dirac = dirac_scenario_from_spec(spec)
         worst = 0.0
-        npoints = 0
-        for point in dirac.chart.sample_points:
-            conn = build_dirac_metric_connection(dirac, point, fd_step=fd_step)
+        for point, chiral_conn in zip(points, conn_base):
+            conn = build_dirac_metric_connection(dirac, point)
             if spec.deform:
                 # deformed embedded frames keep the block layout, so the
                 # restriction is still exact; the restriction residual is
@@ -280,12 +277,8 @@ def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, fd_ste
                 restricted = restrict_to_chiral(conn, tol=1e-6)
             else:
                 restricted = restrict_to_chiral(conn)
-            chiral_conn = build_chiral_metric_connection(
-                chiral_scenario_from_spec(spec), point, fd_step=fd_step
-            )
-            worst = max(worst, float(np.max(np.abs(restricted.A - chiral_conn.A))))
-            npoints += 1
-        report.record("dirac-chiral-restriction", worst, tol, npoints)
+            worst = worst_residual(worst, restricted.A - chiral_conn.A)
+        report.record("dirac-chiral-restriction", worst, tol, len(points))
 
 
 # --- orchestration ----------------------------------------------------
@@ -297,6 +290,9 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
     stream = stream if stream is not None else sys.stdout
     if subcommand not in SUBCOMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
+        return 2
+    if fd_step is not None and not _valid_fd_step(fd_step):
+        print(f"bad input: fd_step must lie in (0, 0.1], got {fd_step!r}", file=sys.stderr)
         return 2
     try:
         spec = None
@@ -319,9 +315,9 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         if subcommand in ("build-connection", "all") and spec is not None:
             run_build_connection(spec, report, fd_step=fd_step)
         if subcommand in ("concordance", "all") and spec is not None:
-            run_concordance(spec, report, fd_step=fd_step, tol_scale=tol_scale)
+            run_concordance(spec, report, tol_scale=tol_scale)
         if subcommand in ("covariance", "all") and spec is not None:
-            run_covariance(spec, report, seed=seed, fd_step=fd_step, tol_scale=tol_scale)
+            run_covariance(spec, report, seed=seed, tol_scale=tol_scale)
         if subcommand in ("build-connection", "concordance", "covariance") and spec is None:
             raise SpecError(f"subcommand {subcommand!r} needs --spec")
     except (SpecError, ParseError) as exc:
@@ -349,18 +345,39 @@ def _resolve_spec(spec_path) -> ScenarioSpec:
     return load_scenario_spec(text)
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+def _valid_fd_step(value):
+    return 0.0 < value <= 0.1
+
+
+def _flag_type(cast, valid, requirement, env):
+    """argparse type of a flag that SPINTENSOR_<env> may also set.
+
+    argparse passes an environment default through the same type, so a
+    bad override fails exactly like a bad flag.
+    """
+
+    def convert(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {requirement} (flag or {ENV_PREFIX}{env})"
+            )
+        return value
+
+    return convert
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Bad flags and overrides: one stderr line, exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spintensor",
         description="Build metric spinor connections and report identity residuals.",
         epilog=(
@@ -370,21 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
             "SPINTENSOR_FORMAT."
         ),
     )
+
+    def env(name, fallback=None):
+        return os.environ.get(ENV_PREFIX + name, fallback)
+
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument(
         "--spec",
-        default=_env_default("SPEC", str, None),
+        default=env("SPEC"),
         help="scenario spec path or bundled scenario name",
     )
-    parser.add_argument("--out", default=_env_default("OUT", str, None),
+    parser.add_argument("--out", default=env("OUT"),
                         help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=_env_default("SEED", int, None))
-    parser.add_argument("--fd-step", type=float,
-                        default=_env_default("FD_STEP", float, None))
-    parser.add_argument("--tol-scale", type=float,
-                        default=_env_default("TOL_SCALE", float, 1.0))
-    parser.add_argument("--format", choices=("json", "text"),
-                        default=_env_default("FORMAT", str, "json"))
+    parser.add_argument(
+        "--seed", default=env("SEED"),
+        type=_flag_type(int, lambda v: True, "an integer", "SEED"),
+    )
+    parser.add_argument(
+        "--fd-step", default=env("FD_STEP"),
+        type=_flag_type(float, _valid_fd_step, "a number in (0, 0.1]", "FD_STEP"),
+        help="step of the raw finite-difference Christoffel oracle only",
+    )
+    parser.add_argument(
+        "--tol-scale", default=env("TOL_SCALE", "1.0"),
+        type=_flag_type(float, lambda v: 0.0 < v < math.inf, "a positive number", "TOL_SCALE"),
+    )
+    formats = ("json", "text")
+    parser.add_argument(
+        "--format", choices=formats, default=env("FORMAT", "json"),
+        type=_flag_type(str, formats.__contains__, "json or text", "FORMAT"),
+    )
     return parser
 
 

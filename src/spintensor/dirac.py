@@ -18,7 +18,7 @@ import numpy as np
 from .chiral import G_UPPER
 from .frames import FrameTransition, transform_components
 from .lorentz_cover import MINKOWSKI
-from .tensor_core import MetricMatrices, SpinTensorValue, TensorSignature, tau
+from .tensor_core import SpinTensorValue, TensorSignature, tau
 
 D_DIRAC = np.array(
     [
@@ -122,16 +122,6 @@ class DiracConstants:
             gamma_herm_lower=gamma_herm_lower,
             g_lower=g_lower,
             g_upper=g_upper,
-        )
-
-    def metrics(self) -> MetricMatrices:
-        return MetricMatrices(
-            g_lower=self.g_lower,
-            g_upper=self.g_upper,
-            d_lower=self.d_lower,
-            d_upper=self.d_upper,
-            dbar_lower=self.dbar_lower,
-            dbar_upper=self.dbar_upper,
         )
 
     def transform(self, trans: FrameTransition, point=(0.0, 0.0, 0.0, 0.0)):

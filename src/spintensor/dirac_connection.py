@@ -20,11 +20,13 @@ from .chiral import (
     SpinTensorField,
     covariant_derivative,
     metric_tangent_connection,
+    worst_residual,
 )
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import Chart, FrameField, MatrixField, lie_matrix
+from .frames import Chart, FrameField, MatrixField, along_frame, einsum_jet, inverse_jet
 from .lorentz_cover import MINKOWSKI
 from .tensor_core import TensorSignature
+from .tetrads import derived_symbol_field
 
 
 @dataclass(frozen=True)
@@ -41,17 +43,32 @@ class ChiralitySplit:
     c_d_upper: np.ndarray
 
 
+SPLIT_NAMES = ("bh", "ch", "bc", "cb", "bd_low", "cd_low", "bd_up", "cd_up")
+
+
 def _split_arrays(h, gamma, d_lower, d_upper):
+    """Jets of the projectors and split structure data (SPLIT_NAMES order)
+    from the jets of H, gamma and the spin-metric and its inverse; with
+    partials exactly when H's jet carries them."""
     eye = np.eye(4, dtype=complex)
-    bh = 0.5 * (eye + h)
-    ch = 0.5 * (eye - h)
-    bc = np.einsum("ar,sb,rsm->abm", bh, ch, gamma)
-    cb = np.einsum("ar,sb,rsm->abm", ch, bh, gamma)
-    bd_low = np.einsum("rb,rs,sh->bh", bh, d_lower, bh)
-    cd_low = np.einsum("rb,rs,sh->bh", ch, d_lower, ch)
-    bd_up = np.einsum("ar,rs,es->ae", bh, d_upper, bh)
-    cd_up = np.einsum("ar,rs,es->ae", ch, d_upper, ch)
-    return bh, ch, bc, cb, bd_low, cd_low, bd_up, cd_up
+    h, dh = h
+    deriv = dh is not None
+    bh = (0.5 * (eye + h), None if dh is None else 0.5 * dh)
+    ch = (0.5 * (eye - h), None if dh is None else -0.5 * dh)
+
+    def split(subscripts, *jets):
+        return einsum_jet(subscripts, *jets, deriv=deriv)
+
+    return (
+        bh,
+        ch,
+        split("ar,sb,rsm->abm", bh, ch, gamma),
+        split("ar,sb,rsm->abm", ch, bh, gamma),
+        split("rb,rs,sh->bh", bh, d_lower, bh),
+        split("rb,rs,sh->bh", ch, d_lower, ch),
+        split("ar,rs,es->ae", bh, d_upper, bh),
+        split("ar,rs,es->ae", ch, d_upper, ch),
+    )
 
 
 def chirality_split(constants: DiracConstants, tol=0.0) -> ChiralitySplit:
@@ -63,10 +80,10 @@ def chirality_split(constants: DiracConstants, tol=0.0) -> ChiralitySplit:
     spin-metrics and to the projectors.  All checks are exact (residual
     0) on canonical constants; tol admits rounding for transformed ones.
     """
-    h = constants.H
-    bh, ch, bc, cb, bd_low, cd_low, bd_up, cd_up = _split_arrays(
-        h, constants.gamma, constants.d_lower, constants.d_upper
+    jets = _split_arrays(
+        *((arr, None) for arr in (constants.H, constants.gamma, constants.d_lower, constants.d_upper))
     )
+    bh, ch, bc, cb, bd_low, cd_low, bd_up, cd_up = (value for value, _ in jets)
     eye = np.eye(4, dtype=complex)
     ginv = constants.g_upper.astype(complex)
 
@@ -153,8 +170,6 @@ class DiracScenario(ChiralScenario):
             # Same coupling as the chiral mixed symbols: the gamma-symbol
             # field in a non-orthonormal frame carries the orthonormal
             # factor of g on its tangent slot.
-            from .tetrads import derived_symbol_field
-
             self.gamma = derived_symbol_field(g, GAMMA)
         self.H = H if H is not None else MatrixField.constant(H_DIRAC)
         self.D = D if D is not None else MatrixField.constant(DD_DIRAC)
@@ -169,31 +184,8 @@ class DiracScenario(ChiralScenario):
         return cls(chart, frame, g, torsion=torsion)
 
 
-def _split_fields(scenario: DiracScenario):
-    """Pointwise-split structure fields (FD partials via composition)."""
-
-    cache = {}
-
-    def at(point):
-        key = tuple(float(c) for c in point)
-        if key not in cache:
-            if len(cache) > 512:
-                cache.clear()
-            h = np.asarray(scenario.H(point), dtype=complex)
-            gamma = np.asarray(scenario.gamma(point), dtype=complex)
-            d = np.asarray(scenario.d(point), dtype=complex)
-            cache[key] = _split_arrays(h, gamma, d, np.linalg.inv(d))
-        return cache[key]
-
-    names = ("bh", "ch", "bc", "cb", "bd_low", "cd_low", "bd_up", "cd_up")
-    return {
-        name: MatrixField(lambda point, k=k: at(point)[k])
-        for k, name in enumerate(names)
-    }
-
-
 def build_dirac_metric_connection(
-    scenario: DiracScenario, point, fd_step=None, method="simplified"
+    scenario: DiracScenario, point, method="simplified"
 ) -> SpinorConnection:
     """The unique metric connection of a Dirac scenario at one point.
 
@@ -205,19 +197,17 @@ def build_dirac_metric_connection(
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    step = scenario.fd_step(fd_step)
-    gamma_t = metric_tangent_connection(scenario, point, fd_step=step)
+    gamma_t = metric_tangent_connection(scenario, point)
     g = np.real(np.asarray(scenario.g(point)))
     ginv = np.linalg.inv(g).astype(complex)
 
-    fields = _split_fields(scenario)
-    values = {name: field(point) for name, field in fields.items()}
-    lie = {
-        name: np.stack(
-            [lie_matrix(field, scenario.frame, k, point, step) for k in range(4)]
-        )
-        for name, field in fields.items()
-    }
+    d_jet = scenario.d.jet(point)
+    jets = _split_arrays(
+        scenario.H.jet(point), scenario.gamma.jet(point), d_jet, inverse_jet(d_jet)
+    )
+    u = scenario.frame(point)
+    values = {name: value for name, (value, _) in zip(SPLIT_NAMES, jets)}
+    lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, jets)}
     bh, ch = values["bh"], values["ch"]
     bc, cb = values["bc"], values["cb"]
     bd_low, cd_low = values["bd_low"], values["cd_low"]
@@ -283,15 +273,15 @@ def restrict_to_chiral(
 
 
 def verify_dirac_concordance(
-    conn_at, scenario: DiracScenario, points=None, fd_step=None
+    conn_at, scenario: DiracScenario, points=None
 ) -> dict:
     """Residual report for the Dirac concordance conditions.
 
     Max absolute covariant derivatives of g, d, dbar, gamma, H, D plus
     the derivative of the chirality involution (H nabla H + nabla H H).
+    A non-finite residual anywhere makes the reported maximum non-finite.
     """
     points = points if points is not None else scenario.chart.sample_points
-    step = scenario.fd_step(fd_step)
     sdim = 4
     fields = {
         "metric": SpinTensorField(TensorSignature(n=2, spinor_dim=sdim), scenario.g),
@@ -317,15 +307,13 @@ def verify_dirac_concordance(
         conn = conn_at(point) if callable(conn_at) else conn_at
         grads = {}
         for name, fld in fields.items():
-            grad = covariant_derivative(fld, conn, scenario, point, fd_step=step)
+            grad = covariant_derivative(fld, conn, scenario, point)
             grads[name] = grad.components
-            out[f"nabla-{name}"] = max(
-                out[f"nabla-{name}"], float(np.max(np.abs(grad.components)))
-            )
+            out[f"nabla-{name}"] = worst_residual(out[f"nabla-{name}"], grad.components)
         h = np.asarray(scenario.H(point), dtype=complex)
         dh = grads["chirality"]  # [a, b, r]
         involution = np.einsum("ab,bcr->acr", h, dh) + np.einsum("abr,bc->acr", dh, h)
-        out["chirality-involution-derivative"] = max(
-            out["chirality-involution-derivative"], float(np.max(np.abs(involution)))
+        out["chirality-involution-derivative"] = worst_residual(
+            out["chirality-involution-derivative"], involution
         )
     return out

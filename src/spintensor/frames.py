@@ -1,27 +1,29 @@
-"""Charts, frame fields, derivative providers and frame transitions.
+"""Charts, frame fields, jets and frame transitions.
 
-A Chart fixes coordinates x0..x3, sample points and a finite-difference
-step.  Scalar and matrix fields evaluate at chart points and expose
-partial derivatives: analytic closures when available, central finite
-differences otherwise.  Frame fields give the expansion of a tangent
-frame in the coordinate frame; transitions between frames carry the
-tangent pair (S, T) and the spinor pair (Ss, Ts) together with their
-theta-parameters.
+A Chart fixes coordinates x0..x3, sample points and the step of the
+raw finite-difference Christoffel oracle.  Array-valued fields carry
+their value together with its four coordinate partials as one jet;
+every composition propagates jets exactly (the product rule over an
+einsum, the inverse rule, ...), and only a field built from a plain
+callable falls back to central differences.  Frame fields give the
+expansion of a tangent frame in the coordinate frame; transitions
+between frames carry the tangent pair (S, T) and the spinor pair
+(Ss, Ts) together with their theta-parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression
+from .expressions import Expression, Num
 from .tensor_core import (
     BARRED,
     SPINOR,
     TANGENT,
     SpinTensorValue,
-    apply_matrix,
 )
 
 DEFAULT_FD_STEP = 1e-4
@@ -29,11 +31,10 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate chart with sample points and FD step."""
+    """Coordinate chart with sample points and the oracle's FD step."""
 
     sample_points: tuple = ()
     fd_step: float = DEFAULT_FD_STEP
-    coordinate_names: tuple = ("x0", "x1", "x2", "x3")
 
     def __post_init__(self):
         if not 0.0 < self.fd_step <= 1e-1:
@@ -45,130 +46,126 @@ class Chart:
         object.__setattr__(self, "sample_points", points)
 
 
-class ScalarField:
-    """Complex scalar field with optional analytic partials.
+class MatrixField:
+    """Array-valued field (any shape, scalars included) evaluated as a jet.
 
-    partials, when given, is a callable (a, point) -> d f / d x^a.
+    jet(point) returns (value, d) with d[a] the partial of value along
+    coordinate a, so d.shape == (4, *value.shape); jet(point,
+    deriv=False) returns (value, None) and computes no partials.  A
+    field built from a plain callable gets central-difference partials
+    with step DEFAULT_FD_STEP; compositions pass an exact jet function
+    (point, deriv) -> (value, d) instead.
     """
 
-    def __init__(self, evaluator, partials=None):
-        self.evaluator = evaluator
-        self.partials = partials
-
-    @classmethod
-    def constant(cls, value):
-        value = complex(value)
-        return cls(lambda point: value, partials=lambda a, point: 0.0)
-
-    @classmethod
-    def from_expression(cls, expr):
-        if isinstance(expr, str):
-            expr = Expression.parse(expr)
-        return cls(expr, partials=lambda a, point: expr.partial(a)(point))
-
-    def __call__(self, point):
-        return self.evaluator(point)
-
-    def partial(self, a, point, fd_step=DEFAULT_FD_STEP):
-        if self.partials is not None:
-            return self.partials(a, point)
-        shifted = np.asarray(point, dtype=float)
-        step = np.zeros(4)
-        step[a] = fd_step
-        return (self.evaluator(shifted + step) - self.evaluator(shifted - step)) / (
-            2.0 * fd_step
-        )
-
-
-class MatrixField:
-    """Array-valued field (any shape) with optional analytic partials."""
-
-    def __init__(self, func, partials=None):
-        self.func = func
-        self.partials = partials
+    def __init__(self, func=None, *, jet=None):
+        self._jet = jet if jet is not None else _central_difference_jet(func)
 
     @classmethod
     def constant(cls, array):
         array = np.asarray(array)
-        zero = np.zeros_like(array, dtype=complex if np.iscomplexobj(array) else float)
-        return cls(lambda point: array, partials=lambda a, point: zero)
+        zero = np.zeros((4, *array.shape), dtype=np.result_type(array, float))
+        return cls(jet=lambda point, deriv=True: (array, zero if deriv else None))
 
     @classmethod
     def from_expressions(cls, grid):
-        """Build from a nested list of DSL strings / Expressions / numbers."""
+        """Build from a (nested list of) DSL strings / Expressions / numbers."""
         grid = np.asarray(grid, dtype=object)
         shape = grid.shape
-        flat = []
-        for cell in grid.ravel():
-            if isinstance(cell, str):
-                flat.append(Expression.parse(cell))
-            elif isinstance(cell, Expression):
-                flat.append(cell)
-            else:
-                value = float(cell)
-                flat.append(value)
+        flat = [
+            cell if isinstance(cell, Expression)
+            else Expression.parse(cell) if isinstance(cell, str)
+            else Expression(Num(float(cell)))
+            for cell in grid.ravel()
+        ]
 
-        def evaluate(point):
-            out = np.empty(len(flat))
-            for k, cell in enumerate(flat):
-                out[k] = cell(point) if isinstance(cell, Expression) else cell
-            return out.reshape(shape)
+        def jet(point, deriv=True):
+            value = np.array([cell(point) for cell in flat]).reshape(shape)
+            if not deriv:
+                return value, None
+            d = [[cell.partial(a)(point) for cell in flat] for a in range(4)]
+            return value, np.array(d).reshape((4, *shape))
 
-        def partials(a, point):
-            out = np.zeros(len(flat))
-            for k, cell in enumerate(flat):
-                if isinstance(cell, Expression):
-                    out[k] = cell.partial(a)(point)
-            return out.reshape(shape)
+        return cls(jet=jet)
 
-        return cls(evaluate, partials=partials)
+    def jet(self, point, deriv=True):
+        return self._jet(point, deriv)
 
     def __call__(self, point):
-        return np.asarray(self.func(point))
+        return self._jet(point, False)[0]
 
-    def partial(self, a, point, fd_step=DEFAULT_FD_STEP):
-        if self.partials is not None:
-            return np.asarray(self.partials(a, point))
-        shifted = np.asarray(point, dtype=float)
-        step = np.zeros(4)
-        step[a] = fd_step
-        plus = np.asarray(self.func(shifted + step))
-        minus = np.asarray(self.func(shifted - step))
-        return (plus - minus) / (2.0 * fd_step)
+
+def _central_difference_jet(func):
+    def jet(point, deriv=True):
+        value = np.asarray(func(point))
+        if not deriv:
+            return value, None
+        base = np.asarray(point, dtype=float)
+        steps = DEFAULT_FD_STEP * np.eye(4)
+        d = np.stack(
+            [np.asarray(func(base + h)) - np.asarray(func(base - h)) for h in steps]
+        ) / (2.0 * DEFAULT_FD_STEP)
+        return value, d
+
+    return jet
+
+
+def einsum_jet(subscripts, *jets, deriv=True):
+    """Jet of einsum(subscripts, *values) by the product rule.
+
+    Each operand is a (value, d) jet; d None marks a constant factor.
+    subscripts must name its output explicitly ("...->...").
+    """
+    value = np.einsum(subscripts, *(v for v, _ in jets))
+    if not deriv:
+        return value, None
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    a = next(c for c in string.ascii_letters if c not in subscripts)
+    terms = [
+        np.einsum(
+            ",".join(a + s if i == k else s for i, s in enumerate(inputs)) + "->" + a + output,
+            *(d if i == k else v for i, (v, _) in enumerate(jets)),
+        )
+        for k, (_, d) in enumerate(jets)
+        if d is not None
+    ]
+    return value, (sum(terms) if terms else np.zeros((4, *value.shape), value.dtype))
+
+
+def einsum_field(subscripts, *operands) -> MatrixField:
+    """Field of einsum(subscripts, ...) over MatrixFields and constant arrays.
+
+    A field passed more than once is evaluated once per point.
+    """
+
+    fields = {id(op): op for op in operands if isinstance(op, MatrixField)}
+
+    def jet(point, deriv=True):
+        jets = {key: field.jet(point, deriv) for key, field in fields.items()}
+        return einsum_jet(
+            subscripts,
+            *(jets.get(id(op), (op, None)) for op in operands),
+            deriv=deriv,
+        )
+
+    return MatrixField(jet=jet)
 
 
 def matmul_fields(left: MatrixField, right: MatrixField) -> MatrixField:
-    """Pointwise matrix product; analytic partials via the product rule."""
+    """Pointwise matrix product."""
+    return einsum_field("ij,jk->ik", left, right)
 
-    def evaluate(point):
-        return left(point) @ right(point)
 
-    if left.partials is not None and right.partials is not None:
-
-        def partials(a, point):
-            return left.partial(a, point) @ right(point) + left(point) @ right.partial(
-                a, point
-            )
-
-        return MatrixField(evaluate, partials=partials)
-    return MatrixField(evaluate)
+def inverse_jet(jet):
+    """Jet of a matrix inverse: d(M^-1) = -M^-1 (dM) M^-1."""
+    value, d = jet
+    inv = np.linalg.inv(value)
+    return inv, (None if d is None else -(inv @ d @ inv))
 
 
 def inverse_field(mat: MatrixField) -> MatrixField:
-    """Pointwise matrix inverse; d(M^-1) = -M^-1 (dM) M^-1."""
-
-    def evaluate(point):
-        return np.linalg.inv(mat(point))
-
-    if mat.partials is not None:
-
-        def partials(a, point):
-            inv = np.linalg.inv(mat(point))
-            return -inv @ mat.partial(a, point) @ inv
-
-        return MatrixField(evaluate, partials=partials)
-
-    return MatrixField(evaluate)
+    """Pointwise matrix inverse."""
+    return MatrixField(jet=lambda point, deriv=True: inverse_jet(mat.jet(point, deriv)))
 
 
 class FrameField:
@@ -190,13 +187,14 @@ class FrameField:
         return cls(MatrixField.from_expressions(grid))
 
     def __call__(self, point):
-        mat = np.asarray(self.components(point), dtype=float)
+        return self.jet(point, deriv=False)[0]
+
+    def jet(self, point, deriv=True):
+        mat, d = self.components.jet(point, deriv)
+        mat = np.asarray(mat, dtype=float)
         if abs(np.linalg.det(mat)) <= self.det_floor:
             raise ValueError(f"frame is singular at {tuple(point)}")
-        return mat
-
-    def partial(self, a, point, fd_step=DEFAULT_FD_STEP):
-        return self.components.partial(a, point, fd_step)
+        return mat, d
 
 
 @dataclass(frozen=True)
@@ -213,43 +211,32 @@ class StructuralConstants:
             raise ValueError("structural constants must be antisymmetric in i, j")
 
 
-def lie_derivative(f: ScalarField, frame: FrameField, i: int, point, fd_step=DEFAULT_FD_STEP):
-    """Derivative of a scalar along the i-th frame vector."""
-    if not 0 <= i <= 3:
-        raise ValueError("frame index must be in 0..3")
-    u = frame(point)
-    total = 0.0
-    for j in range(4):
-        if u[j, i] != 0.0:
-            total += u[j, i] * f.partial(j, point, fd_step)
-    return total
+def along_frame(u, d):
+    """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d."""
+    return np.einsum("jr,j...->r...", u, d)
 
 
-def lie_matrix(mat: MatrixField, frame: FrameField, i: int, point, fd_step=DEFAULT_FD_STEP):
-    """Entrywise derivative of an array field along frame vector i."""
-    u = frame(point)
-    total = None
-    for j in range(4):
-        if u[j, i] != 0.0:
-            term = u[j, i] * mat.partial(j, point, fd_step)
-            total = term if total is None else total + term
-    if total is None:
-        total = np.zeros_like(np.asarray(mat(point), dtype=complex))
-    return total
+def lie_matrix(mat: MatrixField, frame: FrameField, point):
+    """Value of an array field and its derivatives along every frame vector.
+
+    Returns (value, lie) with lie[r] the entrywise derivative along
+    frame vector r, both from one jet of the field.
+    """
+    value, d = mat.jet(point)
+    return value, along_frame(frame(point), d)
 
 
-def structural_constants(frame: FrameField, point, fd_step=DEFAULT_FD_STEP) -> StructuralConstants:
+def structural_constants(frame: FrameField, point) -> StructuralConstants:
     """Commutator coefficients of the frame at one point.
 
     [U_i, U_j]^m = sum_a (U^a_i d_a U^m_j - U^a_j d_a U^m_i), expanded
     back in the frame itself.
     """
-    u = frame(point)
-    du = np.stack([frame.partial(a, point, fd_step) for a in range(4)])  # du[a, m, i]
+    u, du = frame.jet(point)  # du[a, m, i]
     bracket = np.einsum("ai,amj->mij", u, du) - np.einsum("aj,ami->mij", u, du)
     u_inv = np.linalg.inv(u)
     c = np.einsum("km,mij->kij", u_inv, bracket)
-    c = 0.5 * (c - c.transpose(0, 2, 1))  # kill FD asymmetry noise exactly
+    c = 0.5 * (c - c.transpose(0, 2, 1))  # antisymmetric to the last bit
     return StructuralConstants(c)
 
 
@@ -314,9 +301,7 @@ class ThetaParameters:
     vartheta: np.ndarray
 
 
-def theta_parameters(
-    trans: FrameTransition, frame: FrameField, point, fd_step=DEFAULT_FD_STEP
-) -> ThetaParameters:
+def theta_parameters(trans: FrameTransition, frame: FrameField, point) -> ThetaParameters:
     """Theta-parameters of a transition relative to a frame.
 
     theta^k_ij = sum_a S^k_a L_i(T^a_j); the equivalent form
@@ -326,10 +311,8 @@ def theta_parameters(
     trans.check_inverses(point)
     out = []
     for s_field, t_field in ((trans.S, trans.T), (trans.Ss, trans.Ts)):
-        s = s_field(point)
-        t = t_field(point)
-        l_t = np.stack([lie_matrix(t_field, frame, i, point, fd_step) for i in range(4)])
-        l_s = np.stack([lie_matrix(s_field, frame, i, point, fd_step) for i in range(4)])
+        s, l_s = lie_matrix(s_field, frame, point)
+        t, l_t = lie_matrix(t_field, frame, point)
         first = np.einsum("ka,iaj->ikj", s, l_t)
         second = -np.einsum("ika,aj->ikj", l_s, t)
         if np.max(np.abs(first - second)) > 1e-6:
@@ -339,44 +322,50 @@ def theta_parameters(
 
 
 def transform_components(
-    x: SpinTensorValue, trans: FrameTransition, point, direction="forward"
-) -> SpinTensorValue:
+    x: SpinTensorValue, trans: FrameTransition, point, direction="forward", dx=None
+):
     """Re-express spin-tensor components in the other frame.
 
     forward: from untilde to tilde components (Ts on contravariant
     spinor slots, Ss on covariant, conjugates on barred slots, T on
     contravariant tangent, S on covariant tangent).  backward is the
-    inverse map.
+    inverse map.  With dx, the coordinate partials of x's components
+    (partial index first), the result is the pair (value, partials),
+    the partials by the product rule over x and every slot factor.
     """
     if x.signature.spinor_dim != trans.spinor_dim:
         raise ValueError("signature and transition spinor dimensions differ")
-    s = np.asarray(trans.S(point), dtype=complex)
-    t = np.asarray(trans.T(point), dtype=complex)
-    ss = np.asarray(trans.Ss(point), dtype=complex)
-    ts = np.asarray(trans.Ts(point), dtype=complex)
+    deriv = dx is not None
+    s, t, ss, ts = (f.jet(point, deriv) for f in (trans.S, trans.T, trans.Ss, trans.Ts))
     if direction == "backward":
         s, t = t, s
         ss, ts = ts, ss
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'backward'")
-    arr = np.asarray(x.components, dtype=complex)
-    for axis, (family, up) in enumerate(x.signature.slots):
-        if family == SPINOR:
-            arr = (
-                apply_matrix(arr, axis, ts, "left")
-                if up
-                else apply_matrix(arr, axis, ss, "right")
-            )
-        elif family == BARRED:
-            arr = (
-                apply_matrix(arr, axis, np.conj(ts), "left")
-                if up
-                else apply_matrix(arr, axis, np.conj(ss), "right")
-            )
-        elif family == TANGENT:
-            arr = (
-                apply_matrix(arr, axis, t, "left")
-                if up
-                else apply_matrix(arr, axis, s, "right")
-            )
-    return SpinTensorValue(x.signature, arr)
+    factors = {
+        (SPINOR, True): ts,
+        (SPINOR, False): ss,
+        (BARRED, True): _conj(ts),
+        (BARRED, False): _conj(ss),
+        (TANGENT, True): t,
+        (TANGENT, False): s,
+    }
+    # one multilinear map: slot k is contracted with its factor, from
+    # the left on contravariant slots and from the right on covariant
+    slots = x.signature.slots
+    old = string.ascii_letters[: len(slots)]
+    new = string.ascii_letters[len(slots): 2 * len(slots)]
+    inputs = [old] + [n + o if up else o + n for (_, up), o, n in zip(slots, old, new)]
+    value, d = einsum_jet(
+        ",".join(inputs) + "->" + new,
+        (x.components, dx),
+        *(factors[slot] for slot in slots),
+        deriv=deriv,
+    )
+    moved = SpinTensorValue(x.signature, value)
+    return (moved, d) if deriv else moved
+
+
+def _conj(jet):
+    value, d = jet
+    return np.conj(value), (None if d is None else np.conj(d))

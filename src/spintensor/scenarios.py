@@ -20,9 +20,17 @@ from scipy.linalg import expm
 from .chiral import ChiralScenario
 from .dirac_connection import DiracScenario
 from .expressions import ParseError
-from .frames import Chart, FrameField, FrameTransition, MatrixField, matmul_fields
+from .frames import (
+    Chart,
+    FrameField,
+    FrameTransition,
+    MatrixField,
+    einsum_field,
+    inverse_jet,
+    matmul_fields,
+    transform_components,
+)
 from .tensor_core import SpinTensorValue, TensorSignature
-from .frames import transform_components
 
 SPEC_SCHEMA = "scenario-spec/1"
 
@@ -90,7 +98,7 @@ def load_scenario_spec(source) -> ScenarioSpec:
     for p in points:
         if not (isinstance(p, list) and len(p) == 4):
             raise SpecError("each sample point must be a list of 4 numbers")
-    fd_step = float(data.get("fd_step", 1e-4))
+    fd_step = _number(data, "fd_step", float, 1e-4)
     if not 0.0 < fd_step <= 1e-1:
         raise SpecError("fd_step must lie in (0, 0.1]")
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -107,7 +115,7 @@ def load_scenario_spec(source) -> ScenarioSpec:
         sample_points=[[float(c) for c in p] for p in points],
         fd_step=fd_step,
         tolerances=tolerances,
-        seed=int(data.get("seed", 0)),
+        seed=_number(data, "seed", int, 0),
         deform=deform,
     )
     # fail fast on bad expressions
@@ -118,6 +126,13 @@ def load_scenario_spec(source) -> ScenarioSpec:
     except ParseError as exc:
         raise SpecError(f"bad expression in spec: {exc}") from exc
     return spec
+
+
+def _number(data, key, cast, default):
+    try:
+        return cast(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{key} must be a number, got {data.get(key)!r}") from exc
 
 
 def _require_grid(grid, shape, label):
@@ -166,17 +181,9 @@ def _torsion_field(spec: ScenarioSpec):
 
 
 def frame_metric_field(g_coord: MatrixField, frame: FrameField) -> MatrixField:
-    """Frame components of a coordinate metric: U^T g U with partials."""
+    """Frame components of a coordinate metric: U^T g U."""
     u = frame.components
-    return matmul_fields(matmul_fields(_transpose_field(u), g_coord), u)
-
-
-def _transpose_field(mat: MatrixField) -> MatrixField:
-    if mat.partials is not None:
-        return MatrixField(
-            lambda p: mat(p).T, partials=lambda a, p: mat.partial(a, p).T
-        )
-    return MatrixField(lambda p: mat(p).T)
+    return einsum_field("ai,ab,bj->ij", u, g_coord, u)
 
 
 def chart_from_spec(spec: ScenarioSpec) -> Chart:
@@ -222,7 +229,7 @@ def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
 
 
 def _polynomial_exp_field(rng, dim, scale, real):
-    """exp of a degree-1 polynomial matrix field: smooth, invertible."""
+    """exp of a seeded degree-1 polynomial matrix field: smooth, invertible."""
 
     def draw():
         raw = rng.standard_normal((dim, dim))
@@ -231,15 +238,30 @@ def _polynomial_exp_field(rng, dim, scale, real):
         return scale * raw
 
     const = draw()
-    linear = [0.5 * draw() for _ in range(4)]
+    return exp_linear_field(const, [0.5 * draw() for _ in range(4)])
 
-    def evaluate(point):
+
+def exp_linear_field(const, linear) -> MatrixField:
+    """The field exp(C + sum_a x^a L_a) with its exact partials."""
+    dim = const.shape[0]
+
+    def jet(point, deriv=True):
         mat = const.copy()
         for a in range(4):
             mat = mat + float(point[a]) * linear[a]
-        return expm(mat)
+        if not deriv:
+            return expm(mat), None
+        # The exponential of the block upper-triangular matrix with M on
+        # the diagonal and L_0..L_3 in the first block row has the top
+        # block row [e^M, L(M, L_0), ..., L(M, L_3)]: the value and the
+        # exact Frechet derivatives along every coordinate in one call
+        # (Van Loan, IEEE TAC 23(3), 1978).
+        block = np.kron(np.eye(5), mat)
+        block[:dim, dim:] = np.hstack(linear)
+        top = expm(block)[:dim]
+        return top[:, :dim], top[:, dim:].reshape(dim, 4, dim).transpose(1, 0, 2)
 
-    return MatrixField(evaluate)
+    return MatrixField(jet=jet)
 
 
 def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTransition:
@@ -265,14 +287,22 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
     if chiral.spinor_dim != 2:
         raise ValueError("expected a chiral transition")
 
-    def spin(point):
-        top = np.asarray(chiral.Ss(point), dtype=complex)
+    def spin(point, deriv=True):
+        top, dtop = chiral.Ss.jet(point, deriv)
+        dual, ddual = inverse_jet(
+            (np.conj(top).T, None if dtop is None else np.conj(dtop).transpose(0, 2, 1))
+        )
         out = np.zeros((4, 4), dtype=complex)
         out[:2, :2] = top
-        out[2:, 2:] = np.linalg.inv(top.conj().T)
-        return out
+        out[2:, 2:] = dual
+        if not deriv:
+            return out, None
+        d = np.zeros((4, 4, 4), dtype=complex)
+        d[:, :2, :2] = dtop
+        d[:, 2:, 2:] = ddual
+        return out, d
 
-    return FrameTransition(chiral.S, MatrixField(spin), spinor_dim=4)
+    return FrameTransition(chiral.S, MatrixField(jet=spin), spinor_dim=4)
 
 
 # --- scenario deformation --------------------------------------------
@@ -288,40 +318,37 @@ def deform_scenario(scenario, trans: FrameTransition):
     if trans.spinor_dim != scenario.spinor_dim:
         raise ValueError("transition spinor dimension does not match scenario")
     new_frame = FrameField(matmul_fields(scenario.frame.components, trans.S))
-
-    def moved(mat, signature):
-        def evaluate(point):
-            value = SpinTensorValue(signature, np.asarray(mat(point), dtype=complex))
-            return transform_components(value, trans, point, "forward").components
-
-        return MatrixField(evaluate)
-
     sdim = scenario.spinor_dim
-    g = MatrixField(
-        lambda p: np.real(
-            moved(scenario.g, TensorSignature(n=2, spinor_dim=sdim))(p)
-        )
-    )
-    d = moved(scenario.d, TensorSignature(beta=2, spinor_dim=sdim))
-    dbar = moved(scenario.dbar, TensorSignature(gamma=2, spinor_dim=sdim))
+
+    def moved(mat, real=False, **counts):
+        signature = TensorSignature(spinor_dim=sdim, **counts)
+        part = np.real if real else np.asarray
+
+        def jet(point, deriv=True):
+            value, d = mat.jet(point, deriv)
+            x = SpinTensorValue(signature, value)
+            if not deriv:
+                return part(transform_components(x, trans, point).components), None
+            x, d = transform_components(x, trans, point, dx=d)
+            return part(x.components), part(d)
+
+        return MatrixField(jet=jet)
+
+    g = moved(scenario.g, real=True, n=2)
+    d = moved(scenario.d, beta=2)
+    dbar = moved(scenario.dbar, gamma=2)
     torsion = None
     if scenario.torsion is not None:
-        torsion = MatrixField(
-            lambda p: np.real(
-                moved(scenario.torsion, TensorSignature(m=1, n=2, spinor_dim=sdim))(p)
-            )
-        )
+        torsion = moved(scenario.torsion, real=True, m=1, n=2)
     chart = scenario.chart
     if isinstance(scenario, DiracScenario):
-        gamma = moved(
-            scenario.gamma, TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)
-        )
-        h = moved(scenario.H, TensorSignature(alpha=1, beta=1, spinor_dim=4))
-        dd = moved(scenario.D, TensorSignature(beta=1, gamma=1, spinor_dim=4))
+        gamma = moved(scenario.gamma, alpha=1, beta=1, n=1)
+        h = moved(scenario.H, alpha=1, beta=1)
+        dd = moved(scenario.D, beta=1, gamma=1)
         return DiracScenario(
             chart, new_frame, g, d=d, dbar=dbar, gamma=gamma, H=h, D=dd, torsion=torsion
         )
-    big_g = moved(scenario.G, TensorSignature(alpha=1, nu=1, n=1, spinor_dim=2))
+    big_g = moved(scenario.G, alpha=1, nu=1, n=1)
     return ChiralScenario(
         chart, new_frame, g, d=d, dbar=dbar, G=big_g, torsion=torsion
     )

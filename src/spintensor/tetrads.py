@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import MatrixField
+from .frames import MatrixField, einsum_field
 
 SIGNS = (1.0, -1.0, -1.0, -1.0)
 
@@ -45,34 +45,27 @@ def signed_cholesky_partial(lower, dg, signs=SIGNS):
     With X = L^-1 dL (lower triangular) and M = L^-1 dg L^-T, the
     factorization differential reads X eta + eta X^T = M, which solves
     entrywise: X[i,j] = s_j M[i,j] below the diagonal and
-    X[i,i] = s_i M[i,i] / 2 on it.
+    X[i,i] = s_i M[i,i] / 2 on it.  dg may carry leading axes, one
+    derivative each.
     """
     lower = np.asarray(lower, dtype=float)
-    n = lower.shape[0]
     linv = np.linalg.inv(lower)
-    mid = linv @ np.asarray(dg, dtype=float) @ linv.T
-    x = np.zeros((n, n))
-    for i in range(n):
-        x[i, i] = signs[i] * mid[i, i] / 2.0
-        for j in range(i):
-            x[i, j] = signs[j] * mid[i, j]
+    scaled = (linv @ np.asarray(dg, dtype=float) @ linv.T) * np.asarray(signs)
+    x = np.tril(scaled) - 0.5 * scaled * np.eye(lower.shape[0])
     return lower @ x
 
 
 def orthonormal_factor_field(g_field: MatrixField) -> MatrixField:
     """Pointwise signed-Cholesky factor of a metric field."""
 
-    def evaluate(point):
-        return signed_cholesky(np.real(np.asarray(g_field(point))))
+    def jet(point, deriv=True):
+        g, dg = g_field.jet(point, deriv)
+        lower = signed_cholesky(np.real(np.asarray(g)))
+        if not deriv:
+            return lower, None
+        return lower, signed_cholesky_partial(lower, np.real(dg))
 
-    if g_field.partials is not None:
-
-        def partials(a, point):
-            lower = evaluate(point)
-            return signed_cholesky_partial(lower, np.real(g_field.partial(a, point)))
-
-        return MatrixField(evaluate, partials=partials)
-    return MatrixField(evaluate)
+    return MatrixField(jet=jet)
 
 
 def derived_symbol_field(g_field: MatrixField, canonical) -> MatrixField:
@@ -81,16 +74,6 @@ def derived_symbol_field(g_field: MatrixField, canonical) -> MatrixField:
     canonical is the orthonormal-frame table with the tangent index
     last; the frame components are sum_c canonical[..., c] L[q, c].
     """
-    canonical = np.asarray(canonical, dtype=complex)
-    factor = orthonormal_factor_field(g_field)
-
-    def evaluate(point):
-        return np.einsum("...c,qc->...q", canonical, factor(point))
-
-    if factor.partials is not None:
-
-        def partials(a, point):
-            return np.einsum("...c,qc->...q", canonical, factor.partial(a, point))
-
-        return MatrixField(evaluate, partials=partials)
-    return MatrixField(evaluate)
+    return einsum_field(
+        "...c,qc->...q", np.asarray(canonical, dtype=complex), orthonormal_factor_field(g_field)
+    )

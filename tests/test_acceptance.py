@@ -152,7 +152,7 @@ def test_criterion_06_covariance_of_the_builder(verdict):
         for point in base.chart.sample_points:
             conn_moved = build_chiral_metric_connection(moved, point)
             conn_base = build_chiral_metric_connection(base, point)
-            theta = theta_parameters(trans, base.frame, point, fd_step=base.chart.fd_step)
+            theta = theta_parameters(trans, base.frame, point)
             back = transform_connection(conn_moved, trans, theta, point)
             worst = max(
                 worst,

@@ -3,6 +3,7 @@ import pytest
 
 from spintensor.chiral import (
     ChiralScenario,
+    SpinorConnection,
     SpinTensorField,
     build_chiral_metric_connection,
     canonical_chiral_constants,
@@ -86,7 +87,7 @@ def test_connection_is_torsion_free_in_anholonomic_frames():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     for point in scenario.chart.sample_points:
         gamma = metric_tangent_connection(scenario, point)
-        c = structural_constants(scenario.frame, point, scenario.chart.fd_step).c
+        c = structural_constants(scenario.frame, point).c
         asym = gamma - gamma.transpose(2, 1, 0)
         assert np.max(np.abs(asym - np.einsum("kij->ikj", c))) < 1e-9
 
@@ -204,7 +205,7 @@ def test_connection_covariance_round_trip():
     base = diag_scenario()
     trans = random_transition(seed=5, spinor_dim=2)
     moved = deform_scenario(base, trans)
-    theta = theta_parameters(trans, base.frame, PT, fd_step=base.chart.fd_step)
+    theta = theta_parameters(trans, base.frame, PT)
     conn_moved = build_chiral_metric_connection(moved, PT)
     conn_base = build_chiral_metric_connection(base, PT)
     back = transform_connection(conn_moved, trans, theta, PT)
@@ -217,3 +218,16 @@ def test_conjugate_coefficients_are_conjugates():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     conn = build_chiral_metric_connection(scenario, PT)
     assert np.allclose(conn.Abar, np.conj(conn.A), atol=1e-12)
+
+
+def test_non_finite_connection_fails_concordance():
+    scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
+    conn = build_chiral_metric_connection(scenario, PT)
+    bad_a = conn.A.copy()
+    bad_a[0, 0, 0] = np.nan
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
+    res = verify_chiral_concordance(bad, scenario)
+    # the NaN reaches every residual the spinor coefficients enter
+    assert np.isnan(res["nabla-spin-metric"])
+    assert np.isnan(res["nabla-mixed-symbols"])
+    assert res["nabla-metric"] < 1e-9

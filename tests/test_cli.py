@@ -1,7 +1,9 @@
 import io
 import json
+import math
 
 import pytest
+from importlib import resources
 
 from spintensor.cli import (
     REPORT_SCHEMA,
@@ -28,7 +30,9 @@ def strip_timestamp(payload):
 def test_parse_expression_is_a_scalar_field():
     field = parse_expression("1+x0")
     assert field((0.5, 0, 0, 0)) == 1.5
-    assert abs(field.partial(0, (0.5, 0, 0, 0)) - 1.0) < 1e-12
+    value, d = field.jet((0.5, 0, 0, 0))
+    assert value.shape == () and d.shape == (4,)
+    assert abs(d[0] - 1.0) < 1e-12
 
 
 def test_verify_identities_passes_without_a_spec():
@@ -85,9 +89,9 @@ def test_unknown_subcommand_is_exit_2():
 
 
 def test_numerical_failure_is_exit_1():
-    # shrink tolerances until real finite residuals fail
+    # shrink tolerances below rounding until real finite residuals fail
     code, payload = run_captured(
-        "concordance", spec_path="seeded-deformation", tol_scale=1e-9
+        "concordance", spec_path="seeded-deformation", tol_scale=1e-12
     )
     assert code == 1
     assert json.loads(payload)["overall_pass"] is False
@@ -121,6 +125,64 @@ def test_report_invariant_overall_iff_every_check():
     report.record("b", 1.0, 1e-9, 1)
     assert not report.overall_pass
     assert report.failing() == ["b"]
+
+
+def test_non_finite_residuals_never_pass():
+    report = ResidualReport(name="x", subcommand="y")
+    report.record("x", math.nan, 1e-6, 1)
+    report.record("y", math.inf, math.inf, 1)
+    assert report.failing() == ["x", "y"]
+    assert not report.overall_pass
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flags, env, spec_overrides",
+    [
+        (["--fd-step", "0"], {}, {}),
+        (["--fd-step", "nan"], {}, {}),
+        (["--fd-step", "-1"], {}, {}),
+        (["--fd-step", "abc"], {}, {}),
+        ([], {"SPINTENSOR_FD_STEP": "0"}, {}),
+        ([], {"SPINTENSOR_FD_STEP": "nan"}, {}),
+        ([], {"SPINTENSOR_FD_STEP": "abc"}, {}),
+        ([], {"SPINTENSOR_SEED": "abc"}, {}),
+        (["--seed", "1.5"], {}, {}),
+        ([], {"SPINTENSOR_TOL_SCALE": "nan"}, {}),
+        ([], {"SPINTENSOR_FORMAT": "xml"}, {}),
+        ([], {}, {"fd_step": "x"}),
+        ([], {}, {"seed": "abc"}),
+    ],
+)
+def test_bad_flags_overrides_and_spec_numbers_are_exit_2(
+    flags, env, spec_overrides, monkeypatch, capsys, tmp_path
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    spec = json.loads(
+        (resources.files("spintensor") / "scenarios" / "ortho-tetrad.json").read_text()
+    )
+    spec.update(spec_overrides)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = exit_code(["all", "--spec", str(path), "--out", str(tmp_path / "r.json"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_run_rejects_an_out_of_range_fd_step(capsys):
+    for step in (0.0, math.nan, -1.0):
+        code, _ = run_captured("build-connection", spec_path="diag-scale", fd_step=step)
+        assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 3
 
 
 def test_argparse_wiring(tmp_path):

@@ -149,3 +149,15 @@ def test_dirac_gamma_field_tracks_the_metric():
                     + gamma[:, :, n] @ gamma[:, :, m]
                 )
                 assert np.max(np.abs(anti - 2.0 * g[m, n] * np.eye(4))) < 1e-12
+
+
+def test_non_finite_connection_fails_dirac_concordance():
+    scenario = dirac_scenario_from_spec(bundled_scenario("ortho-tetrad"))
+    conn = build_dirac_metric_connection(scenario, PT)
+    bad_a = conn.A.copy()
+    bad_a[1, 2, 3] = np.nan
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
+    res = verify_dirac_concordance(lambda p: bad, scenario)
+    assert not np.isfinite(res["nabla-spin-metric"])
+    assert not np.isfinite(res["nabla-chirality"])
+    assert res["nabla-metric"] < 1e-9

@@ -1,0 +1,132 @@
+"""Every field's jet against its own value.
+
+A jet (value, d) must carry the value the plain call returns and
+partials that agree with central differences of that value.  Checked
+on every structure field of every bundled scenario (chiral and Dirac,
+deformed ones included), on the seeded transitions and on the Dirac
+split arrays.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm_frechet
+
+from spintensor.dirac_connection import SPLIT_NAMES, _split_arrays
+from spintensor.frames import inverse_jet
+from spintensor.scenarios import (
+    bundled_scenario,
+    bundled_scenario_names,
+    chiral_scenario_from_spec,
+    dirac_scenario_from_spec,
+    embedded_dirac_transition,
+    exp_linear_field,
+    spec_transition,
+)
+
+STEP = 1e-5
+FD_AGREEMENT = 1e-7
+# the block-exponential value may differ from the plain expm in the
+# last bits
+VALUE_AGREEMENT = 1e-14
+
+
+def central_difference(func, point):
+    base = np.asarray(point, dtype=float)
+    return np.stack(
+        [
+            (np.asarray(func(base + h)) - np.asarray(func(base - h))) / (2.0 * STEP)
+            for h in STEP * np.eye(4)
+        ]
+    )
+
+
+def assert_jet_matches(value, d, func, point, label):
+    plain = np.asarray(func(point))
+    assert d.shape == (4, *plain.shape), label
+    assert np.max(np.abs(value - plain), initial=0.0) <= VALUE_AGREEMENT, label
+    fd = central_difference(func, point)
+    assert np.max(np.abs(d - fd)) < FD_AGREEMENT, label
+
+
+def scenario_fields(name):
+    spec = bundled_scenario(name)
+    chiral = chiral_scenario_from_spec(spec)
+    dirac = dirac_scenario_from_spec(spec)
+    fields = {
+        "frame": chiral.frame.components,
+        "chiral-g": chiral.g,
+        "chiral-d": chiral.d,
+        "chiral-dbar": chiral.dbar,
+        "chiral-G": chiral.G,
+        "dirac-g": dirac.g,
+        "dirac-d": dirac.d,
+        "dirac-dbar": dirac.dbar,
+        "dirac-gamma": dirac.gamma,
+        "dirac-H": dirac.H,
+        "dirac-D": dirac.D,
+    }
+    if chiral.torsion is not None:
+        fields["torsion"] = chiral.torsion
+    return spec, fields
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_structure_field_jets(name):
+    spec, fields = scenario_fields(name)
+    for point in spec.sample_points:
+        for label, field in fields.items():
+            value, d = field.jet(point)
+            assert_jet_matches(value, d, field, point, f"{name} {label}")
+
+
+def test_seeded_transition_jets():
+    spec = bundled_scenario("seeded-deformation")
+    chiral = spec_transition(spec, spinor_dim=2)
+    dirac = embedded_dirac_transition(chiral)
+    for point in spec.sample_points:
+        for trans, kind in ((chiral, "chiral"), (dirac, "dirac")):
+            for label in ("S", "T", "Ss", "Ts"):
+                field = getattr(trans, label)
+                value, d = field.jet(point)
+                assert_jet_matches(value, d, field, point, f"{kind} {label}")
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_dirac_split_array_jets(name):
+    scenario = dirac_scenario_from_spec(bundled_scenario(name))
+
+    def split(point, deriv):
+        d_jet = scenario.d.jet(point, deriv)
+        return _split_arrays(
+            scenario.H.jet(point, deriv),
+            scenario.gamma.jet(point, deriv),
+            d_jet,
+            inverse_jet(d_jet),
+        )
+
+    for point in scenario.chart.sample_points:
+        for k, (value, d) in enumerate(split(point, True)):
+            assert_jet_matches(
+                value, d, lambda p: split(p, False)[k][0], point, f"{name} {SPLIT_NAMES[k]}"
+            )
+
+
+@pytest.mark.parametrize("dim, real", [(2, False), (4, True)])
+def test_block_exponential_matches_the_frechet_derivative(dim, real):
+    rng = np.random.default_rng(dim)
+
+    def draw():
+        raw = rng.standard_normal((dim, dim))
+        return 0.2 * (raw if real else raw + 1j * rng.standard_normal((dim, dim)))
+
+    const = draw()
+    linear = [draw() for _ in range(4)]
+    field = exp_linear_field(const, linear)
+    point = (0.3, -0.2, 0.5, 0.1)
+    value, d = field.jet(point)
+    mat = const + sum(x * lin for x, lin in zip(point, linear))
+    for a in range(4):
+        exp_m, frechet = expm_frechet(mat, linear[a])
+        assert np.max(np.abs(d[a] - frechet)) < 1e-13
+        assert np.max(np.abs(value - exp_m)) < 1e-13
+    assert np.array_equal(field(point), field.jet(point, deriv=False)[0])
