@@ -40,7 +40,7 @@ from .chiral import (
     covariant_derivative,
     build_chiral_metric_connection,
     verify_chiral_identities,
-    verify_chiral_concordance,
+    verify_concordance,
     transform_connection,
 )
 from .dirac import (
@@ -58,7 +58,6 @@ from .dirac_connection import (
     chirality_split,
     build_dirac_metric_connection,
     restrict_to_chiral,
-    verify_dirac_concordance,
 )
 from .scenarios import (
     ScenarioSpec,
@@ -101,7 +100,7 @@ __all__ = [
     "covariant_derivative",
     "build_chiral_metric_connection",
     "verify_chiral_identities",
-    "verify_chiral_concordance",
+    "verify_concordance",
     "transform_connection",
     "DiracConstants",
     "DiracFrameKind",
@@ -115,7 +114,6 @@ __all__ = [
     "chirality_split",
     "build_dirac_metric_connection",
     "restrict_to_chiral",
-    "verify_dirac_concordance",
     "ScenarioSpec",
     "SpecError",
     "bundled_scenario",

@@ -4,8 +4,9 @@ Canonical structure data: the antisymmetric 2x2 spin-metric d, its
 conjugate dbar, and the mixed symbols G linking tangent vectors to
 spinor bilinears (the slices of G with the tangent index fixed are the
 Pauli matrices).  The builder produces the unique connection (Gamma, A,
-Abar) annihilating g, d, dbar and G; concordance verifiers turn every
-defining property into a residual.
+Abar) annihilating g, d, dbar and G; the one concordance verifier walks
+a scenario's STRUCTURE_FIELDS table and turns every defining property,
+chiral or Dirac, into a residual.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import EvaluationError
 from .frames import (
     Chart,
     FrameField,
     FrameTransition,
     MatrixField,
+    NumericalError,
     ThetaParameters,
+    along_frame,
     lie_matrix,
     structural_constants,
 )
@@ -32,7 +36,7 @@ from .tensor_core import (
     TensorSignature,
     apply_matrix,
 )
-from .tetrads import derived_symbol_field
+from .tetrads import derived_symbol_field, signed_cholesky
 
 D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
 
@@ -155,12 +159,9 @@ class SpinTensorField:
     signature: TensorSignature
     components: MatrixField
 
-    @classmethod
-    def constant(cls, signature, array):
-        return cls(signature, MatrixField.constant(np.asarray(array, dtype=complex)))
 
-    def at(self, point) -> SpinTensorValue:
-        return SpinTensorValue(self.signature, self.components(point))
+class ScenarioError(ValueError):
+    """Scenario data that fails validation; names the field and the point."""
 
 
 class ChiralScenario:
@@ -170,46 +171,81 @@ class ChiralScenario:
     contracted with the frame when the frame is non-holonomic); d, dbar
     and G are the spinor structure component fields, canonical constants
     by default and deformed only through frame transitions.
+
+    STRUCTURE_FIELDS lists every field the metric connection annihilates
+    as (check name, attribute, tensor type, real-valued?).  A field not
+    passed by keyword is its CANONICAL constant, except the symbol field
+    named by SYMBOLS, which is then derived from g and symbols_from_g is
+    true.
     """
 
     spinor_dim = 2
+    STRUCTURE_FIELDS = (
+        ("metric", "g", TensorSignature(n=2), True),
+        ("spin-metric", "d", TensorSignature(beta=2), False),
+        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2), False),
+        ("mixed-symbols", "G", TensorSignature(alpha=1, nu=1, n=1), False),
+    )
+    CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
+    SYMBOLS = ("G", G_UPPER)
 
-    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField,
-                 d=None, dbar=None, G=None, torsion=None):
+    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None, **fields):
         self.chart = chart
         self.frame = frame
         self.g = g
-        self.d = d if d is not None else MatrixField.constant(D_CHIRAL)
-        self.dbar = dbar if dbar is not None else MatrixField.constant(np.conj(D_CHIRAL))
-        if G is not None:
-            self.G = G
-        else:
-            # The mixed symbols are tied to g by the structure identities;
-            # in a non-orthonormal frame they carry the orthonormal factor
-            # of g on the tangent slot instead of staying canonical.
-            self.G = derived_symbol_field(g, G_UPPER)
         self.torsion = torsion
+        symbols, table = self.SYMBOLS
+        self.symbols_from_g = fields.get(symbols) is None
+        if self.symbols_from_g:
+            # The symbols are tied to g by the structure identities; in a
+            # non-orthonormal frame they carry the orthonormal factor of
+            # g on the tangent slot instead of staying canonical.
+            fields[symbols] = derived_symbol_field(g, table)
+        for _, attr, _, _ in self.STRUCTURE_FIELDS:
+            if attr != "g":
+                value = fields.pop(attr, None)
+                setattr(self, attr, MatrixField.constant(self.CANONICAL[attr]) if value is None else value)
+        if fields:
+            raise TypeError(f"unknown structure fields {sorted(fields)}")
         self.validate()
 
-    @classmethod
-    def canonical(cls, chart: Chart, g=None, frame=None, torsion=None):
-        frame = frame if frame is not None else FrameField.coordinate()
-        g = g if g is not None else MatrixField.constant(MINKOWSKI)
-        return cls(chart, frame, g, torsion=torsion)
-
     def validate(self):
+        """Check the frame, g and the torsion at every sample point (g
+        needs its time-first orthonormal factor when the symbols are
+        derived from it); ScenarioError names the field and the point of
+        the first failure."""
         for point in self.chart.sample_points:
-            gval = np.asarray(self.g(point))
-            if np.max(np.abs(gval - gval.T)) > 1e-10:
-                raise ValueError(f"metric is not symmetric at {point}")
-            eigs = np.linalg.eigvalsh(np.real(gval))
-            if not (np.sum(eigs > 0) == 1 and np.sum(eigs < 0) == 3):
-                raise ValueError(f"metric signature is not (+,-,-,-) at {point}")
-            self.frame(point)  # det check
-            if self.torsion is not None:
-                t = np.asarray(self.torsion(point))
-                if np.max(np.abs(t + t.transpose(0, 2, 1))) > 1e-12:
-                    raise ValueError(f"torsion is not antisymmetric at {point}")
+            field = "frame"
+            try:
+                self.frame(point)  # det check
+                field = "metric"
+                gval = np.asarray(self.g(point))
+                if np.max(np.abs(gval - gval.T)) > 1e-10:
+                    raise ValueError("not symmetric")
+                eigs = np.linalg.eigvalsh(np.real(gval))
+                if not (np.sum(eigs > 0) == 1 and np.sum(eigs < 0) == 3):
+                    raise ValueError("signature is not (+,-,-,-)")
+                if self.symbols_from_g:
+                    signed_cholesky(np.real(gval))
+                if self.torsion is not None:
+                    field = "torsion"
+                    t = np.asarray(self.torsion(point))
+                    if np.max(np.abs(t + t.transpose(0, 2, 1))) > 1e-12:
+                        raise ValueError("not antisymmetric")
+            except (ValueError, EvaluationError) as exc:
+                raise ScenarioError(f"{field} at {point}: {exc}") from exc
+
+    def concordance_extras(self, values, grads):
+        """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at one
+        point, from the fields' values and covariant derivatives there."""
+        ginv = np.linalg.inv(np.real(values["g"]))
+        dg = grads["g"]  # [q, p, r]
+        gl = compute_g_lower_symbols(values["G"], ginv, values["d"], values["dbar"])
+        return {
+            "metric-trace": np.einsum("qp,qpr->r", ginv, dg),
+            "symbol-sandwich": np.einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
+            + np.einsum("ajx,abr,biy->ixjyr", gl, dg, gl),
+        }
 
     def torsion_at(self, point):
         if self.torsion is None:
@@ -244,7 +280,7 @@ class SpinorConnection:
             object.__setattr__(self, name, arr)
 
 
-def metric_tangent_connection(scenario, point) -> np.ndarray:
+def metric_tangent_connection(scenario, point, g_jet=None) -> np.ndarray:
     """Tangent coefficients Gamma[i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
@@ -253,10 +289,11 @@ def metric_tangent_connection(scenario, point) -> np.ndarray:
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame and T the torsion.
+    g_jet is the metric's jet at point when the caller already holds it.
     """
-    g, lg = lie_matrix(scenario.g, scenario.frame, point)
+    g, dg = scenario.g.jet(point) if g_jet is None else g_jet
     g = np.real(g)
-    lg = np.real(lg)  # lg[r, a, b] = L_r(g)_{ab}
+    lg = np.real(along_frame(scenario.frame(point), dg))  # lg[r, a, b] = L_r(g)_{ab}
     ginv = np.linalg.inv(g)
     c = structural_constants(scenario.frame, point).c
     t = scenario.torsion_at(point)
@@ -292,10 +329,9 @@ def build_chiral_metric_connection(
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  For real metric data Abar = conj(A).
     """
-    gamma = metric_tangent_connection(scenario, point)
-
-    g = np.real(np.asarray(scenario.g(point)))
-    ginv = np.linalg.inv(g)
+    g_jet = scenario.g.jet(point)
+    gamma = metric_tangent_connection(scenario, point, g_jet)
+    ginv = np.linalg.inv(np.real(np.asarray(g_jet[0])))
     gu, lgu = lie_matrix(scenario.G, scenario.frame, point)
     d, ld = lie_matrix(scenario.d, scenario.frame, point)
     db, ldb = lie_matrix(scenario.dbar, scenario.frame, point)
@@ -314,7 +350,7 @@ def build_chiral_metric_connection(
 
     scale = 1.0 + np.max(np.abs(a))
     if np.max(np.abs(abar - np.conj(a))) > reality_tol * scale:
-        raise AssertionError("conjugate spinor coefficients are not the conjugate of A")
+        raise NumericalError(f"Abar is not the conjugate of A at {tuple(point)}")
     return SpinorConnection(gamma, a, abar, spinor_dim=2)
 
 
@@ -329,10 +365,20 @@ def covariant_derivative(
     slots and +Gamma / -Gamma on tangent slots.
     """
     sig = x.signature
+    value, lie = lie_matrix(x.components, scenario.frame, point)
+    new_sig = TensorSignature(
+        alpha=sig.alpha, beta=sig.beta, nu=sig.nu, gamma=sig.gamma,
+        m=sig.m, n=sig.n + 1, spinor_dim=sig.spinor_dim,
+    )
+    return SpinTensorValue(new_sig, covariant_components(sig, value, lie, conn))
+
+
+def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnection):
+    """Components of the covariant derivative, direction last, from a
+    field's value and its derivatives lie[r] along the frame vectors."""
     if sig.spinor_dim != conn.spinor_dim:
         raise ValueError("field and connection spinor dimensions differ")
-    arr, lie = lie_matrix(x.components, scenario.frame, point)
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.asarray(value, dtype=complex)
     out = np.moveaxis(lie, 0, -1).astype(complex)
     coeff = {SPINOR: conn.A, BARRED: conn.Abar, TANGENT: conn.Gamma}
     for axis, (family, up) in enumerate(sig.slots):
@@ -342,55 +388,31 @@ def covariant_derivative(
                 out[..., r] += apply_matrix(arr, axis, mats[r], "left")
             else:
                 out[..., r] -= apply_matrix(arr, axis, mats[r], "right")
-    new_sig = TensorSignature(
-        alpha=sig.alpha, beta=sig.beta, nu=sig.nu, gamma=sig.gamma,
-        m=sig.m, n=sig.n + 1, spinor_dim=sig.spinor_dim,
-    )
-    return SpinTensorValue(new_sig, out)
+    return out
 
 
-def verify_chiral_concordance(
-    conn_at, scenario: ChiralScenario, points=None
-) -> dict:
-    """Residual report for the chiral concordance conditions.
+def verify_concordance(conn_at, scenario: ChiralScenario, points=None) -> dict:
+    """Residual report for the concordance conditions of a scenario.
 
-    conn_at is either a single SpinorConnection (used at every point)
-    or a callable point -> SpinorConnection.  Residuals: max absolute
-    covariant derivative of g, d, dbar, G, the metric trace condition
-    sum g^{qp} nabla_r g_{qp}, and the symbol-sandwich condition
-    sum G nabla g G + (i<->j) = 0.  A non-finite residual anywhere
-    makes the reported maximum non-finite.
+    conn_at maps a point to the SpinorConnection there.  Each row of the
+    scenario's STRUCTURE_FIELDS gives nabla-<check>, the max absolute
+    covariant derivative of that field from one jet per point; the
+    scenario's concordance_extras add its mode's other conditions.  A
+    non-finite residual anywhere makes the reported maximum non-finite.
     """
     points = points if points is not None else scenario.chart.sample_points
-    fields = {
-        "metric": SpinTensorField(TensorSignature(n=2), scenario.g),
-        "spin-metric": SpinTensorField(TensorSignature(beta=2), scenario.d),
-        "conjugate-spin-metric": SpinTensorField(TensorSignature(gamma=2), scenario.dbar),
-        "mixed-symbols": SpinTensorField(TensorSignature(alpha=1, nu=1, n=1), scenario.G),
-    }
-    out = {f"nabla-{name}": 0.0 for name in fields}
-    out["metric-trace"] = 0.0
-    out["symbol-sandwich"] = 0.0
+    out = {}
     for point in points:
-        conn = conn_at(point) if callable(conn_at) else conn_at
-        grads = {}
-        for name, fld in fields.items():
-            grad = covariant_derivative(fld, conn, scenario, point)
-            grads[name] = grad.components
-            out[f"nabla-{name}"] = worst_residual(out[f"nabla-{name}"], grad.components)
-        g = np.real(np.asarray(scenario.g(point)))
-        ginv = np.linalg.inv(g)
-        dg = grads["metric"]  # [q, p, r]
-        trace = np.einsum("qp,qpr->r", ginv, dg)
-        out["metric-trace"] = worst_residual(out["metric-trace"], trace)
-        gu = np.asarray(scenario.G(point), dtype=complex)
-        d = np.asarray(scenario.d(point), dtype=complex)
-        db = np.asarray(scenario.dbar(point), dtype=complex)
-        gl = compute_g_lower_symbols(gu, ginv, d, db)
-        sandwich = np.einsum("aix,abr,bjy->ixjyr", gl, dg, gl) + np.einsum(
-            "ajx,abr,biy->ixjyr", gl, dg, gl
-        )
-        out["symbol-sandwich"] = worst_residual(out["symbol-sandwich"], sandwich)
+        conn = conn_at(point)
+        u = scenario.frame(point)
+        values, grads = {}, {}
+        for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:
+            value, d = getattr(scenario, attr).jet(point)
+            values[attr] = value
+            grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
+            out[f"nabla-{check}"] = worst_residual(out.get(f"nabla-{check}", 0.0), grads[attr])
+        for check, residual in scenario.concordance_extras(values, grads).items():
+            out[check] = worst_residual(out.get(check, 0.0), residual)
     return out
 
 
@@ -409,10 +431,7 @@ def transform_connection(
     for Abar.  theta must be computed with Lie derivatives along the
     untilde frame.
     """
-    s = np.asarray(trans.S(point), dtype=float)
-    t = np.asarray(trans.T(point), dtype=float)
-    ss = np.asarray(trans.Ss(point), dtype=complex)
-    ts = np.asarray(trans.Ts(point), dtype=complex)
+    s, t, ss, ts = (value for value, _ in trans.jets(point, deriv=False))
     gamma = np.einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
     a = np.einsum("ka,bj,ci,cab->ikj", ss, ts, t.astype(complex), conn.A) + theta.vartheta
     abar = (

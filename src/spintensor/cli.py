@@ -1,13 +1,17 @@
 """Command-line front end: scenario ingestion and residual reports.
 
-Subcommands: verify-identities (constant identity suites, no scenario
-needed), build-connection (coefficient tables at the sample points),
-concordance (covariant-constancy residual suites), covariance (seeded
-frame-deformation transformation-law check) and all.
+STAGES maps each subcommand to its stages: verify-identities (constant
+identity suites, no scenario needed), build-connection (coefficient
+tables at the sample points), concordance (covariant-constancy residual
+suites), covariance (seeded frame-deformation transformation-law check)
+and all (the four in that order).  The stages of one run share its
+report and the scenario of each mode, built once (MODES).
 
 Exit codes: 0 every check passed, 1 a numerical check failed (a
-non-finite residual fails its check), 2 the spec, a flag or an
-environment override could not be read or parsed (one stderr line).
+non-finite residual fails its check; a consistency check or a
+singular matrix inside a build fails on one stderr line), 2 the spec, a flag or an environment
+override could not be read or parsed, or the scenario cannot be built
+(one stderr line names the field and the point).
 Flags may also be set through environment variables with the
 SPINTENSOR_ prefix (SPINTENSOR_SPEC, SPINTENSOR_OUT, SPINTENSOR_SEED,
 SPINTENSOR_FD_STEP, SPINTENSOR_TOL_SCALE, SPINTENSOR_FORMAT); explicit
@@ -35,11 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chiral import (
+    ScenarioError,
     build_chiral_metric_connection,
     canonical_chiral_constants,
     transform_connection,
-    verify_chiral_concordance,
     verify_chiral_identities,
+    verify_concordance,
     worst_residual,
 )
 from .dirac import (
@@ -52,10 +57,9 @@ from .dirac_connection import (
     build_dirac_metric_connection,
     chirality_split,
     restrict_to_chiral,
-    verify_dirac_concordance,
 )
-from .expressions import ParseError
-from .frames import MatrixField, theta_parameters
+from .expressions import EvaluationError, ParseError
+from .frames import MatrixField, NumericalError, theta_parameters
 from .scenarios import (
     ScenarioSpec,
     SpecError,
@@ -73,13 +77,11 @@ from .scenarios import (
 REPORT_SCHEMA = "residual-report/1"
 ENV_PREFIX = "SPINTENSOR_"
 
-SUBCOMMANDS = (
-    "verify-identities",
-    "build-connection",
-    "concordance",
-    "covariance",
-    "all",
-)
+# mode -> (scenario loader, connection builder)
+MODES = {
+    "chiral": (chiral_scenario_from_spec, build_chiral_metric_connection),
+    "dirac": (dirac_scenario_from_spec, build_dirac_metric_connection),
+}
 
 
 def parse_expression(text: str) -> MatrixField:
@@ -105,10 +107,6 @@ class ResidualReport:
             "passed": bool(math.isfinite(max_residual) and max_residual <= tolerance),
             "points_evaluated": int(points_evaluated),
         }
-
-    def merge(self, other: "ResidualReport"):
-        self.checks.update(other.checks)
-        self.tables.update(other.tables)
 
     @property
     def overall_pass(self):
@@ -155,12 +153,31 @@ def _complex_table(arr):
     return {"re": arr.tolist(), "im": np.zeros_like(arr, dtype=float).tolist()}
 
 
-# --- subcommand bodies ------------------------------------------------
+# --- stages -----------------------------------------------------------
 
 
-def run_verify_identities(report: ResidualReport, tol_scale=1.0):
+@dataclass
+class Run:
+    """One invocation as its stages see it."""
+
+    report: ResidualReport
+    spec: ScenarioSpec = None
+    seed: int = None
+    fd_step: float = None
+    tol_scale: float = 1.0
+    scenarios: dict = field(default_factory=dict)
+
+    def scenario(self, mode):
+        """The spec's scenario for mode, built on first use in this run."""
+        if mode not in self.scenarios:
+            self.scenarios[mode] = MODES[mode][0](self.spec)
+        return self.scenarios[mode]
+
+
+def run_verify_identities(ctx: Run):
     """Constant identity suites, canonically and after P/T/PT inversions."""
-    tol = 1e-12 * tol_scale
+    report = ctx.report
+    tol = 1e-12 * ctx.tol_scale
     chiral = canonical_chiral_constants()
     for check, value in verify_chiral_identities(chiral).items():
         report.record(f"chiral-{check}", value, tol, 1)
@@ -180,22 +197,21 @@ def run_verify_identities(report: ResidualReport, tol_scale=1.0):
             report.record(f"dirac-after-{kind}-{check}", value, tol, 1)
 
 
-def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=None):
+def run_build_connection(ctx: Run):
     """Emit coefficient tables at every sample point.
 
     When the spec uses the coordinate frame, a raw finite-difference
-    Christoffel table (step fd_step, else the spec's) is emitted next to
-    the tangent coefficients and their agreement is recorded as a check.
+    Christoffel table (step --fd-step, else the spec's) is emitted next
+    to the tangent coefficients and their agreement is recorded as a
+    check.
     """
+    spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform
     g_coord = _metric_field(spec) if has_oracle else None
+    step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
     for mode in spec.modes:
-        if mode == "chiral":
-            scenario = chiral_scenario_from_spec(spec)
-            build = build_chiral_metric_connection
-        else:
-            scenario = dirac_scenario_from_spec(spec)
-            build = build_dirac_metric_connection
+        scenario = ctx.scenario(mode)
+        build = MODES[mode][1]
         entries = []
         worst = 0.0
         for point in scenario.chart.sample_points:
@@ -207,55 +223,46 @@ def run_build_connection(spec: ScenarioSpec, report: ResidualReport, fd_step=Non
                 "conjugate-spinor": _complex_table(conn.Abar),
             }
             if has_oracle:
-                step = scenario.chart.fd_step if fd_step is None else fd_step
                 oracle = coordinate_christoffel(g_coord, point, step=step)
                 entry["tangent-oracle"] = np.asarray(oracle).tolist()
                 worst = worst_residual(worst, conn.Gamma - oracle)
             entries.append(entry)
-        report.tables[f"{mode}-connection"] = entries
+        ctx.report.tables[f"{mode}-connection"] = entries
         if has_oracle:
-            report.record(
-                f"{mode}-tangent-oracle",
-                worst,
-                1e-5,
-                len(scenario.chart.sample_points),
-            )
+            ctx.report.record(f"{mode}-tangent-oracle", worst, 1e-5, len(entries))
 
 
-def run_concordance(spec: ScenarioSpec, report: ResidualReport, tol_scale=1.0):
-    tol = spec.tolerances["concordance"] * tol_scale
-    npoints = len(spec.sample_points)
-    for mode in spec.modes:
-        if mode == "chiral":
-            scenario = chiral_scenario_from_spec(spec)
-            residuals = verify_chiral_concordance(
-                lambda p: build_chiral_metric_connection(scenario, p), scenario
-            )
-        else:
-            scenario = dirac_scenario_from_spec(spec)
-            residuals = verify_dirac_concordance(
-                lambda p: build_dirac_metric_connection(scenario, p), scenario
-            )
+def run_concordance(ctx: Run):
+    tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
+    npoints = len(ctx.spec.sample_points)
+    for mode in ctx.spec.modes:
+        scenario = ctx.scenario(mode)
+        build = MODES[mode][1]
+        residuals = verify_concordance(lambda p: build(scenario, p), scenario)
         for check, value in residuals.items():
-            report.record(f"{mode}-{check}", value, tol, npoints)
+            ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 
 
-def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, tol_scale=1.0):
+def run_covariance(ctx: Run):
     """Transformation-law round trip under a seeded smooth deformation.
 
     The connection built directly in the deformed frame, mapped back
     through the transformation law with theta-parameters, must agree
     with the connection built in the original frame.
     """
-    tol = spec.tolerances["covariance"] * tol_scale
-    base_seed = spec.seed if seed is None else seed
-    base = chiral_scenario_from_spec(spec)
+    spec = ctx.spec
+    tol = spec.tolerances["covariance"] * ctx.tol_scale
+    base_seed = spec.seed if ctx.seed is None else ctx.seed
+    base = ctx.scenario("chiral")
     points = base.chart.sample_points
     conn_base = [build_chiral_metric_connection(base, point) for point in points]
     worst = 0.0
     for offset in range(3):
         trans = random_transition(seed=base_seed + offset, spinor_dim=2)
-        moved = deform_scenario(base, trans)
+        try:
+            moved = deform_scenario(base, trans)
+        except ScenarioError as exc:  # the input is valid; the check's own frame is not
+            raise NumericalError(f"seeded deformation {base_seed + offset}: {exc}") from exc
         for point, conn in zip(points, conn_base):
             conn_moved = build_chiral_metric_connection(moved, point)
             theta = theta_parameters(trans, base.frame, point)
@@ -264,21 +271,28 @@ def run_covariance(spec: ScenarioSpec, report: ResidualReport, seed=None, tol_sc
                 (back.Gamma, conn.Gamma), (back.A, conn.A), (back.Abar, conn.Abar)
             ):
                 worst = worst_residual(worst, ours - theirs)
-    report.record("chiral-transformation-law", worst, tol, 3 * len(points))
+    ctx.report.record("chiral-transformation-law", worst, tol, 3 * len(points))
     if "dirac" in spec.modes:
-        dirac = dirac_scenario_from_spec(spec)
+        dirac = ctx.scenario("dirac")
         worst = 0.0
         for point, chiral_conn in zip(points, conn_base):
             conn = build_dirac_metric_connection(dirac, point)
-            if spec.deform:
-                # deformed embedded frames keep the block layout, so the
-                # restriction is still exact; the restriction residual is
-                # the covariance statement for the Dirac bundle here.
-                restricted = restrict_to_chiral(conn, tol=1e-6)
-            else:
-                restricted = restrict_to_chiral(conn)
+            # deformed embedded frames keep the block layout, so the
+            # restriction is still exact; the restriction residual is
+            # the covariance statement for the Dirac bundle here.
+            restricted = restrict_to_chiral(conn, tol=1e-6 if spec.deform else 1e-9)
             worst = worst_residual(worst, restricted.A - chiral_conn.A)
-        report.record("dirac-chiral-restriction", worst, tol, len(points))
+        ctx.report.record("dirac-chiral-restriction", worst, tol, len(points))
+
+
+STAGES = {
+    "verify-identities": (run_verify_identities,),
+    "build-connection": (run_build_connection,),
+    "concordance": (run_concordance,),
+    "covariance": (run_covariance,),
+    "all": (run_verify_identities, run_build_connection, run_concordance, run_covariance),
+}
+SUBCOMMANDS = tuple(STAGES)
 
 
 # --- orchestration ----------------------------------------------------
@@ -288,41 +302,39 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         out=None, fmt="json", stream=None):
     """Execute one subcommand; returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in STAGES:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
     if fd_step is not None and not _valid_fd_step(fd_step):
         print(f"bad input: fd_step must lie in (0, 0.1], got {fd_step!r}", file=sys.stderr)
         return 2
-    try:
-        spec = None
-        if subcommand != "verify-identities" or spec_path is not None:
-            if spec_path is None:
-                if subcommand == "verify-identities":
-                    pass
-                else:
-                    raise SpecError(f"subcommand {subcommand!r} needs --spec")
-            else:
-                spec = _resolve_spec(spec_path)
-        name = spec.name if spec is not None else "canonical-constants"
-        report = ResidualReport(
-            name=name,
-            subcommand=subcommand,
-            seed=(seed if seed is not None else (spec.seed if spec else 0)),
-        )
-        if subcommand in ("verify-identities", "all"):
-            run_verify_identities(report, tol_scale=tol_scale)
-        if subcommand in ("build-connection", "all") and spec is not None:
-            run_build_connection(spec, report, fd_step=fd_step)
-        if subcommand in ("concordance", "all") and spec is not None:
-            run_concordance(spec, report, tol_scale=tol_scale)
-        if subcommand in ("covariance", "all") and spec is not None:
-            run_covariance(spec, report, seed=seed, tol_scale=tol_scale)
-        if subcommand in ("build-connection", "concordance", "covariance") and spec is None:
-            raise SpecError(f"subcommand {subcommand!r} needs --spec")
-    except (SpecError, ParseError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
+    if seed is not None and not _valid_seed(seed):
+        print(f"bad input: seed must be a non-negative integer, got {seed!r}", file=sys.stderr)
         return 2
+    try:
+        spec = None if spec_path is None else _resolve_spec(spec_path)
+        if spec is None and subcommand != "verify-identities":
+            raise SpecError(f"subcommand {subcommand!r} needs --spec")
+        ctx = Run(
+            report=ResidualReport(
+                name=spec.name if spec else "canonical-constants",
+                subcommand=subcommand,
+                seed=seed if seed is not None else (spec.seed if spec else 0),
+            ),
+            spec=spec,
+            seed=seed,
+            fd_step=fd_step,
+            tol_scale=tol_scale,
+        )
+        for stage in STAGES[subcommand]:
+            stage(ctx)
+    except (SpecError, ParseError, ScenarioError, EvaluationError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    report = ctx.report
     payload = report.to_json() if fmt == "json" else report.to_text()
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -347,6 +359,10 @@ def _resolve_spec(spec_path) -> ScenarioSpec:
 
 def _valid_fd_step(value):
     return 0.0 < value <= 0.1
+
+
+def _valid_seed(value):
+    return value >= 0
 
 
 def _flag_type(cast, valid, requirement, env):
@@ -401,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report here instead of stdout")
     parser.add_argument(
         "--seed", default=env("SEED"),
-        type=_flag_type(int, lambda v: True, "an integer", "SEED"),
+        type=_flag_type(int, _valid_seed, "a non-negative integer", "SEED"),
     )
     parser.add_argument(
         "--fd-step", default=env("FD_STEP"),

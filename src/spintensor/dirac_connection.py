@@ -14,19 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import (
-    ChiralScenario,
-    SpinorConnection,
-    SpinTensorField,
-    covariant_derivative,
-    metric_tangent_connection,
-    worst_residual,
-)
+from .chiral import ChiralScenario, SpinorConnection, metric_tangent_connection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import Chart, FrameField, MatrixField, along_frame, einsum_jet, inverse_jet
-from .lorentz_cover import MINKOWSKI
+from .frames import NumericalError, along_frame, einsum_jet, inverse_jet
 from .tensor_core import TensorSignature
-from .tetrads import derived_symbol_field
 
 
 @dataclass(frozen=True)
@@ -155,33 +146,31 @@ class DiracScenario(ChiralScenario):
     """Scenario with 4-component spinor structure fields.
 
     d is the 4x4 Dirac spin-metric field, gamma the [a, b, m] symbol
-    field, H the chirality operator field and D the Hermitian pairing
-    field; canonical constants by default, deformed only through frame
+    field (derived from g like the chiral mixed symbols), H the
+    chirality operator field and D the Hermitian pairing field;
+    canonical constants by default, deformed only through frame
     transitions.
     """
 
     spinor_dim = 4
+    STRUCTURE_FIELDS = (
+        ("metric", "g", TensorSignature(n=2, spinor_dim=4), True),
+        ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4), False),
+        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2, spinor_dim=4), False),
+        ("gamma-symbols", "gamma", TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4), False),
+        ("chirality", "H", TensorSignature(alpha=1, beta=1, spinor_dim=4), False),
+        ("pairing", "D", TensorSignature(beta=1, gamma=1, spinor_dim=4), False),
+    )
+    CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
+    SYMBOLS = ("gamma", GAMMA)
 
-    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField,
-                 d=None, dbar=None, gamma=None, H=None, D=None, torsion=None):
-        if gamma is not None:
-            self.gamma = gamma
-        else:
-            # Same coupling as the chiral mixed symbols: the gamma-symbol
-            # field in a non-orthonormal frame carries the orthonormal
-            # factor of g on its tangent slot.
-            self.gamma = derived_symbol_field(g, GAMMA)
-        self.H = H if H is not None else MatrixField.constant(H_DIRAC)
-        self.D = D if D is not None else MatrixField.constant(DD_DIRAC)
-        d = d if d is not None else MatrixField.constant(D_DIRAC)
-        dbar = dbar if dbar is not None else MatrixField.constant(np.conj(D_DIRAC))
-        super().__init__(chart, frame, g, d=d, dbar=dbar, G=None, torsion=torsion)
-
-    @classmethod
-    def canonical(cls, chart: Chart, g=None, frame=None, torsion=None):
-        frame = frame if frame is not None else FrameField.coordinate()
-        g = g if g is not None else MatrixField.constant(MINKOWSKI)
-        return cls(chart, frame, g, torsion=torsion)
+    def concordance_extras(self, values, grads):
+        """H nabla H + nabla H H at one point."""
+        h, dh = values["H"], grads["H"]  # dh[a, b, r]
+        return {
+            "chirality-involution-derivative":
+            np.einsum("ab,bcr->acr", h, dh) + np.einsum("abr,bc->acr", dh, h)
+        }
 
 
 def build_dirac_metric_connection(
@@ -197,9 +186,9 @@ def build_dirac_metric_connection(
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    gamma_t = metric_tangent_connection(scenario, point)
-    g = np.real(np.asarray(scenario.g(point)))
-    ginv = np.linalg.inv(g).astype(complex)
+    g_jet = scenario.g.jet(point)
+    gamma_t = metric_tangent_connection(scenario, point, g_jet)
+    ginv = np.linalg.inv(np.real(np.asarray(g_jet[0]))).astype(complex)
 
     d_jet = scenario.d.jet(point)
     jets = _split_arrays(
@@ -259,61 +248,14 @@ def restrict_to_chiral(
         float(np.max(np.abs(a[:, :2, 2:]))), float(np.max(np.abs(a[:, 2:, :2])))
     )
     if off > tol:
-        raise ValueError(
+        raise NumericalError(
             f"connection not block-diagonal in chiral frame (off-block {off:.3e})"
         )
     chiral_a = a[:, :2, :2]
     dual_block = a[:, 2:, 2:]
     expected = -np.conj(chiral_a).transpose(0, 2, 1)
     if float(np.max(np.abs(dual_block - expected))) > tol:
-        raise ValueError("dual co-frame block does not pair with the chiral block")
+        raise NumericalError("dual co-frame block does not pair with the chiral block")
     return SpinorConnection(
         dirac_conn.Gamma, chiral_a, np.conj(chiral_a), spinor_dim=2
     )
-
-
-def verify_dirac_concordance(
-    conn_at, scenario: DiracScenario, points=None
-) -> dict:
-    """Residual report for the Dirac concordance conditions.
-
-    Max absolute covariant derivatives of g, d, dbar, gamma, H, D plus
-    the derivative of the chirality involution (H nabla H + nabla H H).
-    A non-finite residual anywhere makes the reported maximum non-finite.
-    """
-    points = points if points is not None else scenario.chart.sample_points
-    sdim = 4
-    fields = {
-        "metric": SpinTensorField(TensorSignature(n=2, spinor_dim=sdim), scenario.g),
-        "spin-metric": SpinTensorField(
-            TensorSignature(beta=2, spinor_dim=sdim), scenario.d
-        ),
-        "conjugate-spin-metric": SpinTensorField(
-            TensorSignature(gamma=2, spinor_dim=sdim), scenario.dbar
-        ),
-        "gamma-symbols": SpinTensorField(
-            TensorSignature(alpha=1, beta=1, n=1, spinor_dim=sdim), scenario.gamma
-        ),
-        "chirality": SpinTensorField(
-            TensorSignature(alpha=1, beta=1, spinor_dim=sdim), scenario.H
-        ),
-        "pairing": SpinTensorField(
-            TensorSignature(beta=1, gamma=1, spinor_dim=sdim), scenario.D
-        ),
-    }
-    out = {f"nabla-{name}": 0.0 for name in fields}
-    out["chirality-involution-derivative"] = 0.0
-    for point in points:
-        conn = conn_at(point) if callable(conn_at) else conn_at
-        grads = {}
-        for name, fld in fields.items():
-            grad = covariant_derivative(fld, conn, scenario, point)
-            grads[name] = grad.components
-            out[f"nabla-{name}"] = worst_residual(out[f"nabla-{name}"], grad.components)
-        h = np.asarray(scenario.H(point), dtype=complex)
-        dh = grads["chirality"]  # [a, b, r]
-        involution = np.einsum("ab,bcr->acr", h, dh) + np.einsum("abr,bc->acr", dh, h)
-        out["chirality-involution-derivative"] = worst_residual(
-            out["chirality-involution-derivative"], involution
-        )
-    return out

@@ -221,7 +221,7 @@ class Call(Node):
         value = self.arg.evaluate(point)
         try:
             return FUNCTIONS[self.name](value)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise EvaluationError(f"{self.name}({value}): {exc}") from exc
 
     def diff(self, var):

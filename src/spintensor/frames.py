@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, Num
+from .expressions import EvaluationError, Expression, Num
 from .tensor_core import (
     BARRED,
     SPINOR,
@@ -27,6 +27,10 @@ from .tensor_core import (
 )
 
 DEFAULT_FD_STEP = 1e-4
+
+
+class NumericalError(ValueError):
+    """A consistency check failed: the data is too ill-conditioned for its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,10 @@ class MatrixField:
             value = np.array([cell(point) for cell in flat]).reshape(shape)
             if not deriv:
                 return value, None
-            d = [[cell.partial(a)(point) for cell in flat] for a in range(4)]
+            try:
+                d = [[cell.partial(a)(point) for cell in flat] for a in range(4)]
+            except EvaluationError as exc:
+                raise EvaluationError(f"partial derivative at {tuple(point)}: {exc}") from exc
             return value, np.array(d).reshape((4, *shape))
 
         return cls(jet=jet)
@@ -254,14 +261,17 @@ class FrameTransition:
         self.Ss = Ss
         self.Ts = inverse_field(Ss) if Ts is None else Ts
         self.spinor_dim = spinor_dim
+        self._given_inverses = (T, Ts)
 
-    @classmethod
-    def identity(cls, spinor_dim=2):
-        return cls(
-            MatrixField.constant(np.eye(4)),
-            MatrixField.constant(np.eye(spinor_dim, dtype=complex)),
-            spinor_dim=spinor_dim,
-        )
+    def jets(self, point, deriv=True):
+        """Jets of (S, T, Ss, Ts) at one point from one evaluation each of S
+        and Ss; T and Ts are their inverses unless passed explicitly."""
+        given_t, given_ts = self._given_inverses
+        s = self.S.jet(point, deriv)
+        ss = self.Ss.jet(point, deriv)
+        t = inverse_jet(s) if given_t is None else given_t.jet(point, deriv)
+        ts = inverse_jet(ss) if given_ts is None else given_ts.jet(point, deriv)
+        return s, t, ss, ts
 
     @classmethod
     def constant(cls, S=None, Ss=None, spinor_dim=None):
@@ -281,12 +291,10 @@ class FrameTransition:
         )
 
     def check_inverses(self, point, tol=1e-10):
-        for a, b, dim in (
-            (self.S, self.T, 4),
-            (self.Ss, self.Ts, self.spinor_dim),
-        ):
-            if np.max(np.abs(a(point) @ b(point) - np.eye(dim))) > tol:
-                raise ValueError("transition inverse pair is inconsistent")
+        (s, _), (t, _), (ss, _), (ts, _) = self.jets(point, deriv=False)
+        for a, b, dim in ((s, t, 4), (ss, ts, self.spinor_dim)):
+            if np.max(np.abs(a @ b - np.eye(dim))) > tol:
+                raise NumericalError(f"transition inverse pair is inconsistent at {tuple(point)}")
 
 
 @dataclass(frozen=True)
@@ -309,14 +317,14 @@ def theta_parameters(trans: FrameTransition, frame: FrameField, point) -> ThetaP
     exact inverse pairs; the check guards inconsistent inputs).
     """
     trans.check_inverses(point)
+    u = frame(point)
+    jets = trans.jets(point)
     out = []
-    for s_field, t_field in ((trans.S, trans.T), (trans.Ss, trans.Ts)):
-        s, l_s = lie_matrix(s_field, frame, point)
-        t, l_t = lie_matrix(t_field, frame, point)
-        first = np.einsum("ka,iaj->ikj", s, l_t)
-        second = -np.einsum("ika,aj->ikj", l_s, t)
+    for (s, ds), (t, dt) in (jets[:2], jets[2:]):
+        first = np.einsum("ka,iaj->ikj", s, along_frame(u, dt))
+        second = -np.einsum("ika,aj->ikj", along_frame(u, ds), t)
         if np.max(np.abs(first - second)) > 1e-6:
-            raise ValueError("theta-parameter forms disagree; transition pair inconsistent")
+            raise NumericalError(f"theta-parameter forms disagree at {tuple(point)}")
         out.append(first)
     return ThetaParameters(theta=out[0], vartheta=out[1])
 
@@ -336,7 +344,7 @@ def transform_components(
     if x.signature.spinor_dim != trans.spinor_dim:
         raise ValueError("signature and transition spinor dimensions differ")
     deriv = dx is not None
-    s, t, ss, ts = (f.jet(point, deriv) for f in (trans.S, trans.T, trans.Ss, trans.Ts))
+    s, t, ss, ts = trans.jets(point, deriv)
     if direction == "backward":
         s, t = t, s
         ss, ts = ts, ss

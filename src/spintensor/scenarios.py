@@ -11,6 +11,7 @@ matrix exponentials of low-degree polynomial matrix fields.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -34,7 +35,7 @@ from .tensor_core import SpinTensorValue, TensorSignature
 
 SPEC_SCHEMA = "scenario-spec/1"
 
-DEFAULT_TOLERANCES = {"identity": 1e-12, "concordance": 1e-6, "covariance": 1e-5}
+DEFAULT_TOLERANCES = {"concordance": 1e-6, "covariance": 1e-5}
 
 
 class SpecError(ValueError):
@@ -96,16 +97,21 @@ def load_scenario_spec(source) -> ScenarioSpec:
     if not isinstance(points, list) or not points:
         raise SpecError("spec needs a non-empty 'sample_points' list")
     for p in points:
-        if not (isinstance(p, list) and len(p) == 4):
-            raise SpecError("each sample point must be a list of 4 numbers")
-    fd_step = _number(data, "fd_step", float, 1e-4)
-    if not 0.0 < fd_step <= 1e-1:
-        raise SpecError("fd_step must lie in (0, 0.1]")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
-    deform = data.get("deform")
-    if deform is not None and not isinstance(deform, dict):
-        raise SpecError("'deform' must be an object")
+        if not (isinstance(p, list) and len(p) == 4 and all(map(_is_finite, p))):
+            raise SpecError(f"each sample point must be a list of 4 finite numbers, got {p!r}")
+    fd_step = data.get("fd_step", 1e-4)
+    _check("fd_step", fd_step, _is_finite(fd_step) and 0 < fd_step <= 0.1, "a number in (0, 0.1]")
+    tolerances = _object(data, "tolerances", DEFAULT_TOLERANCES)
+    for key, value in tolerances.items():
+        _check(f"tolerances.{key}", value, _is_finite(value) and value > 0, "a finite number > 0")
+    deform = _object(data, "deform", ("seed", "scale", "tangent"))
+    scale = deform.get("scale", 0.15)
+    _check("deform.scale", scale, _is_finite(scale) and scale > 0, "a finite number > 0")
+    tangent = deform.get("tangent", True)
+    _check("deform.tangent", tangent, isinstance(tangent, bool), "true or false")
+    for label, seed in (("seed", data.get("seed", 0)), ("deform.seed", deform.get("seed", 0))):
+        is_int = isinstance(seed, int) and not isinstance(seed, bool)
+        _check(label, seed, is_int and seed >= 0, "a non-negative integer")
     spec = ScenarioSpec(
         name=name,
         mode=mode,
@@ -114,9 +120,9 @@ def load_scenario_spec(source) -> ScenarioSpec:
         torsion=torsion,
         sample_points=[[float(c) for c in p] for p in points],
         fd_step=fd_step,
-        tolerances=tolerances,
-        seed=_number(data, "seed", int, 0),
-        deform=deform,
+        tolerances={**DEFAULT_TOLERANCES, **tolerances},
+        seed=data.get("seed", 0),
+        deform=deform or None,
     )
     # fail fast on bad expressions
     try:
@@ -128,11 +134,28 @@ def load_scenario_spec(source) -> ScenarioSpec:
     return spec
 
 
-def _number(data, key, cast, default):
-    try:
-        return cast(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{key} must be a number, got {data.get(key)!r}") from exc
+def _is_finite(value):
+    """A JSON number (not a boolean) that converts to a finite float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_number and abs(value) <= sys.float_info.max
+
+
+def _check(label, value, ok, requirement):
+    if not ok:
+        raise SpecError(f"{label} must be {requirement}, got {value!r}")
+
+
+def _object(data, key, known):
+    """The optional object data[key] ({} when absent), with only known keys."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SpecError(f"'{key}' must be an object")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise SpecError(f"unknown {key} key(s) {unknown}; have {sorted(known)}")
+    return value
 
 
 def _require_grid(grid, shape, label):
@@ -140,8 +163,8 @@ def _require_grid(grid, shape, label):
     if arr.shape != shape:
         raise SpecError(f"{label} must be a {'x'.join(map(str, shape))} array")
     for cell in arr.ravel():
-        if not isinstance(cell, (str, int, float)):
-            raise SpecError(f"{label} entries must be numbers or expression strings")
+        if not (isinstance(cell, str) or _is_finite(cell)):
+            raise SpecError(f"{label} entries must be finite numbers or expression strings")
 
 
 def bundled_scenario_names():
@@ -186,10 +209,6 @@ def frame_metric_field(g_coord: MatrixField, frame: FrameField) -> MatrixField:
     return einsum_field("ai,ab,bj->ij", u, g_coord, u)
 
 
-def chart_from_spec(spec: ScenarioSpec) -> Chart:
-    return Chart(sample_points=spec.sample_points, fd_step=spec.fd_step)
-
-
 def chiral_scenario_from_spec(spec: ScenarioSpec) -> ChiralScenario:
     scenario = _base_scenario(spec, ChiralScenario)
     if spec.deform:
@@ -208,20 +227,19 @@ def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
 
 
 def _base_scenario(spec: ScenarioSpec, cls):
-    chart = chart_from_spec(spec)
+    chart = Chart(sample_points=spec.sample_points, fd_step=spec.fd_step)
     frame = _frame_field(spec)
     g = frame_metric_field(_metric_field(spec), frame)
-    torsion = _torsion_field(spec)
-    return cls.canonical(chart, g=g, frame=frame, torsion=torsion)
+    return cls(chart, frame, g, torsion=_torsion_field(spec))
 
 
 def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
     deform = spec.deform or {}
     return random_transition(
-        seed=int(deform.get("seed", spec.seed)),
+        seed=deform.get("seed", spec.seed),
         spinor_dim=spinor_dim,
         scale=float(deform.get("scale", 0.15)),
-        tangent=bool(deform.get("tangent", True)),
+        tangent=deform.get("tangent", True),
     )
 
 
@@ -311,17 +329,15 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
 def deform_scenario(scenario, trans: FrameTransition):
     """Scenario as seen from the frame deformed by the transition.
 
-    Every structure field is re-expressed with transform_components;
-    the frame field itself picks up the tangent transition on the
-    right.
+    Every field of the scenario's STRUCTURE_FIELDS, and the torsion when
+    there is one, is re-expressed with transform_components; the frame
+    field itself picks up the tangent transition on the right.
     """
     if trans.spinor_dim != scenario.spinor_dim:
         raise ValueError("transition spinor dimension does not match scenario")
     new_frame = FrameField(matmul_fields(scenario.frame.components, trans.S))
-    sdim = scenario.spinor_dim
 
-    def moved(mat, real=False, **counts):
-        signature = TensorSignature(spinor_dim=sdim, **counts)
+    def moved(mat, signature, real):
         part = np.real if real else np.asarray
 
         def jet(point, deriv=True):
@@ -334,24 +350,14 @@ def deform_scenario(scenario, trans: FrameTransition):
 
         return MatrixField(jet=jet)
 
-    g = moved(scenario.g, real=True, n=2)
-    d = moved(scenario.d, beta=2)
-    dbar = moved(scenario.dbar, gamma=2)
-    torsion = None
+    fields = {
+        attr: moved(getattr(scenario, attr), signature, real)
+        for _, attr, signature, real in scenario.STRUCTURE_FIELDS
+    }
     if scenario.torsion is not None:
-        torsion = moved(scenario.torsion, real=True, m=1, n=2)
-    chart = scenario.chart
-    if isinstance(scenario, DiracScenario):
-        gamma = moved(scenario.gamma, alpha=1, beta=1, n=1)
-        h = moved(scenario.H, alpha=1, beta=1)
-        dd = moved(scenario.D, beta=1, gamma=1)
-        return DiracScenario(
-            chart, new_frame, g, d=d, dbar=dbar, gamma=gamma, H=h, D=dd, torsion=torsion
-        )
-    big_g = moved(scenario.G, alpha=1, nu=1, n=1)
-    return ChiralScenario(
-        chart, new_frame, g, d=d, dbar=dbar, G=big_g, torsion=torsion
-    )
+        torsion_type = TensorSignature(m=1, n=2, spinor_dim=scenario.spinor_dim)
+        fields["torsion"] = moved(scenario.torsion, torsion_type, real=True)
+    return type(scenario)(scenario.chart, new_frame, **fields)
 
 
 # --- independent cross-check -----------------------------------------

@@ -15,8 +15,8 @@ from spintensor.chiral import (
     build_chiral_metric_connection,
     canonical_chiral_constants,
     transform_connection,
-    verify_chiral_concordance,
     verify_chiral_identities,
+    verify_concordance,
 )
 from spintensor.dirac import (
     DiracFrameKind,
@@ -29,7 +29,6 @@ from spintensor.dirac_connection import (
     build_dirac_metric_connection,
     chirality_split,
     restrict_to_chiral,
-    verify_dirac_concordance,
 )
 from spintensor.expressions import Expression, ParseError, parse_ast
 from spintensor.frames import MatrixField, theta_parameters
@@ -130,12 +129,12 @@ def test_criterion_05_concordance_on_every_bundled_scenario(verdict):
     for name in bundled_scenario_names():
         spec = bundled_scenario(name)
         chiral = chiral_scenario_from_spec(spec)
-        res = verify_chiral_concordance(
+        res = verify_concordance(
             lambda p: build_chiral_metric_connection(chiral, p), chiral
         )
         worst = max(worst, max(res.values()))
         dirac = dirac_scenario_from_spec(spec)
-        res = verify_dirac_concordance(
+        res = verify_concordance(
             lambda p: build_dirac_metric_connection(dirac, p), dirac
         )
         worst = max(worst, max(res.values()))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from spintensor.chiral import (
     covariant_derivative,
     metric_tangent_connection,
     transform_connection,
-    verify_chiral_concordance,
     verify_chiral_identities,
+    verify_concordance,
 )
 from spintensor.frames import (
     Chart,
@@ -21,11 +23,13 @@ from spintensor.frames import (
     structural_constants,
     theta_parameters,
 )
+from spintensor.dirac_connection import build_dirac_metric_connection
 from spintensor.scenarios import (
     bundled_scenario,
     chiral_scenario_from_spec,
     coordinate_christoffel,
     deform_scenario,
+    dirac_scenario_from_spec,
     random_transition,
 )
 from spintensor.tensor_core import TensorSignature, outer
@@ -105,7 +109,7 @@ def test_prescribed_torsion_is_reproduced():
     asym = gamma - gamma.transpose(2, 1, 0)
     assert np.allclose(asym, np.einsum("kij->ikj", t), atol=1e-9)
     # and the connection stays metric
-    res = verify_chiral_concordance(
+    res = verify_concordance(
         lambda p: build_chiral_metric_connection(scenario, p), scenario, points=[PT]
     )
     assert res["nabla-metric"] < 1e-9
@@ -142,7 +146,7 @@ def test_structure_fields_track_the_metric():
 def test_concordance_residuals_on_bundled_scenarios():
     for name in ("flat", "diag-scale", "ortho-tetrad"):
         scenario = chiral_scenario_from_spec(bundled_scenario(name))
-        res = verify_chiral_concordance(
+        res = verify_concordance(
             lambda p: build_chiral_metric_connection(scenario, p), scenario
         )
         assert max(res.values()) < 1e-9, name
@@ -150,7 +154,7 @@ def test_concordance_residuals_on_bundled_scenarios():
 
 def test_concordance_on_deformed_scenario():
     scenario = chiral_scenario_from_spec(bundled_scenario("seeded-deformation"))
-    res = verify_chiral_concordance(
+    res = verify_concordance(
         lambda p: build_chiral_metric_connection(scenario, p), scenario
     )
     assert max(res.values()) < 1e-6
@@ -226,8 +230,35 @@ def test_non_finite_connection_fails_concordance():
     bad_a = conn.A.copy()
     bad_a[0, 0, 0] = np.nan
     bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
-    res = verify_chiral_concordance(bad, scenario)
+    res = verify_concordance(lambda p: bad, scenario)
     # the NaN reaches every residual the spinor coefficients enter
     assert np.isnan(res["nabla-spin-metric"])
     assert np.isnan(res["nabla-mixed-symbols"])
     assert res["nabla-metric"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "load, build",
+    [
+        (chiral_scenario_from_spec, build_chiral_metric_connection),
+        (dirac_scenario_from_spec, build_dirac_metric_connection),
+    ],
+)
+def test_concordance_takes_one_jet_per_structure_field_per_point(load, build):
+    scenario = load(bundled_scenario("seeded-deformation"))
+    points = scenario.chart.sample_points
+    conns = {point: build(scenario, point) for point in points}
+    counts = Counter()
+
+    def counted(attr, field):
+        def jet(point, deriv=True):
+            counts[attr] += 1
+            return field.jet(point, deriv)
+
+        return MatrixField(jet=jet)
+
+    for _, attr, _, _ in scenario.STRUCTURE_FIELDS:
+        setattr(scenario, attr, counted(attr, getattr(scenario, attr)))
+    res = verify_concordance(lambda p: conns[p], scenario)
+    assert counts == {attr: len(points) for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
+    assert max(res.values()) < 1e-6

@@ -4,15 +4,18 @@ import math
 
 import pytest
 from importlib import resources
+from hypothesis import given, settings, strategies as st
 
 from spintensor.cli import (
     REPORT_SCHEMA,
+    SUBCOMMANDS,
     ResidualReport,
     build_parser,
     main,
     parse_expression,
     run,
 )
+from spintensor.scenarios import bundled_scenario_names
 
 
 def run_captured(subcommand, **kwargs):
@@ -25,6 +28,14 @@ def strip_timestamp(payload):
     data = json.loads(payload)
     data.pop("timestamp")
     return data
+
+
+def bundled_spec(name):
+    return json.loads((resources.files("spintensor") / "scenarios" / f"{name}.json").read_text())
+
+
+def diag(*cells):
+    return [[cells[i] if i == j else "0" for j in range(4)] for i in range(4)]
 
 
 def test_parse_expression_is_a_scalar_field():
@@ -97,6 +108,21 @@ def test_numerical_failure_is_exit_1():
     assert json.loads(payload)["overall_pass"] is False
 
 
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_all_is_the_union_of_the_four_subcommands(name):
+    _, payload = run_captured("all", spec_path=name)
+    whole = json.loads(payload)
+    checks, tables = {}, {}
+    for sub in ("verify-identities", "build-connection", "concordance", "covariance"):
+        _, part = run_captured(sub, spec_path=name)
+        part = json.loads(part)
+        assert not set(part["checks"]) & set(checks), sub
+        checks.update(part["checks"])
+        tables.update(part.get("tables", {}))
+    assert whole["checks"] == checks
+    assert whole.get("tables", {}) == tables
+
+
 def test_reports_are_deterministic_modulo_timestamp():
     _, first = run_captured("all", spec_path="diag-scale", seed=2)
     _, second = run_captured("all", spec_path="diag-scale", seed=2)
@@ -158,6 +184,21 @@ def exit_code(argv):
         ([], {"SPINTENSOR_FORMAT": "xml"}, {}),
         ([], {}, {"fd_step": "x"}),
         ([], {}, {"seed": "abc"}),
+        ([], {}, {"deform": {"seed": "abc"}}),
+        ([], {}, {"deform": {"scale": "abc"}}),
+        ([], {}, {"deform": {"scale": math.nan}}),
+        ([], {}, {"deform": {"seed": -1}}),
+        ([], {}, {"deform": {"tangent": "yes"}}),
+        ([], {}, {"deform": {"sede": 7}}),
+        ([], {}, {"seed": -1}),
+        (["--seed", "-1"], {}, {}),
+        ([], {}, {"tolerances": {"concordance": "x"}}),
+        ([], {}, {"tolerances": {"concordance": -1}}),
+        ([], {}, {"tolerances": {"covariance": math.inf}}),
+        ([], {}, {"tolerances": {"concordence": 1e-6}}),
+        ([], {}, {"tolerances": {"identity": 1e-12}}),
+        ([], {}, {"sample_points": [["a", 0, 0, 0]]}),
+        ([], {}, {"sample_points": [[math.nan, 0, 0, 0]]}),
     ],
 )
 def test_bad_flags_overrides_and_spec_numbers_are_exit_2(
@@ -165,9 +206,7 @@ def test_bad_flags_overrides_and_spec_numbers_are_exit_2(
 ):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    spec = json.loads(
-        (resources.files("spintensor") / "scenarios" / "ortho-tetrad.json").read_text()
-    )
+    spec = bundled_spec("ortho-tetrad")
     spec.update(spec_overrides)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -176,6 +215,51 @@ def test_bad_flags_overrides_and_spec_numbers_are_exit_2(
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        diag("1", "1", "-1", "-1"),  # signature (+,+,-,-)
+        diag("sqrt(x0-1)", "-1", "-1", "-1"),  # sqrt of a negative value
+        diag("exp(exp(100*x0))", "-1", "-1", "-1"),  # overflow
+        diag("-1", "1", "-1", "-1"),  # right signature, no time-first factor
+    ],
+)
+def test_scenario_construction_failures_name_field_and_point(metric, capsys, tmp_path):
+    spec = bundled_spec("diag-scale")
+    spec["metric"] = metric
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_captured("concordance", spec_path=str(path))
+    err = capsys.readouterr().err
+    assert code == 2 and payload == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "at (0.5, 0.2, -0.3, 0.1): " in err and "metric" in err
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [
+        # 1 + x0 = 1e-16: the metric is nearly degenerate and the
+        # conjugate-coefficient check of the chiral builder trips
+        ("diag-scale", [-0.9999999999999999, 0.0, 0.0, 0.0]),
+        # far from the origin the covariance check's own seeded frame
+        # change turns singular on a valid scenario
+        ("flat", [300.0, 0.0, 0.0, 0.0]),
+        # and the seeded deformation makes the metric numerically singular
+        ("seeded-deformation", [0.75, -630.8125, 0.0, 0.0]),
+    ],
+)
+def test_failed_consistency_checks_are_numerical_failures(name, point, capsys, tmp_path):
+    spec = bundled_spec(name)
+    spec["sample_points"] = [point]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _ = run_captured("covariance", spec_path=str(path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
 
 
 def test_run_rejects_an_out_of_range_fd_step(capsys):
@@ -199,3 +283,79 @@ def test_env_overrides(monkeypatch):
     args = parser.parse_args(["concordance"])
     assert args.spec == "flat"
     assert args.format == "text"
+
+
+# --- fuzzing the exit-code contract ------------------------------------
+
+_JUNK = st.one_of(
+    st.integers(-2, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+
+# cells of the scenario DSL: coordinates and literals under the binary
+# operators and the functions of the grammar
+_DSL = st.recursive(
+    st.sampled_from(["x0", "x1", "x2", "x3", "0", "1", "2.5", "-1", "1e3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"
+        ),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "cosh", "sinh", "-"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_specs(draw):
+    """A bundled spec with mutated deform, tolerances, points and metric
+    cells; now and then one section carries a malformed value."""
+    spec = bundled_spec(draw(st.sampled_from(bundled_scenario_names())))
+    if draw(st.booleans()):
+        spec["deform"] = draw(st.dictionaries(
+            st.sampled_from(["seed", "scale", "tangent"]),
+            st.one_of(st.integers(0, 9), st.floats(0.01, 3.0), st.booleans()),
+            max_size=3,
+        ))
+    if draw(st.booleans()):
+        spec["tolerances"] = draw(st.dictionaries(
+            st.sampled_from(["concordance", "covariance"]), st.floats(1e-18, 1.0), max_size=2
+        ))
+    coordinate = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e3, 1e3))
+    spec["sample_points"] = draw(st.lists(
+        st.lists(coordinate, min_size=4, max_size=4), min_size=1, max_size=2
+    ))
+    if draw(st.booleans()):
+        metric = spec["metric"]
+        if metric == "minkowski":
+            metric = diag("1", "-1", "-1", "-1")
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        metric[i][j] = metric[j][i] = draw(_DSL)
+        spec["metric"] = metric
+    if draw(st.integers(0, 3)) == 0:
+        section = draw(st.sampled_from(["deform", "tolerances", "sample_points"]))
+        if section == "sample_points":
+            spec[section] = [[draw(_JUNK), 0, 0, 0]]
+        else:
+            key = draw(st.sampled_from(["seed", "scale", "tangent", "concordance", "identity"]))
+            spec[section] = {key: draw(_JUNK)}
+    return spec
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(subcommand=st.sampled_from(SUBCOMMANDS), spec=mutated_specs())
+def test_mutated_specs_never_raise(fuzz_dir, subcommand, spec):
+    path = fuzz_dir / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _ = run_captured(subcommand, spec_path=str(path))
+    assert code in (0, 1, 2)

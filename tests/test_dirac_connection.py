@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from spintensor.chiral import SpinorConnection, build_chiral_metric_connection
+from spintensor.chiral import (
+    SpinorConnection,
+    build_chiral_metric_connection,
+    verify_concordance,
+)
 from spintensor.dirac import canonical_dirac_constants, frame_inversion
 from spintensor.dirac_connection import (
     DiracScenario,
     build_dirac_metric_connection,
     chirality_split,
     restrict_to_chiral,
-    verify_dirac_concordance,
 )
 from spintensor.scenarios import (
     bundled_scenario,
@@ -123,7 +126,7 @@ def test_restriction_rejects_chiral_input():
 def test_dirac_concordance_on_bundled_scenarios():
     for name in ("flat", "diag-scale", "ortho-tetrad"):
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
-        res = verify_dirac_concordance(
+        res = verify_concordance(
             lambda p: build_dirac_metric_connection(scenario, p), scenario
         )
         assert max(res.values()) < 1e-9, name
@@ -131,7 +134,7 @@ def test_dirac_concordance_on_bundled_scenarios():
 
 def test_dirac_concordance_on_deformed_scenario():
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
-    res = verify_dirac_concordance(
+    res = verify_concordance(
         lambda p: build_dirac_metric_connection(scenario, p), scenario
     )
     assert max(res.values()) < 1e-6
@@ -157,7 +160,7 @@ def test_non_finite_connection_fails_dirac_concordance():
     bad_a = conn.A.copy()
     bad_a[1, 2, 3] = np.nan
     bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
-    res = verify_dirac_concordance(lambda p: bad, scenario)
+    res = verify_concordance(lambda p: bad, scenario)
     assert not np.isfinite(res["nabla-spin-metric"])
     assert not np.isfinite(res["nabla-chirality"])
     assert res["nabla-metric"] < 1e-9
