@@ -11,6 +11,7 @@ chiral or Dirac, into a residual.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,10 @@ from .frames import (
     FrameField,
     FrameTransition,
     MatrixField,
-    NumericalError,
     ThetaParameters,
     along_frame,
+    check_points,
+    einsum,
     lie_matrix,
     structural_constants,
 )
@@ -34,7 +36,6 @@ from .tensor_core import (
     TANGENT,
     SpinTensorValue,
     TensorSignature,
-    apply_matrix,
 )
 from .tetrads import derived_symbol_field, signed_cholesky
 
@@ -61,11 +62,10 @@ class ChiralConstants:
 def compute_g_lower_symbols(g_upper_mixed, g_upper, d_lower, dbar_lower):
     """Both-lower mixed symbols from the both-upper ones.
 
-    G^q_{i ibar} = sum_{j jbar k} G^{j jbar}_k g^{kq} d_{ji} dbar_{jbar ibar}.
+    G^q_{i ibar} = sum_{j jbar k} G^{j jbar}_k g^{kq} d_{ji} dbar_{jbar ibar},
+    at every point of any leading batch axes.
     """
-    return np.einsum(
-        "jbk,kq,ji,bc->qic", g_upper_mixed, g_upper, d_lower, dbar_lower
-    )
+    return einsum("jbk,kq,ji,bc->qic", g_upper_mixed, g_upper, d_lower, dbar_lower)
 
 
 def canonical_chiral_constants() -> ChiralConstants:
@@ -213,53 +213,67 @@ class ChiralScenario:
         """Check the frame, g and the torsion at every sample point (g
         needs its time-first orthonormal factor when the symbols are
         derived from it); ScenarioError names the field and the point of
-        the first failure."""
+        the first failure.  All points are checked in one batch; only a
+        failing batch is checked again point by point, to name the first
+        failure."""
+        if self._failure(self.chart.points) is None:
+            return
         for point in self.chart.sample_points:
-            field = "frame"
-            try:
-                self.frame(point)  # det check
-                field = "metric"
-                gval = np.asarray(self.g(point))
-                if np.max(np.abs(gval - gval.T)) > 1e-10:
-                    raise ValueError("not symmetric")
-                eigs = np.linalg.eigvalsh(np.real(gval))
-                if not (np.sum(eigs > 0) == 1 and np.sum(eigs < 0) == 3):
-                    raise ValueError("signature is not (+,-,-,-)")
-                if self.symbols_from_g:
-                    signed_cholesky(np.real(gval))
-                if self.torsion is not None:
-                    field = "torsion"
-                    t = np.asarray(self.torsion(point))
-                    if np.max(np.abs(t + t.transpose(0, 2, 1))) > 1e-12:
-                        raise ValueError("not antisymmetric")
-            except (ValueError, EvaluationError) as exc:
+            failure = self._failure(point)
+            if failure is not None:
+                field, exc = failure
                 raise ScenarioError(f"{field} at {point}: {exc}") from exc
 
+    def _failure(self, points):
+        """(field, error) of the first check that fails over points, else None."""
+        field = "frame"
+        try:
+            self.frame(points)  # det check
+            field = "metric"
+            gval = np.asarray(self.g(points))
+            if np.max(np.abs(gval - np.swapaxes(gval, -1, -2))) > 1e-10:
+                raise ValueError("not symmetric")
+            eigs = np.linalg.eigvalsh(np.real(gval))
+            if np.any(np.sum(eigs > 0, axis=-1) != 1) or np.any(np.sum(eigs < 0, axis=-1) != 3):
+                raise ValueError("signature is not (+,-,-,-)")
+            if self.symbols_from_g:
+                signed_cholesky(np.real(gval))
+            if self.torsion is not None:
+                field = "torsion"
+                t = np.asarray(self.torsion(points))
+                if np.max(np.abs(t + np.swapaxes(t, -1, -2))) > 1e-12:
+                    raise ValueError("not antisymmetric")
+        except (ValueError, EvaluationError) as exc:
+            return field, exc
+        return None
+
     def concordance_extras(self, values, grads):
-        """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at one
+        """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
         point, from the fields' values and covariant derivatives there."""
         ginv = np.linalg.inv(np.real(values["g"]))
-        dg = grads["g"]  # [q, p, r]
+        dg = grads["g"]  # [..., q, p, r]
         gl = compute_g_lower_symbols(values["G"], ginv, values["d"], values["dbar"])
         return {
-            "metric-trace": np.einsum("qp,qpr->r", ginv, dg),
-            "symbol-sandwich": np.einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
-            + np.einsum("ajx,abr,biy->ixjyr", gl, dg, gl),
+            "metric-trace": einsum("qp,qpr->r", ginv, dg),
+            "symbol-sandwich": einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
+            + einsum("ajx,abr,biy->ixjyr", gl, dg, gl),
         }
 
-    def torsion_at(self, point):
+    def torsion_at(self, points):
         if self.torsion is None:
-            return np.zeros((4, 4, 4))
-        return np.asarray(self.torsion(point), dtype=float)
+            return np.zeros(np.shape(points)[:-1] + (4, 4, 4))
+        return np.asarray(self.torsion(points), dtype=float)
 
 
 @dataclass(frozen=True)
 class SpinorConnection:
-    """Connection coefficient arrays at one point.
+    """Connection coefficient arrays at one point or a batch of points.
 
-    Gamma[i, k, j] is the tangent coefficient with derivative direction
-    i, upper index k and lower index j; A[r, i, j] / Abar[r, i, j] are
-    the spinor and conjugate-spinor coefficient matrices per direction.
+    Gamma[..., i, k, j] is the tangent coefficient with derivative
+    direction i, upper index k and lower index j; A[..., r, i, j] /
+    Abar[..., r, i, j] are the spinor and conjugate-spinor coefficient
+    matrices per direction.  The leading axes are the batch axes of the
+    points, the same for all three arrays.
     """
 
     Gamma: np.ndarray
@@ -268,20 +282,21 @@ class SpinorConnection:
     spinor_dim: int = 2
 
     def __post_init__(self):
+        batch = np.shape(self.Gamma)[:-3]
         for name, shape in (
             ("Gamma", (4, 4, 4)),
             ("A", (4, self.spinor_dim, self.spinor_dim)),
             ("Abar", (4, self.spinor_dim, self.spinor_dim)),
         ):
             arr = np.asarray(getattr(self, name), dtype=complex).copy()
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+            if arr.shape != batch + shape:
+                raise ValueError(f"{name} must have shape {shape} after the batch axes {batch}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
-def metric_tangent_connection(scenario, point, g_jet=None) -> np.ndarray:
-    """Tangent coefficients Gamma[i, k, j] of the metric connection.
+def metric_tangent_connection(scenario, points, g_jet=None, frame_jet=None) -> np.ndarray:
+    """Tangent coefficients Gamma[..., i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
                + c^k_ij/2
@@ -289,36 +304,38 @@ def metric_tangent_connection(scenario, point, g_jet=None) -> np.ndarray:
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame and T the torsion.
-    g_jet is the metric's jet at point when the caller already holds it.
+    g_jet and frame_jet are the metric's and the frame's jets at points
+    when the caller already holds them.
     """
-    g, dg = scenario.g.jet(point) if g_jet is None else g_jet
+    g, dg = scenario.g.jet(points) if g_jet is None else g_jet
+    frame_jet = scenario.frame.jet(points) if frame_jet is None else frame_jet
     g = np.real(g)
-    lg = np.real(along_frame(scenario.frame(point), dg))  # lg[r, a, b] = L_r(g)_{ab}
+    lg = np.real(along_frame(frame_jet[0], dg))  # lg[..., r, a, b] = L_r(g)_{ab}
     ginv = np.linalg.inv(g)
-    c = structural_constants(scenario.frame, point).c
-    t = scenario.torsion_at(point)
+    c = structural_constants(scenario.frame, points, frame_jet).c
+    t = scenario.torsion_at(points)
 
     gamma = 0.5 * (
-        np.einsum("kr,ijr->ikj", ginv, lg)
-        + np.einsum("kr,jri->ikj", ginv, lg)
-        - np.einsum("kr,rij->ikj", ginv, lg)
+        einsum("kr,ijr->ikj", ginv, lg)
+        + einsum("kr,jri->ikj", ginv, lg)
+        - einsum("kr,rij->ikj", ginv, lg)
     )
     # c enters with the bracket order [frame_i, frame_j]; the sign is
     # pinned by torsion-freeness asym(Gamma) = c, not by metric
     # compatibility (the c-part is g-antisymmetric on its own).
-    gamma += 0.5 * np.einsum("kij->ikj", c)
-    gamma -= 0.5 * np.einsum("kr,sir,sj->ikj", ginv, c, g)
-    gamma -= 0.5 * np.einsum("kr,sjr,si->ikj", ginv, c, g)
-    gamma += 0.5 * np.einsum("kij->ikj", t)
-    gamma -= 0.5 * np.einsum("kr,sir,sj->ikj", ginv, t, g)
-    gamma -= 0.5 * np.einsum("kr,sjr,si->ikj", ginv, t, g)
+    gamma += 0.5 * einsum("kij->ikj", c)
+    gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, c, g)
+    gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, c, g)
+    gamma += 0.5 * einsum("kij->ikj", t)
+    gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, t, g)
+    gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, t, g)
     return gamma
 
 
 def build_chiral_metric_connection(
-    scenario: ChiralScenario, point, reality_tol=1e-9
+    scenario: ChiralScenario, points, reality_tol=1e-9
 ) -> SpinorConnection:
-    """The unique connection annihilating g, d, dbar and G.
+    """The unique connection annihilating g, d, dbar and G at every point.
 
     The spinor coefficients come from contracting the tangent
     coefficients with the mixed symbols:
@@ -327,37 +344,41 @@ def build_chiral_metric_connection(
               - 1/4 sum L_r(G^{i sbar}_q) G^q_{j sbar}
               - 1/4 (sum L_r(dbar_{jbar ibar}) dbar^{ibar jbar}) delta^i_j
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
-    unbarred spin-metric trace.  For real metric data Abar = conj(A).
+    unbarred spin-metric trace.  For real metric data Abar = conj(A),
+    checked at every point.  The frame and g are evaluated once for the
+    whole batch.
     """
-    g_jet = scenario.g.jet(point)
-    gamma = metric_tangent_connection(scenario, point, g_jet)
+    frame_jet = scenario.frame.jet(points)
+    g_jet = scenario.g.jet(points)
+    gamma = metric_tangent_connection(scenario, points, g_jet, frame_jet)
     ginv = np.linalg.inv(np.real(np.asarray(g_jet[0])))
-    gu, lgu = lie_matrix(scenario.G, scenario.frame, point)
-    d, ld = lie_matrix(scenario.d, scenario.frame, point)
-    db, ldb = lie_matrix(scenario.dbar, scenario.frame, point)
+    gu, dgu = scenario.G.jet(points)
+    d, dd = scenario.d.jet(points)
+    db, ddb = scenario.dbar.jet(points)
+    lgu, ld, ldb = (along_frame(frame_jet[0], x) for x in (dgu, dd, ddb))
     du = np.linalg.inv(d)
     dbu = np.linalg.inv(db)
     gl = compute_g_lower_symbols(gu, ginv, d, db)
 
     eye = np.eye(2, dtype=complex)
-    a = 0.25 * np.einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
-    a -= 0.25 * np.einsum("ribq,qjb->rij", lgu, gl)
-    a -= 0.25 * np.einsum("rji,ij,ab->rab", ldb, dbu, eye)
+    a = 0.25 * einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
+    a -= 0.25 * einsum("ribq,qjb->rij", lgu, gl)
+    a -= 0.25 * einsum("rji,ij,ab->rab", ldb, dbu, eye)
 
-    abar = 0.25 * np.einsum("sip,rpq,qsj->rij", gu, gamma, gl)
-    abar -= 0.25 * np.einsum("rsiq,qsj->rij", lgu, gl)
-    abar -= 0.25 * np.einsum("rji,ij,ab->rab", ld, du, eye)
+    abar = 0.25 * einsum("sip,rpq,qsj->rij", gu, gamma, gl)
+    abar -= 0.25 * einsum("rsiq,qsj->rij", lgu, gl)
+    abar -= 0.25 * einsum("rji,ij,ab->rab", ld, du, eye)
 
-    scale = 1.0 + np.max(np.abs(a))
-    if np.max(np.abs(abar - np.conj(a))) > reality_tol * scale:
-        raise NumericalError(f"Abar is not the conjugate of A at {tuple(point)}")
+    scale = 1.0 + np.max(np.abs(a), axis=(-3, -2, -1))
+    unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > reality_tol * scale
+    check_points(unreal, points, "Abar is not the conjugate of A")
     return SpinorConnection(gamma, a, abar, spinor_dim=2)
 
 
 def covariant_derivative(
-    x: SpinTensorField, conn: SpinorConnection, scenario, point
+    x: SpinTensorField, conn: SpinorConnection, scenario, points
 ) -> SpinTensorValue:
-    """Covariant derivative of a spin-tensor field at one point.
+    """Covariant derivative of a spin-tensor field at points.
 
     Returns the type (..|..|m, n+1) value whose last axis is the
     derivative direction: the Lie-derivative term plus +A / -A on
@@ -365,7 +386,7 @@ def covariant_derivative(
     slots and +Gamma / -Gamma on tangent slots.
     """
     sig = x.signature
-    value, lie = lie_matrix(x.components, scenario.frame, point)
+    value, lie = lie_matrix(x.components, scenario.frame, points)
     new_sig = TensorSignature(
         alpha=sig.alpha, beta=sig.beta, nu=sig.nu, gamma=sig.gamma,
         m=sig.m, n=sig.n + 1, spinor_dim=sig.spinor_dim,
@@ -375,44 +396,44 @@ def covariant_derivative(
 
 def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnection):
     """Components of the covariant derivative, direction last, from a
-    field's value and its derivatives lie[r] along the frame vectors."""
+    field's value and its derivatives lie[..., r, :] along the frame
+    vectors; one contraction per slot over every direction and point."""
     if sig.spinor_dim != conn.spinor_dim:
         raise ValueError("field and connection spinor dimensions differ")
-    arr = np.asarray(value, dtype=complex)
-    out = np.moveaxis(lie, 0, -1).astype(complex)
+    out = np.moveaxis(np.asarray(lie), -sig.rank - 1, -1).astype(complex)
     coeff = {SPINOR: conn.A, BARRED: conn.Abar, TANGENT: conn.Gamma}
+    old = string.ascii_lowercase[: sig.rank]  # slot letters, all before "r"
     for axis, (family, up) in enumerate(sig.slots):
-        mats = coeff[family]
-        for r in range(4):
-            if up:
-                out[..., r] += apply_matrix(arr, axis, mats[r], "left")
-            else:
-                out[..., r] -= apply_matrix(arr, axis, mats[r], "right")
+        new = old[:axis] + "z" + old[axis + 1:]
+        # up: + sum_a M[r, z, a] x[..a..]; down: - sum_a x[..a..] M[r, a, z]
+        mat = "r" + ("z" + old[axis] if up else old[axis] + "z")
+        term = einsum(f"{mat},{old}->{new}r", coeff[family], value)
+        out = out + term if up else out - term
     return out
 
 
 def verify_concordance(conn_at, scenario: ChiralScenario, points=None) -> dict:
     """Residual report for the concordance conditions of a scenario.
 
-    conn_at maps a point to the SpinorConnection there.  Each row of the
-    scenario's STRUCTURE_FIELDS gives nabla-<check>, the max absolute
-    covariant derivative of that field from one jet per point; the
-    scenario's concordance_extras add its mode's other conditions.  A
-    non-finite residual anywhere makes the reported maximum non-finite.
+    conn_at maps the batch of points (..., 4), the sample points by
+    default, to the SpinorConnection there, in one call.  Each row of
+    the scenario's STRUCTURE_FIELDS gives nabla-<check>, the max
+    absolute covariant derivative of that field over all points from
+    one jet of the field for the batch; the scenario's
+    concordance_extras add its mode's other conditions.  A non-finite
+    residual anywhere makes the reported maximum non-finite.
     """
-    points = points if points is not None else scenario.chart.sample_points
-    out = {}
-    for point in points:
-        conn = conn_at(point)
-        u = scenario.frame(point)
-        values, grads = {}, {}
-        for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:
-            value, d = getattr(scenario, attr).jet(point)
-            values[attr] = value
-            grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
-            out[f"nabla-{check}"] = worst_residual(out.get(f"nabla-{check}", 0.0), grads[attr])
-        for check, residual in scenario.concordance_extras(values, grads).items():
-            out[check] = worst_residual(out.get(check, 0.0), residual)
+    points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
+    conn = conn_at(points)
+    u = scenario.frame(points)
+    out, values, grads = {}, {}, {}
+    for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:
+        value, d = getattr(scenario, attr).jet(points)
+        values[attr] = value
+        grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
+        out[f"nabla-{check}"] = worst_residual(0.0, grads[attr])
+    for check, residual in scenario.concordance_extras(values, grads).items():
+        out[check] = worst_residual(0.0, residual)
     return out
 
 
@@ -422,7 +443,7 @@ def worst_residual(running, residual):
 
 
 def transform_connection(
-    conn: SpinorConnection, trans: FrameTransition, theta: ThetaParameters, point
+    conn: SpinorConnection, trans: FrameTransition, theta: ThetaParameters, points
 ) -> SpinorConnection:
     """Map a tilde-frame connection to the untilde frame.
 
@@ -431,11 +452,11 @@ def transform_connection(
     for Abar.  theta must be computed with Lie derivatives along the
     untilde frame.
     """
-    s, t, ss, ts = (value for value, _ in trans.jets(point, deriv=False))
-    gamma = np.einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
-    a = np.einsum("ka,bj,ci,cab->ikj", ss, ts, t.astype(complex), conn.A) + theta.vartheta
+    s, t, ss, ts = (value for value, _ in trans.jets(points, deriv=False))
+    gamma = einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
+    a = einsum("ka,bj,ci,cab->ikj", ss, ts, t.astype(complex), conn.A) + theta.vartheta
     abar = (
-        np.einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t.astype(complex), conn.Abar)
+        einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t.astype(complex), conn.Abar)
         + np.conj(theta.vartheta)
     )
     return SpinorConnection(gamma, a, abar, spinor_dim=conn.spinor_dim)

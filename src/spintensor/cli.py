@@ -22,8 +22,12 @@ derivative is exact.
 Report schema "residual-report/1": a JSON object with schema, name,
 subcommand, seed, timestamp, overall_pass and a checks object mapping
 check names to {max_residual, tolerance, passed, points_evaluated}.
-Reports are deterministic for a fixed spec and seed up to the
-timestamp field.
+Reports are strict JSON: a non-finite residual is written as null (and
+never passes), and a tolerance scaled past the float range is bad
+input (exit 2).  Reports are deterministic for a fixed spec and seed up
+to the timestamp field.
+
+Every stage evaluates all sample points of a mode as one batch.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from .scenarios import (
 
 REPORT_SCHEMA = "residual-report/1"
 ENV_PREFIX = "SPINTENSOR_"
+IDENTITY_TOL = 1e-12  # the constant identity suites, before --tol-scale
 
 # mode -> (scenario loader, connection builder)
 MODES = {
@@ -100,11 +105,13 @@ class ResidualReport:
     tables: dict = field(default_factory=dict)
 
     def record(self, check, max_residual, tolerance, points_evaluated):
-        """Record one check; a non-finite residual never passes."""
+        """Record one check; a non-finite residual never passes and is
+        written as null."""
+        finite = math.isfinite(max_residual)
         self.checks[check] = {
-            "max_residual": float(max_residual),
+            "max_residual": float(max_residual) if finite else None,
             "tolerance": float(tolerance),
-            "passed": bool(math.isfinite(max_residual) and max_residual <= tolerance),
+            "passed": bool(finite and max_residual <= tolerance),
             "points_evaluated": int(points_evaluated),
         }
 
@@ -130,7 +137,7 @@ class ResidualReport:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_text(self):
         lines = [f"residual report: {self.name} [{self.subcommand}] seed={self.seed}"]
@@ -138,8 +145,9 @@ class ResidualReport:
         for check in sorted(self.checks):
             entry = self.checks[check]
             status = "PASS" if entry["passed"] else "FAIL"
+            residual = math.nan if entry["max_residual"] is None else entry["max_residual"]
             lines.append(
-                f"  {status}  {check:<{width}}  max={entry['max_residual']:.3e}"
+                f"  {status}  {check:<{width}}  max={residual:.3e}"
                 f"  tol={entry['tolerance']:.1e}  points={entry['points_evaluated']}"
             )
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
@@ -177,7 +185,7 @@ class Run:
 def run_verify_identities(ctx: Run):
     """Constant identity suites, canonically and after P/T/PT inversions."""
     report = ctx.report
-    tol = 1e-12 * ctx.tol_scale
+    tol = IDENTITY_TOL * ctx.tol_scale
     chiral = canonical_chiral_constants()
     for check, value in verify_chiral_identities(chiral).items():
         report.record(f"chiral-{check}", value, tol, 1)
@@ -203,33 +211,32 @@ def run_build_connection(ctx: Run):
     When the spec uses the coordinate frame, a raw finite-difference
     Christoffel table (step --fd-step, else the spec's) is emitted next
     to the tangent coefficients and their agreement is recorded as a
-    check.
+    check.  Each mode's connection and the oracle are built once for
+    all points; the per-point tables are slices of those batches.
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform
-    g_coord = _metric_field(spec) if has_oracle else None
     step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
     for mode in spec.modes:
         scenario = ctx.scenario(mode)
-        build = MODES[mode][1]
-        entries = []
-        worst = 0.0
-        for point in scenario.chart.sample_points:
-            conn = build(scenario, point)
-            entry = {
+        points = scenario.chart.points
+        conn = MODES[mode][1](scenario, points)
+        entries = [
+            {
                 "point": list(point),
-                "tangent": np.real(np.asarray(conn.Gamma)).tolist(),
-                "spinor": _complex_table(conn.A),
-                "conjugate-spinor": _complex_table(conn.Abar),
+                "tangent": np.real(conn.Gamma[k]).tolist(),
+                "spinor": _complex_table(conn.A[k]),
+                "conjugate-spinor": _complex_table(conn.Abar[k]),
             }
-            if has_oracle:
-                oracle = coordinate_christoffel(g_coord, point, step=step)
-                entry["tangent-oracle"] = np.asarray(oracle).tolist()
-                worst = worst_residual(worst, conn.Gamma - oracle)
-            entries.append(entry)
-        ctx.report.tables[f"{mode}-connection"] = entries
+            for k, point in enumerate(scenario.chart.sample_points)
+        ]
         if has_oracle:
+            oracle = coordinate_christoffel(_metric_field(spec), points, step=step)
+            for entry, table in zip(entries, oracle):
+                entry["tangent-oracle"] = table.tolist()
+            worst = worst_residual(0.0, conn.Gamma - oracle)
             ctx.report.record(f"{mode}-tangent-oracle", worst, 1e-5, len(entries))
+        ctx.report.tables[f"{mode}-connection"] = entries
 
 
 def run_concordance(ctx: Run):
@@ -238,7 +245,7 @@ def run_concordance(ctx: Run):
     for mode in ctx.spec.modes:
         scenario = ctx.scenario(mode)
         build = MODES[mode][1]
-        residuals = verify_concordance(lambda p: build(scenario, p), scenario)
+        residuals = verify_concordance(lambda points: build(scenario, points), scenario)
         for check, value in residuals.items():
             ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 
@@ -248,14 +255,16 @@ def run_covariance(ctx: Run):
 
     The connection built directly in the deformed frame, mapped back
     through the transformation law with theta-parameters, must agree
-    with the connection built in the original frame.
+    with the connection built in the original frame.  Each build,
+    theta and transformation covers all sample points at once.
     """
     spec = ctx.spec
     tol = spec.tolerances["covariance"] * ctx.tol_scale
     base_seed = spec.seed if ctx.seed is None else ctx.seed
     base = ctx.scenario("chiral")
-    points = base.chart.sample_points
-    conn_base = [build_chiral_metric_connection(base, point) for point in points]
+    points = base.chart.points
+    npoints = len(spec.sample_points)
+    conn_base = build_chiral_metric_connection(base, points)
     worst = 0.0
     for offset in range(3):
         trans = random_transition(seed=base_seed + offset, spinor_dim=2)
@@ -263,26 +272,22 @@ def run_covariance(ctx: Run):
             moved = deform_scenario(base, trans)
         except ScenarioError as exc:  # the input is valid; the check's own frame is not
             raise NumericalError(f"seeded deformation {base_seed + offset}: {exc}") from exc
-        for point, conn in zip(points, conn_base):
-            conn_moved = build_chiral_metric_connection(moved, point)
-            theta = theta_parameters(trans, base.frame, point)
-            back = transform_connection(conn_moved, trans, theta, point)
-            for ours, theirs in (
-                (back.Gamma, conn.Gamma), (back.A, conn.A), (back.Abar, conn.Abar)
-            ):
-                worst = worst_residual(worst, ours - theirs)
-    ctx.report.record("chiral-transformation-law", worst, tol, 3 * len(points))
+        conn_moved = build_chiral_metric_connection(moved, points)
+        theta = theta_parameters(trans, base.frame, points)
+        back = transform_connection(conn_moved, trans, theta, points)
+        for ours, theirs in (
+            (back.Gamma, conn_base.Gamma), (back.A, conn_base.A), (back.Abar, conn_base.Abar)
+        ):
+            worst = worst_residual(worst, ours - theirs)
+    ctx.report.record("chiral-transformation-law", worst, tol, 3 * npoints)
     if "dirac" in spec.modes:
-        dirac = ctx.scenario("dirac")
-        worst = 0.0
-        for point, chiral_conn in zip(points, conn_base):
-            conn = build_dirac_metric_connection(dirac, point)
-            # deformed embedded frames keep the block layout, so the
-            # restriction is still exact; the restriction residual is
-            # the covariance statement for the Dirac bundle here.
-            restricted = restrict_to_chiral(conn, tol=1e-6 if spec.deform else 1e-9)
-            worst = worst_residual(worst, restricted.A - chiral_conn.A)
-        ctx.report.record("dirac-chiral-restriction", worst, tol, len(points))
+        conn = build_dirac_metric_connection(ctx.scenario("dirac"), points)
+        # deformed embedded frames keep the block layout, so the
+        # restriction is still exact; the restriction residual is
+        # the covariance statement for the Dirac bundle here.
+        restricted = restrict_to_chiral(conn, points, tol=1e-6 if spec.deform else 1e-9)
+        worst = worst_residual(0.0, restricted.A - conn_base.A)
+        ctx.report.record("dirac-chiral-restriction", worst, tol, npoints)
 
 
 STAGES = {
@@ -315,6 +320,7 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         spec = None if spec_path is None else _resolve_spec(spec_path)
         if spec is None and subcommand != "verify-identities":
             raise SpecError(f"subcommand {subcommand!r} needs --spec")
+        _check_tolerances(spec, tol_scale)
         ctx = Run(
             report=ResidualReport(
                 name=spec.name if spec else "canonical-constants",
@@ -346,6 +352,15 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         print(f"failed checks: {failing}", file=sys.stderr)
         return 1
     return 0
+
+
+def _check_tolerances(spec, tol_scale):
+    """Every tolerance the stages use, scaled, must be a finite number."""
+    for name, base in (("identity", IDENTITY_TOL), *(spec.tolerances.items() if spec else ())):
+        if not math.isfinite(base * tol_scale):
+            raise SpecError(
+                f"tolerance {name} {base!r} scaled by {tol_scale!r} is not a finite number"
+            )
 
 
 def _resolve_spec(spec_path) -> ScenarioSpec:

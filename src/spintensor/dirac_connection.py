@@ -16,7 +16,7 @@ import numpy as np
 
 from .chiral import ChiralScenario, SpinorConnection, metric_tangent_connection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import NumericalError, along_frame, einsum_jet, inverse_jet
+from .frames import along_frame, check_points, einsum, einsum_jet, inverse_jet
 from .tensor_core import TensorSignature
 
 
@@ -165,73 +165,77 @@ class DiracScenario(ChiralScenario):
     SYMBOLS = ("gamma", GAMMA)
 
     def concordance_extras(self, values, grads):
-        """H nabla H + nabla H H at one point."""
-        h, dh = values["H"], grads["H"]  # dh[a, b, r]
+        """H nabla H + nabla H H at every point."""
+        h, dh = values["H"], grads["H"]  # dh[..., a, b, r]
         return {
             "chirality-involution-derivative":
-            np.einsum("ab,bcr->acr", h, dh) + np.einsum("abr,bc->acr", dh, h)
+            einsum("ab,bcr->acr", h, dh) + einsum("abr,bc->acr", dh, h)
         }
 
 
 def build_dirac_metric_connection(
-    scenario: DiracScenario, point, method="simplified"
+    scenario: DiracScenario, points, method="simplified"
 ) -> SpinorConnection:
-    """The unique metric connection of a Dirac scenario at one point.
+    """The unique metric connection of a Dirac scenario at every point.
 
     The tangent coefficients are shared with the chiral builder.  The
     spinor coefficients are computed either from the simplified closed
     formula ("simplified") or by assembling the four chirality blocks
     ("blocks"); the two routes agree identically and are kept separate
-    as mutual cross-checks.  Abar is the conjugate of A.
+    as mutual cross-checks.  Abar is the conjugate of A.  The frame and
+    g are evaluated once for the whole batch.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    g_jet = scenario.g.jet(point)
-    gamma_t = metric_tangent_connection(scenario, point, g_jet)
+    frame_jet = scenario.frame.jet(points)
+    g_jet = scenario.g.jet(points)
+    gamma_t = metric_tangent_connection(scenario, points, g_jet, frame_jet)
     ginv = np.linalg.inv(np.real(np.asarray(g_jet[0]))).astype(complex)
 
-    d_jet = scenario.d.jet(point)
+    d_jet = scenario.d.jet(points)
     jets = _split_arrays(
-        scenario.H.jet(point), scenario.gamma.jet(point), d_jet, inverse_jet(d_jet)
+        scenario.H.jet(points), scenario.gamma.jet(points), d_jet, inverse_jet(d_jet)
     )
-    u = scenario.frame(point)
+    u = frame_jet[0]
     values = {name: value for name, (value, _) in zip(SPLIT_NAMES, jets)}
     lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, jets)}
     bh, ch = values["bh"], values["ch"]
     bc, cb = values["bc"], values["cb"]
-    bd_low, cd_low = values["bd_low"], values["cd_low"]
     bd_up, cd_up = values["bd_up"], values["cd_up"]
+
+    def trace_times(lie_d, d_up, projector):
+        # (sum_ab L_k(d)_{ab} d^{ba}) P_ij
+        return einsum("kab,ba->k", lie_d, d_up)[..., None, None] * projector[..., None, :, :]
 
     if method == "blocks":
         # cross blocks: projector derivatives only
-        bc_a = np.einsum("sj,kis->kij", ch, lie["bh"])
-        cb_a = np.einsum("sj,kis->kij", bh, lie["ch"])
+        bc_a = einsum("sj,kis->kij", ch, lie["bh"])
+        cb_a = einsum("sj,kis->kij", bh, lie["ch"])
         # same-chirality blocks
-        cc_a = 0.25 * np.einsum("kabm,mn,ian,bj->kij", lie["bc"], ginv, cb, ch)
-        cc_a += 0.25 * np.einsum("kab,ba->k", lie["bd_low"], bd_up)[:, None, None] * ch
-        cc_a -= 0.25 * np.einsum("krm,qjr,mn,iqn->kij", gamma_t, bc, ginv, cb)
-        bb_a = 0.25 * np.einsum("kabm,mn,ian,bj->kij", lie["cb"], ginv, bc, bh)
-        bb_a += 0.25 * np.einsum("kab,ba->k", lie["cd_low"], cd_up)[:, None, None] * bh
-        bb_a -= 0.25 * np.einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
+        cc_a = 0.25 * einsum("kabm,mn,ian,bj->kij", lie["bc"], ginv, cb, ch)
+        cc_a += 0.25 * trace_times(lie["bd_low"], bd_up, ch)
+        cc_a -= 0.25 * einsum("krm,qjr,mn,iqn->kij", gamma_t, bc, ginv, cb)
+        bb_a = 0.25 * einsum("kabm,mn,ian,bj->kij", lie["cb"], ginv, bc, bh)
+        bb_a += 0.25 * trace_times(lie["cd_low"], cd_up, bh)
+        bb_a -= 0.25 * einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
         a = bc_a + cb_a + cc_a + bb_a
     else:
         a = 0.25 * (
-            np.einsum("kab,ba->k", lie["bd_low"], bd_up)[:, None, None] * ch
-            + np.einsum("kab,ba->k", lie["cd_low"], cd_up)[:, None, None] * bh
+            trace_times(lie["bd_low"], bd_up, ch) + trace_times(lie["cd_low"], cd_up, bh)
         )
         a += 0.25 * (
-            np.einsum("kajm,mn,ian->kij", lie["bc"], ginv, cb)
-            + np.einsum("kajm,mn,ian->kij", lie["cb"], ginv, bc)
+            einsum("kajm,mn,ian->kij", lie["bc"], ginv, cb)
+            + einsum("kajm,mn,ian->kij", lie["cb"], ginv, bc)
         )
         a -= 0.25 * (
-            np.einsum("krm,ajr,mn,ian->kij", gamma_t, bc, ginv, cb)
-            + np.einsum("krm,ajr,mn,ian->kij", gamma_t, cb, ginv, bc)
+            einsum("krm,ajr,mn,ian->kij", gamma_t, bc, ginv, cb)
+            + einsum("krm,ajr,mn,ian->kij", gamma_t, cb, ginv, bc)
         )
     return SpinorConnection(gamma_t, a, np.conj(a), spinor_dim=4)
 
 
 def restrict_to_chiral(
-    dirac_conn: SpinorConnection, point=None, tol=1e-9
+    dirac_conn: SpinorConnection, points=None, tol=1e-9
 ) -> SpinorConnection:
     """Restrict a Dirac connection to its chiral sub-bundle.
 
@@ -239,23 +243,24 @@ def restrict_to_chiral(
     coefficients are block-diagonal: the top-left 2x2 block acts on the
     chiral frame vectors and the bottom-right block acts on the barred
     dual co-frame, forcing it to be minus the conjugate transpose of the
-    chiral block.  Gamma passes through unchanged.
+    chiral block.  Gamma passes through unchanged.  Both block checks
+    hold at every point; with points, the batch of points the
+    connection was built at, a failure names the first failing point.
     """
     if dirac_conn.spinor_dim != 4:
         raise ValueError("expected a Dirac connection")
     a = dirac_conn.A
-    off = max(
-        float(np.max(np.abs(a[:, :2, 2:]))), float(np.max(np.abs(a[:, 2:, :2])))
+    axes = (-3, -2, -1)
+    off = np.maximum(
+        np.max(np.abs(a[..., :2, 2:]), axis=axes), np.max(np.abs(a[..., 2:, :2]), axis=axes)
     )
-    if off > tol:
-        raise NumericalError(
-            f"connection not block-diagonal in chiral frame (off-block {off:.3e})"
-        )
-    chiral_a = a[:, :2, :2]
-    dual_block = a[:, 2:, 2:]
-    expected = -np.conj(chiral_a).transpose(0, 2, 1)
-    if float(np.max(np.abs(dual_block - expected))) > tol:
-        raise NumericalError("dual co-frame block does not pair with the chiral block")
+    check_points(off > tol, points, f"connection not block-diagonal in chiral frame "
+                 f"(off-block {np.max(off):.3e})")
+    chiral_a = a[..., :2, :2]
+    dual_block = a[..., 2:, 2:]
+    expected = -np.swapaxes(np.conj(chiral_a), -1, -2)
+    check_points(np.max(np.abs(dual_block - expected), axis=axes) > tol, points,
+                 "dual co-frame block does not pair with the chiral block")
     return SpinorConnection(
         dirac_conn.Gamma, chiral_a, np.conj(chiral_a), spinor_dim=2
     )

@@ -7,7 +7,12 @@ Parsed by precedence climbing.  Unary minus binds looser than ^, so
 -x0^2 means -(x0^2).
 
 ASTs evaluate to floats and differentiate symbolically, which gives
-scenario fields exact analytic partial derivatives.
+scenario fields exact analytic partial derivatives.  An Expression
+compiles its AST once into numpy ufunc calls over a point array of
+shape (..., 4) and returns one value per point; a floating-point error
+anywhere in the batch re-evaluates it point by point through the AST,
+which raises the same EvaluationError a single point raises.
+evaluate_all does the same for a whole list of expressions at once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -46,6 +53,22 @@ FUNCTIONS = {
 }
 
 VARIABLES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
+
+# the numpy ufunc of every operator and function, for compiled ASTs
+UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "cosh": np.cosh,
+    "sinh": np.sinh,
+    "log": np.log,
+}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -86,6 +109,11 @@ class Node:
     def evaluate(self, point):
         raise NotImplementedError
 
+    def compile(self):
+        """Function of a point array x (..., 4) returning the value at
+        every point; floating-point errors follow numpy's errstate."""
+        raise NotImplementedError
+
     def diff(self, var):
         raise NotImplementedError
 
@@ -96,6 +124,10 @@ class Num(Node):
 
     def evaluate(self, point):
         return self.value
+
+    def compile(self):
+        value = self.value
+        return lambda x: value
 
     def diff(self, var):
         return Num(0.0)
@@ -111,6 +143,10 @@ class Var(Node):
     def evaluate(self, point):
         return float(point[self.index])
 
+    def compile(self):
+        index = self.index
+        return lambda x: x[..., index]
+
     def diff(self, var):
         return Num(1.0 if var == self.index else 0.0)
 
@@ -124,6 +160,10 @@ class Neg(Node):
 
     def evaluate(self, point):
         return -self.operand.evaluate(point)
+
+    def compile(self):
+        operand = self.operand.compile()
+        return lambda x: np.negative(operand(x))
 
     def diff(self, var):
         return Neg(self.operand.diff(var))
@@ -160,6 +200,10 @@ class BinOp(Node):
                 raise EvaluationError("non-real power")
             return result
         raise AssertionError(self.op)
+
+    def compile(self):
+        op, left, right = UFUNCS[self.op], self.left.compile(), self.right.compile()
+        return lambda x: op(left(x), right(x))
 
     def diff(self, var):
         u, v = self.left, self.right
@@ -223,6 +267,10 @@ class Call(Node):
             return FUNCTIONS[self.name](value)
         except (OverflowError, ValueError) as exc:
             raise EvaluationError(f"{self.name}({value}): {exc}") from exc
+
+    def compile(self):
+        func, arg = UFUNCS[self.name], self.arg.compile()
+        return lambda x: func(arg(x))
 
     def diff(self, var):
         return BinOp("*", _DERIVATIVES[self.name](self.arg), self.arg.diff(var))
@@ -323,19 +371,24 @@ def parse_ast(text: str) -> Node:
 
 
 class Expression:
-    """Parsed scalar expression over x0..x3 with exact partials."""
+    """Parsed scalar expression over x0..x3 with exact partials.
+
+    Called with points of shape (..., 4) it returns values of shape
+    (...); a single point (4,) gives a 0-d value.
+    """
 
     def __init__(self, ast, source=None):
         self.ast = ast
         self.source = source
+        self._compiled = ast.compile()
         self._partials = {}
 
     @classmethod
     def parse(cls, text):
         return cls(parse_ast(text), source=text)
 
-    def __call__(self, point):
-        return self.ast.evaluate(point)
+    def __call__(self, points):
+        return evaluate_all([self], points)[..., 0]
 
     def partial(self, var):
         if var not in self._partials:
@@ -344,3 +397,25 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({self.source if self.source is not None else self.ast})"
+
+
+def evaluate_all(expressions, points):
+    """Values of several expressions at points (..., 4), stacked on a last axis.
+
+    The compiled expressions run under one numpy errstate that raises on
+    division by zero, overflow and invalid operations (not underflow).
+    On such an error the ASTs re-evaluate the batch point by point, which
+    raises the EvaluationError of the first failing point (in batch
+    order, then expression order), or gives the values where only
+    numpy's flags tripped.
+    """
+    x = np.asarray(points, dtype=float)
+    out = np.empty(x.shape[:-1] + (len(expressions),))
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for k, expression in enumerate(expressions):
+                out[..., k] = expression._compiled(x)
+    except FloatingPointError:
+        for index in np.ndindex(x.shape[:-1]):
+            out[index] = [expression.ast.evaluate(x[index]) for expression in expressions]
+    return out

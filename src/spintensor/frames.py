@@ -9,16 +9,23 @@ callable falls back to central differences.  Frame fields give the
 expansion of a tangent frame in the coordinate frame; transitions
 between frames carry the tangent pair (S, T) and the spinor pair
 (Ss, Ts) together with their theta-parameters.
+
+Points carry a leading batch shape: an array of shape (..., 4) holds
+one point per batch index, and every value computed from it carries
+the same leading axes (a single (4,) point has batch shape ()).  A
+check that fails at some points names the first of them in batch
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import EvaluationError, Expression, Num
+from .expressions import EvaluationError, Expression, Num, evaluate_all
 from .tensor_core import (
     BARRED,
     SPINOR,
@@ -31,6 +38,123 @@ DEFAULT_FD_STEP = 1e-4
 
 class NumericalError(ValueError):
     """A consistency check failed: the data is too ill-conditioned for its tolerance."""
+
+
+def point_label(points, index=()):
+    """The point at a batch index as a tuple of floats, for messages."""
+    return tuple(np.asarray(points, dtype=float)[index].tolist())
+
+
+def check_points(bad, points, message, error=NumericalError):
+    """Raise error(message at <point>) for the first point where bad holds.
+
+    bad has the batch shape of points (..., 4); without points the
+    message names no point.
+    """
+    bad = np.asarray(bad)
+    if bad.any():
+        if points is None:
+            raise error(message)
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise error(f"{message} at {point_label(points, index)}")
+
+
+def einsum(subscripts, *operands):
+    """np.einsum over leading batch axes ("...") shared by every operand.
+
+    subscripts names the per-point axes only ("ij,jk->ik"); operands
+    without batch axes broadcast.  Operands are contracted pair by pair
+    along numpy's greedy path, each pair as one batched matrix product,
+    with the plan made once per subscripts and operand shapes.
+    """
+    operands = list(operands)
+    for positions, step in _plan(subscripts, tuple(np.shape(op) for op in operands)):
+        operands.append(step(*[operands.pop(k) for k in positions]))
+    return operands[0]
+
+
+def _batched(inputs, output):
+    return ",".join("..." + s for s in inputs) + "->..." + output
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(subscripts, shapes):
+    """Steps (operand positions, function) of one contraction; each step
+    pops its operands and appends its result.
+
+    The path is numpy's greedy one with no cap on intermediate size:
+    the default cap (the largest operand) would leave one slow
+    multi-operand loop, because a batch axis scales every operand alike.
+    """
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    if len(inputs) == 1:
+        return (((0,), functools.partial(np.einsum, _batched(inputs, output))),)
+    sizes, batches = {}, []
+    for letters, shape in zip(inputs, shapes):
+        batches.append(shape[: len(shape) - len(letters)])
+        sizes.update(zip(letters, shape[len(shape) - len(letters):]))
+    path = [(0, 1)]
+    if len(inputs) > 2:
+        path = np.einsum_path(
+            _batched(inputs, output),
+            *(np.broadcast_to(0.0, shape) for shape in shapes),
+            optimize=("greedy", 2**62),
+        )[0][1:]
+    steps = []
+    for contract in path:
+        positions = tuple(sorted(contract, reverse=True))
+        picked = [inputs.pop(k) for k in positions]
+        batch = [batches.pop(k) for k in positions]
+        rest = output + "".join(inputs)
+        if len(picked) == 2:
+            step, letters = _matmul_step(*picked, *batch, rest, sizes)
+        else:
+            letters = "".join(dict.fromkeys(c for c in "".join(picked) if c in rest))
+            step = functools.partial(np.einsum, _batched(picked, letters))
+        steps.append((positions, step))
+        inputs.append(letters)
+        batches.append(np.broadcast_shapes(*batch))
+    if inputs[0] != output:
+        steps.append(((0,), functools.partial(np.einsum, _batched(inputs, output))))
+    return tuple(steps)
+
+
+def _matmul_step(left, right, left_batch, right_batch, rest, sizes):
+    """One pairwise contraction as a batched matrix product; returns
+    (function, letters of its result).  Letters shared by both operands
+    and still needed later become matmul batch axes, the other shared
+    ones are summed."""
+    shared = [c for c in left if c in right]
+    if any(c not in rest for c in left + right if c not in shared) or \
+            len(set(left)) < len(left) or len(set(right)) < len(right):
+        # a letter summed within one operand, or a diagonal: plain einsum
+        letters = "".join(dict.fromkeys(c for c in left + right if c in rest))
+        return functools.partial(np.einsum, _batched([left, right], letters)), letters
+    kept = [c for c in shared if c in rest]
+    summed = [c for c in shared if c not in rest]
+    left_free = [c for c in left if c not in right]
+    right_free = [c for c in right if c not in left]
+
+    def size(letters):
+        return int(np.prod([sizes[c] for c in letters], dtype=int))
+
+    def arrange(letters, batch, order, shape):
+        perm = tuple(range(len(batch))) + tuple(len(batch) + letters.index(c) for c in order)
+        return perm, batch + shape
+
+    perm_l, shape_l = arrange(left, left_batch, kept + left_free + summed,
+                              (size(kept), size(left_free), size(summed)))
+    perm_r, shape_r = arrange(right, right_batch, kept + summed + right_free,
+                              (size(kept), size(summed), size(right_free)))
+    result = kept + left_free + right_free
+    out_shape = np.broadcast_shapes(left_batch, right_batch) + tuple(sizes[c] for c in result)
+
+    def step(a, b):
+        product = a.transpose(perm_l).reshape(shape_l) @ b.transpose(perm_r).reshape(shape_r)
+        return product.reshape(out_shape)
+
+    return step, "".join(result)
 
 
 @dataclass(frozen=True)
@@ -49,16 +173,23 @@ class Chart:
                 raise ValueError("sample points must be 4-vectors")
         object.__setattr__(self, "sample_points", points)
 
+    @property
+    def points(self):
+        """The sample points as one (N, 4) batch."""
+        return np.array(self.sample_points, dtype=float).reshape(-1, 4)
+
 
 class MatrixField:
     """Array-valued field (any shape, scalars included) evaluated as a jet.
 
-    jet(point) returns (value, d) with d[a] the partial of value along
-    coordinate a, so d.shape == (4, *value.shape); jet(point,
+    jet(points) returns (value, d) with value.shape == (*batch, *shape)
+    and d.shape == (*batch, 4, *shape), d[..., a, :] the partial along
+    coordinate a, for points of shape (*batch, 4); jet(points,
     deriv=False) returns (value, None) and computes no partials.  A
-    field built from a plain callable gets central-difference partials
-    with step DEFAULT_FD_STEP; compositions pass an exact jet function
-    (point, deriv) -> (value, d) instead.
+    field built from a plain callable of one point gets central-
+    difference partials with step DEFAULT_FD_STEP, point by point;
+    compositions pass an exact jet function (points, deriv) -> (value,
+    d) instead.
     """
 
     def __init__(self, func=None, *, jet=None):
@@ -68,11 +199,20 @@ class MatrixField:
     def constant(cls, array):
         array = np.asarray(array)
         zero = np.zeros((4, *array.shape), dtype=np.result_type(array, float))
-        return cls(jet=lambda point, deriv=True: (array, zero if deriv else None))
+
+        def jet(points, deriv=True):
+            batch = np.shape(points)[:-1]
+            value = np.broadcast_to(array, batch + array.shape)
+            return value, (np.broadcast_to(zero, batch + zero.shape) if deriv else None)
+
+        return cls(jet=jet)
 
     @classmethod
     def from_expressions(cls, grid):
-        """Build from a (nested list of) DSL strings / Expressions / numbers."""
+        """Build from a (nested list of) DSL strings / Expressions / numbers.
+
+        An evaluation error names the first failing point in batch order.
+        """
         grid = np.asarray(grid, dtype=object)
         shape = grid.shape
         flat = [
@@ -82,36 +222,56 @@ class MatrixField:
             for cell in grid.ravel()
         ]
 
-        def jet(point, deriv=True):
-            value = np.array([cell(point) for cell in flat]).reshape(shape)
+        partials = [cell.partial(a) for a in range(4) for cell in flat]
+
+        def batch_jet(points, deriv):
+            x = np.asarray(points, dtype=float)
+            value = evaluate_all(flat, x).reshape(x.shape[:-1] + shape)
             if not deriv:
                 return value, None
             try:
-                d = [[cell.partial(a)(point) for cell in flat] for a in range(4)]
+                d = evaluate_all(partials, x).reshape(x.shape[:-1] + (4, *shape))
             except EvaluationError as exc:
-                raise EvaluationError(f"partial derivative at {tuple(point)}: {exc}") from exc
-            return value, np.array(d).reshape((4, *shape))
+                raise EvaluationError(f"partial derivative at {point_label(x)}: {exc}") from exc
+            return value, d
+
+        def jet(points, deriv=True):
+            try:
+                return batch_jet(points, deriv)
+            except EvaluationError:
+                # re-run point by point: the first failing point raises
+                x = np.asarray(points, dtype=float)
+                for index in np.ndindex(x.shape[:-1]):
+                    batch_jet(x[index], deriv)
+                raise
 
         return cls(jet=jet)
 
-    def jet(self, point, deriv=True):
-        return self._jet(point, deriv)
+    def jet(self, points, deriv=True):
+        return self._jet(points, deriv)
 
-    def __call__(self, point):
-        return self._jet(point, False)[0]
+    def __call__(self, points):
+        return self._jet(points, False)[0]
 
 
 def _central_difference_jet(func):
-    def jet(point, deriv=True):
+    def point_jet(point, deriv):
         value = np.asarray(func(point))
         if not deriv:
             return value, None
-        base = np.asarray(point, dtype=float)
-        steps = DEFAULT_FD_STEP * np.eye(4)
         d = np.stack(
-            [np.asarray(func(base + h)) - np.asarray(func(base - h)) for h in steps]
+            [np.asarray(func(point + h)) - np.asarray(func(point - h))
+             for h in DEFAULT_FD_STEP * np.eye(4)]
         ) / (2.0 * DEFAULT_FD_STEP)
         return value, d
+
+    def jet(points, deriv=True):
+        x = np.asarray(points, dtype=float)
+        jets = [point_jet(x[index], deriv) for index in np.ndindex(x.shape[:-1])]
+        value = np.stack([v for v, _ in jets]).reshape(x.shape[:-1] + jets[0][0].shape)
+        if not deriv:
+            return value, None
+        return value, np.stack([d for _, d in jets]).reshape(x.shape[:-1] + jets[0][1].shape)
 
     return jet
 
@@ -120,35 +280,40 @@ def einsum_jet(subscripts, *jets, deriv=True):
     """Jet of einsum(subscripts, *values) by the product rule.
 
     Each operand is a (value, d) jet; d None marks a constant factor.
-    subscripts must name its output explicitly ("...->...").
+    subscripts names the per-point axes and its output explicitly
+    ("ij,jk->ik"); values carry leading batch axes (constants may
+    omit them) and d carries the partial index after them.
     """
-    value = np.einsum(subscripts, *(v for v, _ in jets))
+    value = einsum(subscripts, *(v for v, _ in jets))
     if not deriv:
         return value, None
     inputs, output = subscripts.split("->")
     inputs = inputs.split(",")
     a = next(c for c in string.ascii_letters if c not in subscripts)
     terms = [
-        np.einsum(
+        einsum(
             ",".join(a + s if i == k else s for i, s in enumerate(inputs)) + "->" + a + output,
             *(d if i == k else v for i, (v, _) in enumerate(jets)),
         )
         for k, (_, d) in enumerate(jets)
         if d is not None
     ]
-    return value, (sum(terms) if terms else np.zeros((4, *value.shape), value.dtype))
+    if terms:
+        return value, sum(terms)
+    batch = value.shape[: value.ndim - len(output)]
+    return value, np.zeros(batch + (4,) + value.shape[len(batch):], value.dtype)
 
 
 def einsum_field(subscripts, *operands) -> MatrixField:
     """Field of einsum(subscripts, ...) over MatrixFields and constant arrays.
 
-    A field passed more than once is evaluated once per point.
+    A field passed more than once is evaluated once per batch.
     """
 
     fields = {id(op): op for op in operands if isinstance(op, MatrixField)}
 
-    def jet(point, deriv=True):
-        jets = {key: field.jet(point, deriv) for key, field in fields.items()}
+    def jet(points, deriv=True):
+        jets = {key: field.jet(points, deriv) for key, field in fields.items()}
         return einsum_jet(
             subscripts,
             *(jets.get(id(op), (op, None)) for op in operands),
@@ -167,12 +332,15 @@ def inverse_jet(jet):
     """Jet of a matrix inverse: d(M^-1) = -M^-1 (dM) M^-1."""
     value, d = jet
     inv = np.linalg.inv(value)
-    return inv, (None if d is None else -(inv @ d @ inv))
+    if d is None:
+        return inv, None
+    inv_a = inv[..., None, :, :]  # broadcast over the partial index
+    return inv, -(inv_a @ d @ inv_a)
 
 
 def inverse_field(mat: MatrixField) -> MatrixField:
     """Pointwise matrix inverse."""
-    return MatrixField(jet=lambda point, deriv=True: inverse_jet(mat.jet(point, deriv)))
+    return MatrixField(jet=lambda points, deriv=True: inverse_jet(mat.jet(points, deriv)))
 
 
 class FrameField:
@@ -193,20 +361,20 @@ class FrameField:
     def from_expressions(cls, grid):
         return cls(MatrixField.from_expressions(grid))
 
-    def __call__(self, point):
-        return self.jet(point, deriv=False)[0]
+    def __call__(self, points):
+        return self.jet(points, deriv=False)[0]
 
-    def jet(self, point, deriv=True):
-        mat, d = self.components.jet(point, deriv)
+    def jet(self, points, deriv=True):
+        mat, d = self.components.jet(points, deriv)
         mat = np.asarray(mat, dtype=float)
-        if abs(np.linalg.det(mat)) <= self.det_floor:
-            raise ValueError(f"frame is singular at {tuple(point)}")
+        check_points(np.abs(np.linalg.det(mat)) <= self.det_floor, points,
+                     "frame is singular", error=ValueError)
         return mat, d
 
 
 @dataclass(frozen=True)
 class StructuralConstants:
-    """Commutator coefficients c[k, i, j] of a frame at one point."""
+    """Commutator coefficients c[..., k, i, j] of a frame at each point."""
 
     c: np.ndarray
 
@@ -214,36 +382,42 @@ class StructuralConstants:
         arr = np.asarray(self.c, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "c", arr)
-        if np.max(np.abs(arr + arr.transpose(0, 2, 1))) != 0.0:
+        if np.max(np.abs(arr + np.swapaxes(arr, -1, -2))) != 0.0:
             raise ValueError("structural constants must be antisymmetric in i, j")
 
 
 def along_frame(u, d):
-    """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d."""
-    return np.einsum("jr,j...->r...", u, d)
+    """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d.
+
+    u is (..., 4, 4) and d (..., 4, *shape) with the same batch axes;
+    the result has d's shape with the frame index r in place of j.
+    """
+    batch = u.shape[:-2]
+    flat = np.reshape(d, batch + (4, -1))
+    return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
 
 
-def lie_matrix(mat: MatrixField, frame: FrameField, point):
+def lie_matrix(mat: MatrixField, frame: FrameField, points):
     """Value of an array field and its derivatives along every frame vector.
 
-    Returns (value, lie) with lie[r] the entrywise derivative along
-    frame vector r, both from one jet of the field.
+    Returns (value, lie) with lie[..., r, :] the entrywise derivative
+    along frame vector r, both from one jet of the field.
     """
-    value, d = mat.jet(point)
-    return value, along_frame(frame(point), d)
+    value, d = mat.jet(points)
+    return value, along_frame(frame(points), d)
 
 
-def structural_constants(frame: FrameField, point) -> StructuralConstants:
-    """Commutator coefficients of the frame at one point.
+def structural_constants(frame: FrameField, points, frame_jet=None) -> StructuralConstants:
+    """Commutator coefficients of the frame at every point.
 
     [U_i, U_j]^m = sum_a (U^a_i d_a U^m_j - U^a_j d_a U^m_i), expanded
-    back in the frame itself.
+    back in the frame itself.  frame_jet is the frame's jet at points
+    when the caller already holds it.
     """
-    u, du = frame.jet(point)  # du[a, m, i]
-    bracket = np.einsum("ai,amj->mij", u, du) - np.einsum("aj,ami->mij", u, du)
-    u_inv = np.linalg.inv(u)
-    c = np.einsum("km,mij->kij", u_inv, bracket)
-    c = 0.5 * (c - c.transpose(0, 2, 1))  # antisymmetric to the last bit
+    u, du = frame.jet(points) if frame_jet is None else frame_jet  # du[..., a, m, i]
+    bracket = einsum("ai,amj->mij", u, du) - einsum("aj,ami->mij", u, du)
+    c = einsum("km,mij->kij", np.linalg.inv(u), bracket)
+    c = 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
     return StructuralConstants(c)
 
 
@@ -263,14 +437,14 @@ class FrameTransition:
         self.spinor_dim = spinor_dim
         self._given_inverses = (T, Ts)
 
-    def jets(self, point, deriv=True):
-        """Jets of (S, T, Ss, Ts) at one point from one evaluation each of S
+    def jets(self, points, deriv=True):
+        """Jets of (S, T, Ss, Ts) at points from one evaluation each of S
         and Ss; T and Ts are their inverses unless passed explicitly."""
         given_t, given_ts = self._given_inverses
-        s = self.S.jet(point, deriv)
-        ss = self.Ss.jet(point, deriv)
-        t = inverse_jet(s) if given_t is None else given_t.jet(point, deriv)
-        ts = inverse_jet(ss) if given_ts is None else given_ts.jet(point, deriv)
+        s = self.S.jet(points, deriv)
+        ss = self.Ss.jet(points, deriv)
+        t = inverse_jet(s) if given_t is None else given_t.jet(points, deriv)
+        ts = inverse_jet(ss) if given_ts is None else given_ts.jet(points, deriv)
         return s, t, ss, ts
 
     @classmethod
@@ -290,18 +464,23 @@ class FrameTransition:
             spinor_dim=spinor_dim,
         )
 
-    def check_inverses(self, point, tol=1e-10):
-        (s, _), (t, _), (ss, _), (ts, _) = self.jets(point, deriv=False)
-        for a, b, dim in ((s, t, 4), (ss, ts, self.spinor_dim)):
-            if np.max(np.abs(a @ b - np.eye(dim))) > tol:
-                raise NumericalError(f"transition inverse pair is inconsistent at {tuple(point)}")
+    def check_inverses(self, points, tol=1e-10):
+        check_inverse_pairs(self.jets(points, deriv=False), points, tol)
+
+
+def check_inverse_pairs(jets, points, tol=1e-10):
+    """Check S T = 1 and Ss Ts = 1 at every point from held (S, T, Ss, Ts) jets."""
+    (s, _), (t, _), (ss, _), (ts, _) = jets
+    for a, b in ((s, t), (ss, ts)):
+        residual = np.max(np.abs(a @ b - np.eye(a.shape[-1])), axis=(-2, -1))
+        check_points(residual > tol, points, "transition inverse pair is inconsistent")
 
 
 @dataclass(frozen=True)
 class ThetaParameters:
-    """Inhomogeneous connection-transformation terms at one point.
+    """Inhomogeneous connection-transformation terms at each point.
 
-    theta[i, k, j] is the tangent parameter with upper index k and
+    theta[..., i, k, j] is the tangent parameter with upper index k and
     lower indices (i, j); vartheta is the spinor analogue.
     """
 
@@ -309,42 +488,45 @@ class ThetaParameters:
     vartheta: np.ndarray
 
 
-def theta_parameters(trans: FrameTransition, frame: FrameField, point) -> ThetaParameters:
+def theta_parameters(trans: FrameTransition, frame: FrameField, points) -> ThetaParameters:
     """Theta-parameters of a transition relative to a frame.
 
     theta^k_ij = sum_a S^k_a L_i(T^a_j); the equivalent form
-    -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 (it does exactly for
-    exact inverse pairs; the check guards inconsistent inputs).
+    -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 at every point (it does
+    exactly for exact inverse pairs; the check guards inconsistent
+    inputs), after the inverse pairs are checked on the same jets.
     """
-    trans.check_inverses(point)
-    u = frame(point)
-    jets = trans.jets(point)
+    jets = trans.jets(points)
+    check_inverse_pairs(jets, points)
+    u = frame(points)
     out = []
     for (s, ds), (t, dt) in (jets[:2], jets[2:]):
-        first = np.einsum("ka,iaj->ikj", s, along_frame(u, dt))
-        second = -np.einsum("ika,aj->ikj", along_frame(u, ds), t)
-        if np.max(np.abs(first - second)) > 1e-6:
-            raise NumericalError(f"theta-parameter forms disagree at {tuple(point)}")
+        first = einsum("ka,iaj->ikj", s, along_frame(u, dt))
+        second = -einsum("ika,aj->ikj", along_frame(u, ds), t)
+        disagree = np.max(np.abs(first - second), axis=(-3, -2, -1)) > 1e-6
+        check_points(disagree, points, "theta-parameter forms disagree")
         out.append(first)
     return ThetaParameters(theta=out[0], vartheta=out[1])
 
 
 def transform_components(
-    x: SpinTensorValue, trans: FrameTransition, point, direction="forward", dx=None
+    x: SpinTensorValue, trans: FrameTransition, points, direction="forward", dx=None
 ):
     """Re-express spin-tensor components in the other frame.
 
     forward: from untilde to tilde components (Ts on contravariant
     spinor slots, Ss on covariant, conjugates on barred slots, T on
     contravariant tangent, S on covariant tangent).  backward is the
-    inverse map.  With dx, the coordinate partials of x's components
-    (partial index first), the result is the pair (value, partials),
-    the partials by the product rule over x and every slot factor.
+    inverse map.  x's components may carry the batch axes of points
+    or none.  With dx, the coordinate partials of x's components
+    (partial index after the batch axes), the result is the pair
+    (value, partials), the partials by the product rule over x and
+    every slot factor.
     """
     if x.signature.spinor_dim != trans.spinor_dim:
         raise ValueError("signature and transition spinor dimensions differ")
     deriv = dx is not None
-    s, t, ss, ts = trans.jets(point, deriv)
+    s, t, ss, ts = trans.jets(points, deriv)
     if direction == "backward":
         s, t = t, s
         ss, ts = ts, ss

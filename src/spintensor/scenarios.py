@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chiral import ChiralScenario
 from .dirac_connection import DiracScenario
@@ -26,6 +25,7 @@ from .frames import (
     FrameField,
     FrameTransition,
     MatrixField,
+    einsum,
     einsum_field,
     inverse_jet,
     matmul_fields,
@@ -246,6 +246,17 @@ def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
 # --- seeded smooth transitions ---------------------------------------
 
 
+def expm(a):
+    """scipy.linalg.expm over the last two axes of a.
+
+    scipy.linalg is imported on the first call: it is most of the
+    package's import time and only seeded transitions need it.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def _polynomial_exp_field(rng, dim, scale, real):
     """exp of a seeded degree-1 polynomial matrix field: smooth, invertible."""
 
@@ -260,13 +271,17 @@ def _polynomial_exp_field(rng, dim, scale, real):
 
 
 def exp_linear_field(const, linear) -> MatrixField:
-    """The field exp(C + sum_a x^a L_a) with its exact partials."""
+    """The field exp(C + sum_a x^a L_a) with its exact partials.
+
+    One stacked expm call serves a whole batch of points.
+    """
     dim = const.shape[0]
 
-    def jet(point, deriv=True):
-        mat = const.copy()
+    def jet(points, deriv=True):
+        x = np.asarray(points, dtype=float)
+        mat = np.broadcast_to(const, x.shape[:-1] + const.shape)
         for a in range(4):
-            mat = mat + float(point[a]) * linear[a]
+            mat = mat + x[..., a, None, None] * linear[a]
         if not deriv:
             return expm(mat), None
         # The exponential of the block upper-triangular matrix with M on
@@ -274,10 +289,13 @@ def exp_linear_field(const, linear) -> MatrixField:
         # block row [e^M, L(M, L_0), ..., L(M, L_3)]: the value and the
         # exact Frechet derivatives along every coordinate in one call
         # (Van Loan, IEEE TAC 23(3), 1978).
-        block = np.kron(np.eye(5), mat)
-        block[:dim, dim:] = np.hstack(linear)
-        top = expm(block)[:dim]
-        return top[:, :dim], top[:, dim:].reshape(dim, 4, dim).transpose(1, 0, 2)
+        block = np.zeros(mat.shape[:-2] + (5 * dim, 5 * dim), dtype=mat.dtype)
+        for k in range(5):
+            block[..., k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = mat
+        block[..., :dim, dim:] = np.hstack(linear)
+        top = expm(block)[..., :dim, :]
+        d = top[..., dim:].reshape(mat.shape[:-2] + (dim, 4, dim))
+        return top[..., :dim], np.moveaxis(d, -2, -3)
 
     return MatrixField(jet=jet)
 
@@ -305,22 +323,27 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
     if chiral.spinor_dim != 2:
         raise ValueError("expected a chiral transition")
 
-    def spin(point, deriv=True):
-        top, dtop = chiral.Ss.jet(point, deriv)
+    def spin(points, deriv=True):
+        top, dtop = chiral.Ss.jet(points, deriv)
         dual, ddual = inverse_jet(
-            (np.conj(top).T, None if dtop is None else np.conj(dtop).transpose(0, 2, 1))
+            (_adjoint(top), None if dtop is None else _adjoint(dtop))
         )
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = top
-        out[2:, 2:] = dual
+        out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
+        out[..., :2, :2] = top
+        out[..., 2:, 2:] = dual
         if not deriv:
             return out, None
-        d = np.zeros((4, 4, 4), dtype=complex)
-        d[:, :2, :2] = dtop
-        d[:, 2:, 2:] = ddual
+        d = np.zeros(dtop.shape[:-2] + (4, 4), dtype=complex)
+        d[..., :2, :2] = dtop
+        d[..., 2:, 2:] = ddual
         return out, d
 
     return FrameTransition(chiral.S, MatrixField(jet=spin), spinor_dim=4)
+
+
+def _adjoint(mat):
+    """Conjugate transpose over the last two axes."""
+    return np.conj(np.swapaxes(mat, -1, -2))
 
 
 # --- scenario deformation --------------------------------------------
@@ -340,12 +363,12 @@ def deform_scenario(scenario, trans: FrameTransition):
     def moved(mat, signature, real):
         part = np.real if real else np.asarray
 
-        def jet(point, deriv=True):
-            value, d = mat.jet(point, deriv)
+        def jet(points, deriv=True):
+            value, d = mat.jet(points, deriv)
             x = SpinTensorValue(signature, value)
             if not deriv:
-                return part(transform_components(x, trans, point).components), None
-            x, d = transform_components(x, trans, point, dx=d)
+                return part(transform_components(x, trans, points).components), None
+            x, d = transform_components(x, trans, points, dx=d)
             return part(x.components), part(d)
 
         return MatrixField(jet=jet)
@@ -363,25 +386,24 @@ def deform_scenario(scenario, trans: FrameTransition):
 # --- independent cross-check -----------------------------------------
 
 
-def coordinate_christoffel(g_coord: MatrixField, point, step=1e-4):
+def coordinate_christoffel(g_coord: MatrixField, points, step=1e-4):
     """Plain finite-difference Christoffel symbols of a coordinate metric.
 
-    Gamma[i, k, j] with derivative direction i; deliberately computed
-    from raw central differences of the metric entries, independent of
-    the frame/Lie-derivative machinery, to serve as an oracle.
+    Gamma[..., i, k, j] with derivative direction i at every point;
+    deliberately computed from raw central differences of the metric
+    entries, independent of the frame/Lie-derivative machinery, to
+    serve as an oracle.
     """
-    point = np.asarray(point, dtype=float)
-    g = np.real(np.asarray(g_coord(point)))
-    ginv = np.linalg.inv(g)
-    dg = np.empty((4, 4, 4))
-    for a in range(4):
-        offset = np.zeros(4)
-        offset[a] = step
-        plus = np.real(np.asarray(g_coord(point + offset)))
-        minus = np.real(np.asarray(g_coord(point - offset)))
-        dg[a] = (plus - minus) / (2.0 * step)
-    return 0.5 * np.einsum(
-        "kr,ijr->ikj", ginv, dg.transpose(0, 1, 2)
-    ) + 0.5 * np.einsum("kr,jri->ikj", ginv, dg) - 0.5 * np.einsum(
-        "kr,rij->ikj", ginv, dg
+    x = np.asarray(points, dtype=float)
+    ginv = np.linalg.inv(np.real(np.asarray(g_coord(x))))
+    dg = np.stack(
+        [
+            (np.real(np.asarray(g_coord(x + offset))) - np.real(np.asarray(g_coord(x - offset))))
+            / (2.0 * step)
+            for offset in step * np.eye(4)
+        ],
+        axis=-3,
     )
+    return 0.5 * einsum("kr,ijr->ikj", ginv, dg) + 0.5 * einsum(
+        "kr,jri->ikj", ginv, dg
+    ) - 0.5 * einsum("kr,rij->ikj", ginv, dg)

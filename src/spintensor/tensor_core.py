@@ -109,14 +109,19 @@ class TensorSignature:
 
 @dataclass(frozen=True)
 class SpinTensorValue:
-    """Dense complex component array of one spin-tensor at one point."""
+    """Dense complex component array of one spin-tensor at one point.
+
+    The components may carry leading batch axes, one value per point,
+    before the slot axes; the index arithmetic below takes single values.
+    """
 
     signature: TensorSignature
     components: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.components, dtype=complex)
-        if arr.shape != self.signature.shape:
+        rank = self.signature.rank
+        if arr.ndim < rank or arr.shape[arr.ndim - rank:] != self.signature.shape:
             raise ValueError(
                 f"component shape {arr.shape} does not match "
                 f"signature shape {self.signature.shape}"

@@ -19,23 +19,26 @@ SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 
 def signed_cholesky(g, signs=SIGNS):
-    """Lower-triangular L with positive diagonal and g = L eta L^T."""
+    """Lower-triangular L with positive diagonal and g = L eta L^T.
+
+    g may carry leading batch axes; every point must admit the factor.
+    """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    lower = np.zeros((n, n))
+    n = g.shape[-1]
+    lower = np.zeros(g.shape)
     for j in range(n):
-        acc = g[j, j]
+        acc = g[..., j, j]
         for k in range(j):
-            acc -= signs[k] * lower[j, k] ** 2
+            acc = acc - signs[k] * lower[..., j, k] ** 2
         val = signs[j] * acc
-        if val <= 0.0:
+        if np.any(val <= 0.0):
             raise ValueError("metric does not admit a time-first orthonormal factor")
-        lower[j, j] = np.sqrt(val)
+        lower[..., j, j] = np.sqrt(val)
         for i in range(j + 1, n):
-            acc = g[i, j]
+            acc = g[..., i, j]
             for k in range(j):
-                acc -= signs[k] * lower[i, k] * lower[j, k]
-            lower[i, j] = signs[j] * acc / lower[j, j]
+                acc = acc - signs[k] * lower[..., i, k] * lower[..., j, k]
+            lower[..., i, j] = signs[j] * acc / lower[..., j, j]
     return lower
 
 
@@ -45,21 +48,24 @@ def signed_cholesky_partial(lower, dg, signs=SIGNS):
     With X = L^-1 dL (lower triangular) and M = L^-1 dg L^-T, the
     factorization differential reads X eta + eta X^T = M, which solves
     entrywise: X[i,j] = s_j M[i,j] below the diagonal and
-    X[i,i] = s_i M[i,i] / 2 on it.  dg may carry leading axes, one
-    derivative each.
+    X[i,i] = s_i M[i,i] / 2 on it.  lower may carry batch axes; dg
+    carries the same ones followed by any derivative axes.
     """
     lower = np.asarray(lower, dtype=float)
+    dg = np.asarray(dg, dtype=float)
+    # one broadcast axis per derivative axis of dg
+    lower = lower.reshape(lower.shape[:-2] + (1,) * (dg.ndim - lower.ndim) + lower.shape[-2:])
     linv = np.linalg.inv(lower)
-    scaled = (linv @ np.asarray(dg, dtype=float) @ linv.T) * np.asarray(signs)
-    x = np.tril(scaled) - 0.5 * scaled * np.eye(lower.shape[0])
+    scaled = (linv @ dg @ np.swapaxes(linv, -1, -2)) * np.asarray(signs)
+    x = np.tril(scaled) - 0.5 * scaled * np.eye(lower.shape[-1])
     return lower @ x
 
 
 def orthonormal_factor_field(g_field: MatrixField) -> MatrixField:
     """Pointwise signed-Cholesky factor of a metric field."""
 
-    def jet(point, deriv=True):
-        g, dg = g_field.jet(point, deriv)
+    def jet(points, deriv=True):
+        g, dg = g_field.jet(points, deriv)
         lower = signed_cholesky(np.real(np.asarray(g)))
         if not deriv:
             return lower, None
@@ -71,9 +77,9 @@ def orthonormal_factor_field(g_field: MatrixField) -> MatrixField:
 def derived_symbol_field(g_field: MatrixField, canonical) -> MatrixField:
     """Structure-symbol field tied to g on its covariant tangent slot.
 
-    canonical is the orthonormal-frame table with the tangent index
-    last; the frame components are sum_c canonical[..., c] L[q, c].
+    canonical is the orthonormal-frame table (rank 3) with the tangent
+    index last; the frame components are sum_c canonical[a, b, c] L[q, c].
     """
     return einsum_field(
-        "...c,qc->...q", np.asarray(canonical, dtype=complex), orthonormal_factor_field(g_field)
+        "abc,qc->abq", np.asarray(canonical, dtype=complex), orthonormal_factor_field(g_field)
     )

@@ -1,0 +1,201 @@
+"""A batch of points against the same calls one point at a time.
+
+Every field, builder, verifier and frame change takes points of shape
+(..., 4).  On every bundled scenario and in both modes, the batch of
+all sample points must give what the calls at each single point give,
+to 1e-14 scaled by the value's magnitude; a batch whose third point
+fails must raise the error the call at that point raises.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spintensor
+from spintensor.chiral import (
+    ScenarioError,
+    build_chiral_metric_connection,
+    verify_concordance,
+)
+from spintensor.dirac_connection import build_dirac_metric_connection
+from spintensor.expressions import EvaluationError
+from spintensor.frames import (
+    FrameField,
+    MatrixField,
+    NumericalError,
+    theta_parameters,
+    transform_components,
+)
+from spintensor.scenarios import (
+    bundled_scenario,
+    bundled_scenario_names,
+    chiral_scenario_from_spec,
+    deform_scenario,
+    dirac_scenario_from_spec,
+    embedded_dirac_transition,
+    random_transition,
+)
+from spintensor.tensor_core import SpinTensorValue
+
+AGREEMENT = 1e-14
+
+BUILDERS = {
+    "chiral": (chiral_scenario_from_spec, [build_chiral_metric_connection]),
+    "dirac": (
+        dirac_scenario_from_spec,
+        [
+            lambda scenario, points: build_dirac_metric_connection(scenario, points, "simplified"),
+            lambda scenario, points: build_dirac_metric_connection(scenario, points, "blocks"),
+        ],
+    ),
+}
+CASES = [(name, mode) for name in bundled_scenario_names() for mode in BUILDERS]
+
+
+def assert_batch_matches(batch, singles, label):
+    """batch[k] equals singles[k] for every point k, to AGREEMENT scaled."""
+    for k, single in enumerate(singles):
+        single = np.asarray(single)
+        scale = max(1.0, float(np.max(np.abs(single), initial=0.0)))
+        assert np.asarray(batch[k]).shape == single.shape, label
+        assert np.max(np.abs(batch[k] - single), initial=0.0) <= AGREEMENT * scale, (label, k)
+
+
+def scenario_points(name, mode):
+    scenario = BUILDERS[mode][0](bundled_scenario(name))
+    return scenario, scenario.chart.points
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_structure_field_jets(name, mode):
+    scenario, points = scenario_points(name, mode)
+    fields = {attr: getattr(scenario, attr) for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
+    fields["frame"] = scenario.frame.components
+    if scenario.torsion is not None:
+        fields["torsion"] = scenario.torsion
+    for label, field in fields.items():
+        value, d = field.jet(points)
+        singles = [field.jet(point) for point in points]
+        assert_batch_matches(value, [v for v, _ in singles], f"{name} {mode} {label}")
+        assert_batch_matches(d, [s for _, s in singles], f"{name} {mode} d{label}")
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_builders(name, mode):
+    scenario, points = scenario_points(name, mode)
+    for build in BUILDERS[mode][1]:
+        conn = build(scenario, points)
+        singles = [build(scenario, point) for point in points]
+        for part in ("Gamma", "A", "Abar"):
+            assert_batch_matches(
+                getattr(conn, part), [getattr(s, part) for s in singles], f"{name} {mode} {part}"
+            )
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_concordance(name, mode):
+    scenario, points = scenario_points(name, mode)
+    build = BUILDERS[mode][1][0]
+    batch = verify_concordance(lambda p: build(scenario, p), scenario)
+    singles = [
+        verify_concordance(lambda p: build(scenario, p), scenario, points=[point])
+        for point in points
+    ]
+    assert set(batch) == set(singles[0])
+    for check, value in batch.items():
+        assert abs(value - max(s[check] for s in singles)) <= AGREEMENT, (name, mode, check)
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_frame_changes_under_a_seeded_transition(name, mode):
+    scenario, points = scenario_points(name, mode)
+    trans = random_transition(seed=11, spinor_dim=2)
+    if mode == "dirac":
+        trans = embedded_dirac_transition(trans)
+    for _, attr, sig, _ in scenario.STRUCTURE_FIELDS:
+        value, d = getattr(scenario, attr).jet(points)
+        moved, dmoved = transform_components(SpinTensorValue(sig, value), trans, points, dx=d)
+        singles = [
+            transform_components(SpinTensorValue(sig, value[k]), trans, point, dx=d[k])
+            for k, point in enumerate(points)
+        ]
+        assert_batch_matches(moved.components, [m.components for m, _ in singles], attr)
+        assert_batch_matches(dmoved, [dm for _, dm in singles], f"d{attr}")
+    theta = theta_parameters(trans, scenario.frame, points)
+    singles = [theta_parameters(trans, scenario.frame, point) for point in points]
+    assert_batch_matches(theta.theta, [s.theta for s in singles], "theta")
+    assert_batch_matches(theta.vartheta, [s.vartheta for s in singles], "vartheta")
+
+
+# --- a failing third point -------------------------------------------
+
+GOOD = [[0.5, 0.2, -0.3, 0.1], [0.1, -0.4, 0.2, 0.3]]
+
+
+def same_error(call, points, error):
+    """call(points) and call(points[2]) raise error with one and the same
+    one-line message, which names the third point."""
+    with pytest.raises(error) as batch:
+        call(np.asarray(points))
+    with pytest.raises(error) as single:
+        call(np.asarray(points[2]))
+    message = str(batch.value)
+    assert message == str(single.value)
+    assert len(message.splitlines()) == 1
+    return message
+
+
+def test_negative_sqrt_at_the_third_point():
+    field = MatrixField.from_expressions([["sqrt(x0)", "x1"], ["0", "1"]])
+    message = same_error(field, GOOD + [[-0.2, 0.0, 0.0, 0.0]], EvaluationError)
+    assert message == "sqrt(-0.2): math domain error"
+    # and a scenario built on that metric names the field and the point
+    spec = bundled_scenario("diag-scale")
+    spec.metric = [["sqrt(x0)", "0", "0", "0"]] + spec.metric[1:]
+    spec.sample_points = GOOD + [[-0.2, 0.0, 0.0, 0.0]]
+    failure = r"^metric at \(-0\.2, 0\.0, 0\.0, 0\.0\): sqrt\(-0\.2\)"
+    with pytest.raises(ScenarioError, match=failure):
+        chiral_scenario_from_spec(spec)
+
+
+def test_singular_frame_at_the_third_point():
+    frame = FrameField.from_expressions(
+        [["x0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    )
+    # the fourth point fails too; the message names the first failure
+    message = same_error(frame, GOOD + [[0.0, 0.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]], ValueError)
+    assert message == "frame is singular at (0.0, 0.5, 0.0, 0.0)"
+
+
+def test_failed_abar_check_at_the_third_point():
+    # 1 + x0 = 1e-16: the metric is nearly degenerate there, and seen
+    # from a seeded frame the conjugate-coefficient check trips
+    spec = bundled_scenario("diag-scale")
+    spec.sample_points = GOOD + [[-0.9999999999999999, 0.0, 0.0, 0.0]]
+    scenario = deform_scenario(chiral_scenario_from_spec(spec), random_transition(seed=2))
+    message = same_error(
+        lambda points: build_chiral_metric_connection(scenario, points), spec.sample_points,
+        NumericalError,
+    )
+    assert message == "Abar is not the conjugate of A at (-0.9999999999999999, 0.0, 0.0, 0.0)"
+
+
+def test_point_batches_of_any_leading_shape():
+    scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
+    points = scenario.chart.points[:4]
+    flat = build_chiral_metric_connection(scenario, points)
+    grid = build_chiral_metric_connection(scenario, points.reshape(2, 2, 4))
+    assert grid.A.shape == (2, 2, 4, 2, 2)
+    assert np.array_equal(grid.A.reshape(flat.A.shape), flat.A)
+
+
+def test_import_defers_scipy_linalg():
+    # a fresh interpreter: this one has imported scipy.linalg already
+    src = Path(spintensor.__file__).resolve().parents[1]
+    code = "import spintensor, sys; assert 'scipy.linalg' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -245,20 +245,21 @@ def test_non_finite_connection_fails_concordance():
     ],
 )
 def test_concordance_takes_one_jet_per_structure_field_per_point(load, build):
+    """Stricter than per point: one jet per field covers the whole batch
+    of sample points in one verify_concordance call."""
     scenario = load(bundled_scenario("seeded-deformation"))
-    points = scenario.chart.sample_points
-    conns = {point: build(scenario, point) for point in points}
+    conn = build(scenario, scenario.chart.points)
     counts = Counter()
 
     def counted(attr, field):
-        def jet(point, deriv=True):
+        def jet(points, deriv=True):
             counts[attr] += 1
-            return field.jet(point, deriv)
+            return field.jet(points, deriv)
 
         return MatrixField(jet=jet)
 
     for _, attr, _, _ in scenario.STRUCTURE_FIELDS:
         setattr(scenario, attr, counted(attr, getattr(scenario, attr)))
-    res = verify_concordance(lambda p: conns[p], scenario)
-    assert counts == {attr: len(points) for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
+    res = verify_concordance(lambda points: conn, scenario)
+    assert counts == {attr: 1 for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
     assert max(res.values()) < 1e-6

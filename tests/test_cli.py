@@ -161,6 +161,42 @@ def test_non_finite_residuals_never_pass():
     assert not report.overall_pass
 
 
+def strict_json(payload):
+    """Parse JSON that must contain no NaN or Infinity literal."""
+    def reject(literal):
+        raise AssertionError(f"non-strict JSON literal {literal}")
+
+    return json.loads(payload, parse_constant=reject)
+
+
+def test_non_finite_residuals_are_written_as_null():
+    report = ResidualReport(name="x", subcommand="y")
+    report.record("nan", math.nan, 1e-6, 1)
+    report.record("inf", math.inf, 1e-6, 1)
+    report.record("fine", 1e-9, 1e-6, 1)
+    checks = strict_json(report.to_json())["checks"]
+    for name in ("nan", "inf"):
+        assert checks[name]["max_residual"] is None and checks[name]["passed"] is False
+    assert checks["fine"] == {
+        "max_residual": 1e-9, "tolerance": 1e-6, "passed": True, "points_evaluated": 1
+    }
+    assert "FAIL  inf" in report.to_text()
+
+
+def test_a_tolerance_scaled_past_the_float_range_is_exit_2(capsys, tmp_path):
+    spec = bundled_spec("flat")
+    spec["tolerances"] = {"concordance": 1e300}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_captured("concordance", spec_path=str(path), tol_scale=1e300)
+    err = capsys.readouterr().err
+    assert code == 2 and payload == ""
+    assert err.startswith("bad input:") and len(err.strip().splitlines()) == 1
+    # a finite scaled tolerance gives a strict report
+    code, payload = run_captured("concordance", spec_path=str(path), tol_scale=1e8)
+    assert code == 0 and strict_json(payload)["checks"]["chiral-nabla-metric"]["tolerance"] == 1e308
+
+
 def exit_code(argv):
     try:
         return main(argv)
