@@ -26,7 +26,6 @@ from .frames import (
     StructuralConstants,
     FrameTransition,
     ThetaParameters,
-    lie_matrix,
     structural_constants,
     theta_parameters,
     transform_components,
@@ -88,7 +87,6 @@ __all__ = [
     "StructuralConstants",
     "FrameTransition",
     "ThetaParameters",
-    "lie_matrix",
     "structural_constants",
     "theta_parameters",
     "transform_components",

@@ -4,14 +4,18 @@ Canonical structure data: the antisymmetric 2x2 spin-metric d, its
 conjugate dbar, and the mixed symbols G linking tangent vectors to
 spinor bilinears (the slices of G with the tangent index fixed are the
 Pauli matrices).  The builder produces the unique connection (Gamma, A,
-Abar) annihilating g, d, dbar and G; the one concordance verifier walks
-a scenario's STRUCTURE_FIELDS table and turns every defining property,
-chiral or Dirac, into a residual.
+Abar) annihilating g, d, dbar and G.  A scenario gives its structure
+data at a batch of points as one table of jets, scenario.jets(points),
+with every entry evaluated once; the builders, the tangent connection
+and the one concordance verifier read that table only.  The verifier
+walks a scenario's STRUCTURE_FIELDS table and turns every defining
+property, chiral or Dirac, into a residual.
 """
 
 from __future__ import annotations
 
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +24,17 @@ from .expressions import EvaluationError
 from .frames import (
     Chart,
     FrameField,
-    FrameTransition,
     MatrixField,
     ThetaParameters,
     along_frame,
+    check_frame,
     check_points,
+    constant_jet,
     einsum,
-    lie_matrix,
+    einsum_jet,
+    point_label,
     structural_constants,
+    transform_components,
 )
 from .lorentz_cover import MINKOWSKI, PAULI
 from .tensor_core import (
@@ -37,7 +44,7 @@ from .tensor_core import (
     SpinTensorValue,
     TensorSignature,
 )
-from .tetrads import derived_symbol_field, signed_cholesky
+from .tetrads import derived_symbol_jet
 
 D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
 
@@ -164,19 +171,62 @@ class ScenarioError(ValueError):
     """Scenario data that fails validation; names the field and the point."""
 
 
+class FieldError(ScenarioError):
+    """A table entry that cannot be evaluated or fails its check.
+
+    field names the entry as validation reports it (frame, metric or
+    torsion) and error is the underlying failure.
+    """
+
+    def __init__(self, field, error):
+        super().__init__(f"{field}: {error}")
+        self.field = field
+        self.error = error
+
+
+@contextmanager
+def _entry(field):
+    """Raise a failure inside as a FieldError of field."""
+    try:
+        yield
+    except (ValueError, EvaluationError) as exc:
+        raise FieldError(field, exc) from exc
+
+
+def _check_metric(jet):
+    """A metric jet, checked to be symmetric of signature (+,-,-,-)."""
+    gval = np.asarray(jet[0])
+    if np.max(np.abs(gval - np.swapaxes(gval, -1, -2))) > 1e-10:
+        raise ValueError("not symmetric")
+    eigs = np.linalg.eigvalsh(np.real(gval))
+    if np.any(np.sum(eigs > 0, axis=-1) != 1) or np.any(np.sum(eigs < 0, axis=-1) != 3):
+        raise ValueError("signature is not (+,-,-,-)")
+    return jet
+
+
+def _check_torsion(jet):
+    """A torsion jet, checked to be antisymmetric in its lower indices."""
+    t = jet[0]
+    if np.max(np.abs(t + np.swapaxes(t, -1, -2))) > 1e-12:
+        raise ValueError("not antisymmetric")
+    return jet
+
+
 class ChiralScenario:
     """Everything needed to build and test a chiral metric connection.
 
-    g holds the frame components of the metric (coordinate metric
-    contracted with the frame when the frame is non-holonomic); d, dbar
-    and G are the spinor structure component fields, canonical constants
-    by default and deformed only through frame transitions.
+    frame, g (the frame components of the metric: the coordinate metric
+    contracted with the frame when the frame is non-holonomic) and the
+    optional torsion are the scenario's own fields.  Its structure data
+    at a batch of points is one table, jets(points): the frame, every
+    STRUCTURE_FIELDS attribute and the torsion, each evaluated once.
 
     STRUCTURE_FIELDS lists every field the metric connection annihilates
-    as (check name, attribute, tensor type, real-valued?).  A field not
-    passed by keyword is its CANONICAL constant, except the symbol field
-    named by SYMBOLS, which is then derived from g and symbols_from_g is
-    true.
+    as (check name, attribute, tensor type, real-valued?).  Besides g,
+    each is its CANONICAL constant, except the symbol field named by
+    SYMBOLS, which is derived from g.  transitions, empty unless the
+    scenario comes from scenarios.deform_scenario, move the table to the
+    frames they deform to, in order.
     """
 
     spinor_dim = 2
@@ -189,63 +239,94 @@ class ChiralScenario:
     CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
     SYMBOLS = ("G", G_UPPER)
 
-    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None, **fields):
+    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None):
         self.chart = chart
         self.frame = frame
         self.g = g
         self.torsion = torsion
-        symbols, table = self.SYMBOLS
-        self.symbols_from_g = fields.get(symbols) is None
-        if self.symbols_from_g:
-            # The symbols are tied to g by the structure identities; in a
-            # non-orthonormal frame they carry the orthonormal factor of
-            # g on the tangent slot instead of staying canonical.
-            fields[symbols] = derived_symbol_field(g, table)
-        for _, attr, _, _ in self.STRUCTURE_FIELDS:
-            if attr != "g":
-                value = fields.pop(attr, None)
-                setattr(self, attr, MatrixField.constant(self.CANONICAL[attr]) if value is None else value)
-        if fields:
-            raise TypeError(f"unknown structure fields {sorted(fields)}")
+        self.transitions = ()
         self.validate()
 
-    def validate(self):
-        """Check the frame, g and the torsion at every sample point (g
-        needs its time-first orthonormal factor when the symbols are
-        derived from it); ScenarioError names the field and the point of
-        the first failure.  All points are checked in one batch; only a
-        failing batch is checked again point by point, to name the first
-        failure."""
-        if self._failure(self.chart.points) is None:
-            return
-        for point in self.chart.sample_points:
-            failure = self._failure(point)
-            if failure is not None:
-                field, exc = failure
-                raise ScenarioError(f"{field} at {point}: {exc}") from exc
+    def jets(self, points, deriv=True):
+        """The structure data at points as one table of jets.
 
-    def _failure(self, points):
-        """(field, error) of the first check that fails over points, else None."""
-        field = "frame"
+        Maps "frame", every STRUCTURE_FIELDS attribute and "torsion" to
+        (value, d), d the coordinate partials (None without deriv; the
+        torsion enters undifferentiated and always has None).  Each
+        entry is evaluated once.  The symbols are derived from g: in a
+        non-orthonormal frame they carry the orthonormal factor of g on
+        the tangent slot instead of staying canonical.  A frame, metric
+        or torsion that cannot be evaluated or fails its check raises a
+        FieldError naming it.
+        """
+        with _entry("frame"):
+            table = {"frame": self.frame.jet(points, deriv)}
+        symbols, canonical = self.SYMBOLS
+        with _entry("metric"):
+            table["g"] = _check_metric(self.g.jet(points, deriv))
+            table[symbols] = derived_symbol_jet(table["g"], canonical)
+        for attr, value in self.CANONICAL.items():
+            table[attr] = constant_jet(value, points, deriv)
+        with _entry("torsion"):
+            table["torsion"] = (
+                constant_jet(np.zeros((4, 4, 4)), points, deriv=False) if self.torsion is None
+                else _check_torsion(self.torsion.jet(points, deriv=False))
+            )
+        for trans in self.transitions:
+            with _entry("frame"):
+                trans_jets = trans.jets(points, deriv)
+            table = self.deform_jets(table, trans_jets, points)
+        return table
+
+    def deform_jets(self, table, trans_jets, points):
+        """The table as seen from the frame a transition deforms to.
+
+        trans_jets are the transition's (S, T, Ss, Ts) jets at points.
+        The frame becomes U S, checked to be non-singular; every other
+        entry, the torsion included, is re-expressed with
+        transform_components.  The moved metric and torsion are checked
+        like the scenario's own.
+        """
+        s = trans_jets[0]
+        deriv = s[1] is not None
+        with _entry("frame"):
+            moved = {"frame": check_frame(
+                einsum_jet("ij,jk->ik", table["frame"], s, deriv=deriv), points)}
+        torsion = ("torsion", "torsion", TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim), True)
+        for _, attr, sig, real in self.STRUCTURE_FIELDS + (torsion,):
+            value, d = table[attr]
+            x = SpinTensorValue(sig, value)
+            if d is None:
+                value, d = transform_components(x, trans_jets).components, None
+            else:
+                x, d = transform_components(x, trans_jets, dx=d)
+                value = x.components
+            part = np.real if real else np.asarray
+            moved[attr] = (part(value), None if d is None else part(d))
+        with _entry("metric"):
+            _check_metric(moved["g"])
+        with _entry("torsion"):
+            _check_torsion(moved["torsion"])
+        return moved
+
+    def validate(self):
+        """Evaluate the table at every sample point without partials; a
+        failing entry raises ScenarioError naming the field and the first
+        failing point.  All points are evaluated in one batch; only a
+        failing batch is evaluated again point by point, to name the
+        first failure."""
+        points = self.chart.points
         try:
-            self.frame(points)  # det check
-            field = "metric"
-            gval = np.asarray(self.g(points))
-            if np.max(np.abs(gval - np.swapaxes(gval, -1, -2))) > 1e-10:
-                raise ValueError("not symmetric")
-            eigs = np.linalg.eigvalsh(np.real(gval))
-            if np.any(np.sum(eigs > 0, axis=-1) != 1) or np.any(np.sum(eigs < 0, axis=-1) != 3):
-                raise ValueError("signature is not (+,-,-,-)")
-            if self.symbols_from_g:
-                signed_cholesky(np.real(gval))
-            if self.torsion is not None:
-                field = "torsion"
-                t = np.asarray(self.torsion(points))
-                if np.max(np.abs(t + np.swapaxes(t, -1, -2))) > 1e-12:
-                    raise ValueError("not antisymmetric")
-        except (ValueError, EvaluationError) as exc:
-            return field, exc
-        return None
+            self.jets(points, deriv=False)
+        except FieldError:
+            for index in np.ndindex(points.shape[:-1]):
+                try:
+                    self.jets(points[index], deriv=False)
+                except FieldError as exc:
+                    raise ScenarioError(
+                        f"{exc.field} at {point_label(points, index)}: {exc.error}"
+                    ) from exc.error
+            raise
 
     def concordance_extras(self, values, grads):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
@@ -258,11 +339,6 @@ class ChiralScenario:
             "symbol-sandwich": einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
             + einsum("ajx,abr,biy->ixjyr", gl, dg, gl),
         }
-
-    def torsion_at(self, points):
-        if self.torsion is None:
-            return np.zeros(np.shape(points)[:-1] + (4, 4, 4))
-        return np.asarray(self.torsion(points), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -295,7 +371,7 @@ class SpinorConnection:
             object.__setattr__(self, name, arr)
 
 
-def metric_tangent_connection(scenario, points, g_jet=None, frame_jet=None) -> np.ndarray:
+def metric_tangent_connection(jets) -> np.ndarray:
     """Tangent coefficients Gamma[..., i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
@@ -303,17 +379,15 @@ def metric_tangent_connection(scenario, points, g_jet=None, frame_jet=None) -> n
                - sum_rs g^{kr} (c^s_ir/2) g_sj - sum_rs g^{kr} (c^s_jr/2) g_si
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
-    with c the structural constants of the frame and T the torsion.
-    g_jet and frame_jet are the metric's and the frame's jets at points
-    when the caller already holds them.
+    with c the structural constants of the frame and T the torsion, all
+    read from a scenario's table of jets.
     """
-    g, dg = scenario.g.jet(points) if g_jet is None else g_jet
-    frame_jet = scenario.frame.jet(points) if frame_jet is None else frame_jet
+    g, dg = jets["g"]
     g = np.real(g)
-    lg = np.real(along_frame(frame_jet[0], dg))  # lg[..., r, a, b] = L_r(g)_{ab}
+    lg = np.real(along_frame(jets["frame"][0], dg))  # lg[..., r, a, b] = L_r(g)_{ab}
     ginv = np.linalg.inv(g)
-    c = structural_constants(scenario.frame, points, frame_jet).c
-    t = scenario.torsion_at(points)
+    c = structural_constants(jets["frame"]).c
+    t = jets["torsion"][0]
 
     gamma = 0.5 * (
         einsum("kr,ijr->ikj", ginv, lg)
@@ -332,30 +406,27 @@ def metric_tangent_connection(scenario, points, g_jet=None, frame_jet=None) -> n
     return gamma
 
 
-def build_chiral_metric_connection(
-    scenario: ChiralScenario, points, reality_tol=1e-9
-) -> SpinorConnection:
+def build_chiral_metric_connection(jets, points, reality_tol=1e-9) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G at every point.
 
-    The spinor coefficients come from contracting the tangent
-    coefficients with the mixed symbols:
+    jets is a chiral scenario's table at points.  The spinor
+    coefficients come from contracting the tangent coefficients with
+    the mixed symbols:
 
     A^i_rj    = 1/4 sum G^{i sbar}_p Gamma^p_rq G^q_{j sbar}
               - 1/4 sum L_r(G^{i sbar}_q) G^q_{j sbar}
               - 1/4 (sum L_r(dbar_{jbar ibar}) dbar^{ibar jbar}) delta^i_j
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  For real metric data Abar = conj(A),
-    checked at every point.  The frame and g are evaluated once for the
-    whole batch.
+    checked at every point.
     """
-    frame_jet = scenario.frame.jet(points)
-    g_jet = scenario.g.jet(points)
-    gamma = metric_tangent_connection(scenario, points, g_jet, frame_jet)
-    ginv = np.linalg.inv(np.real(np.asarray(g_jet[0])))
-    gu, dgu = scenario.G.jet(points)
-    d, dd = scenario.d.jet(points)
-    db, ddb = scenario.dbar.jet(points)
-    lgu, ld, ldb = (along_frame(frame_jet[0], x) for x in (dgu, dd, ddb))
+    u = jets["frame"][0]
+    gamma = metric_tangent_connection(jets)
+    ginv = np.linalg.inv(np.real(np.asarray(jets["g"][0])))
+    gu, dgu = jets["G"]
+    d, dd = jets["d"]
+    db, ddb = jets["dbar"]
+    lgu, ld, ldb = (along_frame(u, x) for x in (dgu, dd, ddb))
     du = np.linalg.inv(d)
     dbu = np.linalg.inv(db)
     gl = compute_g_lower_symbols(gu, ginv, d, db)
@@ -376,17 +447,19 @@ def build_chiral_metric_connection(
 
 
 def covariant_derivative(
-    x: SpinTensorField, conn: SpinorConnection, scenario, points
+    x: SpinTensorField, conn: SpinorConnection, jets, points
 ) -> SpinTensorValue:
     """Covariant derivative of a spin-tensor field at points.
 
-    Returns the type (..|..|m, n+1) value whose last axis is the
-    derivative direction: the Lie-derivative term plus +A / -A on
+    jets is the scenario's table at points (its frame gives the frame
+    derivatives).  Returns the type (..|..|m, n+1) value whose last axis
+    is the derivative direction: the Lie-derivative term plus +A / -A on
     contravariant / covariant spinor slots, +Abar / -Abar on barred
     slots and +Gamma / -Gamma on tangent slots.
     """
     sig = x.signature
-    value, lie = lie_matrix(x.components, scenario.frame, points)
+    value, d = x.components.jet(points)
+    lie = along_frame(jets["frame"][0], d)
     new_sig = TensorSignature(
         alpha=sig.alpha, beta=sig.beta, nu=sig.nu, gamma=sig.gamma,
         m=sig.m, n=sig.n + 1, spinor_dim=sig.spinor_dim,
@@ -412,23 +485,24 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
     return out
 
 
-def verify_concordance(conn_at, scenario: ChiralScenario, points=None) -> dict:
+def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
     """Residual report for the concordance conditions of a scenario.
 
-    conn_at maps the batch of points (..., 4), the sample points by
-    default, to the SpinorConnection there, in one call.  Each row of
-    the scenario's STRUCTURE_FIELDS gives nabla-<check>, the max
-    absolute covariant derivative of that field over all points from
-    one jet of the field for the batch; the scenario's
-    concordance_extras add its mode's other conditions.  A non-finite
-    residual anywhere makes the reported maximum non-finite.
+    The scenario's table is evaluated once at points (the sample points
+    by default), and build(jets, points) builds the connection from that
+    same table.  Each row of the scenario's STRUCTURE_FIELDS gives
+    nabla-<check>, the max absolute covariant derivative of that field
+    over all points; the scenario's concordance_extras add its mode's
+    other conditions.  A non-finite residual anywhere makes the reported
+    maximum non-finite.
     """
     points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
-    conn = conn_at(points)
-    u = scenario.frame(points)
+    jets = scenario.jets(points)
+    conn = build(jets, points)
+    u = jets["frame"][0]
     out, values, grads = {}, {}, {}
     for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:
-        value, d = getattr(scenario, attr).jet(points)
+        value, d = jets[attr]
         values[attr] = value
         grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
         out[f"nabla-{check}"] = worst_residual(0.0, grads[attr])
@@ -442,17 +516,16 @@ def worst_residual(running, residual):
     return float(np.max(np.abs(residual), initial=running))
 
 
-def transform_connection(
-    conn: SpinorConnection, trans: FrameTransition, theta: ThetaParameters, points
-) -> SpinorConnection:
+def transform_connection(conn: SpinorConnection, jets, theta: ThetaParameters) -> SpinorConnection:
     """Map a tilde-frame connection to the untilde frame.
 
-    Gamma^k_ij = sum S^k_a T^b_j T^c_i tilde-Gamma^a_cb + theta^k_ij,
-    with the spinor transitions and vartheta for A and their conjugates
-    for Abar.  theta must be computed with Lie derivatives along the
-    untilde frame.
+    jets are the transition's (S, T, Ss, Ts) jets at the connection's
+    points.  Gamma^k_ij = sum S^k_a T^b_j T^c_i tilde-Gamma^a_cb +
+    theta^k_ij, with the spinor transitions and vartheta for A and
+    their conjugates for Abar.  theta must be computed with Lie
+    derivatives along the untilde frame.
     """
-    s, t, ss, ts = (value for value, _ in trans.jets(points, deriv=False))
+    s, t, ss, ts = (value for value, _ in jets)
     gamma = einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
     a = einsum("ka,bj,ci,cab->ikj", ss, ts, t.astype(complex), conn.A) + theta.vartheta
     abar = (

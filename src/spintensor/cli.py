@@ -27,7 +27,8 @@ never passes), and a tolerance scaled past the float range is bad
 input (exit 2).  Reports are deterministic for a fixed spec and seed up
 to the timestamp field.
 
-Every stage evaluates all sample points of a mode as one batch.
+Every stage evaluates a mode's table (scenario.jets) once, at all sample
+points as one batch.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chiral import (
+    FieldError,
     ScenarioError,
     build_chiral_metric_connection,
     canonical_chiral_constants,
@@ -63,7 +66,7 @@ from .dirac_connection import (
     restrict_to_chiral,
 )
 from .expressions import EvaluationError, ParseError
-from .frames import MatrixField, NumericalError, theta_parameters
+from .frames import NumericalError, theta_parameters
 from .scenarios import (
     ScenarioSpec,
     SpecError,
@@ -87,11 +90,6 @@ MODES = {
     "chiral": (chiral_scenario_from_spec, build_chiral_metric_connection),
     "dirac": (dirac_scenario_from_spec, build_dirac_metric_connection),
 }
-
-
-def parse_expression(text: str) -> MatrixField:
-    """Scalar (shape ()) field over x0..x3 from a DSL expression string."""
-    return MatrixField.from_expressions(text)
 
 
 @dataclass
@@ -220,7 +218,7 @@ def run_build_connection(ctx: Run):
     for mode in spec.modes:
         scenario = ctx.scenario(mode)
         points = scenario.chart.points
-        conn = MODES[mode][1](scenario, points)
+        conn = MODES[mode][1](scenario.jets(points), points)
         entries = [
             {
                 "point": list(point),
@@ -243,9 +241,7 @@ def run_concordance(ctx: Run):
     tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
     npoints = len(ctx.spec.sample_points)
     for mode in ctx.spec.modes:
-        scenario = ctx.scenario(mode)
-        build = MODES[mode][1]
-        residuals = verify_concordance(lambda points: build(scenario, points), scenario)
+        residuals = verify_concordance(MODES[mode][1], ctx.scenario(mode))
         for check, value in residuals.items():
             ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 
@@ -255,8 +251,10 @@ def run_covariance(ctx: Run):
 
     The connection built directly in the deformed frame, mapped back
     through the transformation law with theta-parameters, must agree
-    with the connection built in the original frame.  Each build,
-    theta and transformation covers all sample points at once.
+    with the connection built in the original frame.  The base table is
+    evaluated once; each seed offset evaluates its transition once and
+    derives the deformed table, theta and the back-transform from it.
+    Each covers all sample points at once.
     """
     spec = ctx.spec
     tol = spec.tolerances["covariance"] * ctx.tol_scale
@@ -264,24 +262,31 @@ def run_covariance(ctx: Run):
     base = ctx.scenario("chiral")
     points = base.chart.points
     npoints = len(spec.sample_points)
-    conn_base = build_chiral_metric_connection(base, points)
+    base_jets = base.jets(points)
+    conn_base = build_chiral_metric_connection(base_jets, points)
     worst = 0.0
     for offset in range(3):
-        trans = random_transition(seed=base_seed + offset, spinor_dim=2)
+        seed = base_seed + offset
+        trans = random_transition(seed=seed, spinor_dim=2)
         try:
-            moved = deform_scenario(base, trans)
+            try:
+                trans_jets = trans.jets(points)
+                moved = base.deform_jets(base_jets, trans_jets, points)
+            except (FieldError, np.linalg.LinAlgError):
+                deform_scenario(base, trans)  # evaluates again to name the field and point
+                raise
         except ScenarioError as exc:  # the input is valid; the check's own frame is not
-            raise NumericalError(f"seeded deformation {base_seed + offset}: {exc}") from exc
+            raise NumericalError(f"seeded deformation {seed}: {exc}") from exc
         conn_moved = build_chiral_metric_connection(moved, points)
-        theta = theta_parameters(trans, base.frame, points)
-        back = transform_connection(conn_moved, trans, theta, points)
+        theta = theta_parameters(trans_jets, base_jets["frame"], points)
+        back = transform_connection(conn_moved, trans_jets, theta)
         for ours, theirs in (
             (back.Gamma, conn_base.Gamma), (back.A, conn_base.A), (back.Abar, conn_base.Abar)
         ):
             worst = worst_residual(worst, ours - theirs)
     ctx.report.record("chiral-transformation-law", worst, tol, 3 * npoints)
     if "dirac" in spec.modes:
-        conn = build_dirac_metric_connection(ctx.scenario("dirac"), points)
+        conn = build_dirac_metric_connection(ctx.scenario("dirac").jets(points), points)
         # deformed embedded frames keep the block layout, so the
         # restriction is still exact; the restriction residual is
         # the covariance statement for the Dirac bundle here.
@@ -310,12 +315,11 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
     if subcommand not in STAGES:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
-    if fd_step is not None and not _valid_fd_step(fd_step):
-        print(f"bad input: fd_step must lie in (0, 0.1], got {fd_step!r}", file=sys.stderr)
-        return 2
-    if seed is not None and not _valid_seed(seed):
-        print(f"bad input: seed must be a non-negative integer, got {seed!r}", file=sys.stderr)
-        return 2
+    for name, value in (("seed", seed), ("fd_step", fd_step), ("tol_scale", tol_scale), ("fmt", fmt)):
+        _, valid, requirement = ARGUMENTS[name]
+        if not valid(value):
+            print(f"bad input: {name} must be {requirement}, got {value!r}", file=sys.stderr)
+            return 2
     try:
         spec = None if spec_path is None else _resolve_spec(spec_path)
         if spec is None and subcommand != "verify-identities":
@@ -372,20 +376,37 @@ def _resolve_spec(spec_path) -> ScenarioSpec:
     return load_scenario_spec(text)
 
 
-def _valid_fd_step(value):
-    return 0.0 < value <= 0.1
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _valid_seed(value):
-    return value >= 0
+FORMATS = ("json", "text")
+
+# run() argument -> (cast of a flag's text, predicate, requirement).
+# The flags and run() check values with the same predicates; a seed or
+# FD step of None takes the spec's.
+ARGUMENTS = {
+    "seed": (
+        int,
+        lambda v: v is None or isinstance(v, numbers.Integral) and _is_number(v) and v >= 0,
+        "a non-negative integer",
+    ),
+    "fd_step": (float, lambda v: v is None or _is_number(v) and 0.0 < v <= 0.1,
+                "a number in (0, 0.1]"),
+    "tol_scale": (float, lambda v: _is_number(v) and 0.0 < v < math.inf,
+                  "a positive finite number"),
+    "fmt": (str, lambda v: isinstance(v, str) and v in FORMATS, "json or text"),
+}
 
 
-def _flag_type(cast, valid, requirement, env):
-    """argparse type of a flag that SPINTENSOR_<env> may also set.
+def _flag_type(argument, env):
+    """argparse type of a flag for one run() argument, which
+    SPINTENSOR_<env> may also set.
 
     argparse passes an environment default through the same type, so a
     bad override fails exactly like a bad flag.
     """
+    cast, valid, requirement = ARGUMENTS[argument]
 
     def convert(text):
         try:
@@ -430,23 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=env("OUT"),
                         help="write the report here instead of stdout")
+    parser.add_argument("--seed", default=env("SEED"), type=_flag_type("seed", "SEED"))
     parser.add_argument(
-        "--seed", default=env("SEED"),
-        type=_flag_type(int, _valid_seed, "a non-negative integer", "SEED"),
-    )
-    parser.add_argument(
-        "--fd-step", default=env("FD_STEP"),
-        type=_flag_type(float, _valid_fd_step, "a number in (0, 0.1]", "FD_STEP"),
+        "--fd-step", default=env("FD_STEP"), type=_flag_type("fd_step", "FD_STEP"),
         help="step of the raw finite-difference Christoffel oracle only",
     )
     parser.add_argument(
-        "--tol-scale", default=env("TOL_SCALE", "1.0"),
-        type=_flag_type(float, lambda v: 0.0 < v < math.inf, "a positive number", "TOL_SCALE"),
+        "--tol-scale", default=env("TOL_SCALE", "1.0"), type=_flag_type("tol_scale", "TOL_SCALE"),
     )
-    formats = ("json", "text")
     parser.add_argument(
-        "--format", choices=formats, default=env("FORMAT", "json"),
-        type=_flag_type(str, formats.__contains__, "json or text", "FORMAT"),
+        "--format", choices=FORMATS, default=env("FORMAT", "json"),
+        type=_flag_type("fmt", "FORMAT"),
     )
     return parser
 

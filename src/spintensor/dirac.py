@@ -135,23 +135,14 @@ class DiracConstants:
         dd_sig = TensorSignature(beta=1, gamma=1, spinor_dim=4)
         gamma_sig = TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)
         g_sig = TensorSignature(n=2, spinor_dim=4)
+        jets = trans.jets(point, deriv=False)
         moved = {
-            "d_lower": transform_components(
-                SpinTensorValue(d_sig, self.d_lower), trans, point
-            ).components,
-            "H": transform_components(
-                SpinTensorValue(h_sig, self.H), trans, point
-            ).components,
-            "D_lower": transform_components(
-                SpinTensorValue(dd_sig, self.D_lower), trans, point
-            ).components,
-            "gamma": transform_components(
-                SpinTensorValue(gamma_sig, self.gamma), trans, point
-            ).components,
+            "d_lower": transform_components(SpinTensorValue(d_sig, self.d_lower), jets).components,
+            "H": transform_components(SpinTensorValue(h_sig, self.H), jets).components,
+            "D_lower": transform_components(SpinTensorValue(dd_sig, self.D_lower), jets).components,
+            "gamma": transform_components(SpinTensorValue(gamma_sig, self.gamma), jets).components,
             "g_lower": np.real(
-                transform_components(
-                    SpinTensorValue(g_sig, self.g_lower), trans, point
-                ).components
+                transform_components(SpinTensorValue(g_sig, self.g_lower), jets).components
             ),
         }
         return DiracConstants.from_primary(

@@ -148,8 +148,7 @@ class DiracScenario(ChiralScenario):
     d is the 4x4 Dirac spin-metric field, gamma the [a, b, m] symbol
     field (derived from g like the chiral mixed symbols), H the
     chirality operator field and D the Hermitian pairing field;
-    canonical constants by default, deformed only through frame
-    transitions.
+    canonical constants, deformed only through frame transitions.
     """
 
     spinor_dim = 4
@@ -173,32 +172,27 @@ class DiracScenario(ChiralScenario):
         }
 
 
-def build_dirac_metric_connection(
-    scenario: DiracScenario, points, method="simplified"
-) -> SpinorConnection:
+def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorConnection:
     """The unique metric connection of a Dirac scenario at every point.
 
+    jets is a Dirac scenario's table at points; points only completes
+    the builders' shared signature, as no check here names a point.
     The tangent coefficients are shared with the chiral builder.  The
     spinor coefficients are computed either from the simplified closed
     formula ("simplified") or by assembling the four chirality blocks
     ("blocks"); the two routes agree identically and are kept separate
-    as mutual cross-checks.  Abar is the conjugate of A.  The frame and
-    g are evaluated once for the whole batch.
+    as mutual cross-checks.  Abar is the conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    frame_jet = scenario.frame.jet(points)
-    g_jet = scenario.g.jet(points)
-    gamma_t = metric_tangent_connection(scenario, points, g_jet, frame_jet)
-    ginv = np.linalg.inv(np.real(np.asarray(g_jet[0]))).astype(complex)
+    gamma_t = metric_tangent_connection(jets)
+    ginv = np.linalg.inv(np.real(np.asarray(jets["g"][0]))).astype(complex)
 
-    d_jet = scenario.d.jet(points)
-    jets = _split_arrays(
-        scenario.H.jet(points), scenario.gamma.jet(points), d_jet, inverse_jet(d_jet)
-    )
-    u = frame_jet[0]
-    values = {name: value for name, (value, _) in zip(SPLIT_NAMES, jets)}
-    lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, jets)}
+    d_jet = jets["d"]
+    split = _split_arrays(jets["H"], jets["gamma"], d_jet, inverse_jet(d_jet))
+    u = jets["frame"][0]
+    values = {name: value for name, (value, _) in zip(SPLIT_NAMES, split)}
+    lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, split)}
     bh, ch = values["bh"], values["ch"]
     bc, cb = values["bc"], values["cb"]
     bd_up, cd_up = values["bd_up"], values["cd_up"]

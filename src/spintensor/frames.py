@@ -4,11 +4,11 @@ A Chart fixes coordinates x0..x3, sample points and the step of the
 raw finite-difference Christoffel oracle.  Array-valued fields carry
 their value together with its four coordinate partials as one jet;
 every composition propagates jets exactly (the product rule over an
-einsum, the inverse rule, ...), and only a field built from a plain
-callable falls back to central differences.  Frame fields give the
-expansion of a tangent frame in the coordinate frame; transitions
-between frames carry the tangent pair (S, T) and the spinor pair
-(Ss, Ts) together with their theta-parameters.
+einsum, the inverse rule, ...).  Frame fields give the expansion of a
+tangent frame in the coordinate frame; transitions between frames
+carry the tangent pair (S, T) and the spinor pair (Ss, Ts).  Their
+theta-parameters, the frame change of components and the structural
+constants of a frame all work on jets the caller already holds.
 
 Points carry a leading batch shape: an array of shape (..., 4) holds
 one point per batch index, and every value computed from it carries
@@ -185,27 +185,17 @@ class MatrixField:
     jet(points) returns (value, d) with value.shape == (*batch, *shape)
     and d.shape == (*batch, 4, *shape), d[..., a, :] the partial along
     coordinate a, for points of shape (*batch, 4); jet(points,
-    deriv=False) returns (value, None) and computes no partials.  A
-    field built from a plain callable of one point gets central-
-    difference partials with step DEFAULT_FD_STEP, point by point;
-    compositions pass an exact jet function (points, deriv) -> (value,
-    d) instead.
+    deriv=False) returns (value, None) and computes no partials.  The
+    field is made from an exact jet function (points, deriv) -> (value,
+    d).
     """
 
-    def __init__(self, func=None, *, jet=None):
-        self._jet = jet if jet is not None else _central_difference_jet(func)
+    def __init__(self, jet):
+        self._jet = jet
 
     @classmethod
     def constant(cls, array):
-        array = np.asarray(array)
-        zero = np.zeros((4, *array.shape), dtype=np.result_type(array, float))
-
-        def jet(points, deriv=True):
-            batch = np.shape(points)[:-1]
-            value = np.broadcast_to(array, batch + array.shape)
-            return value, (np.broadcast_to(zero, batch + zero.shape) if deriv else None)
-
-        return cls(jet=jet)
+        return cls(functools.partial(constant_jet, np.asarray(array)))
 
     @classmethod
     def from_expressions(cls, grid):
@@ -245,7 +235,7 @@ class MatrixField:
                     batch_jet(x[index], deriv)
                 raise
 
-        return cls(jet=jet)
+        return cls(jet)
 
     def jet(self, points, deriv=True):
         return self._jet(points, deriv)
@@ -254,26 +244,15 @@ class MatrixField:
         return self._jet(points, False)[0]
 
 
-def _central_difference_jet(func):
-    def point_jet(point, deriv):
-        value = np.asarray(func(point))
-        if not deriv:
-            return value, None
-        d = np.stack(
-            [np.asarray(func(point + h)) - np.asarray(func(point - h))
-             for h in DEFAULT_FD_STEP * np.eye(4)]
-        ) / (2.0 * DEFAULT_FD_STEP)
-        return value, d
-
-    def jet(points, deriv=True):
-        x = np.asarray(points, dtype=float)
-        jets = [point_jet(x[index], deriv) for index in np.ndindex(x.shape[:-1])]
-        value = np.stack([v for v, _ in jets]).reshape(x.shape[:-1] + jets[0][0].shape)
-        if not deriv:
-            return value, None
-        return value, np.stack([d for _, d in jets]).reshape(x.shape[:-1] + jets[0][1].shape)
-
-    return jet
+def constant_jet(array, points, deriv=True):
+    """Jet of a constant array at points: its value broadcast over the
+    batch and, with deriv, exactly zero partials."""
+    batch = np.shape(points)[:-1]
+    value = np.broadcast_to(array, batch + array.shape)
+    if not deriv:
+        return value, None
+    zero = np.zeros((4, *array.shape), dtype=np.result_type(array, float))
+    return value, np.broadcast_to(zero, batch + zero.shape)
 
 
 def einsum_jet(subscripts, *jets, deriv=True):
@@ -320,12 +299,7 @@ def einsum_field(subscripts, *operands) -> MatrixField:
             deriv=deriv,
         )
 
-    return MatrixField(jet=jet)
-
-
-def matmul_fields(left: MatrixField, right: MatrixField) -> MatrixField:
-    """Pointwise matrix product."""
-    return einsum_field("ij,jk->ik", left, right)
+    return MatrixField(jet)
 
 
 def inverse_jet(jet):
@@ -338,9 +312,17 @@ def inverse_jet(jet):
     return inv, -(inv_a @ d @ inv_a)
 
 
-def inverse_field(mat: MatrixField) -> MatrixField:
-    """Pointwise matrix inverse."""
-    return MatrixField(jet=lambda points, deriv=True: inverse_jet(mat.jet(points, deriv)))
+FRAME_DET_FLOOR = 1e-8
+
+
+def check_frame(jet, points):
+    """The jet of a frame expansion, checked to be non-singular
+    (|det| > FRAME_DET_FLOOR) at every point."""
+    mat, d = jet
+    mat = np.asarray(mat, dtype=float)
+    check_points(np.abs(np.linalg.det(mat)) <= FRAME_DET_FLOOR, points,
+                 "frame is singular", error=ValueError)
+    return mat, d
 
 
 class FrameField:
@@ -349,9 +331,8 @@ class FrameField:
     Column i holds the coordinate components of the i-th frame vector.
     """
 
-    def __init__(self, components: MatrixField, det_floor=1e-8):
+    def __init__(self, components: MatrixField):
         self.components = components
-        self.det_floor = det_floor
 
     @classmethod
     def coordinate(cls):
@@ -361,15 +342,8 @@ class FrameField:
     def from_expressions(cls, grid):
         return cls(MatrixField.from_expressions(grid))
 
-    def __call__(self, points):
-        return self.jet(points, deriv=False)[0]
-
     def jet(self, points, deriv=True):
-        mat, d = self.components.jet(points, deriv)
-        mat = np.asarray(mat, dtype=float)
-        check_points(np.abs(np.linalg.det(mat)) <= self.det_floor, points,
-                     "frame is singular", error=ValueError)
-        return mat, d
+        return check_frame(self.components.jet(points, deriv), points)
 
 
 @dataclass(frozen=True)
@@ -397,24 +371,13 @@ def along_frame(u, d):
     return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
 
 
-def lie_matrix(mat: MatrixField, frame: FrameField, points):
-    """Value of an array field and its derivatives along every frame vector.
-
-    Returns (value, lie) with lie[..., r, :] the entrywise derivative
-    along frame vector r, both from one jet of the field.
-    """
-    value, d = mat.jet(points)
-    return value, along_frame(frame(points), d)
-
-
-def structural_constants(frame: FrameField, points, frame_jet=None) -> StructuralConstants:
-    """Commutator coefficients of the frame at every point.
+def structural_constants(frame_jet) -> StructuralConstants:
+    """Commutator coefficients of a frame from its jet (U, dU) at points.
 
     [U_i, U_j]^m = sum_a (U^a_i d_a U^m_j - U^a_j d_a U^m_i), expanded
-    back in the frame itself.  frame_jet is the frame's jet at points
-    when the caller already holds it.
+    back in the frame itself.
     """
-    u, du = frame.jet(points) if frame_jet is None else frame_jet  # du[..., a, m, i]
+    u, du = frame_jet  # du[..., a, m, i]
     bracket = einsum("ai,amj->mij", u, du) - einsum("aj,ami->mij", u, du)
     c = einsum("km,mij->kij", np.linalg.inv(u), bracket)
     c = 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
@@ -427,13 +390,12 @@ class FrameTransition:
     S maps tilde frame labels to untilde expansions (tilde frame vector
     i is sum_j S[j, i] times untilde frame vector j); T is its pointwise
     inverse.  Ss/Ts are the spinor analogues of dimension spinor_dim.
+    T and Ts, when given, replace the computed inverses.
     """
 
     def __init__(self, S: MatrixField, Ss: MatrixField, spinor_dim=2, T=None, Ts=None):
         self.S = S
-        self.T = inverse_field(S) if T is None else T
         self.Ss = Ss
-        self.Ts = inverse_field(Ss) if Ts is None else Ts
         self.spinor_dim = spinor_dim
         self._given_inverses = (T, Ts)
 
@@ -464,9 +426,6 @@ class FrameTransition:
             spinor_dim=spinor_dim,
         )
 
-    def check_inverses(self, points, tol=1e-10):
-        check_inverse_pairs(self.jets(points, deriv=False), points, tol)
-
 
 def check_inverse_pairs(jets, points, tol=1e-10):
     """Check S T = 1 and Ss Ts = 1 at every point from held (S, T, Ss, Ts) jets."""
@@ -488,17 +447,18 @@ class ThetaParameters:
     vartheta: np.ndarray
 
 
-def theta_parameters(trans: FrameTransition, frame: FrameField, points) -> ThetaParameters:
+def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
     """Theta-parameters of a transition relative to a frame.
 
-    theta^k_ij = sum_a S^k_a L_i(T^a_j); the equivalent form
-    -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 at every point (it does
-    exactly for exact inverse pairs; the check guards inconsistent
-    inputs), after the inverse pairs are checked on the same jets.
+    jets are the transition's (S, T, Ss, Ts) jets and frame_jet the
+    frame's jet, all at points.  theta^k_ij = sum_a S^k_a L_i(T^a_j);
+    the equivalent form -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 at
+    every point (it does exactly for exact inverse pairs; the check
+    guards inconsistent inputs), after the inverse pairs are checked on
+    the same jets.
     """
-    jets = trans.jets(points)
     check_inverse_pairs(jets, points)
-    u = frame(points)
+    u = frame_jet[0]
     out = []
     for (s, ds), (t, dt) in (jets[:2], jets[2:]):
         first = einsum("ka,iaj->ikj", s, along_frame(u, dt))
@@ -509,24 +469,23 @@ def theta_parameters(trans: FrameTransition, frame: FrameField, points) -> Theta
     return ThetaParameters(theta=out[0], vartheta=out[1])
 
 
-def transform_components(
-    x: SpinTensorValue, trans: FrameTransition, points, direction="forward", dx=None
-):
+def transform_components(x: SpinTensorValue, jets, direction="forward", dx=None):
     """Re-express spin-tensor components in the other frame.
 
+    jets are a transition's (S, T, Ss, Ts) jets at the points of x.
     forward: from untilde to tilde components (Ts on contravariant
     spinor slots, Ss on covariant, conjugates on barred slots, T on
     contravariant tangent, S on covariant tangent).  backward is the
-    inverse map.  x's components may carry the batch axes of points
+    inverse map.  x's components may carry the batch axes of the jets
     or none.  With dx, the coordinate partials of x's components
     (partial index after the batch axes), the result is the pair
     (value, partials), the partials by the product rule over x and
-    every slot factor.
+    every slot factor (jets without partials count as constant).
     """
-    if x.signature.spinor_dim != trans.spinor_dim:
+    s, t, ss, ts = jets
+    if x.signature.spinor_dim != np.shape(ss[0])[-1]:
         raise ValueError("signature and transition spinor dimensions differ")
     deriv = dx is not None
-    s, t, ss, ts = trans.jets(points, deriv)
     if direction == "backward":
         s, t = t, s
         ss, ts = ts, ss

@@ -5,11 +5,14 @@ metric, an optional tangent frame and torsion (all as expression
 grids), sample points, tolerances and an optional seeded frame
 deformation.  Loaders turn specs into ChiralScenario / DiracScenario
 objects; the deformation helpers produce smooth seeded transitions as
-matrix exponentials of low-degree polynomial matrix fields.
+matrix exponentials of low-degree polynomial matrix fields.  A deformed
+scenario is its base scenario plus one transition: its table is the
+base table moved entry by entry with one evaluation of the transition.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from dataclasses import dataclass, field
@@ -28,10 +31,7 @@ from .frames import (
     einsum,
     einsum_field,
     inverse_jet,
-    matmul_fields,
-    transform_components,
 )
-from .tensor_core import SpinTensorValue, TensorSignature
 
 SPEC_SCHEMA = "scenario-spec/1"
 
@@ -297,7 +297,7 @@ def exp_linear_field(const, linear) -> MatrixField:
         d = top[..., dim:].reshape(mat.shape[:-2] + (dim, 4, dim))
         return top[..., :dim], np.moveaxis(d, -2, -3)
 
-    return MatrixField(jet=jet)
+    return MatrixField(jet)
 
 
 def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTransition:
@@ -338,7 +338,7 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
         d[..., 2:, 2:] = ddual
         return out, d
 
-    return FrameTransition(chiral.S, MatrixField(jet=spin), spinor_dim=4)
+    return FrameTransition(chiral.S, MatrixField(spin), spinor_dim=4)
 
 
 def _adjoint(mat):
@@ -352,35 +352,18 @@ def _adjoint(mat):
 def deform_scenario(scenario, trans: FrameTransition):
     """Scenario as seen from the frame deformed by the transition.
 
-    Every field of the scenario's STRUCTURE_FIELDS, and the torsion when
-    there is one, is re-expressed with transform_components; the frame
-    field itself picks up the tangent transition on the right.
+    The same scenario with the transition appended to its transitions,
+    validated at its sample points: its table is the base table moved
+    by ChiralScenario.deform_jets (the frame picks up S on the right,
+    every other entry, the torsion included, is re-expressed with
+    transform_components) from one evaluation of the transition.
     """
     if trans.spinor_dim != scenario.spinor_dim:
         raise ValueError("transition spinor dimension does not match scenario")
-    new_frame = FrameField(matmul_fields(scenario.frame.components, trans.S))
-
-    def moved(mat, signature, real):
-        part = np.real if real else np.asarray
-
-        def jet(points, deriv=True):
-            value, d = mat.jet(points, deriv)
-            x = SpinTensorValue(signature, value)
-            if not deriv:
-                return part(transform_components(x, trans, points).components), None
-            x, d = transform_components(x, trans, points, dx=d)
-            return part(x.components), part(d)
-
-        return MatrixField(jet=jet)
-
-    fields = {
-        attr: moved(getattr(scenario, attr), signature, real)
-        for _, attr, signature, real in scenario.STRUCTURE_FIELDS
-    }
-    if scenario.torsion is not None:
-        torsion_type = TensorSignature(m=1, n=2, spinor_dim=scenario.spinor_dim)
-        fields["torsion"] = moved(scenario.torsion, torsion_type, real=True)
-    return type(scenario)(scenario.chart, new_frame, **fields)
+    moved = copy.copy(scenario)
+    moved.transitions = scenario.transitions + (trans,)
+    moved.validate()
+    return moved
 
 
 # --- independent cross-check -----------------------------------------

@@ -312,17 +312,3 @@ def raise_lower(
     dest = new_sig.block_start(family, not up) + counts[(family, not up)] - 1
     return SpinTensorValue(new_sig, np.moveaxis(moved, -1, dest))
 
-
-def apply_matrix(arr: np.ndarray, axis: int, matrix: np.ndarray, side: str) -> np.ndarray:
-    """Contract one axis of arr with a matrix, keeping axis position.
-
-    side 'left':  new_i = sum_a M[i, a] arr[..a..]
-    side 'right': new_j = sum_a arr[..a..] M[a, j]
-    """
-    if side == "left":
-        out = np.tensordot(matrix, arr, axes=([1], [axis]))
-        return np.moveaxis(out, 0, axis)
-    if side == "right":
-        out = np.tensordot(arr, matrix, axes=([axis], [0]))
-        return np.moveaxis(out, -1, axis)
-    raise ValueError("side must be 'left' or 'right'")

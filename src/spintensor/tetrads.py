@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import MatrixField, einsum_field
+from .frames import einsum_jet
 
 SIGNS = (1.0, -1.0, -1.0, -1.0)
 
@@ -61,25 +61,18 @@ def signed_cholesky_partial(lower, dg, signs=SIGNS):
     return lower @ x
 
 
-def orthonormal_factor_field(g_field: MatrixField) -> MatrixField:
-    """Pointwise signed-Cholesky factor of a metric field."""
-
-    def jet(points, deriv=True):
-        g, dg = g_field.jet(points, deriv)
-        lower = signed_cholesky(np.real(np.asarray(g)))
-        if not deriv:
-            return lower, None
-        return lower, signed_cholesky_partial(lower, np.real(dg))
-
-    return MatrixField(jet=jet)
-
-
-def derived_symbol_field(g_field: MatrixField, canonical) -> MatrixField:
-    """Structure-symbol field tied to g on its covariant tangent slot.
+def derived_symbol_jet(g_jet, canonical):
+    """Jet of a structure-symbol field tied to g on its covariant tangent slot.
 
     canonical is the orthonormal-frame table (rank 3) with the tangent
-    index last; the frame components are sum_c canonical[a, b, c] L[q, c].
+    index last; the frame components are sum_c canonical[a, b, c] L[q, c]
+    with L the signed-Cholesky factor of g, and their partials follow
+    from g's partials through signed_cholesky_partial.
     """
-    return einsum_field(
-        "abc,qc->abq", np.asarray(canonical, dtype=complex), orthonormal_factor_field(g_field)
+    g, dg = g_jet
+    lower = signed_cholesky(np.real(g))
+    dlower = None if dg is None else signed_cholesky_partial(lower, np.real(dg))
+    return einsum_jet(
+        "abc,qc->abq", (np.asarray(canonical, dtype=complex), None), (lower, dlower),
+        deriv=dg is not None,
     )

@@ -90,7 +90,7 @@ def test_criterion_03_flat_connection_vanishes(verdict):
     ):
         scenario = load(bundled_scenario("flat"))
         for point in scenario.chart.sample_points:
-            conn = build(scenario, point)
+            conn = build(scenario.jets(point), point)
             worst = max(
                 worst,
                 float(np.max(np.abs(conn.Gamma))),
@@ -113,10 +113,11 @@ def test_criterion_04_curved_diagonal_oracle(verdict):
     )
     worst = 0.0
     for point in scenario.chart.sample_points:
-        gamma = build_chiral_metric_connection(scenario, point).Gamma
+        gamma = build_chiral_metric_connection(scenario.jets(point), point).Gamma
         oracle = coordinate_christoffel(g_coord, point)
         worst = max(worst, float(np.max(np.abs(np.real(gamma) - oracle))))
-    hand = build_chiral_metric_connection(scenario, (0.5, 0.0, 0.0, 0.0)).Gamma
+    hand_point = (0.5, 0.0, 0.0, 0.0)
+    hand = build_chiral_metric_connection(scenario.jets(hand_point), hand_point).Gamma
     hand_ok = (
         abs(hand[0, 1, 1] - 2.0 / 3.0) < 1e-9 and abs(hand[1, 0, 1] - 1.5) < 1e-9
     )
@@ -129,14 +130,10 @@ def test_criterion_05_concordance_on_every_bundled_scenario(verdict):
     for name in bundled_scenario_names():
         spec = bundled_scenario(name)
         chiral = chiral_scenario_from_spec(spec)
-        res = verify_concordance(
-            lambda p: build_chiral_metric_connection(chiral, p), chiral
-        )
+        res = verify_concordance(build_chiral_metric_connection, chiral)
         worst = max(worst, max(res.values()))
         dirac = dirac_scenario_from_spec(spec)
-        res = verify_concordance(
-            lambda p: build_dirac_metric_connection(dirac, p), dirac
-        )
+        res = verify_concordance(build_dirac_metric_connection, dirac)
         worst = max(worst, max(res.values()))
     verdict(5, f"concordance residuals on all bundled scenarios (max {worst:.2e})",
             worst < 1e-6)
@@ -149,10 +146,12 @@ def test_criterion_06_covariance_of_the_builder(verdict):
         trans = random_transition(seed=seed, spinor_dim=2)
         moved = deform_scenario(base, trans)
         for point in base.chart.sample_points:
-            conn_moved = build_chiral_metric_connection(moved, point)
-            conn_base = build_chiral_metric_connection(base, point)
-            theta = theta_parameters(trans, base.frame, point)
-            back = transform_connection(conn_moved, trans, theta, point)
+            base_jets = base.jets(point)
+            trans_jets = trans.jets(point)
+            conn_moved = build_chiral_metric_connection(moved.jets(point), point)
+            conn_base = build_chiral_metric_connection(base_jets, point)
+            theta = theta_parameters(trans_jets, base_jets["frame"], point)
+            back = transform_connection(conn_moved, trans_jets, theta)
             worst = max(
                 worst,
                 float(np.max(np.abs(back.Gamma - conn_base.Gamma))),
@@ -170,9 +169,9 @@ def test_criterion_07_restriction_to_the_chiral_bundle(verdict):
     worst_block = 0.0
     worst_pair = 0.0
     for point in dirac.chart.sample_points:
-        conn = build_dirac_metric_connection(dirac, point)
+        conn = build_dirac_metric_connection(dirac.jets(point), point)
         restricted = restrict_to_chiral(conn)
-        cc = build_chiral_metric_connection(chiral, point)
+        cc = build_chiral_metric_connection(chiral.jets(point), point)
         worst_block = max(worst_block, float(np.max(np.abs(restricted.A - cc.A))))
         dual = conn.A[:, 2:, 2:]
         expected = -np.conj(conn.A[:, :2, :2]).transpose(0, 2, 1)
@@ -188,8 +187,9 @@ def test_criterion_08_block_assembly_equals_simplified_form(verdict):
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
     worst = 0.0
     for point in scenario.chart.sample_points:
-        blocks = build_dirac_metric_connection(scenario, point, method="blocks")
-        simple = build_dirac_metric_connection(scenario, point, method="simplified")
+        jets = scenario.jets(point)
+        blocks = build_dirac_metric_connection(jets, point, method="blocks")
+        simple = build_dirac_metric_connection(jets, point, method="simplified")
         worst = max(worst, float(np.max(np.abs(blocks.A - simple.A))))
     verdict(8, f"block assembly equals the simplified formula (max {worst:.2e})",
             worst < 1e-10)

@@ -48,8 +48,8 @@ BUILDERS = {
     "dirac": (
         dirac_scenario_from_spec,
         [
-            lambda scenario, points: build_dirac_metric_connection(scenario, points, "simplified"),
-            lambda scenario, points: build_dirac_metric_connection(scenario, points, "blocks"),
+            lambda jets, points: build_dirac_metric_connection(jets, points, "simplified"),
+            lambda jets, points: build_dirac_metric_connection(jets, points, "blocks"),
         ],
     ),
 }
@@ -73,23 +73,20 @@ def scenario_points(name, mode):
 @pytest.mark.parametrize("name, mode", CASES)
 def test_structure_field_jets(name, mode):
     scenario, points = scenario_points(name, mode)
-    fields = {attr: getattr(scenario, attr) for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
-    fields["frame"] = scenario.frame.components
-    if scenario.torsion is not None:
-        fields["torsion"] = scenario.torsion
-    for label, field in fields.items():
-        value, d = field.jet(points)
-        singles = [field.jet(point) for point in points]
-        assert_batch_matches(value, [v for v, _ in singles], f"{name} {mode} {label}")
-        assert_batch_matches(d, [s for _, s in singles], f"{name} {mode} d{label}")
+    table = scenario.jets(points)
+    singles = [scenario.jets(point) for point in points]
+    for label, (value, d) in table.items():
+        assert_batch_matches(value, [s[label][0] for s in singles], f"{name} {mode} {label}")
+        if d is not None:
+            assert_batch_matches(d, [s[label][1] for s in singles], f"{name} {mode} d{label}")
 
 
 @pytest.mark.parametrize("name, mode", CASES)
 def test_builders(name, mode):
     scenario, points = scenario_points(name, mode)
     for build in BUILDERS[mode][1]:
-        conn = build(scenario, points)
-        singles = [build(scenario, point) for point in points]
+        conn = build(scenario.jets(points), points)
+        singles = [build(scenario.jets(point), point) for point in points]
         for part in ("Gamma", "A", "Abar"):
             assert_batch_matches(
                 getattr(conn, part), [getattr(s, part) for s in singles], f"{name} {mode} {part}"
@@ -100,11 +97,8 @@ def test_builders(name, mode):
 def test_concordance(name, mode):
     scenario, points = scenario_points(name, mode)
     build = BUILDERS[mode][1][0]
-    batch = verify_concordance(lambda p: build(scenario, p), scenario)
-    singles = [
-        verify_concordance(lambda p: build(scenario, p), scenario, points=[point])
-        for point in points
-    ]
+    batch = verify_concordance(build, scenario)
+    singles = [verify_concordance(build, scenario, points=[point]) for point in points]
     assert set(batch) == set(singles[0])
     for check, value in batch.items():
         assert abs(value - max(s[check] for s in singles)) <= AGREEMENT, (name, mode, check)
@@ -116,17 +110,22 @@ def test_frame_changes_under_a_seeded_transition(name, mode):
     trans = random_transition(seed=11, spinor_dim=2)
     if mode == "dirac":
         trans = embedded_dirac_transition(trans)
+    table = scenario.jets(points)
+    trans_jets = trans.jets(points)
     for _, attr, sig, _ in scenario.STRUCTURE_FIELDS:
-        value, d = getattr(scenario, attr).jet(points)
-        moved, dmoved = transform_components(SpinTensorValue(sig, value), trans, points, dx=d)
+        value, d = table[attr]
+        moved, dmoved = transform_components(SpinTensorValue(sig, value), trans_jets, dx=d)
         singles = [
-            transform_components(SpinTensorValue(sig, value[k]), trans, point, dx=d[k])
+            transform_components(SpinTensorValue(sig, value[k]), trans.jets(point), dx=d[k])
             for k, point in enumerate(points)
         ]
         assert_batch_matches(moved.components, [m.components for m, _ in singles], attr)
         assert_batch_matches(dmoved, [dm for _, dm in singles], f"d{attr}")
-    theta = theta_parameters(trans, scenario.frame, points)
-    singles = [theta_parameters(trans, scenario.frame, point) for point in points]
+    theta = theta_parameters(trans_jets, table["frame"], points)
+    singles = [
+        theta_parameters(trans.jets(point), scenario.jets(point)["frame"], point)
+        for point in points
+    ]
     assert_batch_matches(theta.theta, [s.theta for s in singles], "theta")
     assert_batch_matches(theta.vartheta, [s.vartheta for s in singles], "vartheta")
 
@@ -167,7 +166,11 @@ def test_singular_frame_at_the_third_point():
         [["x0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
     # the fourth point fails too; the message names the first failure
-    message = same_error(frame, GOOD + [[0.0, 0.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]], ValueError)
+    message = same_error(
+        lambda points: frame.jet(points, deriv=False),
+        GOOD + [[0.0, 0.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]],
+        ValueError,
+    )
     assert message == "frame is singular at (0.0, 0.5, 0.0, 0.0)"
 
 
@@ -178,7 +181,8 @@ def test_failed_abar_check_at_the_third_point():
     spec.sample_points = GOOD + [[-0.9999999999999999, 0.0, 0.0, 0.0]]
     scenario = deform_scenario(chiral_scenario_from_spec(spec), random_transition(seed=2))
     message = same_error(
-        lambda points: build_chiral_metric_connection(scenario, points), spec.sample_points,
+        lambda points: build_chiral_metric_connection(scenario.jets(points), points),
+        spec.sample_points,
         NumericalError,
     )
     assert message == "Abar is not the conjugate of A at (-0.9999999999999999, 0.0, 0.0, 0.0)"
@@ -187,8 +191,9 @@ def test_failed_abar_check_at_the_third_point():
 def test_point_batches_of_any_leading_shape():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     points = scenario.chart.points[:4]
-    flat = build_chiral_metric_connection(scenario, points)
-    grid = build_chiral_metric_connection(scenario, points.reshape(2, 2, 4))
+    flat = build_chiral_metric_connection(scenario.jets(points), points)
+    grid_points = points.reshape(2, 2, 4)
+    grid = build_chiral_metric_connection(scenario.jets(grid_points), grid_points)
     assert grid.A.shape == (2, 2, 4, 2, 2)
     assert np.array_equal(grid.A.reshape(flat.A.shape), flat.A)
 

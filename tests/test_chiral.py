@@ -16,6 +16,7 @@ from spintensor.chiral import (
     verify_chiral_identities,
     verify_concordance,
 )
+from spintensor import scenarios
 from spintensor.frames import (
     Chart,
     FrameField,
@@ -48,6 +49,10 @@ def diag_scenario():
     return chiral_scenario_from_spec(bundled_scenario("diag-scale"))
 
 
+def build_at(build, scenario, points):
+    return build(scenario.jets(points), points)
+
+
 def test_canonical_identity_suite_is_exactly_zero():
     residuals = verify_chiral_identities(canonical_chiral_constants())
     assert residuals
@@ -65,7 +70,7 @@ def test_lower_symbols_invert_the_upper_ones():
 def test_flat_connection_is_zero():
     scenario = chiral_scenario_from_spec(bundled_scenario("flat"))
     for point in scenario.chart.sample_points:
-        conn = build_chiral_metric_connection(scenario, point)
+        conn = build_at(build_chiral_metric_connection, scenario, point)
         assert np.max(np.abs(conn.Gamma)) < 1e-12
         assert np.max(np.abs(conn.A)) < 1e-12
         assert np.max(np.abs(conn.Abar)) < 1e-12
@@ -75,14 +80,14 @@ def test_tangent_connection_matches_christoffel_oracle():
     scenario = diag_scenario()
     g_coord = MatrixField.from_expressions(DIAG_METRIC)
     for point in scenario.chart.sample_points:
-        gamma = metric_tangent_connection(scenario, point)
+        gamma = metric_tangent_connection(scenario.jets(point))
         oracle = coordinate_christoffel(g_coord, point)
         assert np.max(np.abs(gamma - oracle)) < 1e-5
 
 
 def test_tangent_connection_hand_values():
     scenario = diag_scenario()
-    gamma = metric_tangent_connection(scenario, (0.5, 0.0, 0.0, 0.0))
+    gamma = metric_tangent_connection(scenario.jets((0.5, 0.0, 0.0, 0.0)))
     assert abs(gamma[0, 1, 1] - 2.0 / 3.0) < 1e-9  # direction 0, upper 1, lower 1
     assert abs(gamma[1, 0, 1] - 1.5) < 1e-9  # direction 1, upper 0, lower 1
 
@@ -90,8 +95,9 @@ def test_tangent_connection_hand_values():
 def test_connection_is_torsion_free_in_anholonomic_frames():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     for point in scenario.chart.sample_points:
-        gamma = metric_tangent_connection(scenario, point)
-        c = structural_constants(scenario.frame, point).c
+        jets = scenario.jets(point)
+        gamma = metric_tangent_connection(jets)
+        c = structural_constants(jets["frame"]).c
         asym = gamma - gamma.transpose(2, 1, 0)
         assert np.max(np.abs(asym - np.einsum("kij->ikj", c))) < 1e-9
 
@@ -105,13 +111,11 @@ def test_prescribed_torsion_is_reproduced():
     scenario = ChiralScenario(
         base.chart, base.frame, base.g, torsion=MatrixField.constant(t)
     )
-    gamma = metric_tangent_connection(scenario, PT)
+    gamma = metric_tangent_connection(scenario.jets(PT))
     asym = gamma - gamma.transpose(2, 1, 0)
     assert np.allclose(asym, np.einsum("kij->ikj", t), atol=1e-9)
     # and the connection stays metric
-    res = verify_concordance(
-        lambda p: build_chiral_metric_connection(scenario, p), scenario, points=[PT]
-    )
+    res = verify_concordance(build_chiral_metric_connection, scenario, points=[PT])
     assert res["nabla-metric"] < 1e-9
 
 
@@ -135,10 +139,11 @@ def test_structure_fields_track_the_metric():
     # identity against the frame metric at every point
     scenario = diag_scenario()
     for point in scenario.chart.sample_points:
-        g = np.real(scenario.g(point))
-        gu = scenario.G(point)
-        d = scenario.d(point)
-        db = scenario.dbar(point)
+        jets = scenario.jets(point, deriv=False)
+        g = np.real(jets["g"][0])
+        gu = jets["G"][0]
+        d = jets["d"][0]
+        db = jets["dbar"][0]
         lhs = np.einsum("ij,xy,ixp,jyq->pq", d, db, gu, gu)
         assert np.max(np.abs(lhs - 2.0 * g)) < 1e-12
 
@@ -146,23 +151,20 @@ def test_structure_fields_track_the_metric():
 def test_concordance_residuals_on_bundled_scenarios():
     for name in ("flat", "diag-scale", "ortho-tetrad"):
         scenario = chiral_scenario_from_spec(bundled_scenario(name))
-        res = verify_concordance(
-            lambda p: build_chiral_metric_connection(scenario, p), scenario
-        )
+        res = verify_concordance(build_chiral_metric_connection, scenario)
         assert max(res.values()) < 1e-9, name
 
 
 def test_concordance_on_deformed_scenario():
     scenario = chiral_scenario_from_spec(bundled_scenario("seeded-deformation"))
-    res = verify_concordance(
-        lambda p: build_chiral_metric_connection(scenario, p), scenario
-    )
+    res = verify_concordance(build_chiral_metric_connection, scenario)
     assert max(res.values()) < 1e-6
 
 
 def test_covariant_derivative_leibniz_rule():
     scenario = diag_scenario()
-    conn = build_chiral_metric_connection(scenario, PT)
+    jets = scenario.jets(PT)
+    conn = build_chiral_metric_connection(jets, PT)
     rng = np.random.default_rng(9)
     sig_x = TensorSignature(alpha=1)
     sig_y = TensorSignature(beta=1, n=1)
@@ -170,13 +172,13 @@ def test_covariant_derivative_leibniz_rule():
     y_arr = rng.standard_normal(sig_y.shape) + 1j * rng.standard_normal(sig_y.shape)
     x = SpinTensorField(sig_x, MatrixField.constant(x_arr))
     y = SpinTensorField(sig_y, MatrixField.constant(y_arr))
-    nx = covariant_derivative(x, conn, scenario, PT).components
-    ny = covariant_derivative(y, conn, scenario, PT).components
+    nx = covariant_derivative(x, conn, jets, PT).components
+    ny = covariant_derivative(y, conn, jets, PT).components
     sig_xy = TensorSignature(alpha=1, beta=1, n=1)
     xy = SpinTensorField(
         sig_xy, MatrixField.constant(np.einsum("a,jq->ajq", x_arr, y_arr))
     )
-    nxy = covariant_derivative(xy, conn, scenario, PT).components
+    nxy = covariant_derivative(xy, conn, jets, PT).components
     expected = np.einsum("ar,jq->ajqr", nx, y_arr) + np.einsum(
         "a,jqr->ajqr", x_arr, ny
     )
@@ -185,22 +187,21 @@ def test_covariant_derivative_leibniz_rule():
 
 def test_covariant_derivative_of_scalars_is_the_lie_derivative():
     scenario = diag_scenario()
-    conn = build_chiral_metric_connection(scenario, PT)
-    f = SpinTensorField(
-        TensorSignature(),
-        MatrixField(lambda p: np.asarray((1.0 + p[0]) ** 2, dtype=complex)),
-    )
-    val = covariant_derivative(f, conn, scenario, PT).components
+    jets = scenario.jets(PT)
+    conn = build_chiral_metric_connection(jets, PT)
+    f = SpinTensorField(TensorSignature(), MatrixField.from_expressions("(1+x0)^2"))
+    val = covariant_derivative(f, conn, jets, PT).components
     assert abs(val[0] - 3.0) < 1e-6  # d/dx0 (1+x0)^2 at 0.5
     assert np.max(np.abs(val[1:])) < 1e-8
 
 
 def test_transform_connection_with_identity_transition_is_identity():
     scenario = diag_scenario()
-    conn = build_chiral_metric_connection(scenario, PT)
-    trans = random_transition(seed=0, spinor_dim=2, scale=0.0)
-    theta = theta_parameters(trans, scenario.frame, PT)
-    back = transform_connection(conn, trans, theta, PT)
+    jets = scenario.jets(PT)
+    conn = build_chiral_metric_connection(jets, PT)
+    trans = random_transition(seed=0, spinor_dim=2, scale=0.0).jets(PT)
+    theta = theta_parameters(trans, jets["frame"], PT)
+    back = transform_connection(conn, trans, theta)
     assert np.allclose(back.Gamma, conn.Gamma, atol=1e-9)
     assert np.allclose(back.A, conn.A, atol=1e-9)
 
@@ -209,10 +210,10 @@ def test_connection_covariance_round_trip():
     base = diag_scenario()
     trans = random_transition(seed=5, spinor_dim=2)
     moved = deform_scenario(base, trans)
-    theta = theta_parameters(trans, base.frame, PT)
-    conn_moved = build_chiral_metric_connection(moved, PT)
-    conn_base = build_chiral_metric_connection(base, PT)
-    back = transform_connection(conn_moved, trans, theta, PT)
+    theta = theta_parameters(trans.jets(PT), base.jets(PT)["frame"], PT)
+    conn_moved = build_at(build_chiral_metric_connection, moved, PT)
+    conn_base = build_at(build_chiral_metric_connection, base, PT)
+    back = transform_connection(conn_moved, trans.jets(PT), theta)
     assert np.max(np.abs(back.Gamma - conn_base.Gamma)) < 1e-5
     assert np.max(np.abs(back.A - conn_base.A)) < 1e-5
     assert np.max(np.abs(back.Abar - conn_base.Abar)) < 1e-5
@@ -220,17 +221,17 @@ def test_connection_covariance_round_trip():
 
 def test_conjugate_coefficients_are_conjugates():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    conn = build_chiral_metric_connection(scenario, PT)
+    conn = build_at(build_chiral_metric_connection, scenario, PT)
     assert np.allclose(conn.Abar, np.conj(conn.A), atol=1e-12)
 
 
 def test_non_finite_connection_fails_concordance():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    conn = build_chiral_metric_connection(scenario, PT)
+    conn = build_at(build_chiral_metric_connection, scenario, PT)
     bad_a = conn.A.copy()
     bad_a[0, 0, 0] = np.nan
     bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
-    res = verify_concordance(lambda p: bad, scenario)
+    res = verify_concordance(lambda jets, points: bad, scenario)
     # the NaN reaches every residual the spinor coefficients enter
     assert np.isnan(res["nabla-spin-metric"])
     assert np.isnan(res["nabla-mixed-symbols"])
@@ -244,22 +245,26 @@ def test_non_finite_connection_fails_concordance():
         (dirac_scenario_from_spec, build_dirac_metric_connection),
     ],
 )
-def test_concordance_takes_one_jet_per_structure_field_per_point(load, build):
-    """Stricter than per point: one jet per field covers the whole batch
-    of sample points in one verify_concordance call."""
+def test_concordance_takes_one_jet_per_structure_field_per_point(load, build, monkeypatch):
+    """Over the whole verify_concordance call, builder included, one table
+    covers the batch of sample points: the frame and metric fields are
+    evaluated once, the symbols are derived from that metric jet and the
+    deformation's S and Ss are evaluated once each (two expm calls)."""
     scenario = load(bundled_scenario("seeded-deformation"))
-    conn = build(scenario, scenario.chart.points)
     counts = Counter()
 
-    def counted(attr, field):
+    def counted(name, evaluate):
         def jet(points, deriv=True):
-            counts[attr] += 1
-            return field.jet(points, deriv)
+            counts[name] += 1
+            return evaluate(points, deriv)
 
-        return MatrixField(jet=jet)
+        return jet
 
-    for _, attr, _, _ in scenario.STRUCTURE_FIELDS:
-        setattr(scenario, attr, counted(attr, getattr(scenario, attr)))
-    res = verify_concordance(lambda points: conn, scenario)
-    assert counts == {attr: 1 for _, attr, _, _ in scenario.STRUCTURE_FIELDS}
+    scenario.jets = counted("jets", scenario.jets)
+    scenario.g = MatrixField(counted("g", scenario.g.jet))
+    scenario.frame = FrameField(MatrixField(counted("frame", scenario.frame.components.jet)))
+    expm = scenarios.expm
+    monkeypatch.setattr(scenarios, "expm", lambda a: (counts.update(["expm"]), expm(a))[1])
+    res = verify_concordance(build, scenario)
+    assert counts == {"jets": 1, "g": 1, "frame": 1, "expm": 2}
     assert max(res.values()) < 1e-6

@@ -12,9 +12,9 @@ from spintensor.cli import (
     ResidualReport,
     build_parser,
     main,
-    parse_expression,
     run,
 )
+from spintensor import scenarios
 from spintensor.scenarios import bundled_scenario_names
 
 
@@ -36,14 +36,6 @@ def bundled_spec(name):
 
 def diag(*cells):
     return [[cells[i] if i == j else "0" for j in range(4)] for i in range(4)]
-
-
-def test_parse_expression_is_a_scalar_field():
-    field = parse_expression("1+x0")
-    assert field((0.5, 0, 0, 0)) == 1.5
-    value, d = field.jet((0.5, 0, 0, 0))
-    assert value.shape == () and d.shape == (4,)
-    assert abs(d[0] - 1.0) < 1e-12
 
 
 def test_verify_identities_passes_without_a_spec():
@@ -299,10 +291,37 @@ def test_failed_consistency_checks_are_numerical_failures(name, point, capsys, t
 
 
 def test_run_rejects_an_out_of_range_fd_step(capsys):
-    for step in (0.0, math.nan, -1.0):
-        code, _ = run_captured("build-connection", spec_path="diag-scale", fd_step=step)
-        assert code == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 3
+    """And every other bad value of run()'s seed, fd_step, tol_scale and
+    fmt arguments: exit 2 with one line each."""
+    bad = [
+        {"fd_step": 0.0}, {"fd_step": math.nan}, {"fd_step": -1.0}, {"fd_step": "x"},
+        {"seed": 1.5}, {"seed": "3"}, {"seed": -1},
+        {"tol_scale": "1"}, {"tol_scale": -1.0}, {"tol_scale": 0.0}, {"tol_scale": math.inf},
+        {"fmt": "xml"},
+    ]
+    for kwargs in bad:
+        code, payload = run_captured("covariance", spec_path="flat", **kwargs)
+        assert code == 2 and payload == "", kwargs
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == len(bad)
+    assert all(line.startswith("bad input: ") for line in err)
+
+
+def test_a_seeded_deformation_report_makes_at_most_22_expm_calls(monkeypatch):
+    # each table of a deformed mode evaluates its transition once: two
+    # at construction, build-connection and concordance, and in the
+    # covariance stage the base table plus one per seed offset
+    calls = []
+    expm = scenarios.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scenarios, "expm", counted)
+    code, _ = run_captured("all", spec_path="seeded-deformation")
+    assert code == 0
+    assert len(calls) <= 22
 
 
 def test_argparse_wiring(tmp_path):

@@ -56,8 +56,9 @@ def test_builder_methods_agree_on_all_scenarios():
     for name in ("flat", "diag-scale", "ortho-tetrad", "seeded-deformation"):
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
         for point in scenario.chart.sample_points:
-            simple = build_dirac_metric_connection(scenario, point, method="simplified")
-            blocks = build_dirac_metric_connection(scenario, point, method="blocks")
+            jets = scenario.jets(point)
+            simple = build_dirac_metric_connection(jets, point, method="simplified")
+            blocks = build_dirac_metric_connection(jets, point, method="blocks")
             assert np.max(np.abs(simple.A - blocks.A)) < 1e-10, name
             assert np.array_equal(simple.Gamma, blocks.Gamma)
 
@@ -65,12 +66,12 @@ def test_builder_methods_agree_on_all_scenarios():
 def test_builder_rejects_unknown_method():
     scenario = dirac_scenario_from_spec(bundled_scenario("flat"))
     with pytest.raises(ValueError):
-        build_dirac_metric_connection(scenario, PT, method="guess")
+        build_dirac_metric_connection(scenario.jets(PT), PT, method="guess")
 
 
 def test_flat_dirac_connection_is_zero():
     scenario = dirac_scenario_from_spec(bundled_scenario("flat"))
-    conn = build_dirac_metric_connection(scenario, PT)
+    conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     assert np.max(np.abs(conn.Gamma)) < 1e-12
     assert np.max(np.abs(conn.A)) < 1e-12
 
@@ -79,8 +80,8 @@ def test_dirac_tangent_part_matches_the_chiral_one():
     spec = bundled_scenario("diag-scale")
     dirac = dirac_scenario_from_spec(spec)
     chiral = chiral_scenario_from_spec(spec)
-    dc = build_dirac_metric_connection(dirac, PT)
-    cc = build_chiral_metric_connection(chiral, PT)
+    dc = build_dirac_metric_connection(dirac.jets(PT), PT)
+    cc = build_chiral_metric_connection(chiral.jets(PT), PT)
     assert np.max(np.abs(dc.Gamma - cc.Gamma)) < 1e-12
 
 
@@ -91,16 +92,16 @@ def test_restriction_recovers_the_chiral_connection():
         chiral = chiral_scenario_from_spec(spec)
         for point in dirac.chart.sample_points:
             restricted = restrict_to_chiral(
-                build_dirac_metric_connection(dirac, point), tol=1e-6
+                build_dirac_metric_connection(dirac.jets(point), point), tol=1e-6
             )
-            cc = build_chiral_metric_connection(chiral, point)
+            cc = build_chiral_metric_connection(chiral.jets(point), point)
             assert restricted.spinor_dim == 2
             assert np.max(np.abs(restricted.A - cc.A)) < 1e-6, name
 
 
 def test_restriction_conjugate_block_pairing():
     scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
-    conn = build_dirac_metric_connection(scenario, PT)
+    conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     dual = conn.A[:, 2:, 2:]
     chiral_block = conn.A[:, :2, :2]
     assert np.max(np.abs(dual + np.conj(chiral_block).transpose(0, 2, 1))) < 1e-10
@@ -108,7 +109,7 @@ def test_restriction_conjugate_block_pairing():
 
 def test_restriction_rejects_non_block_connections():
     scenario = dirac_scenario_from_spec(bundled_scenario("flat"))
-    conn = build_dirac_metric_connection(scenario, PT)
+    conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     bad_a = conn.A.copy()
     bad_a[0, 0, 3] = 1.0
     bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
@@ -118,7 +119,7 @@ def test_restriction_rejects_non_block_connections():
 
 def test_restriction_rejects_chiral_input():
     scenario = chiral_scenario_from_spec(bundled_scenario("flat"))
-    conn = build_chiral_metric_connection(scenario, PT)
+    conn = build_chiral_metric_connection(scenario.jets(PT), PT)
     with pytest.raises(ValueError):
         restrict_to_chiral(conn)
 
@@ -126,25 +127,22 @@ def test_restriction_rejects_chiral_input():
 def test_dirac_concordance_on_bundled_scenarios():
     for name in ("flat", "diag-scale", "ortho-tetrad"):
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
-        res = verify_concordance(
-            lambda p: build_dirac_metric_connection(scenario, p), scenario
-        )
+        res = verify_concordance(build_dirac_metric_connection, scenario)
         assert max(res.values()) < 1e-9, name
 
 
 def test_dirac_concordance_on_deformed_scenario():
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
-    res = verify_concordance(
-        lambda p: build_dirac_metric_connection(scenario, p), scenario
-    )
+    res = verify_concordance(build_dirac_metric_connection, scenario)
     assert max(res.values()) < 1e-6
 
 
 def test_dirac_gamma_field_tracks_the_metric():
     scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
     for point in scenario.chart.sample_points:
-        g = np.real(scenario.g(point))
-        gamma = scenario.gamma(point)
+        jets = scenario.jets(point, deriv=False)
+        g = np.real(jets["g"][0])
+        gamma = jets["gamma"][0]
         for m in range(4):
             for n in range(4):
                 anti = (
@@ -156,11 +154,11 @@ def test_dirac_gamma_field_tracks_the_metric():
 
 def test_non_finite_connection_fails_dirac_concordance():
     scenario = dirac_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    conn = build_dirac_metric_connection(scenario, PT)
+    conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     bad_a = conn.A.copy()
     bad_a[1, 2, 3] = np.nan
     bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
-    res = verify_concordance(lambda p: bad, scenario)
+    res = verify_concordance(lambda jets, points: bad, scenario)
     assert not np.isfinite(res["nabla-spin-metric"])
     assert not np.isfinite(res["nabla-chirality"])
     assert res["nabla-metric"] < 1e-9

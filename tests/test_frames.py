@@ -6,9 +6,10 @@ from spintensor.frames import (
     FrameField,
     FrameTransition,
     MatrixField,
-    inverse_field,
-    lie_matrix,
-    matmul_fields,
+    along_frame,
+    check_inverse_pairs,
+    einsum_jet,
+    inverse_jet,
     structural_constants,
     theta_parameters,
     transform_components,
@@ -27,18 +28,6 @@ def test_chart_validation():
     assert chart.sample_points == (PT,)
 
 
-def test_scalar_field_analytic_and_fd_partials_agree():
-    # a plain callable is the one field kind left on central differences
-    analytic = MatrixField.from_expressions("sin(x1)*x0")
-    plain = MatrixField(lambda p: np.sin(p[1]) * p[0])
-    value, d = analytic.jet(PT)
-    plain_value, plain_d = plain.jet(PT)
-    assert value.shape == () and d.shape == (4,) and plain_d.shape == (4,)
-    assert value == plain_value
-    for a in range(4):
-        assert abs(d[a] - plain_d[a]) < 1e-8
-
-
 def test_constant_fields_have_exactly_zero_partials():
     assert MatrixField.constant(3.0).jet(PT)[1][2] == 0.0
     assert np.array_equal(
@@ -47,27 +36,28 @@ def test_constant_fields_have_exactly_zero_partials():
 
 
 def test_matmul_and_inverse_field_partials():
-    m = MatrixField.from_expressions([["1+x0", "0"], ["x1", "2"]])
-    prod = matmul_fields(m, inverse_field(m))
-    assert np.allclose(prod(PT), np.eye(2))
-    assert np.allclose(prod.jet(PT)[1][0], np.zeros((2, 2)), atol=1e-12)
+    m = MatrixField.from_expressions([["1+x0", "0"], ["x1", "2"]]).jet(PT)
+    value, d = einsum_jet("ij,jk->ik", m, inverse_jet(m))
+    assert np.allclose(value, np.eye(2))
+    assert np.allclose(d[0], np.zeros((2, 2)), atol=1e-12)
 
 
 def test_lie_derivative_along_coordinate_frame_is_partial():
     f = MatrixField.from_expressions("x0^2*x2")
-    frame = FrameField.coordinate()
-    value, lie = lie_matrix(f, frame, PT)
+    u, _ = FrameField.coordinate().jet(PT)
+    value, d = f.jet(PT)
+    lie = along_frame(u, d)
     assert value == f(PT)
     for i in range(4):
         assert abs(lie[i] - f.jet(PT)[1][i]) < 1e-12
 
 
-def test_lie_matrix_scales_with_the_frame():
+def test_along_frame_scales_with_the_frame():
     mat = MatrixField.from_expressions([["x1", "0"], ["0", "x1"]])
     frame = FrameField.from_expressions(
         [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
-    _, lie = lie_matrix(mat, frame, PT)
+    lie = along_frame(frame.jet(PT)[0], mat.jet(PT)[1])
     assert np.allclose(lie[1], 2.0 * np.eye(2))
 
 
@@ -76,11 +66,11 @@ def test_frame_field_rejects_singular_frames():
         [["x0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
     with pytest.raises(ValueError):
-        frame((0.0, 0, 0, 0))
+        frame.jet((0.0, 0, 0, 0), deriv=False)
 
 
 def test_structural_constants_vanish_for_coordinate_frames():
-    c = structural_constants(FrameField.coordinate(), PT).c
+    c = structural_constants(FrameField.coordinate().jet(PT)).c
     assert np.array_equal(c, np.zeros((4, 4, 4)))
 
 
@@ -94,7 +84,7 @@ def test_structural_constants_known_value():
             ["0", "0", "0", "1"],
         ]
     )
-    c = structural_constants(frame, PT).c
+    c = structural_constants(frame.jet(PT)).c
     assert abs(c[1, 0, 1] - (-1.0 / 1.5)) < 1e-9
     assert abs(c[1, 1, 0] - (1.0 / 1.5)) < 1e-9
     # antisymmetry is exact by construction
@@ -115,9 +105,10 @@ def scale_transition(spinor_dim=2):
 
 
 def test_transition_inverses_check():
-    trans = scale_transition()
-    trans.check_inverses(PT)
-    assert np.allclose(trans.T(PT) @ trans.S(PT), np.eye(4))
+    jets = scale_transition().jets(PT, deriv=False)
+    check_inverse_pairs(jets, PT)
+    (s, _), (t, _), _, _ = jets
+    assert np.allclose(t @ s, np.eye(4))
 
 
 def test_transform_components_round_trip():
@@ -127,8 +118,9 @@ def test_transform_components_round_trip():
     value = SpinTensorValue(
         sig, rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape)
     )
-    there = transform_components(value, trans, PT, "forward")
-    back = transform_components(there, trans, PT, "backward")
+    jets = trans.jets(PT)
+    there = transform_components(value, jets, "forward")
+    back = transform_components(there, jets, "backward")
     assert np.allclose(back.components, value.components, atol=1e-12)
 
 
@@ -137,7 +129,7 @@ def test_transform_components_metric_rule():
     trans = scale_transition()
     g = np.diag([1.0, -1.0, -1.0, -1.0]).astype(complex)
     value = SpinTensorValue(TensorSignature(n=2), g)
-    moved = transform_components(value, trans, PT, "forward")
+    moved = transform_components(value, trans.jets(PT), "forward")
     s = trans.S(PT)
     assert np.allclose(moved.components, s.T @ g @ s, atol=1e-12)
 
@@ -147,7 +139,7 @@ def test_theta_parameters_vanish_for_constant_transitions():
         MatrixField.constant(np.diag([1.0, 2.0, 1.0, 1.0])),
         MatrixField.constant(np.eye(2, dtype=complex)),
     )
-    theta = theta_parameters(trans, FrameField.coordinate(), PT)
+    theta = theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)
     assert np.allclose(theta.theta, 0.0, atol=1e-12)
     assert np.allclose(theta.vartheta, 0.0, atol=1e-12)
 
@@ -156,7 +148,7 @@ def test_theta_parameters_known_value():
     # S = diag(1, 1+x0, 1, 1): theta^k_ij = S^k_a L_i T^a_j picks up
     # exactly one entry, theta^1_01 = (1+x0) * d0 (1/(1+x0)) = -1/(1+x0)
     trans = scale_transition()
-    theta = theta_parameters(trans, FrameField.coordinate(), PT)
+    theta = theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)
     assert abs(theta.theta[0, 1, 1] - (-1.0 / 1.5)) < 1e-9
     mask = np.ones((4, 4, 4), dtype=bool)
     mask[0, 1, 1] = False
@@ -176,4 +168,4 @@ def test_theta_parameters_reject_inconsistent_pairs():
     bad_t = MatrixField.constant(np.eye(4))  # not the inverse
     trans = FrameTransition(s, MatrixField.constant(np.eye(2, dtype=complex)), T=bad_t)
     with pytest.raises(ValueError):
-        theta_parameters(trans, FrameField.coordinate(), PT)
+        theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)

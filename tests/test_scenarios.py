@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spintensor import scenarios
 from spintensor.frames import MatrixField
 from spintensor.scenarios import (
     SpecError,
@@ -18,8 +19,7 @@ from spintensor.scenarios import (
     random_transition,
 )
 from spintensor.tetrads import (
-    derived_symbol_field,
-    orthonormal_factor_field,
+    derived_symbol_jet,
     signed_cholesky,
     signed_cholesky_partial,
 )
@@ -140,10 +140,13 @@ def test_signed_cholesky_partial_matches_finite_differences():
 
 def test_orthonormal_factor_field_partials():
     g = MatrixField.from_expressions(GOOD_SPEC["metric"])
-    factor = orthonormal_factor_field(g)
-    analytic = factor.jet(PT)[1][0]
-    fd = (np.asarray(factor((0.5 + 1e-6, 0.2, -0.3, 0.1)))
-          - np.asarray(factor((0.5 - 1e-6, 0.2, -0.3, 0.1)))) / 2e-6
+    value, dg = g.jet(PT)
+    analytic = signed_cholesky_partial(signed_cholesky(value), dg)[0]
+
+    def factor(point):
+        return signed_cholesky(g(point))
+
+    fd = (factor((0.5 + 1e-6, 0.2, -0.3, 0.1)) - factor((0.5 - 1e-6, 0.2, -0.3, 0.1))) / 2e-6
     assert np.max(np.abs(analytic - fd)) < 1e-8
 
 
@@ -151,9 +154,9 @@ def test_derived_symbol_field_reduces_to_canonical_on_minkowski():
     from spintensor.chiral import G_UPPER
 
     g = MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
-    field = derived_symbol_field(g, G_UPPER)
-    assert np.array_equal(field(PT), G_UPPER)
-    assert np.max(np.abs(field.jet(PT)[1][2])) == 0.0
+    value, d = derived_symbol_jet(g.jet(PT), G_UPPER)
+    assert np.array_equal(value, G_UPPER)
+    assert np.max(np.abs(d[2])) == 0.0
 
 
 def test_frame_metric_field_of_tetrad_is_minkowski():
@@ -161,7 +164,9 @@ def test_frame_metric_field_of_tetrad_is_minkowski():
     scenario = chiral_scenario_from_spec(spec)
     for point in scenario.chart.sample_points:
         assert np.allclose(
-            np.real(scenario.g(point)), np.diag([1.0, -1.0, -1.0, -1.0]), atol=1e-12
+            np.real(scenario.jets(point, deriv=False)["g"][0]),
+            np.diag([1.0, -1.0, -1.0, -1.0]),
+            atol=1e-12,
         )
 
 
@@ -197,10 +202,11 @@ def test_deform_scenario_preserves_structure_compatibility():
     base = chiral_scenario_from_spec(load_scenario_spec(GOOD_SPEC))
     moved = deform_scenario(base, random_transition(seed=8))
     for point in [PT]:
-        g = np.real(moved.g(point))
-        gu = moved.G(point)
-        d = moved.d(point)
-        db = moved.dbar(point)
+        jets = moved.jets(point, deriv=False)
+        g = np.real(jets["g"][0])
+        gu = jets["G"][0]
+        d = jets["d"][0]
+        db = jets["dbar"][0]
         lhs = np.einsum("ij,xy,ixp,jyq->pq", d, db, gu, gu)
         assert np.max(np.abs(lhs - 2.0 * g)) < 1e-10
 
@@ -208,5 +214,23 @@ def test_deform_scenario_preserves_structure_compatibility():
 def test_dirac_scenario_from_spec_has_four_component_fields():
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
     assert scenario.spinor_dim == 4
-    assert scenario.gamma(PT).shape == (4, 4, 4)
-    assert scenario.d(PT).shape == (4, 4)
+    jets = scenario.jets(PT, deriv=False)
+    assert jets["gamma"][0].shape == (4, 4, 4)
+    assert jets["d"][0].shape == (4, 4)
+
+
+@pytest.mark.parametrize("load", [chiral_scenario_from_spec, dirac_scenario_from_spec])
+def test_a_deformed_table_evaluates_its_transition_once(load, monkeypatch):
+    # S and Ss once each (the Dirac transition embeds the chiral Ss):
+    # two expm calls per table, each stacked over the sample points
+    scenario = load(bundled_scenario("seeded-deformation"))
+    calls = []
+    expm = scenarios.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scenarios, "expm", counted)
+    scenario.jets(scenario.chart.points)
+    assert len(calls) == 2

@@ -7,7 +7,6 @@ from spintensor.tensor_core import (
     MetricMatrices,
     SpinTensorValue,
     TensorSignature,
-    apply_matrix,
     contract,
     outer,
     raise_lower,
@@ -175,15 +174,3 @@ def test_spinor_metric_convention():
     # sum_q d_iq d^qj = delta_i^j
     prod = CANONICAL_METRICS.d_lower @ CANONICAL_METRICS.d_upper
     assert np.array_equal(prod, np.eye(2))
-
-
-def test_apply_matrix_sides():
-    arr = RNG.standard_normal((2, 3))
-    mat = RNG.standard_normal((2, 2))
-    left = apply_matrix(arr, 0, mat, "left")
-    assert np.allclose(left, mat @ arr)
-    mat3 = RNG.standard_normal((3, 3))
-    right = apply_matrix(arr, 1, mat3, "right")
-    assert np.allclose(right, arr @ mat3)
-    with pytest.raises(ValueError):
-        apply_matrix(arr, 0, mat, "middle")
