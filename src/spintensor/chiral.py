@@ -175,40 +175,43 @@ class FieldError(ScenarioError):
     """A table entry that cannot be evaluated or fails its check.
 
     field names the entry as validation reports it (frame, metric or
-    torsion) and error is the underlying failure.
+    torsion) and error is the underlying failure, whose batch index (if
+    it has one) gives the point: "<field> at <point>: <error>".
     """
 
-    def __init__(self, field, error):
-        super().__init__(f"{field}: {error}")
-        self.field = field
-        self.error = error
+    def __init__(self, field, error, points):
+        index = getattr(error, "index", None)
+        where = "" if index is None else f" at {point_label(points, index)}"
+        super().__init__(f"{field}{where}: {error}")
 
 
 @contextmanager
-def _entry(field):
-    """Raise a failure inside as a FieldError of field."""
+def _entry(field, points):
+    """Raise a failure inside as a FieldError of field at points."""
     try:
         yield
     except (ValueError, EvaluationError) as exc:
-        raise FieldError(field, exc) from exc
+        raise FieldError(field, exc, points) from exc
 
 
 def _check_metric(jet):
-    """A metric jet, checked to be symmetric of signature (+,-,-,-)."""
+    """A metric jet, checked to be finite and symmetric of signature
+    (+,-,-,-); a failure carries its first failing batch index."""
     gval = np.asarray(jet[0])
-    if np.max(np.abs(gval - np.swapaxes(gval, -1, -2))) > 1e-10:
-        raise ValueError("not symmetric")
+    check_points(~np.isfinite(gval).all(axis=(-2, -1)), None, "not finite", ValueError)
+    check_points(np.max(np.abs(gval - np.swapaxes(gval, -1, -2)), axis=(-2, -1)) > 1e-10,
+                 None, "not symmetric", ValueError)
     eigs = np.linalg.eigvalsh(np.real(gval))
-    if np.any(np.sum(eigs > 0, axis=-1) != 1) or np.any(np.sum(eigs < 0, axis=-1) != 3):
-        raise ValueError("signature is not (+,-,-,-)")
+    check_points((np.sum(eigs > 0, axis=-1) != 1) | (np.sum(eigs < 0, axis=-1) != 3), None,
+                 "signature is not (+,-,-,-)", ValueError)
     return jet
 
 
 def _check_torsion(jet):
     """A torsion jet, checked to be antisymmetric in its lower indices."""
     t = jet[0]
-    if np.max(np.abs(t + np.swapaxes(t, -1, -2))) > 1e-12:
-        raise ValueError("not antisymmetric")
+    check_points(~(np.max(np.abs(t + np.swapaxes(t, -1, -2)), axis=(-3, -2, -1)) <= 1e-12),
+                 None, "not antisymmetric", ValueError)
     return jet
 
 
@@ -257,39 +260,44 @@ class ChiralScenario:
         non-orthonormal frame they carry the orthonormal factor of g on
         the tangent slot instead of staying canonical.  A frame, metric
         or torsion that cannot be evaluated or fails its check raises a
-        FieldError naming it.
+        FieldError naming it and its first failing point.  Entries are
+        evaluated and checked in table order (frame, metric, torsion,
+        then each transition and its moved table), so the first failing
+        entry is the one named, even where a later one fails at an
+        earlier point.
         """
-        with _entry("frame"):
+        with _entry("frame", points):
             table = {"frame": self.frame.jet(points, deriv)}
         symbols, canonical = self.SYMBOLS
-        with _entry("metric"):
+        with _entry("metric", points):
             table["g"] = _check_metric(self.g.jet(points, deriv))
             table[symbols] = derived_symbol_jet(table["g"], canonical)
         for attr, value in self.CANONICAL.items():
             table[attr] = constant_jet(value, points, deriv)
-        with _entry("torsion"):
+        with _entry("torsion", points):
             table["torsion"] = (
                 constant_jet(np.zeros((4, 4, 4)), points, deriv=False) if self.torsion is None
                 else _check_torsion(self.torsion.jet(points, deriv=False))
             )
         for trans in self.transitions:
-            with _entry("frame"):
-                trans_jets = trans.jets(points, deriv)
-            table = self.deform_jets(table, trans_jets, points)
+            table = self.deform_jets(table, trans, points)[0]
         return table
 
-    def deform_jets(self, table, trans_jets, points):
-        """The table as seen from the frame a transition deforms to.
+    def deform_jets(self, table, trans, points):
+        """The table as seen from the frame a transition deforms to, and
+        the transition's (S, T, Ss, Ts) jets, both at points.
 
-        trans_jets are the transition's (S, T, Ss, Ts) jets at points.
-        The frame becomes U S, checked to be non-singular; every other
-        entry, the torsion included, is re-expressed with
+        The transition is evaluated once, with partials exactly when
+        the table's frame carries them, and its S and Ss are checked
+        like a frame.  The frame becomes U S, checked to be non-singular;
+        every other entry, the torsion included, is re-expressed with
         transform_components.  The moved metric and torsion are checked
-        like the scenario's own.
+        like the scenario's own.  A failure raises a FieldError.
         """
-        s = trans_jets[0]
-        deriv = s[1] is not None
-        with _entry("frame"):
+        deriv = table["frame"][1] is not None
+        with _entry("frame", points):
+            trans_jets = trans.jets(points, deriv)
+            s = trans_jets[0]
             moved = {"frame": check_frame(
                 einsum_jet("ij,jk->ik", table["frame"], s, deriv=deriv), points)}
         torsion = ("torsion", "torsion", TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim), True)
@@ -303,30 +311,17 @@ class ChiralScenario:
                 value = x.components
             part = np.real if real else np.asarray
             moved[attr] = (part(value), None if d is None else part(d))
-        with _entry("metric"):
+        with _entry("metric", points):
             _check_metric(moved["g"])
-        with _entry("torsion"):
+        with _entry("torsion", points):
             _check_torsion(moved["torsion"])
-        return moved
+        return moved, trans_jets
 
     def validate(self):
-        """Evaluate the table at every sample point without partials; a
-        failing entry raises ScenarioError naming the field and the first
-        failing point.  All points are evaluated in one batch; only a
-        failing batch is evaluated again point by point, to name the
-        first failure."""
-        points = self.chart.points
-        try:
-            self.jets(points, deriv=False)
-        except FieldError:
-            for index in np.ndindex(points.shape[:-1]):
-                try:
-                    self.jets(points[index], deriv=False)
-                except FieldError as exc:
-                    raise ScenarioError(
-                        f"{exc.field} at {point_label(points, index)}: {exc.error}"
-                    ) from exc.error
-            raise
+        """Evaluate the table at all sample points as one batch, without
+        partials; a failing entry raises a FieldError (a ScenarioError)
+        naming the field and its first failing point."""
+        self.jets(self.chart.points, deriv=False)
 
     def concordance_extras(self, values, grads):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every

@@ -8,8 +8,9 @@ and all (the four in that order).  The stages of one run share its
 report and the scenario of each mode, built once (MODES).
 
 Exit codes: 0 every check passed, 1 a numerical check failed (a
-non-finite residual fails its check; a consistency check or a
-singular matrix inside a build fails on one stderr line), 2 the spec, a flag or an environment
+non-finite residual fails its check; a consistency check, a singular
+matrix or non-finite connection in a build, or a failing seeded frame
+change of covariance fails on one stderr line), 2 the spec, a flag or an environment
 override could not be read or parsed, or the scenario cannot be built
 (one stderr line names the field and the point).
 Flags may also be set through environment variables with the
@@ -28,7 +29,7 @@ input (exit 2).  Reports are deterministic for a fixed spec and seed up
 to the timestamp field.
 
 Every stage evaluates a mode's table (scenario.jets) once, at all sample
-points as one batch.
+points as one batch; a failure names its own first failing point.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .dirac_connection import (
     restrict_to_chiral,
 )
 from .expressions import EvaluationError, ParseError
-from .frames import NumericalError, theta_parameters
+from .frames import NumericalError, check_points, theta_parameters
 from .scenarios import (
     ScenarioSpec,
     SpecError,
@@ -74,7 +75,6 @@ from .scenarios import (
     bundled_scenario_names,
     chiral_scenario_from_spec,
     coordinate_christoffel,
-    deform_scenario,
     dirac_scenario_from_spec,
     load_scenario_spec,
     random_transition,
@@ -210,7 +210,8 @@ def run_build_connection(ctx: Run):
     Christoffel table (step --fd-step, else the spec's) is emitted next
     to the tangent coefficients and their agreement is recorded as a
     check.  Each mode's connection and the oracle are built once for
-    all points; the per-point tables are slices of those batches.
+    all points; the per-point tables are slices of those batches.  A
+    connection that is not finite is a numerical failure.
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform
@@ -219,6 +220,8 @@ def run_build_connection(ctx: Run):
         scenario = ctx.scenario(mode)
         points = scenario.chart.points
         conn = MODES[mode][1](scenario.jets(points), points)
+        check_points(~np.isfinite(conn.A).all(axis=(-3, -2, -1)), points,
+                     f"{mode} connection is not finite")
         entries = [
             {
                 "point": list(point),
@@ -254,7 +257,8 @@ def run_covariance(ctx: Run):
     with the connection built in the original frame.  The base table is
     evaluated once; each seed offset evaluates its transition once and
     derives the deformed table, theta and the back-transform from it.
-    Each covers all sample points at once.
+    Each covers all sample points at once.  A deformed table that fails
+    its checks (FieldError) is a numerical failure: the input is valid.
     """
     spec = ctx.spec
     tol = spec.tolerances["covariance"] * ctx.tol_scale
@@ -267,15 +271,10 @@ def run_covariance(ctx: Run):
     worst = 0.0
     for offset in range(3):
         seed = base_seed + offset
-        trans = random_transition(seed=seed, spinor_dim=2)
         try:
-            try:
-                trans_jets = trans.jets(points)
-                moved = base.deform_jets(base_jets, trans_jets, points)
-            except (FieldError, np.linalg.LinAlgError):
-                deform_scenario(base, trans)  # evaluates again to name the field and point
-                raise
-        except ScenarioError as exc:  # the input is valid; the check's own frame is not
+            moved, trans_jets = base.deform_jets(
+                base_jets, random_transition(seed=seed, spinor_dim=2), points)
+        except FieldError as exc:
             raise NumericalError(f"seeded deformation {seed}: {exc}") from exc
         conn_moved = build_chiral_metric_connection(moved, points)
         theta = theta_parameters(trans_jets, base_jets["frame"], points)
@@ -336,8 +335,9 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
             fd_step=fd_step,
             tol_scale=tol_scale,
         )
-        for stage in STAGES[subcommand]:
-            stage(ctx)
+        with np.errstate(all="ignore"):  # a non-finite value fails its check
+            for stage in STAGES[subcommand]:
+                stage(ctx)
     except (SpecError, ParseError, ScenarioError, EvaluationError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

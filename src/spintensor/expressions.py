@@ -6,17 +6,21 @@ functions sin, cos, exp, sqrt, cosh, sinh, and numeric literals.
 Parsed by precedence climbing.  Unary minus binds looser than ^, so
 -x0^2 means -(x0^2).
 
-ASTs evaluate to floats and differentiate symbolically, which gives
-scenario fields exact analytic partial derivatives.  An Expression
-compiles its AST once into numpy ufunc calls over a point array of
-shape (..., 4) and returns one value per point; a floating-point error
-anywhere in the batch re-evaluates it point by point through the AST,
-which raises the same EvaluationError a single point raises.
-evaluate_all does the same for a whole list of expressions at once.
+ASTs differentiate symbolically, which gives scenario fields exact
+analytic partial derivatives, and compile once into numpy ufunc calls
+over a point array of shape (..., 4); that is the one evaluator.  It
+runs under np.errstate(all="ignore"), and every node marks the points
+where it fails: a zero divisor, sqrt of a negative value, log of a
+value <= 0, a power that is non-real, raises 0 to a negative power or
+overflows, and any other non-finite result.  values_at raises one
+EvaluationError for the first failure in batch order, then expression
+order, then left-to-right evaluation order; the error carries that
+batch index, and its text names the failing operation only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -37,20 +41,13 @@ class ParseError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """Domain error raised while evaluating a parsed expression."""
+    """An expression fails at some point of a batch; index is the batch
+    index of the first failing point."""
 
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "cosh": math.cosh,
-    "sinh": math.sinh,
-    # log is not part of the surface grammar; the differentiator
-    # produces it for general u^v exponents
-    "log": math.log,
-}
 
 VARIABLES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 
@@ -69,6 +66,9 @@ UFUNCS = {
     "sinh": np.sinh,
     "log": np.log,
 }
+# log is not part of the surface grammar; the differentiator produces
+# it for general u^v exponents
+FUNCTION_NAMES = sorted(name for name in UFUNCS if name.isalpha() and name != "log")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -106,49 +106,80 @@ def tokenize(text):
 # --- AST -------------------------------------------------------------
 
 class Node:
-    def evaluate(self, point):
-        raise NotImplementedError
-
     def compile(self):
-        """Function of a point array x (..., 4) returning the value at
-        every point; floating-point errors follow numpy's errstate."""
+        """Function (x, failures) of points x (..., 4) returning the value at
+        every point, under np.errstate(all="ignore").  A failing operation
+        appends (bad, text): bad marks its failing points, text(index) is
+        the error there.  Operands append first, left before right, so at
+        a point the first entry that holds is the first failure in
+        evaluation order."""
         raise NotImplementedError
 
     def diff(self, var):
+        """The derivative along coordinate var; a subtree without Var(var)
+        differentiates to Num(0.0), not to a tree of zero products."""
         raise NotImplementedError
+
+
+# The checks of an operation that can fail, in the order they apply:
+# (mask of its operands, error).  Every failure leaves a non-finite
+# value; any other non-finite value of finite operands is out of range.
+_DOMAIN_ERRORS = {
+    "/": ((lambda a, b: b == 0.0, "division by zero"),),
+    "^": ((lambda a, b: (a == 0.0) & (b < 0.0), "0.0 cannot be raised to a negative power"),
+          (lambda a, b: (a < 0.0) & (b != np.floor(b)), "non-real power")),
+    "sqrt": ((lambda u: u < 0.0, "math domain error"),),
+    "log": ((lambda u: u <= 0.0, "math domain error"),),
+}
+
+
+def _operation(name, operands, range_error, describe=lambda args, error, index: error):
+    """Compiled node applying UFUNCS[name] to compiled operands; where a
+    value is not finite, it marks its failing checks, with the error
+    text describe(operand values, error, index)."""
+    func, checks = UFUNCS[name], _DOMAIN_ERRORS.get(name, ())
+
+    def run(x, failures):
+        args = [operand(x, failures) for operand in operands]
+        value = func(*args)
+        if not math.isfinite(np.add.reduce(value, axis=None)):  # any non-finite entry shows
+            for check, error in checks + ((lambda *_: ~np.isfinite(value), range_error),):
+                bad = check(*args)
+                if np.any(bad):
+                    failures.append((bad, functools.partial(describe, args, error)))
+        return value
+
+    return run
 
 
 @dataclass(frozen=True)
 class Num(Node):
     value: float
 
-    def evaluate(self, point):
-        return self.value
-
     def compile(self):
         value = self.value
-        return lambda x: value
+        return lambda x, failures: value
 
     def diff(self, var):
-        return Num(0.0)
+        return ZERO
 
     def __str__(self):
         return repr(self.value)
+
+
+ZERO = Num(0.0)
 
 
 @dataclass(frozen=True)
 class Var(Node):
     index: int
 
-    def evaluate(self, point):
-        return float(point[self.index])
-
     def compile(self):
         index = self.index
-        return lambda x: x[..., index]
+        return lambda x, failures: x[..., index]
 
     def diff(self, var):
-        return Num(1.0 if var == self.index else 0.0)
+        return Num(1.0) if var == self.index else ZERO
 
     def __str__(self):
         return f"x{self.index}"
@@ -158,15 +189,13 @@ class Var(Node):
 class Neg(Node):
     operand: Node
 
-    def evaluate(self, point):
-        return -self.operand.evaluate(point)
-
     def compile(self):
         operand = self.operand.compile()
-        return lambda x: np.negative(operand(x))
+        return lambda x, failures: np.negative(operand(x, failures))
 
     def diff(self, var):
-        return Neg(self.operand.diff(var))
+        d = self.operand.diff(var)
+        return ZERO if d == ZERO else Neg(d)
 
     def __str__(self):
         return f"(-{self.operand})"
@@ -178,36 +207,16 @@ class BinOp(Node):
     left: Node
     right: Node
 
-    def evaluate(self, point):
-        a = self.left.evaluate(point)
-        b = self.right.evaluate(point)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero")
-            return a / b
-        if self.op == "^":
-            try:
-                result = a ** b
-            except (OverflowError, ValueError, ZeroDivisionError) as exc:
-                raise EvaluationError(str(exc)) from exc
-            if isinstance(result, complex):
-                raise EvaluationError("non-real power")
-            return result
-        raise AssertionError(self.op)
-
     def compile(self):
-        op, left, right = UFUNCS[self.op], self.left.compile(), self.right.compile()
-        return lambda x: op(left(x), right(x))
+        overflow = "(34, 'Numerical result out of range')" if self.op == "^" \
+            else f"overflow in '{self.op}'"
+        return _operation(self.op, (self.left.compile(), self.right.compile()), overflow)
 
     def diff(self, var):
         u, v = self.left, self.right
         du, dv = u.diff(var), v.diff(var)
+        if du == ZERO and dv == ZERO:
+            return ZERO
         if self.op == "+":
             return BinOp("+", du, dv)
         if self.op == "-":
@@ -222,23 +231,11 @@ class BinOp(Node):
                 BinOp("/", BinOp("*", u, dv), BinOp("*", v, v)),
             )
         if self.op == "^":
-            if isinstance(v, Num):
-                # power rule for constant exponents
-                return BinOp(
-                    "*",
-                    BinOp("*", v, BinOp("^", u, Num(v.value - 1.0))),
-                    du,
-                )
+            if isinstance(v, Num):  # power rule for constant exponents
+                return BinOp("*", BinOp("*", v, BinOp("^", u, Num(v.value - 1.0))), du)
             # general case u^v * (v' log u + v u'/u)
-            return BinOp(
-                "*",
-                self,
-                BinOp(
-                    "+",
-                    BinOp("*", dv, Call("log", u)),
-                    BinOp("/", BinOp("*", v, du), u),
-                ),
-            )
+            log_term = BinOp("*", dv, Call("log", u))
+            return BinOp("*", self, BinOp("+", log_term, BinOp("/", BinOp("*", v, du), u)))
         raise AssertionError(self.op)
 
     def __str__(self):
@@ -261,19 +258,18 @@ class Call(Node):
     name: str
     arg: Node
 
-    def evaluate(self, point):
-        value = self.arg.evaluate(point)
-        try:
-            return FUNCTIONS[self.name](value)
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(f"{self.name}({value}): {exc}") from exc
-
     def compile(self):
-        func, arg = UFUNCS[self.name], self.arg.compile()
-        return lambda x: func(arg(x))
+        name = self.name
+
+        def describe(args, error, index):
+            (u,) = args
+            return f"{name}({float(u[index] if np.ndim(u) else u)}): {error}"
+
+        return _operation(name, (self.arg.compile(),), "math range error", describe)
 
     def diff(self, var):
-        return BinOp("*", _DERIVATIVES[self.name](self.arg), self.arg.diff(var))
+        d = self.arg.diff(var)
+        return ZERO if d == ZERO else BinOp("*", _DERIVATIVES[self.name](self.arg), d)
 
     def __str__(self):
         return f"{self.name}({self.arg})"
@@ -291,7 +287,6 @@ _UNARY_MINUS_OPERAND_LEVEL = 3
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -338,18 +333,21 @@ class _Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            return Num(float(token.text))
+            value = float(token.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {token.text} out of range", token.position)
+            return Num(value)
         if token.kind == "ident":
             self.advance()
             if token.text in VARIABLES:
                 return Var(VARIABLES[token.text])
-            if token.text in FUNCTIONS and token.text != "log":
+            if token.text in FUNCTION_NAMES:
                 self.expect_op("(")
                 arg = self.expression(0)
                 self.expect_op(")")
                 return Call(token.text, arg)
             raise ParseError(f"unknown identifier {token.text!r}", token.position,
-                             sorted(VARIABLES) + sorted(set(FUNCTIONS) - {"log"}))
+                             sorted(VARIABLES) + FUNCTION_NAMES)
         if token.kind == "op" and token.text == "-":
             self.advance()
             return Neg(self.expression(_UNARY_MINUS_OPERAND_LEVEL))
@@ -388,7 +386,7 @@ class Expression:
         return cls(parse_ast(text), source=text)
 
     def __call__(self, points):
-        return evaluate_all([self], points)[..., 0]
+        return values_at([self], points)[..., 0]
 
     def partial(self, var):
         if var not in self._partials:
@@ -399,23 +397,28 @@ class Expression:
         return f"Expression({self.source if self.source is not None else self.ast})"
 
 
-def evaluate_all(expressions, points):
+def values_at(expressions, points):
     """Values of several expressions at points (..., 4), stacked on a last axis.
 
-    The compiled expressions run under one numpy errstate that raises on
-    division by zero, overflow and invalid operations (not underflow).
-    On such an error the ASTs re-evaluate the batch point by point, which
-    raises the EvaluationError of the first failing point (in batch
-    order, then expression order), or gives the values where only
-    numpy's flags tripped.
+    Raises the EvaluationError of the first failure in batch order, then
+    expression order, then evaluation order, with its batch index.
     """
     x = np.asarray(points, dtype=float)
-    out = np.empty(x.shape[:-1] + (len(expressions),))
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for k, expression in enumerate(expressions):
-                out[..., k] = expression._compiled(x)
-    except FloatingPointError:
-        for index in np.ndindex(x.shape[:-1]):
-            out[index] = [expression.ast.evaluate(x[index]) for expression in expressions]
+    batch = x.shape[:-1]
+    out = np.empty(batch + (len(expressions),))
+    failures = []
+    with np.errstate(all="ignore"):
+        for k, expression in enumerate(expressions):
+            out[..., k] = expression._compiled(x, failures)
+    if failures:
+        marks = [np.broadcast_to(bad, batch) for bad, _ in failures]
+        index = first_index(np.logical_or.reduce(marks))
+        text = next(text for bad, (_, text) in zip(marks, failures) if bad[index])
+        raise EvaluationError(text(index), index)
     return out
+
+
+def first_index(bad):
+    """The batch index of the first True of bad in batch order, or None."""
+    bad = np.asarray(bad)
+    return np.unravel_index(np.argmax(bad), bad.shape) if bad.any() else None

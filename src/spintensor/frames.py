@@ -14,7 +14,7 @@ Points carry a leading batch shape: an array of shape (..., 4) holds
 one point per batch index, and every value computed from it carries
 the same leading axes (a single (4,) point has batch shape ()).  A
 check that fails at some points names the first of them in batch
-order.
+order (check_points).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import EvaluationError, Expression, Num, evaluate_all
+from .expressions import EvaluationError, Expression, Num, first_index, values_at
 from .tensor_core import (
     BARRED,
     SPINOR,
@@ -49,14 +49,13 @@ def check_points(bad, points, message, error=NumericalError):
     """Raise error(message at <point>) for the first point where bad holds.
 
     bad has the batch shape of points (..., 4); without points the
-    message names no point.
+    message names no point.  The error's index is that point's.
     """
-    bad = np.asarray(bad)
-    if bad.any():
-        if points is None:
-            raise error(message)
-        index = np.unravel_index(np.argmax(bad), bad.shape)
-        raise error(f"{message} at {point_label(points, index)}")
+    index = first_index(bad)
+    if index is not None:
+        exc = error(message if points is None else f"{message} at {point_label(points, index)}")
+        exc.index = index
+        raise exc
 
 
 def einsum(subscripts, *operands):
@@ -201,7 +200,8 @@ class MatrixField:
     def from_expressions(cls, grid):
         """Build from a (nested list of) DSL strings / Expressions / numbers.
 
-        An evaluation error names the first failing point in batch order.
+        An EvaluationError carries the batch index of the first failing
+        point: of the values, else of the partials.
         """
         grid = np.asarray(grid, dtype=object)
         shape = grid.shape
@@ -214,26 +214,16 @@ class MatrixField:
 
         partials = [cell.partial(a) for a in range(4) for cell in flat]
 
-        def batch_jet(points, deriv):
+        def jet(points, deriv=True):
             x = np.asarray(points, dtype=float)
-            value = evaluate_all(flat, x).reshape(x.shape[:-1] + shape)
+            value = values_at(flat, x).reshape(x.shape[:-1] + shape)
             if not deriv:
                 return value, None
             try:
-                d = evaluate_all(partials, x).reshape(x.shape[:-1] + (4, *shape))
+                d = values_at(partials, x).reshape(x.shape[:-1] + (4, *shape))
             except EvaluationError as exc:
-                raise EvaluationError(f"partial derivative at {point_label(x)}: {exc}") from exc
+                raise EvaluationError(f"partial derivative: {exc}", exc.index) from exc
             return value, d
-
-        def jet(points, deriv=True):
-            try:
-                return batch_jet(points, deriv)
-            except EvaluationError:
-                # re-run point by point: the first failing point raises
-                x = np.asarray(points, dtype=float)
-                for index in np.ndindex(x.shape[:-1]):
-                    batch_jet(x[index], deriv)
-                raise
 
         return cls(jet)
 
@@ -316,13 +306,12 @@ FRAME_DET_FLOOR = 1e-8
 
 
 def check_frame(jet, points):
-    """The jet of a frame expansion, checked to be non-singular
-    (|det| > FRAME_DET_FLOOR) at every point."""
-    mat, d = jet
-    mat = np.asarray(mat, dtype=float)
-    check_points(np.abs(np.linalg.det(mat)) <= FRAME_DET_FLOOR, points,
+    """The jet of a frame expansion or a transition matrix, checked to be
+    non-singular (|det| > FRAME_DET_FLOOR, finite) at every point."""
+    det = np.abs(np.linalg.det(jet[0]))
+    check_points(~(np.isfinite(det) & (det > FRAME_DET_FLOOR)), points,
                  "frame is singular", error=ValueError)
-    return mat, d
+    return jet
 
 
 class FrameField:
@@ -401,10 +390,11 @@ class FrameTransition:
 
     def jets(self, points, deriv=True):
         """Jets of (S, T, Ss, Ts) at points from one evaluation each of S
-        and Ss; T and Ts are their inverses unless passed explicitly."""
+        and Ss, checked like a frame; T and Ts are their inverses unless
+        passed explicitly."""
         given_t, given_ts = self._given_inverses
-        s = self.S.jet(points, deriv)
-        ss = self.Ss.jet(points, deriv)
+        s = check_frame(self.S.jet(points, deriv), points)
+        ss = check_frame(self.Ss.jet(points, deriv), points)
         t = inverse_jet(s) if given_t is None else given_t.jet(points, deriv)
         ts = inverse_jet(ss) if given_ts is None else given_ts.jet(points, deriv)
         return s, t, ss, ts

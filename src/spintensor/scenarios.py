@@ -28,6 +28,7 @@ from .frames import (
     FrameField,
     FrameTransition,
     MatrixField,
+    check_frame,
     einsum,
     einsum_field,
     inverse_jet,
@@ -273,10 +274,12 @@ def _polynomial_exp_field(rng, dim, scale, real):
 def exp_linear_field(const, linear) -> MatrixField:
     """The field exp(C + sum_a x^a L_a) with its exact partials.
 
-    One stacked expm call serves a whole batch of points.
+    One stacked expm call serves a whole batch of points.  An overflow
+    leaves non-finite values, which FrameTransition.jets rejects.
     """
     dim = const.shape[0]
 
+    @np.errstate(all="ignore")
     def jet(points, deriv=True):
         x = np.asarray(points, dtype=float)
         mat = np.broadcast_to(const, x.shape[:-1] + const.shape)
@@ -324,7 +327,7 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
         raise ValueError("expected a chiral transition")
 
     def spin(points, deriv=True):
-        top, dtop = chiral.Ss.jet(points, deriv)
+        top, dtop = check_frame(chiral.Ss.jet(points, deriv), points)
         dual, ddual = inverse_jet(
             (_adjoint(top), None if dtop is None else _adjoint(dtop))
         )

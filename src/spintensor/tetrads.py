@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import einsum_jet
+from .frames import check_points, einsum_jet
 
 SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 
+@np.errstate(all="ignore")  # a negative square or an overflow fails the check below
 def signed_cholesky(g, signs=SIGNS):
     """Lower-triangular L with positive diagonal and g = L eta L^T.
 
-    g may carry leading batch axes; every point must admit the factor.
+    g may carry leading batch axes; every point must admit a finite
+    factor, else a ValueError carries the batch index of the first that
+    does not.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
@@ -30,15 +33,15 @@ def signed_cholesky(g, signs=SIGNS):
         acc = g[..., j, j]
         for k in range(j):
             acc = acc - signs[k] * lower[..., j, k] ** 2
-        val = signs[j] * acc
-        if np.any(val <= 0.0):
-            raise ValueError("metric does not admit a time-first orthonormal factor")
-        lower[..., j, j] = np.sqrt(val)
+        lower[..., j, j] = np.sqrt(signs[j] * acc)
         for i in range(j + 1, n):
             acc = g[..., i, j]
             for k in range(j):
                 acc = acc - signs[k] * lower[..., i, k] * lower[..., j, k]
             lower[..., i, j] = signs[j] * acc / lower[..., j, j]
+    admits = np.isfinite(lower).all(axis=(-2, -1)) & (np.diagonal(lower, 0, -2, -1) > 0).all(-1)
+    check_points(~admits, None, "metric does not admit a time-first orthonormal factor",
+                 ValueError)
     return lower
 
 

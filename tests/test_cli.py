@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -290,6 +291,139 @@ def test_failed_consistency_checks_are_numerical_failures(name, point, capsys, t
     assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
 
 
+# --- the failing-spec catalog: exact stderr line and exit code ----------
+
+GOOD = [[0.5, 0.2, -0.3, 0.1], [0.1, -0.4, 0.2, 0.3]]
+
+
+def with_metric(name, **cells):
+    """A bundled spec with the metric cells gIJ replaced."""
+    spec = bundled_spec(name)
+    metric = spec["metric"]
+    if metric == "minkowski":
+        metric = diag("1", "-1", "-1", "-1")
+    for cell, text in cells.items():
+        metric[int(cell[1])][int(cell[2])] = text
+    spec["metric"] = metric
+    return spec
+
+
+def with_changes(name, **changes):
+    return {**bundled_spec(name), **changes}
+
+
+def ortho_tetrad_with_frame_row_0(*row):
+    spec = bundled_spec("ortho-tetrad")
+    spec["frame"][0] = list(row)
+    return spec
+
+
+def both(code, line=""):
+    """The same exit code and stderr line under concordance and covariance."""
+    return {"concordance": (code, line), "covariance": (code, line)}
+
+
+def bad_metric(point, error):
+    return both(2, f"bad input: metric at {point}: {error}\n")
+
+
+CATALOG = [
+    pytest.param(with_metric("diag-scale", g00="sqrt(x0)"), GOOD + [[-0.2, 0, 0, 0]],
+                 bad_metric("(-0.2, 0.0, 0.0, 0.0)", "sqrt(-0.2): math domain error"),
+                 id="negative-sqrt"),
+    pytest.param(with_metric("diag-scale", g00="1/x0"), GOOD + [[0, 0, 0, 0]],
+                 bad_metric("(0.0, 0.0, 0.0, 0.0)", "division by zero"), id="division-by-zero"),
+    pytest.param(with_metric("diag-scale", g00="exp(x0)"), GOOD + [[800, 0, 0, 0]],
+                 bad_metric("(800.0, 0.0, 0.0, 0.0)", "exp(800.0): math range error"),
+                 id="exp-overflow"),
+    pytest.param(with_metric("diag-scale", g00="10^x0"), GOOD + [[400, 0, 0, 0]],
+                 bad_metric("(400.0, 0.0, 0.0, 0.0)", "(34, 'Numerical result out of range')"),
+                 id="power-overflow"),
+    pytest.param(with_metric("diag-scale", g00="(x0)^0.5"), GOOD + [[-0.5, 0, 0, 0]],
+                 bad_metric("(-0.5, 0.0, 0.0, 0.0)", "non-real power"), id="non-real-power"),
+    pytest.param(with_metric("diag-scale", g00="x0^(-1)"), GOOD + [[0, 0, 0, 0]],
+                 bad_metric("(0.0, 0.0, 0.0, 0.0)", "0.0 cannot be raised to a negative power"),
+                 id="zero-to-a-negative-power"),
+    pytest.param(with_metric("diag-scale", g01="x1"), GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "not symmetric"), id="asymmetric"),
+    pytest.param(with_metric("diag-scale", g00="-1"), GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "signature is not (+,-,-,-)"),
+                 id="signature"),
+    pytest.param(with_changes("diag-scale", metric=diag("1", "1", "-1", "-1")), GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "signature is not (+,-,-,-)"),
+                 id="signature-two-positive"),
+    pytest.param(with_changes("diag-scale", metric=diag("sqrt(x0-1)", "-1", "-1", "-1")), GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "sqrt(-0.5): math domain error"),
+                 id="negative-sqrt-first-point"),
+    pytest.param(with_changes("diag-scale", metric=diag("exp(exp(100*x0))", "-1", "-1", "-1")),
+                 GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "exp(5.184705528587072e+21): math range error"),
+                 id="nested-exp-overflow"),
+    pytest.param(with_changes("diag-scale", metric=diag("-1", "1", "-1", "-1")), GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)",
+                            "metric does not admit a time-first orthonormal factor"),
+                 id="no-time-first-factor"),
+    pytest.param(ortho_tetrad_with_frame_row_0("x0", "0", "0", "0"), GOOD + [[0, 0.5, 0, 0]],
+                 both(2, "bad input: frame at (0.0, 0.5, 0.0, 0.0): "
+                         "frame is singular at (0.0, 0.5, 0.0, 0.0)\n"),
+                 id="singular-frame"),
+    pytest.param(with_metric("seeded-deformation", g00="sqrt(x0+1)"), GOOD + [[-2, 0, 0, 0]],
+                 bad_metric("(-2.0, 0.0, 0.0, 0.0)", "sqrt(-1.0): math domain error"),
+                 id="seeded-deformation-negative-sqrt"),
+    # the covariance check's own seeded transition is singular far out
+    pytest.param(bundled_spec("flat"), GOOD + [[300, 0, 0, 0]],
+                 {"concordance": (0, ""),
+                  "covariance": (1, "numerical failure: seeded deformation 1: frame at "
+                                    "(300.0, 0.0, 0.0, 0.0): frame is singular at "
+                                    "(300.0, 0.0, 0.0, 0.0)\n")},
+                 id="far-seeded-transition"),
+    # the spec's own transition overflows in its matrix exponential
+    pytest.param(with_changes("diag-scale", seed=2, deform={"scale": 328}), [[0, 0, 0, 0]],
+                 both(2, "bad input: frame at (0.0, 0.0, 0.0, 0.0): "
+                         "frame is singular at (0.0, 0.0, 0.0, 0.0)\n"),
+                 id="overflowing-transition"),
+    pytest.param(with_metric("diag-scale", g01="x2/x0", g10="x2/x0"), GOOD + [[1e-200, 0, 1, 0]],
+                 bad_metric("(1e-200, 0.0, 1.0, 0.0)",
+                            "metric does not admit a time-first orthonormal factor"),
+                 id="overflowing-orthonormal-factor"),
+    # finite cells whose frame components U^T g U overflow
+    pytest.param({**ortho_tetrad_with_frame_row_0("1e200", "0", "0", "0"),
+                  "metric": diag("1e200", "-1", "-1", "-1")}, GOOD,
+                 bad_metric("(0.5, 0.2, -0.3, 0.1)", "not finite"), id="overflowing-frame-metric"),
+    pytest.param(with_metric("diag-scale", g00="x0*1e308"), GOOD + [[10, 0, 0, 0]],
+                 bad_metric("(10.0, 0.0, 0.0, 0.0)", "overflow in '*'"), id="product-overflow"),
+    pytest.param(with_metric("diag-scale", g00="1+x0/1e-300"), GOOD + [[1e10, 0, 0, 0]],
+                 bad_metric("(10000000000.0, 0.0, 0.0, 0.0)", "overflow in '/'"),
+                 id="quotient-overflow"),
+    # a constant cell has zero partials, even where its derivative
+    # formula would divide by zero
+    pytest.param(with_metric("diag-scale", g01="sqrt(0)", g10="sqrt(0)"), GOOD, both(0),
+                 id="constant-sqrt-0"),
+    pytest.param(with_metric("diag-scale", g11="-1-sqrt(x0)"), GOOD + [[0, 0, 0, 0]],
+                 bad_metric("(0.0, 0.0, 0.0, 0.0)", "partial derivative: division by zero"),
+                 id="failing-partial"),
+]
+
+
+@pytest.mark.parametrize("subcommand", ["concordance", "covariance"])
+@pytest.mark.parametrize("spec, points, expected", CATALOG)
+def test_failing_spec_catalog(spec, points, expected, subcommand, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "sample_points": points}))
+    code, _ = run_captured(subcommand, spec_path=str(path))
+    assert (code, capsys.readouterr().err) == expected[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS[1:])
+def test_an_overflowing_connection_is_one_numerical_failure_line(subcommand, capsys, tmp_path):
+    # g00 = x0 at x0 = 1e-271 is a valid metric whose connection overflows
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**with_metric("diag-scale", g00="x0"),
+                                "sample_points": [[1e-271, 0.0, 0.0, 0.0]]}))
+    code, _ = run_captured(subcommand, spec_path=str(path))
+    assert code == 1 and len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_run_rejects_an_out_of_range_fd_step(capsys):
     """And every other bad value of run()'s seed, fd_step, tol_scale and
     fmt arguments: exit 2 with one line each."""
@@ -410,7 +544,12 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(subcommand=st.sampled_from(SUBCOMMANDS), spec=mutated_specs())
 def test_mutated_specs_never_raise(fuzz_dir, subcommand, spec):
+    """Every exit code of the contract, with one stderr line for 1 and 2
+    and none for 0."""
     path = fuzz_dir / "spec.json"
     path.write_text(json.dumps(spec))
-    code, _ = run_captured(subcommand, spec_path=str(path))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_captured(subcommand, spec_path=str(path))
     assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()

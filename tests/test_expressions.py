@@ -1,11 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintensor.expressions import EvaluationError, Expression, ParseError, parse_ast
+from spintensor.expressions import (
+    Call,
+    EvaluationError,
+    Expression,
+    Num,
+    ParseError,
+    parse_ast,
+    Var,
+    values_at,
+)
 
 POINTS = st.tuples(*[st.floats(-2.0, 2.0) for _ in range(4)])
 
@@ -125,3 +135,50 @@ def test_general_power_derivative():
 def test_partials_are_cached():
     expr = Expression.parse("x0*x1")
     assert expr.partial(0) is expr.partial(0)
+
+
+def test_variable_free_subtrees_differentiate_to_zero():
+    assert Expression.parse("-1").partial(0).ast == Num(0.0)
+    # unfolded, the partial of sqrt(0) is 0.5/sqrt(0)*0: a division by zero
+    assert Expression.parse("sqrt(0)").partial(0)((0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert Expression.parse("x0*sqrt(x1)").partial(0)((0.5, 0.0, 0.0, 0.0)) == 0.0
+
+
+def test_the_first_failure_in_batch_then_expression_then_evaluation_order():
+    # the second point fails in both operands of the second expression,
+    # the third point in the first expression
+    points = [[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    expressions = [Expression.parse("1/x0"), Expression.parse("sqrt(x0) + 1/x1")]
+    with pytest.raises(EvaluationError) as err:
+        values_at(expressions, points)
+    assert str(err.value) == "sqrt(-1.0): math domain error"
+    assert err.value.index == (1,)
+    # at one point, the first expression fails first
+    expressions = [Expression.parse("1/x1"), Expression.parse("sqrt(x0)")]
+    with pytest.raises(EvaluationError) as err:
+        values_at(expressions, points[1])
+    assert str(err.value) == "division by zero" and err.value.index == ()
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        (Call("log", Var(0)), 0.0, "log(0.0): math domain error"),
+        ("cosh(x0)", 1e3, "cosh(1000.0): math range error"),
+        ("x0^3", 1e200, "(34, 'Numerical result out of range')"),
+        ("x0-1e308", -1e308, "overflow in '-'"),
+        ("(-x0)^0.5", 1.0, "non-real power"),
+        ("0^(x0-2)", 1.0, "0.0 cannot be raised to a negative power"),
+        ("x0/x0", 0.0, "division by zero"),
+    ],
+)
+def test_failures_name_the_operation(text, point, message):
+    # log is not in the surface grammar: the differentiator makes it
+    expression = Expression(text) if isinstance(text, Call) else Expression.parse(text)
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        expression((point, 0.0, 0.0, 0.0))
+
+
+def test_a_literal_past_the_float_range_is_a_parse_error():
+    with pytest.raises(ParseError, match="out of range"):
+        parse_ast("x0 + 1e400")
