@@ -227,9 +227,9 @@ class ChiralScenario:
     STRUCTURE_FIELDS lists every field the metric connection annihilates
     as (check name, attribute, tensor type, real-valued?).  Besides g,
     each is its CANONICAL constant, except the symbol field named by
-    SYMBOLS, which is derived from g.  transitions, empty unless the
-    scenario comes from scenarios.deform_scenario, move the table to the
-    frames they deform to, in order.
+    SYMBOLS, which is derived from g.  transitions (FrameTransition, empty
+    for an undeformed scenario) move the table to the frames they deform
+    to, in order.
     """
 
     spinor_dim = 2
@@ -242,12 +242,13 @@ class ChiralScenario:
     CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
     SYMBOLS = ("G", G_UPPER)
 
-    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None):
+    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None,
+                 transitions=()):
         self.chart = chart
         self.frame = frame
         self.g = g
         self.torsion = torsion
-        self.transitions = ()
+        self.transitions = transitions
         self.validate()
 
     def jets(self, points, deriv=True):
@@ -481,19 +482,31 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
 
 
 def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
-    """Residual report for the concordance conditions of a scenario.
+    """Residual report for the concordance conditions of a scenario at
+    points (the sample points by default): table_and_connection, then
+    concordance_residuals."""
+    jets, conn = table_and_connection(build, scenario, points)
+    return concordance_residuals(scenario, jets, conn)
 
-    The scenario's table is evaluated once at points (the sample points
-    by default), and build(jets, points) builds the connection from that
-    same table.  Each row of the scenario's STRUCTURE_FIELDS gives
-    nabla-<check>, the max absolute covariant derivative of that field
-    over all points; the scenario's concordance_extras add its mode's
-    other conditions.  A non-finite residual anywhere makes the reported
-    maximum non-finite.
-    """
+
+def table_and_connection(build, scenario: ChiralScenario, points=None):
+    """The scenario's table at points (the sample points by default),
+    evaluated once, and build(jets, points), the connection built from
+    that same table."""
     points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
     jets = scenario.jets(points)
-    conn = build(jets, points)
+    return jets, build(jets, points)
+
+
+def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection) -> dict:
+    """The concordance residuals of a connection built from the table.
+
+    Each row of the scenario's STRUCTURE_FIELDS gives nabla-<check>, the
+    max absolute covariant derivative of that field over all points of
+    the table; the scenario's concordance_extras add its mode's other
+    conditions.  A non-finite residual anywhere makes the reported
+    maximum non-finite.
+    """
     u = jets["frame"][0]
     out, values, grads = {}, {}, {}
     for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:

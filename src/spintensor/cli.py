@@ -5,14 +5,17 @@ identity suites, no scenario needed), build-connection (coefficient
 tables at the sample points), concordance (covariant-constancy residual
 suites), covariance (seeded frame-deformation transformation-law check)
 and all (the four in that order).  The stages of one run share its
-report and the scenario of each mode, built once (MODES).
+report and, for each mode, its scenario, table and connection (MODES,
+Run.mode).
 
 Exit codes: 0 every check passed, 1 a numerical check failed (a
 non-finite residual fails its check; a consistency check, a singular
-matrix or non-finite connection in a build, or a failing seeded frame
-change of covariance fails on one stderr line), 2 the spec, a flag or an environment
-override could not be read or parsed, or the scenario cannot be built
-(one stderr line names the field and the point).
+matrix or non-finite connection in a build, a tangent oracle whose
+finite-difference steps leave the metric's domain, or a failing seeded
+frame change of covariance fails on one stderr line), 2 the spec, a
+flag or an environment override could not be read or parsed, or the
+scenario cannot be built (one stderr line names the field and the
+point).
 Flags may also be set through environment variables with the
 SPINTENSOR_ prefix (SPINTENSOR_SPEC, SPINTENSOR_OUT, SPINTENSOR_SEED,
 SPINTENSOR_FD_STEP, SPINTENSOR_TOL_SCALE, SPINTENSOR_FORMAT); explicit
@@ -28,8 +31,9 @@ never passes), and a tolerance scaled past the float range is bad
 input (exit 2).  Reports are deterministic for a fixed spec and seed up
 to the timestamp field.
 
-Every stage evaluates a mode's table (scenario.jets) once, at all sample
-points as one batch; a failure names its own first failing point.
+Each run evaluates a mode's table (scenario.jets) once, at all sample
+points as one batch, and builds its connection once; every stage reads
+them.  A failure names its own first failing point.
 """
 
 from __future__ import annotations
@@ -50,9 +54,10 @@ from .chiral import (
     ScenarioError,
     build_chiral_metric_connection,
     canonical_chiral_constants,
+    concordance_residuals,
+    table_and_connection,
     transform_connection,
     verify_chiral_identities,
-    verify_concordance,
     worst_residual,
 )
 from .dirac import (
@@ -67,7 +72,7 @@ from .dirac_connection import (
     restrict_to_chiral,
 )
 from .expressions import EvaluationError, ParseError
-from .frames import NumericalError, check_points, theta_parameters
+from .frames import NumericalError, check_points, point_label, theta_parameters
 from .scenarios import (
     ScenarioSpec,
     SpecError,
@@ -164,20 +169,27 @@ def _complex_table(arr):
 
 @dataclass
 class Run:
-    """One invocation as its stages see it."""
+    """One invocation as its stages see it.
+
+    held maps a mode to the spec's scenario for it, its table at the
+    sample points and the connection built from that table, all made
+    on first use (mode) and read by every later stage of the run.
+    """
 
     report: ResidualReport
     spec: ScenarioSpec = None
     seed: int = None
     fd_step: float = None
     tol_scale: float = 1.0
-    scenarios: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict)
 
-    def scenario(self, mode):
-        """The spec's scenario for mode, built on first use in this run."""
-        if mode not in self.scenarios:
-            self.scenarios[mode] = MODES[mode][0](self.spec)
-        return self.scenarios[mode]
+    def mode(self, mode):
+        """(scenario, table, connection) of mode, made once per run."""
+        if mode not in self.held:
+            loader, build = MODES[mode]
+            scenario = loader(self.spec)
+            self.held[mode] = (scenario, *table_and_connection(build, scenario))
+        return self.held[mode]
 
 
 def run_verify_identities(ctx: Run):
@@ -209,17 +221,18 @@ def run_build_connection(ctx: Run):
     When the spec uses the coordinate frame, a raw finite-difference
     Christoffel table (step --fd-step, else the spec's) is emitted next
     to the tangent coefficients and their agreement is recorded as a
-    check.  Each mode's connection and the oracle are built once for
-    all points; the per-point tables are slices of those batches.  A
-    connection that is not finite is a numerical failure.
+    check.  Each mode's connection is the run's (Run.mode) and the
+    oracle is built once for all points; the per-point tables are
+    slices of those batches.  A connection that is not finite, or an
+    oracle whose finite-difference steps leave the metric's domain, is
+    a numerical failure.
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform
     step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
     for mode in spec.modes:
-        scenario = ctx.scenario(mode)
+        scenario, _, conn = ctx.mode(mode)
         points = scenario.chart.points
-        conn = MODES[mode][1](scenario.jets(points), points)
         check_points(~np.isfinite(conn.A).all(axis=(-3, -2, -1)), points,
                      f"{mode} connection is not finite")
         entries = [
@@ -232,7 +245,11 @@ def run_build_connection(ctx: Run):
             for k, point in enumerate(scenario.chart.sample_points)
         ]
         if has_oracle:
-            oracle = coordinate_christoffel(_metric_field(spec), points, step=step)
+            try:
+                oracle = coordinate_christoffel(_metric_field(spec), points, step=step)
+            except EvaluationError as exc:
+                raise NumericalError(
+                    f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
             for entry, table in zip(entries, oracle):
                 entry["tangent-oracle"] = table.tolist()
             worst = worst_residual(0.0, conn.Gamma - oracle)
@@ -244,7 +261,7 @@ def run_concordance(ctx: Run):
     tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
     npoints = len(ctx.spec.sample_points)
     for mode in ctx.spec.modes:
-        residuals = verify_concordance(MODES[mode][1], ctx.scenario(mode))
+        residuals = concordance_residuals(*ctx.mode(mode))
         for check, value in residuals.items():
             ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 
@@ -254,20 +271,20 @@ def run_covariance(ctx: Run):
 
     The connection built directly in the deformed frame, mapped back
     through the transformation law with theta-parameters, must agree
-    with the connection built in the original frame.  The base table is
-    evaluated once; each seed offset evaluates its transition once and
-    derives the deformed table, theta and the back-transform from it.
-    Each covers all sample points at once.  A deformed table that fails
-    its checks (FieldError) is a numerical failure: the input is valid.
+    with the connection built in the original frame.  The base table and
+    connection, and the Dirac connection, are the run's (Run.mode); each
+    seed offset evaluates its transition once, deforms the base table
+    with it and builds the moved connection from that, then derives
+    theta and the back-transform.  Each covers all sample points at
+    once.  A deformed table that fails its checks (FieldError) is a
+    numerical failure: the input is valid.
     """
     spec = ctx.spec
     tol = spec.tolerances["covariance"] * ctx.tol_scale
     base_seed = spec.seed if ctx.seed is None else ctx.seed
-    base = ctx.scenario("chiral")
+    base, base_jets, conn_base = ctx.mode("chiral")
     points = base.chart.points
     npoints = len(spec.sample_points)
-    base_jets = base.jets(points)
-    conn_base = build_chiral_metric_connection(base_jets, points)
     worst = 0.0
     for offset in range(3):
         seed = base_seed + offset
@@ -285,7 +302,7 @@ def run_covariance(ctx: Run):
             worst = worst_residual(worst, ours - theirs)
     ctx.report.record("chiral-transformation-law", worst, tol, 3 * npoints)
     if "dirac" in spec.modes:
-        conn = build_dirac_metric_connection(ctx.scenario("dirac").jets(points), points)
+        conn = ctx.mode("dirac")[2]
         # deformed embedded frames keep the block layout, so the
         # restriction is still exact; the restriction residual is
         # the covariance statement for the Dirac bundle here.

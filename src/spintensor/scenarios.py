@@ -12,7 +12,6 @@ base table moved entry by entry with one evaluation of the transition.
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from dataclasses import dataclass, field
@@ -211,27 +210,24 @@ def frame_metric_field(g_coord: MatrixField, frame: FrameField) -> MatrixField:
 
 
 def chiral_scenario_from_spec(spec: ScenarioSpec) -> ChiralScenario:
-    scenario = _base_scenario(spec, ChiralScenario)
-    if spec.deform:
-        trans = spec_transition(spec, spinor_dim=2)
-        scenario = deform_scenario(scenario, trans)
-    return scenario
+    transitions = (spec_transition(spec, spinor_dim=2),) if spec.deform else ()
+    return _spec_scenario(spec, ChiralScenario, transitions)
 
 
 def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
-    scenario = _base_scenario(spec, DiracScenario)
-    if spec.deform:
-        chiral_trans = spec_transition(spec, spinor_dim=2)
-        trans = embedded_dirac_transition(chiral_trans)
-        scenario = deform_scenario(scenario, trans)
-    return scenario
+    transitions = (
+        (embedded_dirac_transition(spec_transition(spec, spinor_dim=2)),) if spec.deform else ()
+    )
+    return _spec_scenario(spec, DiracScenario, transitions)
 
 
-def _base_scenario(spec: ScenarioSpec, cls):
+def _spec_scenario(spec: ScenarioSpec, cls, transitions):
+    """The spec's scenario deformed by transitions, validated once: its
+    base entries are evaluated and checked before the transitions."""
     chart = Chart(sample_points=spec.sample_points, fd_step=spec.fd_step)
     frame = _frame_field(spec)
     g = frame_metric_field(_metric_field(spec), frame)
-    return cls(chart, frame, g, torsion=_torsion_field(spec))
+    return cls(chart, frame, g, torsion=_torsion_field(spec), transitions=transitions)
 
 
 def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
@@ -355,18 +351,19 @@ def _adjoint(mat):
 def deform_scenario(scenario, trans: FrameTransition):
     """Scenario as seen from the frame deformed by the transition.
 
-    The same scenario with the transition appended to its transitions,
-    validated at its sample points: its table is the base table moved
-    by ChiralScenario.deform_jets (the frame picks up S on the right,
-    every other entry, the torsion included, is re-expressed with
-    transform_components) from one evaluation of the transition.
+    A scenario of the same class and fields with the transition appended
+    to its transitions, validated at its sample points: its table is the
+    base table moved by ChiralScenario.deform_jets (the frame picks up S
+    on the right, every other entry, the torsion included, is
+    re-expressed with transform_components) from one evaluation of the
+    transition.
     """
     if trans.spinor_dim != scenario.spinor_dim:
         raise ValueError("transition spinor dimension does not match scenario")
-    moved = copy.copy(scenario)
-    moved.transitions = scenario.transitions + (trans,)
-    moved.validate()
-    return moved
+    return type(scenario)(
+        scenario.chart, scenario.frame, scenario.g, torsion=scenario.torsion,
+        transitions=scenario.transitions + (trans,),
+    )
 
 
 # --- independent cross-check -----------------------------------------

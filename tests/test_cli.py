@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -15,7 +16,8 @@ from spintensor.cli import (
     main,
     run,
 )
-from spintensor import scenarios
+from spintensor import cli, scenarios
+from spintensor.chiral import ChiralScenario
 from spintensor.scenarios import bundled_scenario_names
 
 
@@ -441,10 +443,10 @@ def test_run_rejects_an_out_of_range_fd_step(capsys):
     assert all(line.startswith("bad input: ") for line in err)
 
 
-def test_a_seeded_deformation_report_makes_at_most_22_expm_calls(monkeypatch):
-    # each table of a deformed mode evaluates its transition once: two
-    # at construction, build-connection and concordance, and in the
-    # covariance stage the base table plus one per seed offset
+def test_a_seeded_deformation_report_makes_at_most_14_expm_calls(monkeypatch):
+    # each mode's transition (a tangent and a spinor expm) is evaluated
+    # once to validate the deformed scenario and once for the run's
+    # table; covariance adds one transition per seed offset
     calls = []
     expm = scenarios.expm
 
@@ -455,7 +457,60 @@ def test_a_seeded_deformation_report_makes_at_most_22_expm_calls(monkeypatch):
     monkeypatch.setattr(scenarios, "expm", counted)
     code, _ = run_captured("all", spec_path="seeded-deformation")
     assert code == 0
-    assert len(calls) <= 22
+    assert len(calls) <= 14
+
+
+@pytest.fixture
+def counted_work(monkeypatch):
+    """Counts table evaluations by (scenario class, deriv) and connection
+    builds by mode, however a stage reaches the builders."""
+    counts = collections.Counter()
+    jets = ChiralScenario.jets
+
+    def counted_jets(self, points, deriv=True):
+        counts[type(self).__name__, deriv] += 1
+        return jets(self, points, deriv)
+
+    monkeypatch.setattr(ChiralScenario, "jets", counted_jets)
+    for mode, name in (("chiral", "build_chiral_metric_connection"),
+                       ("dirac", "build_dirac_metric_connection")):
+        def counted_build(*args, _mode=mode, _build=getattr(cli, name), **kwargs):
+            counts[_mode] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted_build)
+        monkeypatch.setitem(cli.MODES, mode, (cli.MODES[mode][0], counted_build))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["seeded-deformation", "diag-scale"])
+def test_all_evaluates_each_table_and_builds_each_connection_once(name, counted_work):
+    # per mode: one validation without partials (the deformed scenario
+    # validated once) and one table with partials shared by every stage;
+    # covariance builds 3 moved chiral connections besides the held ones
+    code, _ = run_captured("all", spec_path=name)
+    assert code == 0
+    assert counted_work == {
+        ("ChiralScenario", False): 1, ("ChiralScenario", True): 1,
+        ("DiracScenario", False): 1, ("DiracScenario", True): 1,
+        "chiral": 4, "dirac": 1,
+    }
+
+
+def test_an_oracle_step_outside_the_metric_domain_is_a_numerical_failure(capsys, tmp_path):
+    # valid at the sample point, but the oracle's step x0 - fd_step leaves
+    # the domain of the square root
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**with_metric("diag-scale", g00="1+sqrt(x0-0.49995)"),
+                                "sample_points": [[0.5, 0.2, -0.3, 0.1]]}))
+    code, _ = run_captured("concordance", spec_path=str(path))
+    assert (code, capsys.readouterr().err) == (0, "")
+    code, payload = run_captured("build-connection", spec_path=str(path))
+    assert (code, payload) == (1, "")
+    assert capsys.readouterr().err == (
+        "numerical failure: tangent-oracle at (0.5, 0.2, -0.3, 0.1): "
+        "sqrt(-4.999999999999449e-05): math domain error\n"
+    )
 
 
 def test_argparse_wiring(tmp_path):
