@@ -224,12 +224,11 @@ class BinOp(Node):
         if self.op == "*":
             return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
         if self.op == "/":
-            # (u/v)' = u'/v - u v'/v^2
-            return BinOp(
-                "-",
-                BinOp("/", du, v),
-                BinOp("/", BinOp("*", u, dv), BinOp("*", v, v)),
-            )
+            # (u/v)' = (u' - (u/v) v')/v: no v*v, which underflows to 0
+            # for |v| below about 1.5e-162 where the derivative is finite
+            if dv == ZERO:
+                return BinOp("/", du, v)
+            return BinOp("/", BinOp("-", du, BinOp("*", self, dv)), v)
         if self.op == "^":
             if isinstance(v, Num):  # power rule for constant exponents
                 return BinOp("*", BinOp("*", v, BinOp("^", u, Num(v.value - 1.0))), du)

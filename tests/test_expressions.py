@@ -132,6 +132,13 @@ def test_general_power_derivative():
     assert abs(expr.partial(0)(point) - fd) < 1e-8
 
 
+def test_quotient_partials_near_the_underflow_of_the_divisor_squared():
+    # x0*x0 underflows to 0 here, but the partials are finite
+    expr = Expression.parse("x1/x0")
+    point = (1e-170, 1e-170, 0.0, 0.0)
+    assert (expr.partial(0)(point), expr.partial(1)(point)) == (-1e170, 1e170)
+
+
 def test_partials_are_cached():
     expr = Expression.parse("x0*x1")
     assert expr.partial(0) is expr.partial(0)
