@@ -302,7 +302,7 @@ def run_covariance(ctx: Run):
             worst = worst_residual(worst, ours - theirs)
     ctx.report.record("chiral-transformation-law", worst, tol, 3 * npoints)
     if "dirac" in spec.modes:
-        conn = ctx.mode("dirac")[2]
+        _, _, conn = ctx.mode("dirac")
         # deformed embedded frames keep the block layout, so the
         # restriction is still exact; the restriction residual is
         # the covariance statement for the Dirac bundle here.
