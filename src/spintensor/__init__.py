@@ -23,7 +23,6 @@ from .frames import (
     Chart,
     MatrixField,
     FrameField,
-    StructuralConstants,
     FrameTransition,
     ThetaParameters,
     structural_constants,
@@ -84,7 +83,6 @@ __all__ = [
     "Chart",
     "MatrixField",
     "FrameField",
-    "StructuralConstants",
     "FrameTransition",
     "ThetaParameters",
     "structural_constants",

@@ -218,11 +218,12 @@ def _check_torsion(jet):
 class ChiralScenario:
     """Everything needed to build and test a chiral metric connection.
 
-    frame, g (the frame components of the metric: the coordinate metric
-    contracted with the frame when the frame is non-holonomic) and the
-    optional torsion are the scenario's own fields.  Its structure data
-    at a batch of points is one table, jets(points): the frame, every
-    STRUCTURE_FIELDS attribute and the torsion, each evaluated once.
+    frame, g (the coordinate metric) and the optional torsion are the
+    scenario's own fields.  Its structure data at a batch of points is
+    one table, jets(points): the frame, every STRUCTURE_FIELDS attribute
+    (g among them as the frame components U^T g U) and the torsion, each
+    evaluated once.  Constructing a scenario evaluates nothing: the
+    table is the only place its fields are evaluated and checked.
 
     STRUCTURE_FIELDS lists every field the metric connection annihilates
     as (check name, attribute, tensor type, real-valued?).  Besides g,
@@ -249,32 +250,34 @@ class ChiralScenario:
         self.g = g
         self.torsion = torsion
         self.transitions = transitions
-        self.validate()
 
-    def jets(self, points, deriv=True):
+    def jets(self, points):
         """The structure data at points as one table of jets.
 
         Maps "frame", every STRUCTURE_FIELDS attribute and "torsion" to
-        (value, d), d the coordinate partials (None without deriv; the
-        torsion enters undifferentiated and always has None).  Each
-        entry is evaluated once.  The symbols are derived from g: in a
+        (value, d), d the coordinate partials (the torsion enters
+        undifferentiated and has d None).  Each field is evaluated once:
+        the metric entry is U^T g U from the frame jet and the
+        coordinate metric's jet.  The symbols are derived from it: in a
         non-orthonormal frame they carry the orthonormal factor of g on
         the tangent slot instead of staying canonical.  A frame, metric
         or torsion that cannot be evaluated or fails its check raises a
         FieldError naming it and its first failing point.  Entries are
         evaluated and checked in table order (frame, metric, torsion,
-        then each transition and its moved table), so the first failing
-        entry is the one named, even where a later one fails at an
-        earlier point.
+        then each transition and its moved table), and within an entry
+        its values come first, then its partials, then its checks; the
+        first failure is the one named, even where a later one fails at
+        an earlier point.
         """
         with _entry("frame", points):
-            table = {"frame": self.frame.jet(points, deriv)}
+            u = self.frame.jet(points)
+        table = {"frame": u}
         symbols, canonical = self.SYMBOLS
         with _entry("metric", points):
-            table["g"] = _check_metric(self.g.jet(points, deriv))
+            table["g"] = _check_metric(einsum_jet("ai,ab,bj->ij", u, self.g.jet(points), u))
             table[symbols] = derived_symbol_jet(table["g"], canonical)
         for attr, value in self.CANONICAL.items():
-            table[attr] = constant_jet(value, points, deriv)
+            table[attr] = constant_jet(value, points)
         with _entry("torsion", points):
             table["torsion"] = (
                 constant_jet(np.zeros((4, 4, 4)), points, deriv=False) if self.torsion is None
@@ -288,28 +291,19 @@ class ChiralScenario:
         """The table as seen from the frame a transition deforms to, and
         the transition's (S, T, Ss, Ts) jets, both at points.
 
-        The transition is evaluated once, with partials exactly when
-        the table's frame carries them, and its S and Ss are checked
+        The transition is evaluated once and its S and Ss are checked
         like a frame.  The frame becomes U S, checked to be non-singular;
         every other entry, the torsion included, is re-expressed with
         transform_components.  The moved metric and torsion are checked
         like the scenario's own.  A failure raises a FieldError.
         """
-        deriv = table["frame"][1] is not None
         with _entry("frame", points):
-            trans_jets = trans.jets(points, deriv)
-            s = trans_jets[0]
+            trans_jets = trans.jets(points)
             moved = {"frame": check_frame(
-                einsum_jet("ij,jk->ik", table["frame"], s, deriv=deriv), points)}
+                einsum_jet("ij,jk->ik", table["frame"], trans_jets[0]), points)}
         torsion = ("torsion", "torsion", TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim), True)
         for _, attr, sig, real in self.STRUCTURE_FIELDS + (torsion,):
-            value, d = table[attr]
-            x = SpinTensorValue(sig, value)
-            if d is None:
-                value, d = transform_components(x, trans_jets).components, None
-            else:
-                x, d = transform_components(x, trans_jets, dx=d)
-                value = x.components
+            value, d = transform_components(sig, table[attr], trans_jets)
             part = np.real if real else np.asarray
             moved[attr] = (part(value), None if d is None else part(d))
         with _entry("metric", points):
@@ -317,12 +311,6 @@ class ChiralScenario:
         with _entry("torsion", points):
             _check_torsion(moved["torsion"])
         return moved, trans_jets
-
-    def validate(self):
-        """Evaluate the table at all sample points as one batch, without
-        partials; a failing entry raises a FieldError (a ScenarioError)
-        naming the field and its first failing point."""
-        self.jets(self.chart.points, deriv=False)
 
     def concordance_extras(self, values, grads):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
@@ -382,7 +370,7 @@ def metric_tangent_connection(jets) -> np.ndarray:
     g = np.real(g)
     lg = np.real(along_frame(jets["frame"][0], dg))  # lg[..., r, a, b] = L_r(g)_{ab}
     ginv = np.linalg.inv(g)
-    c = structural_constants(jets["frame"]).c
+    c = structural_constants(jets["frame"])
     t = jets["torsion"][0]
 
     gamma = 0.5 * (

@@ -33,7 +33,9 @@ to the timestamp field.
 
 Each run evaluates a mode's table (scenario.jets) once, at all sample
 points as one batch, and builds its connection once; every stage reads
-them.  A failure names its own first failing point.
+them.  That table is also where the scenario is checked: constructing
+a scenario evaluates nothing.  A failure names its own first failing
+point.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chiral import G_UPPER
-from .frames import FrameTransition, transform_components
+from .frames import FrameTransition, MatrixField, transform_components
 from .lorentz_cover import MINKOWSKI
 from .tensor_core import SpinTensorValue, TensorSignature, tau
 
@@ -135,15 +135,17 @@ class DiracConstants:
         dd_sig = TensorSignature(beta=1, gamma=1, spinor_dim=4)
         gamma_sig = TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)
         g_sig = TensorSignature(n=2, spinor_dim=4)
-        jets = trans.jets(point, deriv=False)
+        jets = trans.jets(point)
+
+        def move(sig, components):
+            return transform_components(sig, (components, None), jets)[0]
+
         moved = {
-            "d_lower": transform_components(SpinTensorValue(d_sig, self.d_lower), jets).components,
-            "H": transform_components(SpinTensorValue(h_sig, self.H), jets).components,
-            "D_lower": transform_components(SpinTensorValue(dd_sig, self.D_lower), jets).components,
-            "gamma": transform_components(SpinTensorValue(gamma_sig, self.gamma), jets).components,
-            "g_lower": np.real(
-                transform_components(SpinTensorValue(g_sig, self.g_lower), jets).components
-            ),
+            "d_lower": move(d_sig, self.d_lower),
+            "H": move(h_sig, self.H),
+            "D_lower": move(dd_sig, self.D_lower),
+            "gamma": move(gamma_sig, self.gamma),
+            "g_lower": np.real(move(g_sig, self.g_lower)),
         }
         return DiracConstants.from_primary(
             moved["d_lower"], moved["H"], moved["D_lower"], moved["gamma"], moved["g_lower"]
@@ -319,7 +321,9 @@ def frame_inversion(kind: str) -> FrameTransition:
     """Constant spinor transition for the P, T or PT frame inversion."""
     if kind not in _INVERSIONS:
         raise ValueError("kind must be one of 'P', 'T', 'PT'")
-    return FrameTransition.constant(Ss=_INVERSIONS[kind], spinor_dim=4)
+    return FrameTransition(
+        MatrixField.constant(np.eye(4)), MatrixField.constant(_INVERSIONS[kind]), spinor_dim=4
+    )
 
 
 def embed_chiral_frame() -> dict:

@@ -1,10 +1,9 @@
 """Charts, frame fields, jets and frame transitions.
 
-A Chart fixes coordinates x0..x3, sample points and the step of the
-raw finite-difference Christoffel oracle.  Array-valued fields carry
-their value together with its four coordinate partials as one jet;
-every composition propagates jets exactly (the product rule over an
-einsum, the inverse rule, ...).  Frame fields give the expansion of a
+A Chart fixes coordinates x0..x3 and sample points.  Array-valued
+fields carry their value together with its four coordinate partials as
+one jet; every composition propagates jets exactly (the product rule
+over an einsum, the inverse rule, ...).  Frame fields give the expansion of a
 tangent frame in the coordinate frame; transitions between frames
 carry the tangent pair (S, T) and the spinor pair (Ss, Ts).  Their
 theta-parameters, the frame change of components and the structural
@@ -30,10 +29,8 @@ from .tensor_core import (
     BARRED,
     SPINOR,
     TANGENT,
-    SpinTensorValue,
+    TensorSignature,
 )
-
-DEFAULT_FD_STEP = 1e-4
 
 
 class NumericalError(ValueError):
@@ -158,14 +155,11 @@ def _matmul_step(left, right, left_batch, right_batch, rest, sizes):
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate chart with sample points and the oracle's FD step."""
+    """Coordinate chart with sample points."""
 
     sample_points: tuple = ()
-    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        if not 0.0 < self.fd_step <= 1e-1:
-            raise ValueError("fd_step must lie in (0, 0.1]")
         points = tuple(tuple(float(c) for c in p) for p in self.sample_points)
         for p in points:
             if len(p) != 4:
@@ -273,25 +267,6 @@ def einsum_jet(subscripts, *jets, deriv=True):
     return value, np.zeros(batch + (4,) + value.shape[len(batch):], value.dtype)
 
 
-def einsum_field(subscripts, *operands) -> MatrixField:
-    """Field of einsum(subscripts, ...) over MatrixFields and constant arrays.
-
-    A field passed more than once is evaluated once per batch.
-    """
-
-    fields = {id(op): op for op in operands if isinstance(op, MatrixField)}
-
-    def jet(points, deriv=True):
-        jets = {key: field.jet(points, deriv) for key, field in fields.items()}
-        return einsum_jet(
-            subscripts,
-            *(jets.get(id(op), (op, None)) for op in operands),
-            deriv=deriv,
-        )
-
-    return MatrixField(jet)
-
-
 def inverse_jet(jet):
     """Jet of a matrix inverse: d(M^-1) = -M^-1 (dM) M^-1."""
     value, d = jet
@@ -335,20 +310,6 @@ class FrameField:
         return check_frame(self.components.jet(points, deriv), points)
 
 
-@dataclass(frozen=True)
-class StructuralConstants:
-    """Commutator coefficients c[..., k, i, j] of a frame at each point."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.c, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "c", arr)
-        if np.max(np.abs(arr + np.swapaxes(arr, -1, -2))) != 0.0:
-            raise ValueError("structural constants must be antisymmetric in i, j")
-
-
 def along_frame(u, d):
     """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d.
 
@@ -360,8 +321,9 @@ def along_frame(u, d):
     return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
 
 
-def structural_constants(frame_jet) -> StructuralConstants:
-    """Commutator coefficients of a frame from its jet (U, dU) at points.
+def structural_constants(frame_jet) -> np.ndarray:
+    """Commutator coefficients c[..., k, i, j] of a frame from its jet
+    (U, dU) at points, antisymmetric in i, j.
 
     [U_i, U_j]^m = sum_a (U^a_i d_a U^m_j - U^a_j d_a U^m_i), expanded
     back in the frame itself.
@@ -369,8 +331,7 @@ def structural_constants(frame_jet) -> StructuralConstants:
     u, du = frame_jet  # du[..., a, m, i]
     bracket = einsum("ai,amj->mij", u, du) - einsum("aj,ami->mij", u, du)
     c = einsum("km,mij->kij", np.linalg.inv(u), bracket)
-    c = 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
-    return StructuralConstants(c)
+    return 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
 
 
 class FrameTransition:
@@ -379,42 +340,19 @@ class FrameTransition:
     S maps tilde frame labels to untilde expansions (tilde frame vector
     i is sum_j S[j, i] times untilde frame vector j); T is its pointwise
     inverse.  Ss/Ts are the spinor analogues of dimension spinor_dim.
-    T and Ts, when given, replace the computed inverses.
     """
 
-    def __init__(self, S: MatrixField, Ss: MatrixField, spinor_dim=2, T=None, Ts=None):
+    def __init__(self, S: MatrixField, Ss: MatrixField, spinor_dim=2):
         self.S = S
         self.Ss = Ss
         self.spinor_dim = spinor_dim
-        self._given_inverses = (T, Ts)
 
-    def jets(self, points, deriv=True):
+    def jets(self, points):
         """Jets of (S, T, Ss, Ts) at points from one evaluation each of S
-        and Ss, checked like a frame; T and Ts are their inverses unless
-        passed explicitly."""
-        given_t, given_ts = self._given_inverses
-        s = check_frame(self.S.jet(points, deriv), points)
-        ss = check_frame(self.Ss.jet(points, deriv), points)
-        t = inverse_jet(s) if given_t is None else given_t.jet(points, deriv)
-        ts = inverse_jet(ss) if given_ts is None else given_ts.jet(points, deriv)
-        return s, t, ss, ts
-
-    @classmethod
-    def constant(cls, S=None, Ss=None, spinor_dim=None):
-        if Ss is None and spinor_dim is None:
-            spinor_dim = 2
-        if Ss is None:
-            Ss = np.eye(spinor_dim, dtype=complex)
-        Ss = np.asarray(Ss, dtype=complex)
-        if spinor_dim is None:
-            spinor_dim = Ss.shape[0]
-        if S is None:
-            S = np.eye(4)
-        return cls(
-            MatrixField.constant(np.asarray(S, dtype=float)),
-            MatrixField.constant(Ss),
-            spinor_dim=spinor_dim,
-        )
+        and Ss, checked like a frame; T and Ts are their inverses."""
+        s = check_frame(self.S.jet(points), points)
+        ss = check_frame(self.Ss.jet(points), points)
+        return s, inverse_jet(s), ss, inverse_jet(ss)
 
 
 def check_inverse_pairs(jets, points, tol=1e-10):
@@ -459,28 +397,23 @@ def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
     return ThetaParameters(theta=out[0], vartheta=out[1])
 
 
-def transform_components(x: SpinTensorValue, jets, direction="forward", dx=None):
-    """Re-express spin-tensor components in the other frame.
+def transform_components(sig: TensorSignature, jet, trans_jets):
+    """Jet of spin-tensor components re-expressed in the other frame.
 
-    jets are a transition's (S, T, Ss, Ts) jets at the points of x.
-    forward: from untilde to tilde components (Ts on contravariant
-    spinor slots, Ss on covariant, conjugates on barred slots, T on
-    contravariant tangent, S on covariant tangent).  backward is the
-    inverse map.  x's components may carry the batch axes of the jets
-    or none.  With dx, the coordinate partials of x's components
-    (partial index after the batch axes), the result is the pair
-    (value, partials), the partials by the product rule over x and
-    every slot factor (jets without partials count as constant).
+    jet is the (value, d) jet of components of type sig and trans_jets
+    a transition's (S, T, Ss, Ts) jets at the same points; the value
+    (taken as complex) may carry their batch axes or none.  The map
+    goes from untilde to tilde components: Ts on contravariant spinor
+    slots, Ss on covariant, conjugates on barred slots, T on
+    contravariant tangent, S on covariant tangent; (T, S, Ts, Ss) gives
+    the inverse map.  d is None out when it is None in, else the
+    partials by the product rule over the components and every slot
+    factor (jets without partials count as constant).
     """
-    s, t, ss, ts = jets
-    if x.signature.spinor_dim != np.shape(ss[0])[-1]:
+    value, d = jet
+    s, t, ss, ts = trans_jets
+    if sig.spinor_dim != np.shape(ss[0])[-1]:
         raise ValueError("signature and transition spinor dimensions differ")
-    deriv = dx is not None
-    if direction == "backward":
-        s, t = t, s
-        ss, ts = ts, ss
-    elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'backward'")
     factors = {
         (SPINOR, True): ts,
         (SPINOR, False): ss,
@@ -491,18 +424,15 @@ def transform_components(x: SpinTensorValue, jets, direction="forward", dx=None)
     }
     # one multilinear map: slot k is contracted with its factor, from
     # the left on contravariant slots and from the right on covariant
-    slots = x.signature.slots
-    old = string.ascii_letters[: len(slots)]
-    new = string.ascii_letters[len(slots): 2 * len(slots)]
-    inputs = [old] + [n + o if up else o + n for (_, up), o, n in zip(slots, old, new)]
-    value, d = einsum_jet(
+    old = string.ascii_letters[: len(sig.slots)]
+    new = string.ascii_letters[len(sig.slots): 2 * len(sig.slots)]
+    inputs = [old] + [n + o if up else o + n for (_, up), o, n in zip(sig.slots, old, new)]
+    return einsum_jet(
         ",".join(inputs) + "->" + new,
-        (x.components, dx),
-        *(factors[slot] for slot in slots),
-        deriv=deriv,
+        (np.asarray(value, dtype=complex), d),
+        *(factors[slot] for slot in sig.slots),
+        deriv=d is not None,
     )
-    moved = SpinTensorValue(x.signature, value)
-    return (moved, d) if deriv else moved
 
 
 def _conj(jet):

@@ -29,7 +29,6 @@ from .frames import (
     MatrixField,
     check_frame,
     einsum,
-    einsum_field,
     inverse_jet,
 )
 
@@ -203,12 +202,6 @@ def _torsion_field(spec: ScenarioSpec):
     return MatrixField.from_expressions(spec.torsion)
 
 
-def frame_metric_field(g_coord: MatrixField, frame: FrameField) -> MatrixField:
-    """Frame components of a coordinate metric: U^T g U."""
-    u = frame.components
-    return einsum_field("ai,ab,bj->ij", u, g_coord, u)
-
-
 def chiral_scenario_from_spec(spec: ScenarioSpec) -> ChiralScenario:
     transitions = (spec_transition(spec, spinor_dim=2),) if spec.deform else ()
     return _spec_scenario(spec, ChiralScenario, transitions)
@@ -222,12 +215,12 @@ def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
 
 
 def _spec_scenario(spec: ScenarioSpec, cls, transitions):
-    """The spec's scenario deformed by transitions, validated once: its
-    base entries are evaluated and checked before the transitions."""
-    chart = Chart(sample_points=spec.sample_points, fd_step=spec.fd_step)
-    frame = _frame_field(spec)
-    g = frame_metric_field(_metric_field(spec), frame)
-    return cls(chart, frame, g, torsion=_torsion_field(spec), transitions=transitions)
+    """The spec's scenario deformed by transitions.  Nothing is evaluated
+    here: its first table (ChiralScenario.jets) evaluates and checks the
+    base entries, then the transitions."""
+    chart = Chart(sample_points=spec.sample_points)
+    return cls(chart, _frame_field(spec), _metric_field(spec), torsion=_torsion_field(spec),
+               transitions=transitions)
 
 
 def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
@@ -352,11 +345,11 @@ def deform_scenario(scenario, trans: FrameTransition):
     """Scenario as seen from the frame deformed by the transition.
 
     A scenario of the same class and fields with the transition appended
-    to its transitions, validated at its sample points: its table is the
-    base table moved by ChiralScenario.deform_jets (the frame picks up S
-    on the right, every other entry, the torsion included, is
-    re-expressed with transform_components) from one evaluation of the
-    transition.
+    to its transitions; nothing is evaluated until its table is.  Its
+    table is the base table moved by ChiralScenario.deform_jets (the
+    frame picks up S on the right, every other entry, the torsion
+    included, is re-expressed with transform_components) from one
+    evaluation of the transition.
     """
     if trans.spinor_dim != scenario.spinor_dim:
         raise ValueError("transition spinor dimension does not match scenario")

@@ -74,8 +74,8 @@ def derived_symbol_jet(g_jet, canonical):
     """
     g, dg = g_jet
     lower = signed_cholesky(np.real(g))
-    dlower = None if dg is None else signed_cholesky_partial(lower, np.real(dg))
     return einsum_jet(
-        "abc,qc->abq", (np.asarray(canonical, dtype=complex), None), (lower, dlower),
-        deriv=dg is not None,
+        "abc,qc->abq",
+        (np.asarray(canonical, dtype=complex), None),
+        (lower, signed_cholesky_partial(lower, np.real(dg))),
     )

@@ -97,7 +97,7 @@ def test_connection_is_torsion_free_in_anholonomic_frames():
     for point in scenario.chart.sample_points:
         jets = scenario.jets(point)
         gamma = metric_tangent_connection(jets)
-        c = structural_constants(jets["frame"]).c
+        c = structural_constants(jets["frame"])
         asym = gamma - gamma.transpose(2, 1, 0)
         assert np.max(np.abs(asym - np.einsum("kij->ikj", c))) < 1e-9
 
@@ -122,16 +122,17 @@ def test_prescribed_torsion_is_reproduced():
 def test_scenario_validation():
     chart = Chart(sample_points=[PT])
     bad_g = MatrixField.constant(np.diag([1.0, 1.0, -1.0, -1.0]))
+    scenario = ChiralScenario(chart, FrameField.coordinate(), bad_g)
     with pytest.raises(ValueError):
-        ChiralScenario(chart, FrameField.coordinate(), bad_g)
-    asym = MatrixField.constant(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        scenario.jets(scenario.chart.points)
+    scenario = ChiralScenario(
+        chart,
+        FrameField.coordinate(),
+        MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0])),
+        torsion=MatrixField.constant(np.ones((4, 4, 4))),
+    )
     with pytest.raises(ValueError):
-        ChiralScenario(
-            chart,
-            FrameField.coordinate(),
-            MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0])),
-            torsion=MatrixField.constant(np.ones((4, 4, 4))),
-        )
+        scenario.jets(scenario.chart.points)
 
 
 def test_structure_fields_track_the_metric():
@@ -139,7 +140,7 @@ def test_structure_fields_track_the_metric():
     # identity against the frame metric at every point
     scenario = diag_scenario()
     for point in scenario.chart.sample_points:
-        jets = scenario.jets(point, deriv=False)
+        jets = scenario.jets(point)
         g = np.real(jets["g"][0])
         gu = jets["G"][0]
         d = jets["d"][0]
@@ -248,21 +249,24 @@ def test_non_finite_connection_fails_concordance():
 def test_concordance_takes_one_jet_per_structure_field_per_point(load, build, monkeypatch):
     """Over the whole verify_concordance call, builder included, one table
     covers the batch of sample points: the frame and metric fields are
-    evaluated once, the symbols are derived from that metric jet and the
-    deformation's S and Ss are evaluated once each (two expm calls)."""
+    evaluated once (the frame metric U^T g U reuses the frame jet), the
+    symbols are derived from that metric jet and the deformation's S and
+    Ss are evaluated once each (two expm calls)."""
     scenario = load(bundled_scenario("seeded-deformation"))
     counts = Counter()
 
     def counted(name, evaluate):
-        def jet(points, deriv=True):
+        def call(*args):
             counts[name] += 1
-            return evaluate(points, deriv)
+            return evaluate(*args)
 
-        return jet
+        return call
 
     scenario.jets = counted("jets", scenario.jets)
-    scenario.g = MatrixField(counted("g", scenario.g.jet))
-    scenario.frame = FrameField(MatrixField(counted("frame", scenario.frame.components.jet)))
+    # the fields' own jet functions, so that an evaluation through any
+    # other holder of the same field counts too
+    for name, field in (("g", scenario.g), ("frame", scenario.frame.components)):
+        field._jet = counted(name, field._jet)
     expm = scenarios.expm
     monkeypatch.setattr(scenarios, "expm", lambda a: (counts.update(["expm"]), expm(a))[1])
     res = verify_concordance(build, scenario)

@@ -140,7 +140,7 @@ def test_dirac_concordance_on_deformed_scenario():
 def test_dirac_gamma_field_tracks_the_metric():
     scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
     for point in scenario.chart.sample_points:
-        jets = scenario.jets(point, deriv=False)
+        jets = scenario.jets(point)
         g = np.real(jets["g"][0])
         gamma = jets["gamma"][0]
         for m in range(4):

@@ -14,17 +14,15 @@ from spintensor.frames import (
     theta_parameters,
     transform_components,
 )
-from spintensor.tensor_core import SpinTensorValue, TensorSignature
+from spintensor.tensor_core import TensorSignature
 
 PT = (0.5, 0.2, -0.3, 0.1)
 
 
 def test_chart_validation():
     with pytest.raises(ValueError):
-        Chart(fd_step=0.0)
-    with pytest.raises(ValueError):
         Chart(sample_points=[(1.0, 2.0)])
-    chart = Chart(sample_points=[PT], fd_step=1e-4)
+    chart = Chart(sample_points=[PT])
     assert chart.sample_points == (PT,)
 
 
@@ -70,7 +68,7 @@ def test_frame_field_rejects_singular_frames():
 
 
 def test_structural_constants_vanish_for_coordinate_frames():
-    c = structural_constants(FrameField.coordinate().jet(PT)).c
+    c = structural_constants(FrameField.coordinate().jet(PT))
     assert np.array_equal(c, np.zeros((4, 4, 4)))
 
 
@@ -84,7 +82,7 @@ def test_structural_constants_known_value():
             ["0", "0", "0", "1"],
         ]
     )
-    c = structural_constants(frame.jet(PT)).c
+    c = structural_constants(frame.jet(PT))
     assert abs(c[1, 0, 1] - (-1.0 / 1.5)) < 1e-9
     assert abs(c[1, 1, 0] - (1.0 / 1.5)) < 1e-9
     # antisymmetry is exact by construction
@@ -105,7 +103,7 @@ def scale_transition(spinor_dim=2):
 
 
 def test_transition_inverses_check():
-    jets = scale_transition().jets(PT, deriv=False)
+    jets = scale_transition().jets(PT)
     check_inverse_pairs(jets, PT)
     (s, _), (t, _), _, _ = jets
     assert np.allclose(t @ s, np.eye(4))
@@ -115,23 +113,21 @@ def test_transform_components_round_trip():
     trans = scale_transition()
     sig = TensorSignature(alpha=1, beta=1, nu=1, m=1, n=1)
     rng = np.random.default_rng(3)
-    value = SpinTensorValue(
-        sig, rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape)
-    )
-    jets = trans.jets(PT)
-    there = transform_components(value, jets, "forward")
-    back = transform_components(there, jets, "backward")
-    assert np.allclose(back.components, value.components, atol=1e-12)
+    value = rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape)
+    s, t, ss, ts = trans.jets(PT)
+    there = transform_components(sig, (value, None), (s, t, ss, ts))
+    back, d = transform_components(sig, there, (t, s, ts, ss))
+    assert d is None
+    assert np.allclose(back, value, atol=1e-12)
 
 
 def test_transform_components_metric_rule():
     # covariant rank-2 tangent tensor picks up S on both slots
     trans = scale_transition()
     g = np.diag([1.0, -1.0, -1.0, -1.0]).astype(complex)
-    value = SpinTensorValue(TensorSignature(n=2), g)
-    moved = transform_components(value, trans.jets(PT), "forward")
+    moved, _ = transform_components(TensorSignature(n=2), (g, None), trans.jets(PT))
     s = trans.S(PT)
-    assert np.allclose(moved.components, s.T @ g @ s, atol=1e-12)
+    assert np.allclose(moved, s.T @ g @ s, atol=1e-12)
 
 
 def test_theta_parameters_vanish_for_constant_transitions():
@@ -165,7 +161,8 @@ def test_theta_parameters_reject_inconsistent_pairs():
             ["0", "0", "0", "1"],
         ]
     )
-    bad_t = MatrixField.constant(np.eye(4))  # not the inverse
-    trans = FrameTransition(s, MatrixField.constant(np.eye(2, dtype=complex)), T=bad_t)
+    ss = MatrixField.constant(np.eye(2, dtype=complex))
+    bad_t = MatrixField.constant(np.eye(4))  # not the inverse of s
+    jets = (s.jet(PT), bad_t.jet(PT), ss.jet(PT), ss.jet(PT))
     with pytest.raises(ValueError):
-        theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)
+        theta_parameters(jets, FrameField.coordinate().jet(PT), PT)

@@ -66,7 +66,7 @@ def test_structure_field_jets(name):
                     continue
 
                 def plain(p, label=label):
-                    return scenario.jets(p, deriv=False)[label][0]
+                    return scenario.jets(p)[label][0]
 
                 assert_jet_matches(value, d, plain, point, f"{name} {mode}-{label}")
 
@@ -81,7 +81,7 @@ def test_seeded_transition_jets():
                 value, d = trans.jets(point)[k]
 
                 def plain(p, k=k):
-                    return trans.jets(p, deriv=False)[k][0]
+                    return trans.jets(p)[k][0]
 
                 assert_jet_matches(value, d, plain, point, f"{kind} {label}")
 
@@ -90,14 +90,14 @@ def test_seeded_transition_jets():
 def test_dirac_split_array_jets(name):
     scenario = dirac_scenario_from_spec(bundled_scenario(name))
 
-    def split(point, deriv):
-        jets = scenario.jets(point, deriv)
+    def split(point):
+        jets = scenario.jets(point)
         return _split_arrays(jets["H"], jets["gamma"], jets["d"], inverse_jet(jets["d"]))
 
     for point in scenario.chart.sample_points:
-        for k, (value, d) in enumerate(split(point, True)):
+        for k, (value, d) in enumerate(split(point)):
             assert_jet_matches(
-                value, d, lambda p: split(p, False)[k][0], point, f"{name} {SPLIT_NAMES[k]}"
+                value, d, lambda p: split(p)[k][0], point, f"{name} {SPLIT_NAMES[k]}"
             )
 
 

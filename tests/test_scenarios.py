@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spintensor import scenarios
+from spintensor import frames, scenarios
 from spintensor.frames import MatrixField
 from spintensor.scenarios import (
     SpecError,
@@ -14,7 +14,6 @@ from spintensor.scenarios import (
     deform_scenario,
     dirac_scenario_from_spec,
     embedded_dirac_transition,
-    frame_metric_field,
     load_scenario_spec,
     random_transition,
 )
@@ -164,7 +163,7 @@ def test_frame_metric_field_of_tetrad_is_minkowski():
     scenario = chiral_scenario_from_spec(spec)
     for point in scenario.chart.sample_points:
         assert np.allclose(
-            np.real(scenario.jets(point, deriv=False)["g"][0]),
+            np.real(scenario.jets(point)["g"][0]),
             np.diag([1.0, -1.0, -1.0, -1.0]),
             atol=1e-12,
         )
@@ -202,7 +201,7 @@ def test_deform_scenario_preserves_structure_compatibility():
     base = chiral_scenario_from_spec(load_scenario_spec(GOOD_SPEC))
     moved = deform_scenario(base, random_transition(seed=8))
     for point in [PT]:
-        jets = moved.jets(point, deriv=False)
+        jets = moved.jets(point)
         g = np.real(jets["g"][0])
         gu = jets["G"][0]
         d = jets["d"][0]
@@ -214,7 +213,7 @@ def test_deform_scenario_preserves_structure_compatibility():
 def test_dirac_scenario_from_spec_has_four_component_fields():
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
     assert scenario.spinor_dim == 4
-    jets = scenario.jets(PT, deriv=False)
+    jets = scenario.jets(PT)
     assert jets["gamma"][0].shape == (4, 4, 4)
     assert jets["d"][0].shape == (4, 4)
 
@@ -234,3 +233,20 @@ def test_a_deformed_table_evaluates_its_transition_once(load, monkeypatch):
     monkeypatch.setattr(scenarios, "expm", counted)
     scenario.jets(scenario.chart.points)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("load", [chiral_scenario_from_spec, dirac_scenario_from_spec])
+def test_a_table_evaluates_each_expression_grid_once(load, monkeypatch):
+    # the frame and the metric grids, each as values and then partials:
+    # the frame metric U^T g U reuses the table's frame jet
+    scenario = load(bundled_scenario("ortho-tetrad"))
+    calls = []
+    values_at = frames.values_at
+
+    def counted(cells, points):
+        calls.append(len(cells))
+        return values_at(cells, points)
+
+    monkeypatch.setattr(frames, "values_at", counted)
+    scenario.jets(scenario.chart.points)
+    assert calls == [16, 64, 16, 64]
