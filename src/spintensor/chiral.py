@@ -76,6 +76,8 @@ def compute_g_lower_symbols(g_upper_mixed, g_upper, d_lower, dbar_lower):
 
 
 def canonical_chiral_constants() -> ChiralConstants:
+    """The canonical tables with their companions.  Nothing is checked
+    here: verify_chiral_identities gives residual 0 on them."""
     d_lower = D_CHIRAL.copy()
     d_upper = np.linalg.inv(d_lower)
     dbar_lower = np.conj(d_lower)
@@ -83,7 +85,7 @@ def canonical_chiral_constants() -> ChiralConstants:
     g_lower = MINKOWSKI.copy()
     g_upper = MINKOWSKI.copy()
     g_lower_symbols = compute_g_lower_symbols(G_UPPER, g_upper, d_lower, dbar_lower)
-    constants = ChiralConstants(
+    return ChiralConstants(
         d_lower=d_lower,
         d_upper=d_upper,
         dbar_lower=dbar_lower,
@@ -93,11 +95,6 @@ def canonical_chiral_constants() -> ChiralConstants:
         g_lower=g_lower,
         g_upper=g_upper,
     )
-    residuals = verify_chiral_identities(constants)
-    worst = max(residuals.values())
-    if worst != 0.0:
-        raise AssertionError(f"canonical chiral identity suite residual {worst}")
-    return constants
 
 
 def verify_chiral_identities(constants: ChiralConstants) -> dict:
@@ -196,10 +193,14 @@ def _entry(field, points):
 
 def _check_metric(jet):
     """A metric jet, checked to be finite and symmetric of signature
-    (+,-,-,-); a failure carries its first failing batch index."""
+    (+,-,-,-); a failure carries its first failing batch index.  The
+    symmetry test is relative to the metric's size at each point,
+    1e-10 max(1, max|g|), so moving a valid large metric does not fail
+    it by rounding."""
     gval = np.asarray(jet[0])
     check_points(~np.isfinite(gval).all(axis=(-2, -1)), None, "not finite", ValueError)
-    check_points(np.max(np.abs(gval - np.swapaxes(gval, -1, -2)), axis=(-2, -1)) > 1e-10,
+    size = np.maximum(1.0, np.max(np.abs(gval), axis=(-2, -1)))
+    check_points(np.max(np.abs(gval - np.swapaxes(gval, -1, -2)), axis=(-2, -1)) > 1e-10 * size,
                  None, "not symmetric", ValueError)
     eigs = np.linalg.eigvalsh(np.real(gval))
     check_points((np.sum(eigs > 0, axis=-1) != 1) | (np.sum(eigs < 0, axis=-1) != 3), None,
@@ -390,7 +391,7 @@ def metric_tangent_connection(jets) -> np.ndarray:
     return gamma
 
 
-def build_chiral_metric_connection(jets, points, reality_tol=1e-9) -> SpinorConnection:
+def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G at every point.
 
     jets is a chiral scenario's table at points.  The spinor
@@ -402,7 +403,7 @@ def build_chiral_metric_connection(jets, points, reality_tol=1e-9) -> SpinorConn
               - 1/4 (sum L_r(dbar_{jbar ibar}) dbar^{ibar jbar}) delta^i_j
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  For real metric data Abar = conj(A),
-    checked at every point.
+    checked at every point to 1e-9 relative to 1 + max|A|.
     """
     u = jets["frame"][0]
     gamma = metric_tangent_connection(jets)
@@ -425,7 +426,7 @@ def build_chiral_metric_connection(jets, points, reality_tol=1e-9) -> SpinorConn
     abar -= 0.25 * einsum("rji,ij,ab->rab", ld, du, eye)
 
     scale = 1.0 + np.max(np.abs(a), axis=(-3, -2, -1))
-    unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > reality_tol * scale
+    unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > 1e-9 * scale
     check_points(unreal, points, "Abar is not the conjugate of A")
     return SpinorConnection(gamma, a, abar, spinor_dim=2)
 

@@ -85,7 +85,6 @@ from .scenarios import (
     dirac_scenario_from_spec,
     load_scenario_spec,
     random_transition,
-    _metric_field,
 )
 
 REPORT_SCHEMA = "residual-report/1"
@@ -195,7 +194,12 @@ class Run:
 
 
 def run_verify_identities(ctx: Run):
-    """Constant identity suites, canonically and after P/T/PT inversions."""
+    """Constant identity suites, canonically and after P/T/PT inversions.
+
+    Each canonical table is built once and each suite runs once on it:
+    the chiral suite on the chiral tables, the Dirac suite on the Dirac
+    tables and on each of the three inverted frames' tables.
+    """
     report = ctx.report
     tol = IDENTITY_TOL * ctx.tol_scale
     chiral = canonical_chiral_constants()
@@ -210,9 +214,8 @@ def run_verify_identities(ctx: Run):
     report.record("dirac-chirality-split-suite", 0.0, tol, 1)
     embed_chiral_frame()
     report.record("dirac-chiral-embedding-suite", 0.0, tol, 1)
-    origin = (0.0, 0.0, 0.0, 0.0)
     for kind in ("P", "T", "PT"):
-        moved = dirac.transform(frame_inversion(kind), origin)
+        moved = dirac.transform(frame_inversion(kind))
         for check, value in verify_dirac_identities(moved).items():
             report.record(f"dirac-after-{kind}-{check}", value, tol, 1)
 
@@ -224,14 +227,16 @@ def run_build_connection(ctx: Run):
     Christoffel table (step --fd-step, else the spec's) is emitted next
     to the tangent coefficients and their agreement is recorded as a
     check.  Each mode's connection is the run's (Run.mode) and the
-    oracle is built once for all points; the per-point tables are
-    slices of those batches.  A connection that is not finite, or an
-    oracle whose finite-difference steps leave the metric's domain, is
-    a numerical failure.
+    oracle is built once per run, for all points, from the first mode's
+    coordinate metric (scenario.g) after that mode's connection is
+    checked; the per-point tables are slices of those batches.  A
+    connection that is not finite, or an oracle whose finite-difference
+    steps leave the metric's domain, is a numerical failure.
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform
     step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
+    oracle = None
     for mode in spec.modes:
         scenario, _, conn = ctx.mode(mode)
         points = scenario.chart.points
@@ -247,11 +252,12 @@ def run_build_connection(ctx: Run):
             for k, point in enumerate(scenario.chart.sample_points)
         ]
         if has_oracle:
-            try:
-                oracle = coordinate_christoffel(_metric_field(spec), points, step=step)
-            except EvaluationError as exc:
-                raise NumericalError(
-                    f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
+            if oracle is None:
+                try:
+                    oracle = coordinate_christoffel(scenario.g, points, step=step)
+                except EvaluationError as exc:
+                    raise NumericalError(
+                        f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
             for entry, table in zip(entries, oracle):
                 entry["tangent-oracle"] = table.tolist()
             worst = worst_residual(0.0, conn.Gamma - oracle)

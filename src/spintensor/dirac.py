@@ -6,7 +6,7 @@ constants are: the 4x4 spin-metric d, the chirality operator H, the
 Hermitian pairing D and the gamma-symbols whose fixed-tangent-index
 slices are the Dirac matrices.  Frame kinds (orthonormal / chiral /
 self-adjoint and their "anti" twins) are decided by exact matrix match,
-and the P/T/PT inversions are constant spinor transitions between them.
+and the P/T/PT inversions are constant 4x4 spinor matrices between them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chiral import G_UPPER
-from .frames import FrameTransition, MatrixField, transform_components
+from .frames import transform_components
 from .lorentz_cover import MINKOWSKI
 from .tensor_core import SpinTensorValue, TensorSignature, tau
 
@@ -124,8 +124,10 @@ class DiracConstants:
             g_upper=g_upper,
         )
 
-    def transform(self, trans: FrameTransition, point=(0.0, 0.0, 0.0, 0.0)):
-        """Constants of the frame reached through a spinor transition.
+    def transform(self, spin):
+        """Constants of the frame reached through the constant spinor
+        transition spin (new frame vector i is column i in the old
+        frame), the tangent frame staying put.
 
         Primary matrices are re-expressed per their signatures; derived
         companions are rebuilt, which keeps all inverse relations exact.
@@ -135,7 +137,8 @@ class DiracConstants:
         dd_sig = TensorSignature(beta=1, gamma=1, spinor_dim=4)
         gamma_sig = TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)
         g_sig = TensorSignature(n=2, spinor_dim=4)
-        jets = trans.jets(point)
+        eye = np.eye(4)
+        jets = ((eye, None), (eye, None), (spin, None), (np.linalg.inv(spin), None))
 
         def move(sig, components):
             return transform_components(sig, (components, None), jets)[0]
@@ -153,14 +156,9 @@ class DiracConstants:
 
 
 def canonical_dirac_constants() -> DiracConstants:
-    constants = DiracConstants.from_primary(
-        D_DIRAC, H_DIRAC, DD_DIRAC, GAMMA, MINKOWSKI
-    )
-    residuals = verify_dirac_identities(constants)
-    worst = max(residuals.values())
-    if worst != 0.0:
-        raise AssertionError(f"canonical Dirac identity suite residual {worst}")
-    return constants
+    """The canonical tables with their companions.  Nothing is checked
+    here: verify_dirac_identities gives residual 0 on them."""
+    return DiracConstants.from_primary(D_DIRAC, H_DIRAC, DD_DIRAC, GAMMA, MINKOWSKI)
 
 
 def verify_dirac_identities(constants: DiracConstants) -> dict:
@@ -317,13 +315,12 @@ _INVERSIONS = {
 }
 
 
-def frame_inversion(kind: str) -> FrameTransition:
-    """Constant spinor transition for the P, T or PT frame inversion."""
+def frame_inversion(kind: str) -> np.ndarray:
+    """Constant 4x4 spinor matrix of the P, T or PT frame inversion, for
+    DiracConstants.transform."""
     if kind not in _INVERSIONS:
         raise ValueError("kind must be one of 'P', 'T', 'PT'")
-    return FrameTransition(
-        MatrixField.constant(np.eye(4)), MatrixField.constant(_INVERSIONS[kind]), spinor_dim=4
-    )
+    return _INVERSIONS[kind].copy()
 
 
 def embed_chiral_frame() -> dict:
@@ -333,31 +330,27 @@ def embed_chiral_frame() -> dict:
     barred dual co-frame.  Asserts the block layout of the embedded
     structure matrices: the Dirac spin-metric splits into the chiral
     spin-metric and its negated inverse-transpose block, and the
-    top-right gamma blocks are exactly the chiral mixed symbols.
+    top-right gamma blocks are exactly the chiral mixed symbols.  The
+    checks read the canonical module tables (D_DIRAC, H_DIRAC, DD_DIRAC,
+    GAMMA, MINKOWSKI) directly.
     """
-    constants = canonical_dirac_constants()
     d2 = np.array([[0, 1], [-1, 0]], dtype=complex)
     expected_d = np.zeros((4, 4), dtype=complex)
     expected_d[:2, :2] = d2
     expected_d[2:, 2:] = -d2
-    if not np.array_equal(constants.d_lower, expected_d):
+    if not np.array_equal(D_DIRAC, expected_d):
         raise AssertionError("embedded spin-metric does not have the chiral block layout")
-    if not np.array_equal(constants.H, np.diag([1, 1, -1, -1]).astype(complex)):
+    if not np.array_equal(H_DIRAC, np.diag([1, 1, -1, -1]).astype(complex)):
         raise AssertionError("chirality operator is not the block sign matrix")
     # top-right gamma block carries the chiral mixed symbols through the
     # dual-frame pairing; bottom-left is the tangent-raised conjugate
-    if not np.array_equal(constants.gamma[:2, 2:, :], G_UPPER):
+    # (MINKOWSKI is its own inverse)
+    if not np.array_equal(GAMMA[:2, 2:, :], G_UPPER):
         raise AssertionError("gamma top-right blocks do not match the chiral symbols")
-    expected_bottom = np.einsum("mq,jiq->ijm", constants.g_upper, np.conj(G_UPPER))
-    if not np.array_equal(constants.gamma[2:, :2, :], expected_bottom):
+    expected_bottom = np.einsum("mq,jiq->ijm", MINKOWSKI, np.conj(G_UPPER))
+    if not np.array_equal(GAMMA[2:, :2, :], expected_bottom):
         raise AssertionError("gamma bottom-left blocks do not match the paired symbols")
-    kind = classify_frame(constants.d_lower, constants.H, constants.D_lower)
+    kind = classify_frame(D_DIRAC, H_DIRAC, DD_DIRAC)
     if kind != DiracFrameKind("ortho", "chiral", "self-adjoint"):
         raise AssertionError("embedded frame does not classify canonically")
-    return {
-        "d": constants.d_lower,
-        "H": constants.H,
-        "D": constants.D_lower,
-        "gamma": constants.gamma,
-        "kind": kind,
-    }
+    return {"d": D_DIRAC, "H": H_DIRAC, "D": DD_DIRAC, "gamma": GAMMA, "kind": kind}

@@ -62,14 +62,14 @@ def _split_arrays(h, gamma, d_lower, d_upper):
     )
 
 
-def chirality_split(constants: DiracConstants, tol=0.0) -> ChiralitySplit:
+def chirality_split(constants: DiracConstants) -> ChiralitySplit:
     """Build and verify the projector split of one frame's constants.
 
     Verifies projector algebra, the vanishing of the same-chirality
     gamma pieces, reconstruction of gamma from the two cross pieces, and
     the metric-contraction identities relating split gammas to the split
     spin-metrics and to the projectors.  All checks are exact (residual
-    0) on canonical constants; tol admits rounding for transformed ones.
+    0) on canonical constants.
     """
     jets = _split_arrays(
         *((arr, None) for arr in (constants.H, constants.gamma, constants.d_lower, constants.d_upper))
@@ -80,7 +80,7 @@ def chirality_split(constants: DiracConstants, tol=0.0) -> ChiralitySplit:
 
     def check(name, lhs, rhs=None):
         diff = lhs if rhs is None else lhs - rhs
-        if float(np.max(np.abs(diff))) > tol:
+        if np.any(diff):
             raise AssertionError(f"chirality split check failed: {name}")
 
     check("projector-sum", bh + ch, eye)

@@ -355,12 +355,12 @@ class FrameTransition:
         return s, inverse_jet(s), ss, inverse_jet(ss)
 
 
-def check_inverse_pairs(jets, points, tol=1e-10):
+def check_inverse_pairs(jets, points):
     """Check S T = 1 and Ss Ts = 1 at every point from held (S, T, Ss, Ts) jets."""
     (s, _), (t, _), (ss, _), (ts, _) = jets
     for a, b in ((s, t), (ss, ts)):
         residual = np.max(np.abs(a @ b - np.eye(a.shape[-1])), axis=(-2, -1))
-        check_points(residual > tol, points, "transition inverse pair is inconsistent")
+        check_points(residual > 1e-10, points, "transition inverse pair is inconsistent")
 
 
 @dataclass(frozen=True)

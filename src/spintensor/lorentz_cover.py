@@ -42,19 +42,19 @@ class LorentzMatrix:
     """Real 4x4 member of the proper orthochronous Lorentz group."""
 
     entries: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
+        tol = 1e-9
         arr = np.asarray(self.entries, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         if arr.shape != (4, 4):
             raise ValueError("Lorentz matrix must be 4x4")
-        if np.max(np.abs(arr.T @ MINKOWSKI @ arr - MINKOWSKI)) > self.tol:
+        if np.max(np.abs(arr.T @ MINKOWSKI @ arr - MINKOWSKI)) > tol:
             raise ValueError("matrix does not preserve the Minkowski form")
-        if abs(np.linalg.det(arr) - 1.0) > self.tol:
+        if abs(np.linalg.det(arr) - 1.0) > tol:
             raise ValueError("matrix is not special (det != 1)")
-        if arr[0, 0] < 1.0 - self.tol:
+        if arr[0, 0] < 1.0 - tol:
             raise ValueError("matrix is not orthochronous")
 
     def __matmul__(self, other):
@@ -87,10 +87,10 @@ def phi(s_spin: np.ndarray) -> LorentzMatrix:
     return LorentzMatrix(out)
 
 
-def random_sl2c(seed: int, max_retries: int = 16) -> np.ndarray:
+def random_sl2c(seed: int) -> np.ndarray:
     """Seeded Gaussian 2x2 complex matrix rescaled to determinant one."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(16):
         raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         det = np.linalg.det(raw)
         if abs(det) > 1e-6:

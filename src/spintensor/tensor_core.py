@@ -3,11 +3,15 @@
 A spin-tensor of type (alpha,beta|nu,gamma|m,n) carries alpha
 contravariant and beta covariant spinor indices, nu/gamma barred spinor
 indices and m/n tangent indices.  Components are stored densely in the
-canonical axis order
+canonical axis order ORDER of the six (family, variance) blocks
 
     (contravariant spinor, covariant spinor,
      contravariant barred, covariant barred,
      contravariant tangent, covariant tangent).
+
+Every operation that moves slots (tau, outer, contract, raise_lower)
+lists the slots its raw result carries and stably sorts its axes by
+ORDER; the signature is read off the same list.
 
 Spinor indices run 1..spinor_dim in the public accessors (0-based in
 storage), tangent indices run 0..3 everywhere.
@@ -21,10 +25,21 @@ import numpy as np
 
 TANGENT_DIM = 4
 
-# index families, in canonical storage order of their (up, down) blocks
 SPINOR = "spinor"
 BARRED = "barred"
 TANGENT = "tangent"
+
+# the six (family, is_contravariant) blocks in canonical storage order,
+# and the TensorSignature count field that sizes each
+ORDER = (
+    (SPINOR, True),
+    (SPINOR, False),
+    (BARRED, True),
+    (BARRED, False),
+    (TANGENT, True),
+    (TANGENT, False),
+)
+COUNT_FIELDS = ("alpha", "beta", "nu", "gamma", "m", "n")
 
 
 @dataclass(frozen=True)
@@ -48,15 +63,11 @@ class TensorSignature:
 
     @property
     def slots(self):
-        """Canonical list of (family, is_contravariant) per axis."""
-        return (
-            [(SPINOR, True)] * self.alpha
-            + [(SPINOR, False)] * self.beta
-            + [(BARRED, True)] * self.nu
-            + [(BARRED, False)] * self.gamma
-            + [(TANGENT, True)] * self.m
-            + [(TANGENT, False)] * self.n
-        )
+        """Canonical tuple of (family, is_contravariant) per axis."""
+        slots = ()
+        for block, name in zip(ORDER, COUNT_FIELDS):
+            slots += (block,) * getattr(self, name)
+        return slots
 
     @property
     def shape(self):
@@ -69,42 +80,10 @@ class TensorSignature:
     def rank(self):
         return self.alpha + self.beta + self.nu + self.gamma + self.m + self.n
 
-    def counts(self):
-        return {
-            (SPINOR, True): self.alpha,
-            (SPINOR, False): self.beta,
-            (BARRED, True): self.nu,
-            (BARRED, False): self.gamma,
-            (TANGENT, True): self.m,
-            (TANGENT, False): self.n,
-        }
-
-    def with_counts(self, counts):
-        return TensorSignature(
-            alpha=counts[(SPINOR, True)],
-            beta=counts[(SPINOR, False)],
-            nu=counts[(BARRED, True)],
-            gamma=counts[(BARRED, False)],
-            m=counts[(TANGENT, True)],
-            n=counts[(TANGENT, False)],
-            spinor_dim=self.spinor_dim,
-        )
-
-    def block_start(self, family, contravariant):
-        """First axis index of the (family, variance) block."""
-        start = 0
-        for fam, up in (
-            (SPINOR, True),
-            (SPINOR, False),
-            (BARRED, True),
-            (BARRED, False),
-            (TANGENT, True),
-            (TANGENT, False),
-        ):
-            if (fam, up) == (family, contravariant):
-                return start
-            start += self.counts()[(fam, up)]
-        raise KeyError((family, contravariant))
+    def with_slots(self, slots):
+        """The signature, of the same spinor_dim, that holds slots (in any order)."""
+        counts = {name: slots.count(block) for block, name in zip(ORDER, COUNT_FIELDS)}
+        return TensorSignature(**counts, spinor_dim=self.spinor_dim)
 
 
 @dataclass(frozen=True)
@@ -193,6 +172,13 @@ class MetricMatrices:
         return self.d_lower.shape[0]
 
 
+def _canonical(sig: TensorSignature, slots, components) -> SpinTensorValue:
+    """The value whose axes carry slots, in that order, with its axes
+    stably sorted into canonical block order (ORDER)."""
+    perm = sorted(range(len(slots)), key=lambda axis: ORDER.index(slots[axis]))
+    return SpinTensorValue(sig.with_slots(slots), np.transpose(components, perm))
+
+
 def tau(x: SpinTensorValue) -> SpinTensorValue:
     """Semilinear involution exchanging barred and unbarred spinor blocks.
 
@@ -200,25 +186,9 @@ def tau(x: SpinTensorValue) -> SpinTensorValue:
     components from the conjugated barred components of the argument and
     vice versa; tangent slots are untouched.
     """
-    sig = x.signature
-    new_sig = TensorSignature(
-        alpha=sig.nu,
-        beta=sig.gamma,
-        nu=sig.alpha,
-        gamma=sig.beta,
-        m=sig.m,
-        n=sig.n,
-        spinor_dim=sig.spinor_dim,
-    )
-    u_up = list(range(0, sig.alpha))
-    u_down = list(range(sig.alpha, sig.alpha + sig.beta))
-    b_up = list(range(sig.alpha + sig.beta, sig.alpha + sig.beta + sig.nu))
-    b_down = list(
-        range(sig.alpha + sig.beta + sig.nu, sig.alpha + sig.beta + sig.nu + sig.gamma)
-    )
-    tangent = list(range(sig.alpha + sig.beta + sig.nu + sig.gamma, sig.rank))
-    perm = b_up + b_down + u_up + u_down + tangent
-    return SpinTensorValue(new_sig, np.conj(np.transpose(x.components, perm)))
+    swap = {SPINOR: BARRED, BARRED: SPINOR, TANGENT: TANGENT}
+    slots = [(swap[family], up) for family, up in x.signature.slots]
+    return _canonical(x.signature, slots, np.conj(x.components))
 
 
 def outer(x: SpinTensorValue, y: SpinTensorValue) -> SpinTensorValue:
@@ -230,24 +200,8 @@ def outer(x: SpinTensorValue, y: SpinTensorValue) -> SpinTensorValue:
     sx, sy = x.signature, y.signature
     if sx.spinor_dim != sy.spinor_dim:
         raise ValueError("spinor dimensions differ")
-    counts = {key: sx.counts()[key] + sy.counts()[key] for key in sx.counts()}
-    new_sig = sx.with_counts(counts)
     raw = np.tensordot(x.components, y.components, axes=0)
-    # raw axis order: x blocks then y blocks; interleave per block
-    perm = []
-    for fam, up in (
-        (SPINOR, True),
-        (SPINOR, False),
-        (BARRED, True),
-        (BARRED, False),
-        (TANGENT, True),
-        (TANGENT, False),
-    ):
-        xs = sx.block_start(fam, up)
-        perm.extend(range(xs, xs + sx.counts()[(fam, up)]))
-        ys = sy.block_start(fam, up)
-        perm.extend(range(sx.rank + ys, sx.rank + ys + sy.counts()[(fam, up)]))
-    return SpinTensorValue(new_sig, np.transpose(raw, perm))
+    return _canonical(sx, sx.slots + sy.slots, raw)
 
 
 def contract(x: SpinTensorValue, slot_a: int, slot_b: int) -> SpinTensorValue:
@@ -262,11 +216,8 @@ def contract(x: SpinTensorValue, slot_a: int, slot_b: int) -> SpinTensorValue:
         raise ValueError(f"cannot contract {fam_a} slot with {fam_b} slot")
     if not (up_a and not up_b):
         raise ValueError("slot_a must be contravariant and slot_b covariant")
-    counts = x.signature.counts()
-    counts[(fam_a, True)] -= 1
-    counts[(fam_a, False)] -= 1
-    new_sig = x.signature.with_counts(counts)
-    return SpinTensorValue(new_sig, np.trace(x.components, axis1=slot_a, axis2=slot_b))
+    rest = [block for axis, block in enumerate(slots) if axis not in (slot_a, slot_b)]
+    return _canonical(x.signature, rest, np.trace(x.components, axis1=slot_a, axis2=slot_b))
 
 
 def _family_metric(metrics: MetricMatrices, family, direction):
@@ -303,12 +254,7 @@ def raise_lower(
     if family != TANGENT and x.signature.spinor_dim != metrics.spinor_dim:
         raise ValueError("metric spinor dimension mismatch")
     metric = _family_metric(metrics, family, direction)
-    counts = x.signature.counts()
-    counts[(family, up)] -= 1
-    counts[(family, not up)] += 1
-    new_sig = x.signature.with_counts(counts)
     moved = np.tensordot(x.components, metric, axes=([slot], [0]))
-    # tensordot leaves the new index last; put it at the end of its block
-    dest = new_sig.block_start(family, not up) + counts[(family, not up)] - 1
-    return SpinTensorValue(new_sig, np.moveaxis(moved, -1, dest))
-
+    # tensordot leaves the new index last, so the stable sort puts it
+    # at the end of its block
+    return _canonical(x.signature, slots[:slot] + slots[slot + 1:] + ((family, not up),), moved)

@@ -19,7 +19,7 @@ SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 
 @np.errstate(all="ignore")  # a negative square or an overflow fails the check below
-def signed_cholesky(g, signs=SIGNS):
+def signed_cholesky(g):
     """Lower-triangular L with positive diagonal and g = L eta L^T.
 
     g may carry leading batch axes; every point must admit a finite
@@ -32,20 +32,20 @@ def signed_cholesky(g, signs=SIGNS):
     for j in range(n):
         acc = g[..., j, j]
         for k in range(j):
-            acc = acc - signs[k] * lower[..., j, k] ** 2
-        lower[..., j, j] = np.sqrt(signs[j] * acc)
+            acc = acc - SIGNS[k] * lower[..., j, k] ** 2
+        lower[..., j, j] = np.sqrt(SIGNS[j] * acc)
         for i in range(j + 1, n):
             acc = g[..., i, j]
             for k in range(j):
-                acc = acc - signs[k] * lower[..., i, k] * lower[..., j, k]
-            lower[..., i, j] = signs[j] * acc / lower[..., j, j]
+                acc = acc - SIGNS[k] * lower[..., i, k] * lower[..., j, k]
+            lower[..., i, j] = SIGNS[j] * acc / lower[..., j, j]
     admits = np.isfinite(lower).all(axis=(-2, -1)) & (np.diagonal(lower, 0, -2, -1) > 0).all(-1)
     check_points(~admits, None, "metric does not admit a time-first orthonormal factor",
                  ValueError)
     return lower
 
 
-def signed_cholesky_partial(lower, dg, signs=SIGNS):
+def signed_cholesky_partial(lower, dg):
     """Derivative of L from the derivative of g at fixed factorization.
 
     With X = L^-1 dL (lower triangular) and M = L^-1 dg L^-T, the
@@ -59,7 +59,7 @@ def signed_cholesky_partial(lower, dg, signs=SIGNS):
     # one broadcast axis per derivative axis of dg
     lower = lower.reshape(lower.shape[:-2] + (1,) * (dg.ndim - lower.ndim) + lower.shape[-2:])
     linv = np.linalg.inv(lower)
-    scaled = (linv @ dg @ np.swapaxes(linv, -1, -2)) * np.asarray(signs)
+    scaled = (linv @ dg @ np.swapaxes(linv, -1, -2)) * np.asarray(SIGNS)
     x = np.tril(scaled) - 0.5 * scaled * np.eye(lower.shape[-1])
     return lower @ x
 

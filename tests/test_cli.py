@@ -16,7 +16,7 @@ from spintensor.cli import (
     main,
     run,
 )
-from spintensor import cli, scenarios
+from spintensor import chiral, cli, dirac, frames, scenarios
 from spintensor.chiral import ChiralScenario
 from spintensor.scenarios import bundled_scenario_names
 
@@ -405,7 +405,9 @@ CATALOG = [
                  bad_metric("(0.0, 0.0, 0.0, 0.0)", "partial derivative: division by zero"),
                  id="failing-partial"),
     # finite cells whose frame bracket is not finite: the concordance
-    # residuals fail, and so does the seeded frame change
+    # residuals fail, and so does the seeded frame change (its frame
+    # metric diag(1.2e20, -1, -1, -1), once moved, loses its signature
+    # to rounding)
     pytest.param(with_changes("diag-scale", seed=0, metric=diag("1e-300", "-1", "-1", "-1"),
                               frame=diag("1e160*exp(x0)", "1", "1", "1")),
                  [[0.1, 0.2, 0.3, 0.4]],
@@ -416,8 +418,18 @@ CATALOG = [
                                      "dirac-nabla-gamma-symbols, dirac-nabla-chirality, "
                                      "dirac-nabla-pairing, dirac-chirality-involution-derivative\n"),
                   "covariance": (1, "numerical failure: seeded deformation 0: metric at "
-                                    "(0.1, 0.2, 0.3, 0.4): not symmetric\n")},
+                                    "(0.1, 0.2, 0.3, 0.4): signature is not (+,-,-,-)\n")},
                  id="non-finite-frame-bracket"),
+    # a large valid metric: the symmetry check scales with |g|, so the
+    # rounding of a seeded frame change passes it
+    pytest.param(with_metric("diag-scale", g00="1e8"), GOOD, both(0), id="large-metric"),
+    # ill-conditioned enough that the moved connection itself loses A's
+    # reality to rounding
+    pytest.param(with_metric("diag-scale", g00="1e12"), GOOD,
+                 {"concordance": (0, ""),
+                  "covariance": (1, "numerical failure: Abar is not the conjugate of A at "
+                                    "(0.5, 0.2, -0.3, 0.1)\n")},
+                 id="ill-conditioned-metric"),
 ]
 
 
@@ -505,6 +517,54 @@ def test_all_evaluates_each_table_and_builds_each_connection_once(name, counted_
     code, _ = run_captured("all", spec_path=name)
     assert code == 0
     assert counted_work == {"ChiralScenario": 1, "DiracScenario": 1, "chiral": 4, "dirac": 1}
+
+
+def test_build_connection_evaluates_the_oracle_once(monkeypatch):
+    # per mode, the table evaluates the metric and its partials (2
+    # expression grids; the coordinate frame is constant); the oracle,
+    # built once for both modes, evaluates the metric at the points and
+    # at 8 steps from them (9)
+    calls = []
+    values_at = frames.values_at
+
+    def counted(*args):
+        calls.append(1)
+        return values_at(*args)
+
+    monkeypatch.setattr(frames, "values_at", counted)
+    code, _ = run_captured("build-connection", spec_path="diag-scale")
+    assert code == 0
+    assert len(calls) == 13
+
+
+def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
+    # the chiral suite once; the Dirac suite and the Dirac tables once
+    # canonically and once per P/T/PT inversion
+    counts = collections.Counter()
+
+    def counting(module, name):
+        function = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+
+        for owner in (module, cli):
+            monkeypatch.setattr(owner, name, counted)
+
+    counting(chiral, "verify_chiral_identities")
+    counting(dirac, "verify_dirac_identities")
+    from_primary = dirac.DiracConstants.from_primary.__func__
+
+    def counted_from_primary(cls, *args):
+        counts["from_primary"] += 1
+        return from_primary(cls, *args)
+
+    monkeypatch.setattr(dirac.DiracConstants, "from_primary", classmethod(counted_from_primary))
+    code, _ = run_captured("verify-identities")
+    assert code == 0
+    assert counts == {"verify_chiral_identities": 1, "verify_dirac_identities": 4,
+                      "from_primary": 4}
 
 
 def test_an_oracle_step_outside_the_metric_domain_is_a_numerical_failure(capsys, tmp_path):
