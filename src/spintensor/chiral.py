@@ -208,12 +208,11 @@ def _check_metric(jet):
     return jet
 
 
-def _check_torsion(jet):
-    """A torsion jet, checked to be antisymmetric in its lower indices."""
-    t = jet[0]
+def _check_torsion(t):
+    """A torsion value, checked to be antisymmetric in its lower indices."""
     check_points(~(np.max(np.abs(t + np.swapaxes(t, -1, -2)), axis=(-3, -2, -1)) <= 1e-12),
                  None, "not antisymmetric", ValueError)
-    return jet
+    return t
 
 
 class ChiralScenario:
@@ -221,10 +220,11 @@ class ChiralScenario:
 
     frame, g (the coordinate metric) and the optional torsion are the
     scenario's own fields.  Its structure data at a batch of points is
-    one table, jets(points): the frame, every STRUCTURE_FIELDS attribute
-    (g among them as the frame components U^T g U) and the torsion, each
-    evaluated once.  Constructing a scenario evaluates nothing: the
-    table is the only place its fields are evaluated and checked.
+    one table, jets(points): the jets of the frame and of every
+    STRUCTURE_FIELDS attribute (g among them as the frame components
+    U^T g U) and the torsion's value, each evaluated once.
+    Constructing a scenario evaluates nothing: the table is the only
+    place its fields are evaluated and checked.
 
     STRUCTURE_FIELDS lists every field the metric connection annihilates
     as (check name, attribute, tensor type, real-valued?).  Besides g,
@@ -255,13 +255,15 @@ class ChiralScenario:
     def jets(self, points):
         """The structure data at points as one table of jets.
 
-        Maps "frame", every STRUCTURE_FIELDS attribute and "torsion" to
-        (value, d), d the coordinate partials (the torsion enters
-        undifferentiated and has d None).  Each field is evaluated once:
-        the metric entry is U^T g U from the frame jet and the
-        coordinate metric's jet.  The symbols are derived from it: in a
-        non-orthonormal frame they carry the orthonormal factor of g on
-        the tangent slot instead of staying canonical.  A frame, metric
+        Maps "frame" and every STRUCTURE_FIELDS attribute to a jet
+        (value, d), d the coordinate partials or None where they are
+        exactly zero (the CANONICAL entries, the coordinate frame, a
+        constant metric), and "torsion" to a bare value: nothing reads
+        its partials, and no torsion is a zero value.  Each field is
+        evaluated once: the metric entry is U^T g U from the frame jet
+        and the coordinate metric's jet.  The symbols are derived from
+        it: in a non-orthonormal frame they carry the orthonormal factor
+        of g on the tangent slot instead of staying canonical.  A frame, metric
         or torsion that cannot be evaluated or fails its check raises a
         FieldError naming it and its first failing point.  Entries are
         evaluated and checked in table order (frame, metric, torsion,
@@ -281,8 +283,8 @@ class ChiralScenario:
             table[attr] = constant_jet(value, points)
         with _entry("torsion", points):
             table["torsion"] = (
-                constant_jet(np.zeros((4, 4, 4)), points, deriv=False) if self.torsion is None
-                else _check_torsion(self.torsion.jet(points, deriv=False))
+                constant_jet(np.zeros((4, 4, 4)), points)[0] if self.torsion is None
+                else _check_torsion(self.torsion(points))
             )
         for trans in self.transitions:
             table = self.deform_jets(table, trans, points)[0]
@@ -294,19 +296,23 @@ class ChiralScenario:
 
         The transition is evaluated once and its S and Ss are checked
         like a frame.  The frame becomes U S, checked to be non-singular;
-        every other entry, the torsion included, is re-expressed with
-        transform_components.  The moved metric and torsion are checked
-        like the scenario's own.  A failure raises a FieldError.
+        every other entry is re-expressed with transform_components, the
+        torsion's value with the transition's values alone.  The moved
+        metric and torsion are checked like the scenario's own.  A
+        failure raises a FieldError.
         """
         with _entry("frame", points):
             trans_jets = trans.jets(points)
             moved = {"frame": check_frame(
                 einsum_jet("ij,jk->ik", table["frame"], trans_jets[0]), points)}
-        torsion = ("torsion", "torsion", TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim), True)
-        for _, attr, sig, real in self.STRUCTURE_FIELDS + (torsion,):
+        for _, attr, sig, real in self.STRUCTURE_FIELDS:
             value, d = transform_components(sig, table[attr], trans_jets)
             part = np.real if real else np.asarray
             moved[attr] = (part(value), None if d is None else part(d))
+        torsion_sig = TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim)
+        values = tuple((value, None) for value, _ in trans_jets)
+        moved["torsion"] = np.real(
+            transform_components(torsion_sig, (table["torsion"], None), values)[0])
         with _entry("metric", points):
             _check_metric(moved["g"])
         with _entry("torsion", points):
@@ -356,7 +362,7 @@ class SpinorConnection:
             object.__setattr__(self, name, arr)
 
 
-def metric_tangent_connection(jets) -> np.ndarray:
+def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
     """Tangent coefficients Gamma[..., i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
@@ -365,20 +371,27 @@ def metric_tangent_connection(jets) -> np.ndarray:
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame and T the torsion, all
-    read from a scenario's table of jets.
+    read from a scenario's table of jets.  The L(g) terms drop out for
+    a constant metric.  ginv is g^-1 where the caller already holds it
+    (each builder inverts g once and shares it).
     """
     g, dg = jets["g"]
     g = np.real(g)
-    lg = np.real(along_frame(jets["frame"][0], dg))  # lg[..., r, a, b] = L_r(g)_{ab}
-    ginv = np.linalg.inv(g)
+    lg = along_frame(jets["frame"][0], dg)  # lg[..., r, a, b] = L_r(g)_{ab}
+    if ginv is None:
+        ginv = np.linalg.inv(g)
     c = structural_constants(jets["frame"])
-    t = jets["torsion"][0]
+    t = jets["torsion"]
 
-    gamma = 0.5 * (
-        einsum("kr,ijr->ikj", ginv, lg)
-        + einsum("kr,jri->ikj", ginv, lg)
-        - einsum("kr,rij->ikj", ginv, lg)
-    )
+    if lg is None:
+        gamma = np.zeros(g.shape[:-2] + (4, 4, 4))
+    else:
+        lg = np.real(lg)
+        gamma = 0.5 * (
+            einsum("kr,ijr->ikj", ginv, lg)
+            + einsum("kr,jri->ikj", ginv, lg)
+            - einsum("kr,rij->ikj", ginv, lg)
+        )
     # c enters with the bracket order [frame_i, frame_j]; the sign is
     # pinned by torsion-freeness asym(Gamma) = c, not by metric
     # compatibility (the c-part is g-antisymmetric on its own).
@@ -402,28 +415,29 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
               - 1/4 sum L_r(G^{i sbar}_q) G^q_{j sbar}
               - 1/4 (sum L_r(dbar_{jbar ibar}) dbar^{ibar jbar}) delta^i_j
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
-    unbarred spin-metric trace.  For real metric data Abar = conj(A),
-    checked at every point to 1e-9 relative to 1 + max|A|.
+    unbarred spin-metric trace.  A term whose field is constant (its
+    L None) drops out.  For real metric data Abar = conj(A), checked at
+    every point to 1e-9 relative to 1 + max|A|.
     """
     u = jets["frame"][0]
-    gamma = metric_tangent_connection(jets)
-    ginv = np.linalg.inv(np.real(np.asarray(jets["g"][0])))
+    ginv = np.linalg.inv(np.real(jets["g"][0]))
+    gamma = metric_tangent_connection(jets, ginv)
     gu, dgu = jets["G"]
     d, dd = jets["d"]
     db, ddb = jets["dbar"]
     lgu, ld, ldb = (along_frame(u, x) for x in (dgu, dd, ddb))
-    du = np.linalg.inv(d)
-    dbu = np.linalg.inv(db)
     gl = compute_g_lower_symbols(gu, ginv, d, db)
 
     eye = np.eye(2, dtype=complex)
     a = 0.25 * einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
-    a -= 0.25 * einsum("ribq,qjb->rij", lgu, gl)
-    a -= 0.25 * einsum("rji,ij,ab->rab", ldb, dbu, eye)
-
     abar = 0.25 * einsum("sip,rpq,qsj->rij", gu, gamma, gl)
-    abar -= 0.25 * einsum("rsiq,qsj->rij", lgu, gl)
-    abar -= 0.25 * einsum("rji,ij,ab->rab", ld, du, eye)
+    if lgu is not None:
+        a -= 0.25 * einsum("ribq,qjb->rij", lgu, gl)
+        abar -= 0.25 * einsum("rsiq,qsj->rij", lgu, gl)
+    if ldb is not None:
+        a -= 0.25 * einsum("rji,ij,ab->rab", ldb, np.linalg.inv(db), eye)
+    if ld is not None:
+        abar -= 0.25 * einsum("rji,ij,ab->rab", ld, np.linalg.inv(d), eye)
 
     scale = 1.0 + np.max(np.abs(a), axis=(-3, -2, -1))
     unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > 1e-9 * scale
@@ -455,10 +469,11 @@ def covariant_derivative(
 def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnection):
     """Components of the covariant derivative, direction last, from a
     field's value and its derivatives lie[..., r, :] along the frame
-    vectors; one contraction per slot over every direction and point."""
+    vectors; one contraction per slot over every direction and point.
+    For a constant field (lie None) the connection terms alone."""
     if sig.spinor_dim != conn.spinor_dim:
         raise ValueError("field and connection spinor dimensions differ")
-    out = np.moveaxis(np.asarray(lie), -sig.rank - 1, -1).astype(complex)
+    out = None if lie is None else np.moveaxis(np.asarray(lie), -sig.rank - 1, -1).astype(complex)
     coeff = {SPINOR: conn.A, BARRED: conn.Abar, TANGENT: conn.Gamma}
     old = string.ascii_lowercase[: sig.rank]  # slot letters, all before "r"
     for axis, (family, up) in enumerate(sig.slots):
@@ -466,8 +481,11 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
         # up: + sum_a M[r, z, a] x[..a..]; down: - sum_a x[..a..] M[r, a, z]
         mat = "r" + ("z" + old[axis] if up else old[axis] + "z")
         term = einsum(f"{mat},{old}->{new}r", coeff[family], value)
-        out = out + term if up else out - term
-    return out
+        if out is None:
+            out = term if up else -term
+        else:
+            out = out + term if up else out - term
+    return np.zeros(np.shape(value) + (4,), dtype=complex) if out is None else out
 
 
 def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chiral import ChiralScenario, SpinorConnection, metric_tangent_connection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import along_frame, check_points, einsum, einsum_jet, inverse_jet
+from .frames import add_terms, along_frame, check_points, einsum, einsum_jet, inverse_jet
 from .tensor_core import TensorSignature
 
 
@@ -39,26 +39,22 @@ SPLIT_NAMES = ("bh", "ch", "bc", "cb", "bd_low", "cd_low", "bd_up", "cd_up")
 
 def _split_arrays(h, gamma, d_lower, d_upper):
     """Jets of the projectors and split structure data (SPLIT_NAMES order)
-    from the jets of H, gamma and the spin-metric and its inverse; with
-    partials exactly when H's jet carries them."""
+    from the jets of H, gamma and the spin-metric and its inverse; each
+    has d None where every jet it is made from does (a constant H makes
+    constant projectors)."""
     eye = np.eye(4, dtype=complex)
     h, dh = h
-    deriv = dh is not None
     bh = (0.5 * (eye + h), None if dh is None else 0.5 * dh)
     ch = (0.5 * (eye - h), None if dh is None else -0.5 * dh)
-
-    def split(subscripts, *jets):
-        return einsum_jet(subscripts, *jets, deriv=deriv)
-
     return (
         bh,
         ch,
-        split("ar,sb,rsm->abm", bh, ch, gamma),
-        split("ar,sb,rsm->abm", ch, bh, gamma),
-        split("rb,rs,sh->bh", bh, d_lower, bh),
-        split("rb,rs,sh->bh", ch, d_lower, ch),
-        split("ar,rs,es->ae", bh, d_upper, bh),
-        split("ar,rs,es->ae", ch, d_upper, ch),
+        einsum_jet("ar,sb,rsm->abm", bh, ch, gamma),
+        einsum_jet("ar,sb,rsm->abm", ch, bh, gamma),
+        einsum_jet("rb,rs,sh->bh", bh, d_lower, bh),
+        einsum_jet("rb,rs,sh->bh", ch, d_lower, ch),
+        einsum_jet("ar,rs,es->ae", bh, d_upper, bh),
+        einsum_jet("ar,rs,es->ae", ch, d_upper, ch),
     )
 
 
@@ -181,12 +177,15 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     spinor coefficients are computed either from the simplified closed
     formula ("simplified") or by assembling the four chirality blocks
     ("blocks"); the two routes agree identically and are kept separate
-    as mutual cross-checks.  Abar is the conjugate of A.
+    as mutual cross-checks.  In both, a term with the frame derivative
+    of a constant split array (its L None) drops out.  Abar is the
+    conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    gamma_t = metric_tangent_connection(jets)
-    ginv = np.linalg.inv(np.real(np.asarray(jets["g"][0]))).astype(complex)
+    ginv = np.linalg.inv(np.real(jets["g"][0]))
+    gamma_t = metric_tangent_connection(jets, ginv)
+    ginv = ginv.astype(complex)
 
     d_jet = jets["d"]
     split = _split_arrays(jets["H"], jets["gamma"], d_jet, inverse_jet(d_jet))
@@ -197,33 +196,49 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     bc, cb = values["bc"], values["cb"]
     bd_up, cd_up = values["bd_up"], values["cd_up"]
 
+    def lie_term(subscripts, *operands):
+        # None, exactly zero, when an operand is a constant's L (None)
+        if any(op is None for op in operands):
+            return None
+        return einsum(subscripts, *operands)
+
+    def lie_sum(*terms):
+        # the Lie terms that do not drop out, summed in order; 0.0 if none
+        total = add_terms(*terms)
+        return 0.0 if total is None else total
+
     def trace_times(lie_d, d_up, projector):
         # (sum_ab L_k(d)_{ab} d^{ba}) P_ij
-        return einsum("kab,ba->k", lie_d, d_up)[..., None, None] * projector[..., None, :, :]
+        trace = lie_term("kab,ba->k", lie_d, d_up)
+        return None if trace is None else trace[..., None, None] * projector[..., None, :, :]
 
+    # 0.25 (x + y - z) is 0.25 x + 0.25 y - 0.25 z to the last bit:
+    # scaling by a power of two is exact.
     if method == "blocks":
-        # cross blocks: projector derivatives only
-        bc_a = einsum("sj,kis->kij", ch, lie["bh"])
-        cb_a = einsum("sj,kis->kij", bh, lie["ch"])
         # same-chirality blocks
-        cc_a = 0.25 * einsum("kabm,mn,ian,bj->kij", lie["bc"], ginv, cb, ch)
-        cc_a += 0.25 * trace_times(lie["bd_low"], bd_up, ch)
-        cc_a -= 0.25 * einsum("krm,qjr,mn,iqn->kij", gamma_t, bc, ginv, cb)
-        bb_a = 0.25 * einsum("kabm,mn,ian,bj->kij", lie["cb"], ginv, bc, bh)
-        bb_a += 0.25 * trace_times(lie["cd_low"], cd_up, bh)
-        bb_a -= 0.25 * einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
-        a = bc_a + cb_a + cc_a + bb_a
+        cc_a = 0.25 * (
+            lie_sum(lie_term("kabm,mn,ian,bj->kij", lie["bc"], ginv, cb, ch),
+                    trace_times(lie["bd_low"], bd_up, ch))
+            - einsum("krm,qjr,mn,iqn->kij", gamma_t, bc, ginv, cb)
+        )
+        bb_a = 0.25 * (
+            lie_sum(lie_term("kabm,mn,ian,bj->kij", lie["cb"], ginv, bc, bh),
+                    trace_times(lie["cd_low"], cd_up, bh))
+            - einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
+        )
+        # plus the cross blocks: projector derivatives only
+        a = lie_sum(lie_term("sj,kis->kij", ch, lie["bh"]),
+                    lie_term("sj,kis->kij", bh, lie["ch"])) + cc_a + bb_a
     else:
         a = 0.25 * (
-            trace_times(lie["bd_low"], bd_up, ch) + trace_times(lie["cd_low"], cd_up, bh)
-        )
-        a += 0.25 * (
-            einsum("kajm,mn,ian->kij", lie["bc"], ginv, cb)
-            + einsum("kajm,mn,ian->kij", lie["cb"], ginv, bc)
-        )
-        a -= 0.25 * (
-            einsum("krm,ajr,mn,ian->kij", gamma_t, bc, ginv, cb)
-            + einsum("krm,ajr,mn,ian->kij", gamma_t, cb, ginv, bc)
+            lie_sum(
+                add_terms(trace_times(lie["bd_low"], bd_up, ch),
+                          trace_times(lie["cd_low"], cd_up, bh)),
+                add_terms(lie_term("kajm,mn,ian->kij", lie["bc"], ginv, cb),
+                          lie_term("kajm,mn,ian->kij", lie["cb"], ginv, bc)),
+            )
+            - (einsum("krm,ajr,mn,ian->kij", gamma_t, bc, ginv, cb)
+               + einsum("krm,ajr,mn,ian->kij", gamma_t, cb, ginv, bc))
         )
     return SpinorConnection(gamma_t, a, np.conj(a), spinor_dim=4)
 

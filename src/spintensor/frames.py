@@ -9,6 +9,13 @@ carry the tangent pair (S, T) and the spinor pair (Ss, Ts).  Their
 theta-parameters, the frame change of components and the structural
 constants of a frame all work on jets the caller already holds.
 
+A jet's partials d are None exactly when they are exactly zero (a
+constant): every composition forms no product-rule term for such a
+factor and passes None on where every factor is constant, so no
+constant is carried as an all-zero partial array.  A field's
+value-only reader (field(points), or jet(points, deriv=False)) gives
+no jet at all.
+
 Points carry a leading batch shape: an array of shape (..., 4) holds
 one point per batch index, and every value computed from it carries
 the same leading axes (a single (4,) point has batch shape ()).  A
@@ -19,12 +26,13 @@ order (check_points).
 from __future__ import annotations
 
 import functools
+import operator
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import EvaluationError, Expression, Num, first_index, values_at
+from .expressions import ZERO, EvaluationError, Expression, Num, first_index, values_at
 from .tensor_core import (
     BARRED,
     SPINOR,
@@ -177,10 +185,11 @@ class MatrixField:
 
     jet(points) returns (value, d) with value.shape == (*batch, *shape)
     and d.shape == (*batch, 4, *shape), d[..., a, :] the partial along
-    coordinate a, for points of shape (*batch, 4); jet(points,
-    deriv=False) returns (value, None) and computes no partials.  The
-    field is made from an exact jet function (points, deriv) -> (value,
-    d).
+    coordinate a, for points of shape (*batch, 4), or d None for a
+    constant field.  jet(points, deriv=False) is the value-only reader
+    behind field(points): it computes no partials, and its (value,
+    None) is not a jet and never enters a table.  The field is made
+    from an exact jet function (points, deriv) -> (value, d).
     """
 
     def __init__(self, jet):
@@ -188,14 +197,16 @@ class MatrixField:
 
     @classmethod
     def constant(cls, array):
-        return cls(functools.partial(constant_jet, np.asarray(array)))
+        array = np.asarray(array)
+        return cls(lambda points, deriv: constant_jet(array, points))
 
     @classmethod
     def from_expressions(cls, grid):
         """Build from a (nested list of) DSL strings / Expressions / numbers.
 
-        An EvaluationError carries the batch index of the first failing
-        point: of the values, else of the partials.
+        A grid of constants has d None.  An EvaluationError carries the
+        batch index of the first failing point: of the values, else of
+        the partials.
         """
         grid = np.asarray(grid, dtype=object)
         shape = grid.shape
@@ -207,11 +218,12 @@ class MatrixField:
         ]
 
         partials = [cell.partial(a) for a in range(4) for cell in flat]
+        constant = all(p.ast == ZERO for p in partials)
 
         def jet(points, deriv=True):
             x = np.asarray(points, dtype=float)
             value = values_at(flat, x).reshape(x.shape[:-1] + shape)
-            if not deriv:
+            if not deriv or constant:
                 return value, None
             try:
                 d = values_at(partials, x).reshape(x.shape[:-1] + (4, *shape))
@@ -228,28 +240,24 @@ class MatrixField:
         return self._jet(points, False)[0]
 
 
-def constant_jet(array, points, deriv=True):
+def constant_jet(array, points):
     """Jet of a constant array at points: its value broadcast over the
-    batch and, with deriv, exactly zero partials."""
+    batch, and d None, exactly zero partials."""
     batch = np.shape(points)[:-1]
-    value = np.broadcast_to(array, batch + array.shape)
-    if not deriv:
-        return value, None
-    zero = np.zeros((4, *array.shape), dtype=np.result_type(array, float))
-    return value, np.broadcast_to(zero, batch + zero.shape)
+    return np.broadcast_to(array, batch + array.shape), None
 
 
-def einsum_jet(subscripts, *jets, deriv=True):
+def einsum_jet(subscripts, *jets):
     """Jet of einsum(subscripts, *values) by the product rule.
 
-    Each operand is a (value, d) jet; d None marks a constant factor.
-    subscripts names the per-point axes and its output explicitly
-    ("ij,jk->ik"); values carry leading batch axes (constants may
-    omit them) and d carries the partial index after them.
+    Each operand is a (value, d) jet.  There is one product-rule term
+    per operand whose d is not None; a constant factor (d None) adds
+    none, and d is None when every factor is constant.  subscripts
+    names the per-point axes and its output explicitly ("ij,jk->ik");
+    values carry leading batch axes (constants may omit them) and d
+    carries the partial index after them.
     """
     value = einsum(subscripts, *(v for v, _ in jets))
-    if not deriv:
-        return value, None
     inputs, output = subscripts.split("->")
     inputs = inputs.split(",")
     a = next(c for c in string.ascii_letters if c not in subscripts)
@@ -261,10 +269,14 @@ def einsum_jet(subscripts, *jets, deriv=True):
         for k, (_, d) in enumerate(jets)
         if d is not None
     ]
-    if terms:
-        return value, sum(terms)
-    batch = value.shape[: value.ndim - len(output)]
-    return value, np.zeros(batch + (4,) + value.shape[len(batch):], value.dtype)
+    return value, add_terms(*terms)
+
+
+def add_terms(*terms):
+    """Sum of the terms that are not None, left to right; None, exactly
+    zero, when every term is None."""
+    present = [term for term in terms if term is not None]
+    return functools.reduce(operator.add, present) if present else None
 
 
 def inverse_jet(jet):
@@ -314,8 +326,11 @@ def along_frame(u, d):
     """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d.
 
     u is (..., 4, 4) and d (..., 4, *shape) with the same batch axes;
-    the result has d's shape with the frame index r in place of j.
+    the result has d's shape with the frame index r in place of j.  A
+    constant (d None) has frame derivatives None, exactly zero.
     """
+    if d is None:
+        return None
     batch = u.shape[:-2]
     flat = np.reshape(d, batch + (4, -1))
     return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
@@ -323,12 +338,15 @@ def along_frame(u, d):
 
 def structural_constants(frame_jet) -> np.ndarray:
     """Commutator coefficients c[..., k, i, j] of a frame from its jet
-    (U, dU) at points, antisymmetric in i, j.
+    (U, dU) at points, antisymmetric in i, j; exactly zero for a
+    constant frame (dU None).
 
     [U_i, U_j]^m = sum_a (U^a_i d_a U^m_j - U^a_j d_a U^m_i), expanded
     back in the frame itself.
     """
     u, du = frame_jet  # du[..., a, m, i]
+    if du is None:
+        return np.zeros(u.shape[:-2] + (4, 4, 4))
     bracket = einsum("ai,amj->mij", u, du) - einsum("aj,ami->mij", u, du)
     c = einsum("km,mij->kij", np.linalg.inv(u), bracket)
     return 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
@@ -389,8 +407,11 @@ def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
     u = frame_jet[0]
     out = []
     for (s, ds), (t, dt) in (jets[:2], jets[2:]):
-        first = einsum("ka,iaj->ikj", s, along_frame(u, dt))
-        second = -einsum("ika,aj->ikj", along_frame(u, ds), t)
+        # a constant factor (d None) makes its form exactly zero
+        zero = np.zeros(np.broadcast_shapes(s.shape[:-2], u.shape[:-2]) + (4, *s.shape[-2:]),
+                        dtype=np.result_type(s, t))
+        first = zero if dt is None else einsum("ka,iaj->ikj", s, along_frame(u, dt))
+        second = zero if ds is None else -einsum("ika,aj->ikj", along_frame(u, ds), t)
         disagree = np.max(np.abs(first - second), axis=(-3, -2, -1)) > 1e-6
         check_points(disagree, points, "theta-parameter forms disagree")
         out.append(first)
@@ -406,9 +427,11 @@ def transform_components(sig: TensorSignature, jet, trans_jets):
     goes from untilde to tilde components: Ts on contravariant spinor
     slots, Ss on covariant, conjugates on barred slots, T on
     contravariant tangent, S on covariant tangent; (T, S, Ts, Ss) gives
-    the inverse map.  d is None out when it is None in, else the
-    partials by the product rule over the components and every slot
-    factor (jets without partials count as constant).
+    the inverse map.  The partials follow by the product rule over the
+    components and every slot factor, each with d None (a constant)
+    adding no term: a constant moved by a varying transition varies,
+    and d is None only when the components and every factor are
+    constant.
     """
     value, d = jet
     s, t, ss, ts = trans_jets
@@ -431,7 +454,6 @@ def transform_components(sig: TensorSignature, jet, trans_jets):
         ",".join(inputs) + "->" + new,
         (np.asarray(value, dtype=complex), d),
         *(factors[slot] for slot in sig.slots),
-        deriv=d is not None,
     )
 
 

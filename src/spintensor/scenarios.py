@@ -323,7 +323,7 @@ def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
         out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
         out[..., :2, :2] = top
         out[..., 2:, 2:] = dual
-        if not deriv:
+        if dtop is None:
             return out, None
         d = np.zeros(dtop.shape[:-2] + (4, 4), dtype=complex)
         d[..., :2, :2] = dtop

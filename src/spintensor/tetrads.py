@@ -70,12 +70,13 @@ def derived_symbol_jet(g_jet, canonical):
     canonical is the orthonormal-frame table (rank 3) with the tangent
     index last; the frame components are sum_c canonical[a, b, c] L[q, c]
     with L the signed-Cholesky factor of g, and their partials follow
-    from g's partials through signed_cholesky_partial.
+    from g's partials through signed_cholesky_partial; a constant g
+    (dg None) gives constant symbols.
     """
     g, dg = g_jet
     lower = signed_cholesky(np.real(g))
     return einsum_jet(
         "abc,qc->abq",
         (np.asarray(canonical, dtype=complex), None),
-        (lower, signed_cholesky_partial(lower, np.real(dg))),
+        (lower, None if dg is None else signed_cholesky_partial(lower, np.real(dg))),
     )

@@ -27,10 +27,9 @@ def test_chart_validation():
 
 
 def test_constant_fields_have_exactly_zero_partials():
-    assert MatrixField.constant(3.0).jet(PT)[1][2] == 0.0
-    assert np.array_equal(
-        MatrixField.constant(np.eye(4)).jet(PT)[1][1], np.zeros((4, 4))
-    )
+    # d None is the jet's exactly-zero partials
+    assert MatrixField.constant(3.0).jet(PT)[1] is None
+    assert MatrixField.constant(np.eye(4)).jet(PT)[1] is None
 
 
 def test_matmul_and_inverse_field_partials():
@@ -117,7 +116,8 @@ def test_transform_components_round_trip():
     s, t, ss, ts = trans.jets(PT)
     there = transform_components(sig, (value, None), (s, t, ss, ts))
     back, d = transform_components(sig, there, (t, s, ts, ss))
-    assert d is None
+    # S varies, so the moved components do; a constant comes back constant
+    assert np.max(np.abs(d)) <= 1e-12
     assert np.allclose(back, value, atol=1e-12)
 
 

@@ -155,7 +155,7 @@ def test_derived_symbol_field_reduces_to_canonical_on_minkowski():
     g = MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
     value, d = derived_symbol_jet(g.jet(PT), G_UPPER)
     assert np.array_equal(value, G_UPPER)
-    assert np.max(np.abs(d[2])) == 0.0
+    assert d is None
 
 
 def test_frame_metric_field_of_tetrad_is_minkowski():
