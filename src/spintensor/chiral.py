@@ -7,9 +7,14 @@ Pauli matrices).  The builder produces the unique connection (Gamma, A,
 Abar) annihilating g, d, dbar and G.  A scenario gives its structure
 data at a batch of points as one table of jets, scenario.jets(points),
 with every entry evaluated once; the builders, the tangent connection
-and the one concordance verifier read that table only.  The verifier
-walks a scenario's STRUCTURE_FIELDS table and turns every defining
-property, chiral or Dirac, into a residual.
+and the one concordance verifier read that table only.  The table's
+tangent half (scenario.tangent_jets: the frame, the frame metric and
+its orthonormal factor, the torsion and the transitions' jets) is the
+same for a chiral and a Dirac scenario of the same fields, so a caller
+that holds it (a CLI run) evaluates it once for both tables, and
+tangent_connection's (g^-1, Gamma) once for both builders.  The
+verifier walks a scenario's STRUCTURE_FIELDS table and turns every
+defining property, chiral or Dirac, into a residual.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .tensor_core import (
     SpinTensorValue,
     TensorSignature,
 )
-from .tetrads import derived_symbol_jet
+from .tetrads import orthonormal_factor_jet, symbol_jet
 
 D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
 
@@ -173,13 +178,14 @@ class FieldError(ScenarioError):
 
     field names the entry as validation reports it (frame, metric or
     torsion) and error is the underlying failure, whose batch index (if
-    it has one) gives the point: "<field> at <point>: <error>".
+    it has one) gives the point, named once: "<field> at <point>:
+    <reason>", the reason being the error's message without its point.
     """
 
     def __init__(self, field, error, points):
         index = getattr(error, "index", None)
         where = "" if index is None else f" at {point_label(points, index)}"
-        super().__init__(f"{field}{where}: {error}")
+        super().__init__(f"{field}{where}: {getattr(error, 'reason', error)}")
 
 
 @contextmanager
@@ -215,6 +221,39 @@ def _check_torsion(t):
     return t
 
 
+def _deform_tangent(entries, trans, points):
+    """The frame, g and torsion entries seen from the frame a chiral
+    transition deforms to, and its (S, T, Ss, Ts) jets, at points.
+
+    The transition is evaluated once, its S and Ss checked like a
+    frame; the frame becomes U S, checked to be non-singular; g is
+    re-expressed with transform_components and the torsion (None stays
+    None) with the transition's values alone, both then checked like
+    the scenario's own.  A failure raises a FieldError.
+    """
+    with _entry("frame", points):
+        trans_jets = trans.jets(points)
+        frame = check_frame(einsum_jet("ij,jk->ik", entries["frame"], trans_jets[0]), points)
+    value, d = transform_components(TensorSignature(n=2), entries["g"], trans_jets)
+    g = (np.real(value), None if d is None else np.real(d))
+    torsion = entries["torsion"]
+    if torsion is not None:
+        values = tuple((value, None) for value, _ in trans_jets)
+        torsion = np.real(
+            transform_components(TensorSignature(m=1, n=2), (torsion, None), values)[0])
+    with _entry("metric", points):
+        _check_metric(g)
+    if torsion is not None:
+        with _entry("torsion", points):
+            _check_torsion(torsion)
+    return {"frame": frame, "g": g, "torsion": torsion}, trans_jets
+
+
+def _table(tangent, spinor):
+    """A table in table order from its tangent half and spinor entries."""
+    return {"frame": tangent["frame"], "g": tangent["g"], **spinor, "torsion": tangent["torsion"]}
+
+
 class ChiralScenario:
     """Everything needed to build and test a chiral metric connection.
 
@@ -222,16 +261,19 @@ class ChiralScenario:
     scenario's own fields.  Its structure data at a batch of points is
     one table, jets(points): the jets of the frame and of every
     STRUCTURE_FIELDS attribute (g among them as the frame components
-    U^T g U) and the torsion's value, each evaluated once.
+    U^T g U) and the torsion's value, each evaluated once.  Its
+    tangent half (tangent_jets) holds nothing mode-specific, so a
+    chiral and a Dirac scenario of the same fields can share it.
     Constructing a scenario evaluates nothing: the table is the only
     place its fields are evaluated and checked.
 
     STRUCTURE_FIELDS lists every field the metric connection annihilates
     as (check name, attribute, tensor type, real-valued?).  Besides g,
     each is its CANONICAL constant, except the symbol field named by
-    SYMBOLS, which is derived from g.  transitions (FrameTransition, empty
-    for an undeformed scenario) move the table to the frames they deform
-    to, in order.
+    SYMBOLS, which is derived from g.  transitions (chiral
+    FrameTransitions, empty for an undeformed scenario) move the table
+    to the frames they deform to, in order; spinor_transition gives the
+    spinor pair each one moves this mode's spinor entries with.
     """
 
     spinor_dim = 2
@@ -252,72 +294,85 @@ class ChiralScenario:
         self.torsion = torsion
         self.transitions = transitions
 
-    def jets(self, points):
+    def tangent_jets(self, points):
+        """The tangent half of the table at points.
+
+        Maps "frame", "g" and "torsion" to the table's entries, moved by
+        every transition, "factor" to the jet (L, dL) of the
+        signed-Cholesky factor of the unmoved g, which the symbols
+        derive from, and "transitions" to each transition's (S, T, Ss,
+        Ts) jets.  Each field is evaluated once and checked, in table
+        order: the frame, the metric (U^T g U from the frame jet, then
+        its factor), the torsion (None without one: exactly zero), then
+        each transition (_deform_tangent).  Within an entry its values
+        come first, then its partials, then its checks; the first
+        failure raises a FieldError naming the entry and its first
+        failing point, even where a later one fails at an earlier point.
+        """
+        with _entry("frame", points):
+            u = self.frame.jet(points)
+        with _entry("metric", points):
+            g = _check_metric(einsum_jet("ai,ab,bj->ij", u, self.g.jet(points), u))
+            factor = orthonormal_factor_jet(g)
+        with _entry("torsion", points):
+            torsion = None if self.torsion is None else _check_torsion(self.torsion(points))
+        half = {"frame": u, "g": g, "torsion": torsion}
+        moves = []
+        for trans in self.transitions:
+            half, trans_jets = _deform_tangent(half, trans, points)
+            moves.append(trans_jets)
+        return {**half, "factor": factor, "transitions": tuple(moves)}
+
+    def jets(self, points, tangent=None):
         """The structure data at points as one table of jets.
 
         Maps "frame" and every STRUCTURE_FIELDS attribute to a jet
         (value, d), d the coordinate partials or None where they are
         exactly zero (the CANONICAL entries, the coordinate frame, a
-        constant metric), and "torsion" to a bare value: nothing reads
-        its partials, and no torsion is a zero value.  Each field is
-        evaluated once: the metric entry is U^T g U from the frame jet
-        and the coordinate metric's jet.  The symbols are derived from
-        it: in a non-orthonormal frame they carry the orthonormal factor
-        of g on the tangent slot instead of staying canonical.  A frame, metric
-        or torsion that cannot be evaluated or fails its check raises a
-        FieldError naming it and its first failing point.  Entries are
-        evaluated and checked in table order (frame, metric, torsion,
-        then each transition and its moved table), and within an entry
-        its values come first, then its partials, then its checks; the
-        first failure is the one named, even where a later one fails at
-        an earlier point.
+        constant metric), and "torsion" to a bare value, or None,
+        exactly zero, without torsion: nothing reads its partials.  The
+        frame, g and torsion are the tangent half's, tangent_jets(points),
+        which tangent holds where the caller has it (a run evaluates it
+        once for both modes).  The symbols carry the half's factor of g
+        on their tangent slot; they and the CANONICAL constants are
+        moved by each transition's spinor_transition pair.
         """
-        with _entry("frame", points):
-            u = self.frame.jet(points)
-        table = {"frame": u}
+        if tangent is None:
+            tangent = self.tangent_jets(points)
         symbols, canonical = self.SYMBOLS
-        with _entry("metric", points):
-            table["g"] = _check_metric(einsum_jet("ai,ab,bj->ij", u, self.g.jet(points), u))
-            table[symbols] = derived_symbol_jet(table["g"], canonical)
+        spinor = {symbols: symbol_jet(tangent["factor"], canonical)}
         for attr, value in self.CANONICAL.items():
-            table[attr] = constant_jet(value, points)
-        with _entry("torsion", points):
-            table["torsion"] = (
-                constant_jet(np.zeros((4, 4, 4)), points)[0] if self.torsion is None
-                else _check_torsion(self.torsion(points))
-            )
-        for trans in self.transitions:
-            table = self.deform_jets(table, trans, points)[0]
-        return table
+            spinor[attr] = constant_jet(value, points)
+        for trans_jets in tangent["transitions"]:
+            spinor = self._deform_spinor(spinor, trans_jets, points)
+        return _table(tangent, spinor)
 
     def deform_jets(self, table, trans, points):
-        """The table as seen from the frame a transition deforms to, and
-        the transition's (S, T, Ss, Ts) jets, both at points.
+        """The table as seen from the frame a chiral transition deforms
+        to, and the transition's (S, T, Ss, Ts) jets, both at points.
 
-        The transition is evaluated once and its S and Ss are checked
-        like a frame.  The frame becomes U S, checked to be non-singular;
-        every other entry is re-expressed with transform_components, the
-        torsion's value with the transition's values alone.  The moved
-        metric and torsion are checked like the scenario's own.  A
-        failure raises a FieldError.
+        The frame, g and torsion move as in the tangent half
+        (_deform_tangent), from one evaluation of the transition; every
+        other entry is re-expressed with transform_components by the
+        spinor_transition pair.  A failure raises a FieldError.
         """
+        tangent, trans_jets = _deform_tangent(table, trans, points)
+        spinor = {attr: table[attr] for _, attr, _, _ in self.STRUCTURE_FIELDS if attr != "g"}
+        return _table(tangent, self._deform_spinor(spinor, trans_jets, points)), trans_jets
+
+    def spinor_transition(self, trans_jets, points):
+        """The (S, T, Ss, Ts) jets this mode's spinor entries move with,
+        from a chiral transition's: for the chiral bundle, its own."""
+        return trans_jets
+
+    def _deform_spinor(self, entries, trans_jets, points):
+        """Spinor entries re-expressed with transform_components by the
+        spinor_transition pair of a chiral transition's jets."""
         with _entry("frame", points):
-            trans_jets = trans.jets(points)
-            moved = {"frame": check_frame(
-                einsum_jet("ij,jk->ik", table["frame"], trans_jets[0]), points)}
-        for _, attr, sig, real in self.STRUCTURE_FIELDS:
-            value, d = transform_components(sig, table[attr], trans_jets)
-            part = np.real if real else np.asarray
-            moved[attr] = (part(value), None if d is None else part(d))
-        torsion_sig = TensorSignature(m=1, n=2, spinor_dim=self.spinor_dim)
-        values = tuple((value, None) for value, _ in trans_jets)
-        moved["torsion"] = np.real(
-            transform_components(torsion_sig, (table["torsion"], None), values)[0])
-        with _entry("metric", points):
-            _check_metric(moved["g"])
-        with _entry("torsion", points):
-            _check_torsion(moved["torsion"])
-        return moved, trans_jets
+            spin_jets = self.spinor_transition(trans_jets, points)
+        signature = {attr: sig for _, attr, sig, _ in self.STRUCTURE_FIELDS}
+        return {attr: transform_components(signature[attr], jet, spin_jets)
+                for attr, jet in entries.items()}
 
     def concordance_extras(self, values, grads):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
@@ -371,9 +426,10 @@ def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame and T the torsion, all
-    read from a scenario's table of jets.  The L(g) terms drop out for
-    a constant metric.  ginv is g^-1 where the caller already holds it
-    (each builder inverts g once and shares it).
+    read from a scenario's table of jets or its tangent half.  The L(g)
+    terms drop out for a constant metric and the T terms for a torsion
+    of None.  ginv is g^-1 where the caller already holds it
+    (tangent_connection).
     """
     g, dg = jets["g"]
     g = np.real(g)
@@ -398,13 +454,23 @@ def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
     gamma += 0.5 * einsum("kij->ikj", c)
     gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, c, g)
     gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, c, g)
-    gamma += 0.5 * einsum("kij->ikj", t)
-    gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, t, g)
-    gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, t, g)
+    if t is not None:
+        gamma += 0.5 * einsum("kij->ikj", t)
+        gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, t, g)
+        gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, t, g)
     return gamma
 
 
-def build_chiral_metric_connection(jets, points) -> SpinorConnection:
+def tangent_connection(jets):
+    """(g^-1, Gamma) of a table or of its tangent half: the inverse frame
+    metric and the tangent coefficients, the part of the metric
+    connection both builders share.  A run computes it once, from its
+    tangent half, and passes it to each builder as tangent_conn."""
+    ginv = np.linalg.inv(np.real(jets["g"][0]))
+    return ginv, metric_tangent_connection(jets, ginv)
+
+
+def build_chiral_metric_connection(jets, points, tangent_conn=None) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G at every point.
 
     jets is a chiral scenario's table at points.  The spinor
@@ -417,11 +483,12 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  A term whose field is constant (its
     L None) drops out.  For real metric data Abar = conj(A), checked at
-    every point to 1e-9 relative to 1 + max|A|.
+    every point to 1e-9 relative to 1 + max|A|.  tangent_conn is the
+    table's (g^-1, Gamma) where the caller holds it, else
+    tangent_connection computes it here.
     """
     u = jets["frame"][0]
-    ginv = np.linalg.inv(np.real(jets["g"][0]))
-    gamma = metric_tangent_connection(jets, ginv)
+    ginv, gamma = tangent_connection(jets) if tangent_conn is None else tangent_conn
     gu, dgu = jets["G"]
     d, dd = jets["d"]
     db, ddb = jets["dbar"]
@@ -490,19 +557,12 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
 
 def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
     """Residual report for the concordance conditions of a scenario at
-    points (the sample points by default): table_and_connection, then
+    points (the sample points by default): the scenario's table,
+    evaluated once, build(jets, points) from that same table, then
     concordance_residuals."""
-    jets, conn = table_and_connection(build, scenario, points)
-    return concordance_residuals(scenario, jets, conn)
-
-
-def table_and_connection(build, scenario: ChiralScenario, points=None):
-    """The scenario's table at points (the sample points by default),
-    evaluated once, and build(jets, points), the connection built from
-    that same table."""
     points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
     jets = scenario.jets(points)
-    return jets, build(jets, points)
+    return concordance_residuals(scenario, jets, build(jets, points))
 
 
 def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection) -> dict:

@@ -33,9 +33,15 @@ to the timestamp field.
 
 Each run evaluates a mode's table (scenario.jets) once, at all sample
 points as one batch, and builds its connection once; every stage reads
-them.  That table is also where the scenario is checked: constructing
-a scenario evaluates nothing.  A failure names its own first failing
-point.
+them.  The tangent half of those tables (the frame, the frame metric
+and its orthonormal factor, the torsion and the spec's transition
+jets; ChiralScenario.tangent_jets) is evaluated once per run, by the
+first mode, and so is (g^-1, Gamma) (tangent_connection): the chiral
+and Dirac tables hold the same tangent entries, the Dirac table lifts
+the held chiral transition, and both builders read the same tangent
+coefficients (Run.tangent).  The tables are also where the scenario is
+checked: constructing a scenario evaluates nothing.  A failure names
+its first failing point once.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .chiral import (
     build_chiral_metric_connection,
     canonical_chiral_constants,
     concordance_residuals,
-    table_and_connection,
+    tangent_connection,
     transform_connection,
     verify_chiral_identities,
     worst_residual,
@@ -172,9 +178,14 @@ def _complex_table(arr):
 class Run:
     """One invocation as its stages see it.
 
-    held maps a mode to the spec's scenario for it, its table at the
-    sample points and the connection built from that table, all made
-    on first use (mode) and read by every later stage of the run.
+    tangent is the run's tangent half at the sample points
+    (ChiralScenario.tangent_jets: the frame, the frame metric, its
+    factor, the torsion and the spec's transition jets) and the
+    (g^-1, Gamma) pair built from it (tangent_connection), made once by
+    the first mode.  held maps a mode to the spec's scenario for it,
+    its table at the sample points, read from the tangent half, and the
+    connection built from that table and the held pair, all made on
+    first use (mode) and read by every later stage of the run.
     """
 
     report: ResidualReport
@@ -182,6 +193,7 @@ class Run:
     seed: int = None
     fd_step: float = None
     tol_scale: float = 1.0
+    tangent: tuple = None
     held: dict = field(default_factory=dict)
 
     def mode(self, mode):
@@ -189,7 +201,13 @@ class Run:
         if mode not in self.held:
             loader, build = MODES[mode]
             scenario = loader(self.spec)
-            self.held[mode] = (scenario, *table_and_connection(build, scenario))
+            points = scenario.chart.points
+            if self.tangent is None:
+                half = scenario.tangent_jets(points)
+                self.tangent = half, tangent_connection(half)
+            half, connection = self.tangent
+            jets = scenario.jets(points, half)
+            self.held[mode] = (scenario, jets, build(jets, points, tangent_conn=connection))
         return self.held[mode]
 
 

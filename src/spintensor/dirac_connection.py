@@ -14,9 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralScenario, SpinorConnection, metric_tangent_connection
+from .chiral import ChiralScenario, SpinorConnection, tangent_connection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import add_terms, along_frame, check_points, einsum, einsum_jet, inverse_jet
+from .frames import (
+    add_terms,
+    along_frame,
+    check_frame,
+    check_points,
+    einsum,
+    einsum_jet,
+    inverse_jet,
+)
 from .tensor_core import TensorSignature
 
 
@@ -144,7 +152,10 @@ class DiracScenario(ChiralScenario):
     d is the 4x4 Dirac spin-metric field, gamma the [a, b, m] symbol
     field (derived from g like the chiral mixed symbols), H the
     chirality operator field and D the Hermitian pairing field;
-    canonical constants, deformed only through frame transitions.
+    canonical constants, deformed only through frame transitions.  Its
+    transitions are chiral, like a chiral scenario's, so both share one
+    tangent half; its table lifts each one's spinor part
+    (spinor_transition).
     """
 
     spinor_dim = 4
@@ -159,6 +170,16 @@ class DiracScenario(ChiralScenario):
     CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
     SYMBOLS = ("gamma", GAMMA)
 
+    def spinor_transition(self, trans_jets, points):
+        """The Dirac lift of a chiral transition's held (S, T, Ss, Ts)
+        jets: S and T as they are, the spinor matrix
+        blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet), checked like
+        a frame, and its inverse; the operations
+        scenarios.embedded_dirac_transition evaluates."""
+        s, t, ss, _ = trans_jets
+        block = check_frame(embed_spinor_jet(ss, points), points)
+        return s, t, block, inverse_jet(block)
+
     def concordance_extras(self, values, grads):
         """H nabla H + nabla H H at every point."""
         h, dh = values["H"], grads["H"]  # dh[..., a, b, r]
@@ -168,7 +189,35 @@ class DiracScenario(ChiralScenario):
         }
 
 
-def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorConnection:
+def embed_spinor_jet(ss_jet, points):
+    """Jet of blockdiag(Ss, (Ss^dagger)^-1) from the jet of a chiral
+    spinor transition Ss, which is first checked like a frame.
+
+    The last two Dirac frame vectors are the barred dual co-frame,
+    which transforms with the conjugate inverse transpose.  This keeps
+    the canonical spin-metric block layout, the chirality operator and
+    the pairing intact, so the deformed frame stays canonically chiral.
+    """
+    top, dtop = check_frame(ss_jet, points)
+    dual, ddual = inverse_jet((_adjoint(top), None if dtop is None else _adjoint(dtop)))
+    out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = top
+    out[..., 2:, 2:] = dual
+    if dtop is None:
+        return out, None
+    d = np.zeros(dtop.shape[:-2] + (4, 4), dtype=complex)
+    d[..., :2, :2] = dtop
+    d[..., 2:, 2:] = ddual
+    return out, d
+
+
+def _adjoint(mat):
+    """Conjugate transpose over the last two axes."""
+    return np.conj(np.swapaxes(mat, -1, -2))
+
+
+def build_dirac_metric_connection(jets, points, method="simplified",
+                                  tangent_conn=None) -> SpinorConnection:
     """The unique metric connection of a Dirac scenario at every point.
 
     jets is a Dirac scenario's table at points; points only completes
@@ -179,12 +228,12 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     ("blocks"); the two routes agree identically and are kept separate
     as mutual cross-checks.  In both, a term with the frame derivative
     of a constant split array (its L None) drops out.  Abar is the
-    conjugate of A.
+    conjugate of A.  tangent_conn is the table's (g^-1, Gamma) where the
+    caller holds it, else tangent_connection computes it here.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    ginv = np.linalg.inv(np.real(jets["g"][0]))
-    gamma_t = metric_tangent_connection(jets, ginv)
+    ginv, gamma_t = tangent_connection(jets) if tangent_conn is None else tangent_conn
     ginv = ginv.astype(complex)
 
     d_jet = jets["d"]

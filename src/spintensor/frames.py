@@ -54,12 +54,15 @@ def check_points(bad, points, message, error=NumericalError):
     """Raise error(message at <point>) for the first point where bad holds.
 
     bad has the batch shape of points (..., 4); without points the
-    message names no point.  The error's index is that point's.
+    message names no point.  The error's index is that point's, and its
+    reason the message without the point, for a caller that names the
+    point itself.
     """
     index = first_index(bad)
     if index is not None:
         exc = error(message if points is None else f"{message} at {point_label(points, index)}")
         exc.index = index
+        exc.reason = message
         raise exc
 
 

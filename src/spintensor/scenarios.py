@@ -3,11 +3,16 @@
 A scenario spec is a JSON document describing a chart, a coordinate
 metric, an optional tangent frame and torsion (all as expression
 grids), sample points, tolerances and an optional seeded frame
-deformation.  Loaders turn specs into ChiralScenario / DiracScenario
-objects; the deformation helpers produce smooth seeded transitions as
-matrix exponentials of low-degree polynomial matrix fields.  A deformed
-scenario is its base scenario plus one transition: its table is the
-base table moved entry by entry with one evaluation of the transition.
+deformation.  load_scenario_spec parses the grids once, to fail fast,
+and the spec holds the parsed fields; loaders turn a spec into
+ChiralScenario / DiracScenario objects on those same fields, so the two
+modes of a spec share them and parse nothing again.  The deformation
+helpers produce smooth seeded transitions as matrix exponentials of
+low-degree polynomial matrix fields.  A deformed scenario is its base
+scenario plus one chiral transition: its table is the base table moved
+entry by entry with one evaluation of the transition, whose spinor part
+a Dirac table lifts to blockdiag(Ss, (Ss^dagger)^-1) from the held
+jets.
 """
 
 from __future__ import annotations
@@ -20,17 +25,9 @@ from importlib import resources
 import numpy as np
 
 from .chiral import ChiralScenario
-from .dirac_connection import DiracScenario
+from .dirac_connection import DiracScenario, embed_spinor_jet
 from .expressions import ParseError
-from .frames import (
-    Chart,
-    FrameField,
-    FrameTransition,
-    MatrixField,
-    check_frame,
-    einsum,
-    inverse_jet,
-)
+from .frames import Chart, FrameField, FrameTransition, MatrixField, einsum
 
 SPEC_SCHEMA = "scenario-spec/1"
 
@@ -43,7 +40,13 @@ class SpecError(ValueError):
 
 @dataclass
 class ScenarioSpec:
-    """Validated scenario description."""
+    """Validated scenario description.
+
+    metric_field, frame_field and torsion_field are the metric, frame
+    and torsion grids parsed once, by load_scenario_spec, and every
+    scenario of the spec evaluates those fields; a spec's grids are not
+    reassigned after it is loaded, so the two never disagree.
+    """
 
     name: str
     mode: str  # "chiral" | "dirac" | "both"
@@ -55,6 +58,9 @@ class ScenarioSpec:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 0
     deform: dict = None
+    metric_field: MatrixField = field(default=None, repr=False, compare=False)
+    frame_field: FrameField = field(default=None, repr=False, compare=False)
+    torsion_field: MatrixField = field(default=None, repr=False, compare=False)
 
     @property
     def modes(self):
@@ -111,7 +117,13 @@ def load_scenario_spec(source) -> ScenarioSpec:
     for label, seed in (("seed", data.get("seed", 0)), ("deform.seed", deform.get("seed", 0))):
         is_int = isinstance(seed, int) and not isinstance(seed, bool)
         _check(label, seed, is_int and seed >= 0, "a non-negative integer")
-    spec = ScenarioSpec(
+    # fail fast on bad expressions; the spec keeps the parsed fields
+    try:
+        metric_field, frame_field = _metric_field(metric), _frame_field(frame)
+        torsion_field = _torsion_field(torsion)
+    except ParseError as exc:
+        raise SpecError(f"bad expression in spec: {exc}") from exc
+    return ScenarioSpec(
         name=name,
         mode=mode,
         metric=metric,
@@ -122,15 +134,10 @@ def load_scenario_spec(source) -> ScenarioSpec:
         tolerances={**DEFAULT_TOLERANCES, **tolerances},
         seed=data.get("seed", 0),
         deform=deform or None,
+        metric_field=metric_field,
+        frame_field=frame_field,
+        torsion_field=torsion_field,
     )
-    # fail fast on bad expressions
-    try:
-        _metric_field(spec)
-        _frame_field(spec)
-        _torsion_field(spec)
-    except ParseError as exc:
-        raise SpecError(f"bad expression in spec: {exc}") from exc
-    return spec
 
 
 def _is_finite(value):
@@ -184,42 +191,41 @@ def bundled_scenario(name) -> ScenarioSpec:
 # --- fields from specs -----------------------------------------------
 
 
-def _metric_field(spec: ScenarioSpec) -> MatrixField:
-    if spec.metric == "minkowski":
+def _metric_field(grid) -> MatrixField:
+    if grid == "minkowski":
         return MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
-    return MatrixField.from_expressions(spec.metric)
+    return MatrixField.from_expressions(grid)
 
 
-def _frame_field(spec: ScenarioSpec) -> FrameField:
-    if spec.frame is None:
+def _frame_field(grid) -> FrameField:
+    if grid is None:
         return FrameField.coordinate()
-    return FrameField.from_expressions(spec.frame)
+    return FrameField.from_expressions(grid)
 
 
-def _torsion_field(spec: ScenarioSpec):
-    if spec.torsion is None:
+def _torsion_field(grid):
+    if grid is None:
         return None
-    return MatrixField.from_expressions(spec.torsion)
+    return MatrixField.from_expressions(grid)
 
 
 def chiral_scenario_from_spec(spec: ScenarioSpec) -> ChiralScenario:
-    transitions = (spec_transition(spec, spinor_dim=2),) if spec.deform else ()
-    return _spec_scenario(spec, ChiralScenario, transitions)
+    return _spec_scenario(spec, ChiralScenario)
 
 
 def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
-    transitions = (
-        (embedded_dirac_transition(spec_transition(spec, spinor_dim=2)),) if spec.deform else ()
-    )
-    return _spec_scenario(spec, DiracScenario, transitions)
+    return _spec_scenario(spec, DiracScenario)
 
 
-def _spec_scenario(spec: ScenarioSpec, cls, transitions):
-    """The spec's scenario deformed by transitions.  Nothing is evaluated
-    here: its first table (ChiralScenario.jets) evaluates and checks the
-    base entries, then the transitions."""
+def _spec_scenario(spec: ScenarioSpec, cls):
+    """The spec's scenario on its parsed fields, deformed by the spec's
+    chiral transition if it has one (a Dirac table lifts it).  Nothing
+    is evaluated here: its first table's tangent half
+    (ChiralScenario.tangent_jets) evaluates and checks the base entries,
+    then the transition."""
     chart = Chart(sample_points=spec.sample_points)
-    return cls(chart, _frame_field(spec), _metric_field(spec), torsion=_torsion_field(spec),
+    transitions = (spec_transition(spec),) if spec.deform else ()
+    return cls(chart, spec.frame_field, spec.metric_field, torsion=spec.torsion_field,
                transitions=transitions)
 
 
@@ -304,55 +310,33 @@ def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTran
 
 
 def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
-    """Lift a chiral transition to the Dirac bundle.
-
-    The spinor part becomes blockdiag(Ss, (Ss^dagger)^-1): the last two
-    Dirac frame vectors are the barred dual co-frame, which transforms
-    with the conjugate inverse transpose.  This keeps the canonical
-    spin-metric block layout, the chirality operator and the pairing
-    intact, so the deformed frame stays canonically chiral.
-    """
+    """Lift a chiral transition to the Dirac bundle: the same S, and the
+    spinor part blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet, which a
+    Dirac table also lifts a held chiral transition's jets with)."""
     if chiral.spinor_dim != 2:
         raise ValueError("expected a chiral transition")
 
     def spin(points, deriv=True):
-        top, dtop = check_frame(chiral.Ss.jet(points, deriv), points)
-        dual, ddual = inverse_jet(
-            (_adjoint(top), None if dtop is None else _adjoint(dtop))
-        )
-        out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
-        out[..., :2, :2] = top
-        out[..., 2:, 2:] = dual
-        if dtop is None:
-            return out, None
-        d = np.zeros(dtop.shape[:-2] + (4, 4), dtype=complex)
-        d[..., :2, :2] = dtop
-        d[..., 2:, 2:] = ddual
-        return out, d
+        return embed_spinor_jet(chiral.Ss.jet(points, deriv), points)
 
     return FrameTransition(chiral.S, MatrixField(spin), spinor_dim=4)
-
-
-def _adjoint(mat):
-    """Conjugate transpose over the last two axes."""
-    return np.conj(np.swapaxes(mat, -1, -2))
 
 
 # --- scenario deformation --------------------------------------------
 
 
 def deform_scenario(scenario, trans: FrameTransition):
-    """Scenario as seen from the frame deformed by the transition.
+    """Scenario as seen from the frame deformed by a chiral transition.
 
     A scenario of the same class and fields with the transition appended
     to its transitions; nothing is evaluated until its table is.  Its
     table is the base table moved by ChiralScenario.deform_jets (the
     frame picks up S on the right, every other entry, the torsion
     included, is re-expressed with transform_components) from one
-    evaluation of the transition.
+    evaluation of the transition; a Dirac table lifts its spinor part.
     """
-    if trans.spinor_dim != scenario.spinor_dim:
-        raise ValueError("transition spinor dimension does not match scenario")
+    if trans.spinor_dim != 2:
+        raise ValueError("scenarios are deformed by chiral transitions")
     return type(scenario)(
         scenario.chart, scenario.frame, scenario.g, torsion=scenario.torsion,
         transitions=scenario.transitions + (trans,),

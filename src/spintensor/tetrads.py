@@ -64,19 +64,26 @@ def signed_cholesky_partial(lower, dg):
     return lower @ x
 
 
-def derived_symbol_jet(g_jet, canonical):
+def orthonormal_factor_jet(g_jet):
+    """Jet (L, dL) of the signed-Cholesky factor of a frame metric jet;
+    its partials follow from g's through signed_cholesky_partial, and a
+    constant g (dg None) gives a constant factor."""
+    g, dg = g_jet
+    lower = signed_cholesky(np.real(g))
+    return lower, None if dg is None else signed_cholesky_partial(lower, np.real(dg))
+
+
+def symbol_jet(factor_jet, canonical):
     """Jet of a structure-symbol field tied to g on its covariant tangent slot.
 
     canonical is the orthonormal-frame table (rank 3) with the tangent
     index last; the frame components are sum_c canonical[a, b, c] L[q, c]
-    with L the signed-Cholesky factor of g, and their partials follow
-    from g's partials through signed_cholesky_partial; a constant g
-    (dg None) gives constant symbols.
+    with (L, dL) the jet of the signed-Cholesky factor of g
+    (orthonormal_factor_jet).
     """
-    g, dg = g_jet
-    lower = signed_cholesky(np.real(g))
-    return einsum_jet(
-        "abc,qc->abq",
-        (np.asarray(canonical, dtype=complex), None),
-        (lower, None if dg is None else signed_cholesky_partial(lower, np.real(dg))),
-    )
+    return einsum_jet("abc,qc->abq", (np.asarray(canonical, dtype=complex), None), factor_jet)
+
+
+def derived_symbol_jet(g_jet, canonical):
+    """symbol_jet of canonical from the factor of the metric jet g_jet."""
+    return symbol_jet(orthonormal_factor_jet(g_jet), canonical)

@@ -7,9 +7,11 @@ to 1e-14 scaled by the value's magnitude; a batch whose third point
 fails must raise the error the call at that point raises.
 """
 
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from spintensor.scenarios import (
     deform_scenario,
     dirac_scenario_from_spec,
     embedded_dirac_transition,
+    load_scenario_spec,
     random_transition,
 )
 
@@ -69,14 +72,20 @@ def scenario_points(name, mode):
     return scenario, scenario.chart.points
 
 
+def torsion_value(entry, points):
+    """A torsion entry as a value: a bare array, or None, exactly zero."""
+    return np.zeros(np.shape(points)[:-1] + (4, 4, 4)) if entry is None else entry
+
+
 @pytest.mark.parametrize("name, mode", CASES)
 def test_structure_field_jets(name, mode):
     scenario, points = scenario_points(name, mode)
     table = scenario.jets(points)
     singles = [scenario.jets(point) for point in points]
     for label, entry in table.items():
-        value, d = (entry, None) if label == "torsion" else entry  # the torsion is a bare value
-        singles_value = [s[label] if label == "torsion" else s[label][0] for s in singles]
+        value, d = (torsion_value(entry, points), None) if label == "torsion" else entry
+        singles_value = [torsion_value(s[label], point) if label == "torsion" else s[label][0]
+                         for s, point in zip(singles, points)]
         assert_batch_matches(value, singles_value, f"{name} {mode} {label}")
         if d is not None:
             assert_batch_matches(d, [s[label][1] for s in singles], f"{name} {mode} d{label}")
@@ -153,10 +162,12 @@ def test_negative_sqrt_at_the_third_point():
     field = MatrixField.from_expressions([["sqrt(x0)", "x1"], ["0", "1"]])
     message = same_error(field, GOOD + [[-0.2, 0.0, 0.0, 0.0]], EvaluationError)
     assert message == "sqrt(-0.2): math domain error"
-    # and a scenario built on that metric names the field and the point
-    spec = bundled_scenario("diag-scale")
-    spec.metric = [["sqrt(x0)", "0", "0", "0"]] + spec.metric[1:]
-    spec.sample_points = GOOD + [[-0.2, 0.0, 0.0, 0.0]]
+    # and a scenario built on that metric names the field and the point;
+    # the changed spec is loaded, so its grids and parsed fields agree
+    data = json.loads((resources.files("spintensor") / "scenarios" / "diag-scale.json").read_text())
+    data["metric"] = [["sqrt(x0)", "0", "0", "0"]] + data["metric"][1:]
+    data["sample_points"] = GOOD + [[-0.2, 0.0, 0.0, 0.0]]
+    spec = load_scenario_spec(data)
     failure = r"^metric at \(-0\.2, 0\.0, 0\.0, 0\.0\): sqrt\(-0\.2\)"
     scenario = chiral_scenario_from_spec(spec)
     with pytest.raises(ScenarioError, match=failure):

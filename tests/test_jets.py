@@ -66,7 +66,7 @@ def test_structure_field_jets(name):
     for point in spec.sample_points:
         for mode, scenario in scenarios.items():
             for label, entry in scenario.jets(point).items():
-                if label == "torsion":  # a bare value: nothing reads its partials
+                if label == "torsion":  # a bare value, None when zero: no partials
                     continue
                 value, d = entry
 
