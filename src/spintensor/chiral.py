@@ -268,20 +268,20 @@ class ChiralScenario:
     place its fields are evaluated and checked.
 
     STRUCTURE_FIELDS lists every field the metric connection annihilates
-    as (check name, attribute, tensor type, real-valued?).  Besides g,
-    each is its CANONICAL constant, except the symbol field named by
-    SYMBOLS, which is derived from g.  transitions (chiral
-    FrameTransitions, empty for an undeformed scenario) move the table
-    to the frames they deform to, in order; spinor_transition gives the
-    spinor pair each one moves this mode's spinor entries with.
+    as (check name, attribute, tensor type).  Besides g, each is its
+    CANONICAL constant, except the symbol field named by SYMBOLS, which
+    is derived from g.  transitions (chiral FrameTransitions, empty for
+    an undeformed scenario) move the table to the frames they deform
+    to, in order; spinor_transition gives the spinor pair each one
+    moves this mode's spinor entries with.
     """
 
     spinor_dim = 2
     STRUCTURE_FIELDS = (
-        ("metric", "g", TensorSignature(n=2), True),
-        ("spin-metric", "d", TensorSignature(beta=2), False),
-        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2), False),
-        ("mixed-symbols", "G", TensorSignature(alpha=1, nu=1, n=1), False),
+        ("metric", "g", TensorSignature(n=2)),
+        ("spin-metric", "d", TensorSignature(beta=2)),
+        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2)),
+        ("mixed-symbols", "G", TensorSignature(alpha=1, nu=1, n=1)),
     )
     CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
     SYMBOLS = ("G", G_UPPER)
@@ -357,7 +357,7 @@ class ChiralScenario:
         spinor_transition pair.  A failure raises a FieldError.
         """
         tangent, trans_jets = _deform_tangent(table, trans, points)
-        spinor = {attr: table[attr] for _, attr, _, _ in self.STRUCTURE_FIELDS if attr != "g"}
+        spinor = {attr: table[attr] for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"}
         return _table(tangent, self._deform_spinor(spinor, trans_jets, points)), trans_jets
 
     def spinor_transition(self, trans_jets, points):
@@ -370,14 +370,14 @@ class ChiralScenario:
         spinor_transition pair of a chiral transition's jets."""
         with _entry("frame", points):
             spin_jets = self.spinor_transition(trans_jets, points)
-        signature = {attr: sig for _, attr, sig, _ in self.STRUCTURE_FIELDS}
+        signature = {attr: sig for _, attr, sig in self.STRUCTURE_FIELDS}
         return {attr: transform_components(signature[attr], jet, spin_jets)
                 for attr, jet in entries.items()}
 
-    def concordance_extras(self, values, grads):
+    def concordance_extras(self, values, grads, ginv):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
-        point, from the fields' values and covariant derivatives there."""
-        ginv = np.linalg.inv(np.real(values["g"]))
+        point, from the fields' values and covariant derivatives there
+        and g^-1."""
         dg = grads["g"]  # [..., q, p, r]
         gl = compute_g_lower_symbols(values["G"], ginv, values["d"], values["dbar"])
         return {
@@ -565,23 +565,40 @@ def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
     return concordance_residuals(scenario, jets, build(jets, points))
 
 
-def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection) -> dict:
+def tangent_concordance(jets, conn: SpinorConnection, ginv=None):
+    """(g^-1, nabla g) of a table and a connection built from it: the
+    tangent part of concordance.  It reads only the tangent half and
+    Gamma, so the chiral and Dirac connections of one tangent half give
+    it alike, and a run computes it once for both.  ginv is g^-1 where
+    the caller holds it (tangent_connection)."""
+    g, dg = jets["g"]
+    if ginv is None:
+        ginv = np.linalg.inv(np.real(g))
+    sig = TensorSignature(n=2, spinor_dim=conn.spinor_dim)
+    return ginv, covariant_components(sig, g, along_frame(jets["frame"][0], dg), conn)
+
+
+def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection,
+                          tangent=None) -> dict:
     """The concordance residuals of a connection built from the table.
 
     Each row of the scenario's STRUCTURE_FIELDS gives nabla-<check>, the
     max absolute covariant derivative of that field over all points of
     the table; the scenario's concordance_extras add its mode's other
-    conditions.  A non-finite residual anywhere makes the reported
-    maximum non-finite.
+    conditions.  tangent is the table's (g^-1, nabla g) where the
+    caller holds it, else tangent_concordance computes it here.  A
+    non-finite residual anywhere makes the reported maximum non-finite.
     """
+    ginv, nabla_g = tangent_concordance(jets, conn) if tangent is None else tangent
     u = jets["frame"][0]
-    out, values, grads = {}, {}, {}
-    for check, attr, sig, _ in scenario.STRUCTURE_FIELDS:
+    out, values, grads = {}, {}, {"g": nabla_g}
+    for check, attr, sig in scenario.STRUCTURE_FIELDS:
         value, d = jets[attr]
         values[attr] = value
-        grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
+        if attr not in grads:
+            grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
         out[f"nabla-{check}"] = worst_residual(0.0, grads[attr])
-    for check, residual in scenario.concordance_extras(values, grads).items():
+    for check, residual in scenario.concordance_extras(values, grads, ginv).items():
         out[check] = worst_residual(0.0, residual)
     return out
 

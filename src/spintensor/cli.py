@@ -29,7 +29,11 @@ check names to {max_residual, tolerance, passed, points_evaluated}.
 Reports are strict JSON: a non-finite residual is written as null (and
 never passes), and a tolerance scaled past the float range is bad
 input (exit 2).  Reports are deterministic for a fixed spec and seed up
-to the timestamp field.
+to the timestamp field.  The per-point coefficient tables of
+build-connection hold float arrays until the report is written, and
+one writer (dump_json) produces exactly the bytes of json.dumps(report,
+indent=2, sort_keys=True, allow_nan=False) with each array as its
+nested list, at the cost of formatting its floats.
 
 Each run evaluates a mode's table (scenario.jets) once, at all sample
 points as one batch, and builds its connection once; every stage reads
@@ -39,21 +43,23 @@ jets; ChiralScenario.tangent_jets) is evaluated once per run, by the
 first mode, and so is (g^-1, Gamma) (tangent_connection): the chiral
 and Dirac tables hold the same tangent entries, the Dirac table lifts
 the held chiral transition, and both builders read the same tangent
-coefficients (Run.tangent).  The tables are also where the scenario is
-checked: constructing a scenario evaluates nothing.  A failure names
-its first failing point once.
+coefficients (Run.tangent).  Concordance computes the tangent part of
+its residuals, (g^-1, nabla g), once for both modes.  The tables are
+also where the scenario is checked: constructing a scenario evaluates
+nothing.  A failure names its first failing point once.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import numbers
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from .chiral import (
     build_chiral_metric_connection,
     canonical_chiral_constants,
     concordance_residuals,
+    tangent_concordance,
     tangent_connection,
     transform_connection,
     verify_chiral_identities,
@@ -106,7 +113,13 @@ MODES = {
 
 @dataclass
 class ResidualReport:
-    """Accumulated residual checks for one CLI invocation."""
+    """Accumulated residual checks for one CLI invocation.
+
+    tables maps a table name to its per-point entries, whose coefficient
+    tables stay float64 arrays until to_json writes them (dump_json):
+    the bytes are those of json.dumps(indent=2, sort_keys=True) on the
+    report with every array as its nested list.
+    """
 
     name: str
     subcommand: str
@@ -147,7 +160,7 @@ class ResidualReport:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return dump_json(self.to_dict()) + "\n"
 
     def to_text(self):
         lines = [f"residual report: {self.name} [{self.subcommand}] seed={self.seed}"]
@@ -165,10 +178,87 @@ class ResidualReport:
 
 
 def _complex_table(arr):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
-    return {"re": arr.tolist(), "im": np.zeros_like(arr, dtype=float).tolist()}
+    return {"re": arr.real, "im": arr.imag}
+
+
+# --- report writer ----------------------------------------------------
+
+
+def dump_json(value):
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), where
+    value may also hold float64 arrays, written as their nested lists.
+
+    Dicts, lists and scalars are written directly into one list of
+    parts, in json's type order; an array's elements (ndarray.tolist)
+    fill the template of its shape (_layout) in one pass.  The errors
+    are json's: a non-finite float raises ValueError, and an array that
+    is not float64, a key that is not a string or a value of any other
+    type raises TypeError.
+    """
+    parts = []
+    _write(value, 0, parts)
+    return "".join(parts)
+
+
+def _write(value, level, parts):
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = "\n" + "  " * (level + 1)
+        mark = "["
+        for item in value:
+            parts += (mark, inner)
+            _write(item, level + 1, parts)
+            mark = ","
+        parts.append("[]" if mark == "[" else "\n" + "  " * level + "]")
+    elif isinstance(value, dict):
+        # a key that is not a string fails sorted or encode_basestring_ascii
+        inner = "\n" + "  " * (level + 1)
+        mark = "{"
+        for key in sorted(value):
+            parts += (mark, inner, encode_basestring_ascii(key), ": ")
+            _write(value[key], level + 1, parts)
+            mark = ","
+        parts.append("{}" if mark == "{" else "\n" + "  " * level + "}")
+    elif isinstance(value, np.ndarray):
+        if value.dtype != np.float64:
+            raise TypeError(f"Object of type ndarray of {value.dtype} is not JSON serializable")
+        flat = value.ravel()
+        finite = np.isfinite(flat)
+        if not finite.all():
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             f"{float(flat[np.argmin(finite)])!r}")
+        parts.append(_layout(value.shape, level) % tuple(flat.tolist()))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape, level):
+    """%-template of an array of shape written at indentation level: its
+    nested lists in json.dumps(indent=2)'s layout, one %r (float.__repr__,
+    as json writes a float) per element in C order.  The lists along an
+    axis of length 0 are written []."""
+    dims = shape[:shape.index(0)] if 0 in shape else shape
+    items = ["[]" if 0 in shape else "%r"] * math.prod(dims)
+    for axis in reversed(range(len(dims))):
+        inner = "\n" + "  " * (level + axis + 1)
+        start, mark, end = "[" + inner, "," + inner, "\n" + "  " * (level + axis) + "]"
+        n = dims[axis]
+        items = [start + mark.join(items[i:i + n]) + end for i in range(0, len(items), n)]
+    return items[0]
 
 
 # --- stages -----------------------------------------------------------
@@ -263,7 +353,7 @@ def run_build_connection(ctx: Run):
         entries = [
             {
                 "point": list(point),
-                "tangent": np.real(conn.Gamma[k]).tolist(),
+                "tangent": conn.Gamma[k].real,
                 "spinor": _complex_table(conn.A[k]),
                 "conjugate-spinor": _complex_table(conn.Abar[k]),
             }
@@ -277,17 +367,25 @@ def run_build_connection(ctx: Run):
                     raise NumericalError(
                         f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
             for entry, table in zip(entries, oracle):
-                entry["tangent-oracle"] = table.tolist()
+                entry["tangent-oracle"] = table
             worst = worst_residual(0.0, conn.Gamma - oracle)
             ctx.report.record(f"{mode}-tangent-oracle", worst, 1e-5, len(entries))
         ctx.report.tables[f"{mode}-connection"] = entries
 
 
 def run_concordance(ctx: Run):
+    """Concordance residual suites of each mode.  The tangent part,
+    (g^-1, nabla g), is the same for both modes: it is computed once,
+    from the first mode's connection and the run's g^-1."""
     tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
     npoints = len(ctx.spec.sample_points)
+    tangent = None
     for mode in ctx.spec.modes:
-        residuals = concordance_residuals(*ctx.mode(mode))
+        scenario, jets, conn = ctx.mode(mode)
+        if tangent is None:
+            _, (ginv, _) = ctx.tangent
+            tangent = tangent_concordance(jets, conn, ginv)
+        residuals = concordance_residuals(scenario, jets, conn, tangent)
         for check, value in residuals.items():
             ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 

@@ -160,12 +160,12 @@ class DiracScenario(ChiralScenario):
 
     spinor_dim = 4
     STRUCTURE_FIELDS = (
-        ("metric", "g", TensorSignature(n=2, spinor_dim=4), True),
-        ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4), False),
-        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2, spinor_dim=4), False),
-        ("gamma-symbols", "gamma", TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4), False),
-        ("chirality", "H", TensorSignature(alpha=1, beta=1, spinor_dim=4), False),
-        ("pairing", "D", TensorSignature(beta=1, gamma=1, spinor_dim=4), False),
+        ("metric", "g", TensorSignature(n=2, spinor_dim=4)),
+        ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4)),
+        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2, spinor_dim=4)),
+        ("gamma-symbols", "gamma", TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)),
+        ("chirality", "H", TensorSignature(alpha=1, beta=1, spinor_dim=4)),
+        ("pairing", "D", TensorSignature(beta=1, gamma=1, spinor_dim=4)),
     )
     CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
     SYMBOLS = ("gamma", GAMMA)
@@ -180,7 +180,7 @@ class DiracScenario(ChiralScenario):
         block = check_frame(embed_spinor_jet(ss, points), points)
         return s, t, block, inverse_jet(block)
 
-    def concordance_extras(self, values, grads):
+    def concordance_extras(self, values, grads, ginv):
         """H nabla H + nabla H H at every point."""
         h, dh = values["H"], grads["H"]  # dh[..., a, b, r]
         return {

@@ -122,7 +122,7 @@ def test_frame_changes_under_a_seeded_transition(name, mode):
         trans = embedded_dirac_transition(trans)
     table = scenario.jets(points)
     trans_jets = trans.jets(points)
-    for _, attr, sig, _ in scenario.STRUCTURE_FIELDS:
+    for _, attr, sig in scenario.STRUCTURE_FIELDS:
         value, d = table[attr]
         moved, dmoved = transform_components(sig, (value, d), trans_jets)
         singles = [

@@ -534,6 +534,27 @@ def test_build_connection_evaluates_the_oracle_once(monkeypatch):
     assert len(calls) == 11
 
 
+@pytest.mark.parametrize("mode", ["both", "chiral", "dirac"])
+def test_concordance_computes_the_tangent_part_once_per_run(mode, monkeypatch):
+    # (g^-1, nabla g) reads only the tangent half and Gamma, which both
+    # modes share: one computation per run, from the run's held g^-1
+    calls = []
+    tangent_concordance = cli.tangent_concordance
+
+    def counted(jets, conn, ginv=None):
+        calls.append(ginv is not None)
+        return tangent_concordance(jets, conn, ginv)
+
+    monkeypatch.setattr(cli, "tangent_concordance", counted)
+    spec = bundled_spec("ortho-tetrad")
+    spec["mode"] = mode
+    code, payload = run_captured("concordance", spec_path=scenarios.load_scenario_spec(spec))
+    assert code == 0 and calls == [True]
+    checks = json.loads(payload)["checks"]
+    if mode == "both":
+        assert checks["chiral-nabla-metric"] == checks["dirac-nabla-metric"]
+
+
 @pytest.mark.parametrize("name, subcommand, calls", [
     ("diag-scale", "concordance", 1),
     ("ortho-tetrad", "concordance", 1),
