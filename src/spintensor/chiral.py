@@ -180,11 +180,12 @@ class FieldError(ScenarioError):
     torsion) and error is the underlying failure, whose batch index (if
     it has one) gives the point, named once: "<field> at <point>:
     <reason>", the reason being the error's message without its point.
+    index keeps that batch index (None without one).
     """
 
     def __init__(self, field, error, points):
-        index = getattr(error, "index", None)
-        where = "" if index is None else f" at {point_label(points, index)}"
+        self.index = getattr(error, "index", None)
+        where = "" if self.index is None else f" at {point_label(points, self.index)}"
         super().__init__(f"{field}{where}: {getattr(error, 'reason', error)}")
 
 
@@ -247,6 +248,18 @@ def _deform_tangent(entries, trans, points):
         with _entry("torsion", points):
             _check_torsion(torsion)
     return {"frame": frame, "g": g, "torsion": torsion}, trans_jets
+
+
+def _broadcast_table(table, batch):
+    """The table's entries as read-only views broadcast to batch, which
+    ends with the table's own batch axes."""
+    own = len(table["frame"][0].shape) - 2
+
+    def widen(array):
+        return None if array is None else np.broadcast_to(array, batch + np.shape(array)[own:])
+
+    return {attr: widen(entry) if attr == "torsion" else tuple(map(widen, entry))
+            for attr, entry in table.items()}
 
 
 def _table(tangent, spinor):
@@ -354,8 +367,13 @@ class ChiralScenario:
         The frame, g and torsion move as in the tangent half
         (_deform_tangent), from one evaluation of the transition; every
         other entry is re-expressed with transform_components by the
-        spinor_transition pair.  A failure raises a FieldError.
+        spinor_transition pair.  A failure raises a FieldError.  points
+        may carry leading axes before the table's batch (a stack of
+        transitions at the table's points): the table is broadcast to
+        them first, so that each entry of the stack is moved with the
+        same operations as alone.
         """
+        table = _broadcast_table(table, np.shape(points)[:-1])
         tangent, trans_jets = _deform_tangent(table, trans, points)
         spinor = {attr: table[attr] for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"}
         return _table(tangent, self._deform_spinor(spinor, trans_jets, points)), trans_jets

@@ -301,12 +301,17 @@ class Run:
         return self.held[mode]
 
 
+INVERSIONS = ("P", "T", "PT")
+
+
 def run_verify_identities(ctx: Run):
     """Constant identity suites, canonically and after P/T/PT inversions.
 
-    Each canonical table is built once and each suite runs once on it:
-    the chiral suite on the chiral tables, the Dirac suite on the Dirac
-    tables and on each of the three inverted frames' tables.
+    Each canonical table is built once and the chiral suite runs once on
+    it.  The Dirac tables of the canonical frame and of the three
+    inverted frames are one stack, made by one transform of the stacked
+    spinor matrices (identity, P, T, PT), and the Dirac suite runs once
+    over that stack.
     """
     report = ctx.report
     tol = IDENTITY_TOL * ctx.tol_scale
@@ -314,18 +319,19 @@ def run_verify_identities(ctx: Run):
     for check, value in verify_chiral_identities(chiral).items():
         report.record(f"chiral-{check}", value, tol, 1)
     dirac = canonical_dirac_constants()
-    for check, value in verify_dirac_identities(dirac).items():
-        report.record(f"dirac-{check}", value, tol, 1)
+    spins = np.stack([np.eye(4)] + [frame_inversion(kind) for kind in INVERSIONS])
+    suite = verify_dirac_identities(dirac.transform(spins))
+    for check, values in suite.items():
+        report.record(f"dirac-{check}", values[0], tol, 1)
     # chirality_split and embed_chiral_frame raise on any violated
     # identity; a clean return means residual 0 on their whole suites.
     chirality_split(dirac)
     report.record("dirac-chirality-split-suite", 0.0, tol, 1)
     embed_chiral_frame()
     report.record("dirac-chiral-embedding-suite", 0.0, tol, 1)
-    for kind in ("P", "T", "PT"):
-        moved = dirac.transform(frame_inversion(kind))
-        for check, value in verify_dirac_identities(moved).items():
-            report.record(f"dirac-after-{kind}-{check}", value, tol, 1)
+    for frame, kind in enumerate(INVERSIONS, start=1):
+        for check, values in suite.items():
+            report.record(f"dirac-after-{kind}-{check}", values[frame], tol, 1)
 
 
 def run_build_connection(ctx: Run):
@@ -391,17 +397,20 @@ def run_concordance(ctx: Run):
 
 
 def run_covariance(ctx: Run):
-    """Transformation-law round trip under a seeded smooth deformation.
+    """Transformation-law round trip under seeded smooth deformations.
 
     The connection built directly in the deformed frame, mapped back
     through the transformation law with theta-parameters, must agree
     with the connection built in the original frame.  The base table and
-    connection, and the Dirac connection, are the run's (Run.mode); each
-    seed offset evaluates its transition once, deforms the base table
-    with it and builds the moved connection from that, then derives
-    theta and the back-transform.  Each covers all sample points at
-    once.  A deformed table that fails its checks (FieldError) is a
-    numerical failure: the input is valid.
+    connection, and the Dirac connection, are the run's (Run.mode).  The
+    three seed offsets are one stack of transitions (random_transition
+    of three seeds), evaluated once at the sample points broadcast to a
+    (3, N) batch: the base table is deformed, the moved connection
+    built, theta derived and the back-transform taken once over that
+    batch.  A deformed table that fails its checks (FieldError) is a
+    numerical failure naming the seed of its batch index: the input is
+    valid.  Of several failures, the first check in that order fails,
+    at its first seed offset, then its first point.
     """
     spec = ctx.spec
     tol = spec.tolerances["covariance"] * ctx.tol_scale
@@ -409,22 +418,22 @@ def run_covariance(ctx: Run):
     base, base_jets, conn_base = ctx.mode("chiral")
     points = base.chart.points
     npoints = len(spec.sample_points)
+    seeds = [base_seed + offset for offset in range(3)]
+    stacked = np.broadcast_to(points, (len(seeds),) + points.shape)
+    try:
+        moved, trans_jets = base.deform_jets(
+            base_jets, random_transition(seeds, spinor_dim=2), stacked)
+    except FieldError as exc:
+        raise NumericalError(f"seeded deformation {seeds[exc.index[0]]}: {exc}") from exc
+    conn_moved = build_chiral_metric_connection(moved, stacked)
+    theta = theta_parameters(trans_jets, base_jets["frame"], stacked)
+    back = transform_connection(conn_moved, trans_jets, theta)
     worst = 0.0
-    for offset in range(3):
-        seed = base_seed + offset
-        try:
-            moved, trans_jets = base.deform_jets(
-                base_jets, random_transition(seed=seed, spinor_dim=2), points)
-        except FieldError as exc:
-            raise NumericalError(f"seeded deformation {seed}: {exc}") from exc
-        conn_moved = build_chiral_metric_connection(moved, points)
-        theta = theta_parameters(trans_jets, base_jets["frame"], points)
-        back = transform_connection(conn_moved, trans_jets, theta)
-        for ours, theirs in (
-            (back.Gamma, conn_base.Gamma), (back.A, conn_base.A), (back.Abar, conn_base.Abar)
-        ):
-            worst = worst_residual(worst, ours - theirs)
-    ctx.report.record("chiral-transformation-law", worst, tol, 3 * npoints)
+    for ours, theirs in (
+        (back.Gamma, conn_base.Gamma), (back.A, conn_base.A), (back.Abar, conn_base.Abar)
+    ):
+        worst = worst_residual(worst, ours - theirs)
+    ctx.report.record("chiral-transformation-law", worst, tol, len(seeds) * npoints)
     if "dirac" in spec.modes:
         _, _, conn = ctx.mode("dirac")
         # deformed embedded frames keep the block layout, so the

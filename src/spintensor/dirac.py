@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chiral import G_UPPER
-from .frames import transform_components
+from .frames import einsum, transform_components
 from .lorentz_cover import MINKOWSKI
 from .tensor_core import SpinTensorValue, TensorSignature, tau
 
@@ -73,7 +73,11 @@ GAMMA[:, :, 3] = [
 
 @dataclass(frozen=True)
 class DiracConstants:
-    """Structure matrices of one Dirac frame with derived companions."""
+    """Structure matrices of one Dirac frame with derived companions.
+
+    Every array may carry leading batch axes, one frame per batch index
+    (a stack of frames, from transform of a stack of spinor matrices).
+    """
 
     d_lower: np.ndarray
     d_upper: np.ndarray
@@ -101,13 +105,13 @@ class DiracConstants:
         dbar_upper = np.linalg.inv(dbar_lower)
         g_upper = np.linalg.inv(g_lower)
         # raised tangent index: gamma^{am}_b = sum_k gamma^a_{bk} g^{km}
-        gamma_inv = np.einsum("abk,km->abm", gamma, g_upper)
+        gamma_inv = einsum("abk,km->abm", gamma, g_upper)
         # D^{i ibar} = sum d^{ia} D_{a abar} dbar^{abar ibar}
-        D_upper = np.einsum("ia,ab,bj->ij", d_upper, D_lower, dbar_upper)
+        D_upper = einsum("ia,ab,bj->ij", d_upper, D_lower, dbar_upper)
         # gamma^{i ibar}_m = sum_a gamma^i_{am} D^{a ibar}
-        gamma_herm_upper = np.einsum("iam,aj->ijm", gamma, D_upper)
+        gamma_herm_upper = einsum("iam,aj->ijm", gamma, D_upper)
         # gamma^m_{i ibar} = sum_a gamma^{am}_i D_{a ibar}
-        gamma_herm_lower = np.einsum("aim,aj->ijm", gamma_inv, D_lower)
+        gamma_herm_lower = einsum("aim,aj->ijm", gamma_inv, D_lower)
         return cls(
             d_lower=d_lower,
             d_upper=d_upper,
@@ -131,6 +135,8 @@ class DiracConstants:
 
         Primary matrices are re-expressed per their signatures; derived
         companions are rebuilt, which keeps all inverse relations exact.
+        spin may be a stack (..., 4, 4) of transitions: the constants of
+        every frame come out as one stack, from one pass.
         """
         d_sig = TensorSignature(beta=2, spinor_dim=4)
         h_sig = TensorSignature(alpha=1, beta=1, spinor_dim=4)
@@ -165,7 +171,9 @@ def verify_dirac_identities(constants: DiracConstants) -> dict:
     """Residuals of the full Dirac identity suite.
 
     Exactly zero on the canonical tables (Gaussian-integer entries);
-    still zero to rounding after any consistent frame transform.
+    still zero to rounding after any consistent frame transform.  Each
+    residual has the constants' batch shape: a float for one frame, an
+    array with one residual per frame for a stack.
     """
     d = constants.d_lower
     du = constants.d_upper
@@ -179,95 +187,103 @@ def verify_dirac_identities(constants: DiracConstants) -> dict:
     g = constants.g_lower.astype(complex)
     ginv = constants.g_upper.astype(complex)
     eye = np.eye(4, dtype=complex)
+    batch = np.ndim(h) - 2
 
-    def residual(lhs, rhs=None):
-        diff = lhs if rhs is None else lhs - rhs
-        return float(np.max(np.abs(diff)))
+    def residual(lhs, rhs=0.0):
+        # the max over each frame's entries
+        diff = np.abs(lhs - rhs)
+        return np.max(diff, axis=tuple(range(batch, diff.ndim)))
+
+    def transpose(m):
+        return np.swapaxes(m, -1, -2)
+
+    def trace(m):
+        return np.trace(m, axis1=-2, axis2=-1)
 
     out = {}
     # {gamma_i, gamma_j} = 2 g_ij
-    anti = np.einsum("abi,bcj->acij", gm, gm) + np.einsum("abj,bci->acij", gm, gm)
-    out["gamma-anticommutator"] = residual(anti, 2.0 * np.einsum("ij,ac->acij", g, eye))
+    anti = einsum("abi,bcj->acij", gm, gm) + einsum("abj,bci->acij", gm, gm)
+    out["gamma-anticommutator"] = residual(anti, 2.0 * einsum("ij,ac->acij", g, eye))
     # sum gamma d d gamma = 4 g
     out["gamma-spin-metric-trace"] = residual(
-        np.einsum("abi,ae,bh,ehj->ij", gm, d, du, gm), 4.0 * g
+        einsum("abi,ae,bh,ehj->ij", gm, d, du, gm), 4.0 * g
     )
     # sum gamma^a_{bi} d_{ae} d^{bh} = gamma^h_{ei}
     out["gamma-spin-metric-conjugation"] = residual(
-        np.einsum("abi,ae,bh->hei", gm, d, du), gm
+        einsum("abi,ae,bh->hei", gm, d, du), gm
     )
     # tangent raise consistency (gamma_inv definition re-derived)
     out["gamma-tangent-raise"] = residual(
-        gi, np.einsum("abk,km->abm", gm, ginv)
+        gi, einsum("abk,km->abm", gm, ginv)
     )
     # sum gamma^h_{ej} gamma^{ei}_h = 4 delta^i_j
     out["gamma-inverse-trace"] = residual(
-        np.einsum("hej,ehi->ij", gm, gi), 4.0 * eye
+        einsum("hej,ehi->ij", gm, gi), 4.0 * eye
     )
     # sum gamma^{ai}_b d_{ae} d^{bh} = gamma^{hi}_e
     out["gamma-inverse-spin-metric-conjugation"] = residual(
-        np.einsum("abi,ae,bh->hei", gi, d, du), gi
+        einsum("abi,ae,bh->hei", gi, d, du), gi
     )
     # sum gamma^{ai}_b d d gamma^{ej}_h = 4 g^{ij}
     out["gamma-inverse-spin-metric-trace"] = residual(
-        np.einsum("abi,ae,bh,ehj->ij", gi, d, du, gi), 4.0 * ginv
+        einsum("abi,ae,bh,ehj->ij", gi, d, du, gi), 4.0 * ginv
     )
     # gamma_m H + H gamma_m = 0
     out["gamma-chirality-anticommutation"] = residual(
-        np.einsum("abm,bc->acm", gm, h) + np.einsum("ab,bcm->acm", h, gm)
+        einsum("abm,bc->acm", gm, h) + einsum("ab,bcm->acm", h, gm)
     )
     # sum d_{ab} H^b_c = sum H^b_a d_{bc}
-    out["spin-metric-chirality-symmetry"] = residual(d @ h, h.T @ d)
+    out["spin-metric-chirality-symmetry"] = residual(d @ h, transpose(h) @ d)
     # sum D_{i abar} conj(H^abar_ibar) = -sum H^a_i D_{a ibar}
-    out["pairing-chirality-antisymmetry"] = residual(dd @ np.conj(h), -(h.T @ dd))
+    out["pairing-chirality-antisymmetry"] = residual(dd @ np.conj(h), -(transpose(h) @ dd))
     # completeness: sum_mn gamma gamma g^{mn} = dd - HH + dd-part - HdHd
     rhs = (
-        np.einsum("ah,eb->abeh", eye, eye)
-        - np.einsum("ah,eb->abeh", h, h)
-        + np.einsum("ae,bh->abeh", du, d)
-        - np.einsum("ar,re,bs,sh->abeh", h, du, d, h)
+        einsum("ah,eb->abeh", eye, eye)
+        - einsum("ah,eb->abeh", h, h)
+        + einsum("ae,bh->abeh", du, d)
+        - einsum("ar,re,bs,sh->abeh", h, du, d, h)
     )
     out["gamma-completeness-lower"] = residual(
-        np.einsum("abm,ehn,mn->abeh", gm, gm, ginv), rhs
+        einsum("abm,ehn,mn->abeh", gm, gm, ginv), rhs
     )
     out["gamma-completeness-upper"] = residual(
-        np.einsum("abm,ehn,mn->abeh", gi, gi, g), rhs
+        einsum("abm,ehn,mn->abeh", gi, gi, g), rhs
     )
     out["gamma-completeness-mixed"] = residual(
-        np.einsum("abm,ehm->abeh", gi, gm), rhs
+        einsum("abm,ehm->abeh", gi, gm), rhs
     )
     # pairing inverse relations
-    out["pairing-inverse"] = max(
-        residual(np.einsum("ja,ia->ij", dd, ddu), eye),
-        residual(np.einsum("aj,ai->ji", dd, ddu), eye),
+    out["pairing-inverse"] = np.maximum(
+        residual(einsum("ja,ia->ij", dd, ddu), eye),
+        residual(einsum("aj,ai->ji", dd, ddu), eye),
     )
     # hermitian gamma constructions re-derived
     out["hermitian-gamma-upper-construction"] = residual(
-        ghu, np.einsum("iam,aj->ijm", gm, ddu)
+        ghu, einsum("iam,aj->ijm", gm, ddu)
     )
     out["hermitian-gamma-lower-construction"] = residual(
-        ghl, np.einsum("aim,aj->ijm", gi, dd)
+        ghl, einsum("aim,aj->ijm", gi, dd)
     )
     # hermitian gamma reality: each fixed-m slice is Hermitian
-    out["hermitian-gamma-reality"] = max(
-        residual(ghu, np.conj(ghu.transpose(1, 0, 2))),
-        residual(ghl, np.conj(ghl.transpose(1, 0, 2))),
+    out["hermitian-gamma-reality"] = np.maximum(
+        residual(ghu, np.conj(np.swapaxes(ghu, -3, -2))),
+        residual(ghl, np.conj(np.swapaxes(ghl, -3, -2))),
     )
     # sum D_{i abar} conj(gamma^abar_{ibar m}) = sum gamma^a_{im} D_{a ibar}
     out["pairing-gamma-symmetry"] = residual(
-        np.einsum("ia,abm->ibm", dd, np.conj(gm)),
-        np.einsum("aim,ab->ibm", gm, dd),
+        einsum("ia,abm->ibm", dd, np.conj(gm)),
+        einsum("aim,ab->ibm", gm, dd),
     )
     # sum d_{ia} gamma^a_{jm} = -sum gamma^a_{im} d_{aj}
     out["spin-metric-gamma-antisymmetry"] = residual(
-        np.einsum("ia,ajm->ijm", d, gm), -np.einsum("aim,aj->ijm", gm, d)
+        einsum("ia,ajm->ijm", d, gm), -einsum("aim,aj->ijm", gm, d)
     )
     # chirality operator algebra
     out["chirality-involution"] = residual(h @ h, eye)
-    out["chirality-square-trace"] = residual(np.trace(h @ h), 4.0)
-    out["chirality-tracelessness"] = residual(np.trace(h), 0.0)
+    out["chirality-square-trace"] = residual(trace(h @ h), 4.0)
+    out["chirality-tracelessness"] = residual(trace(h))
     # sum H^q_b d^{ba} = sum d^{qb} H^a_b
-    out["chirality-spin-metric-upper-symmetry"] = residual(h @ du, du @ h.T)
+    out["chirality-spin-metric-upper-symmetry"] = residual(h @ du, du @ transpose(h))
     # pairing is invariant under the bar-swap involution (Hermitian matrix)
     dd_value = SpinTensorValue(TensorSignature(beta=1, gamma=1, spinor_dim=4), dd)
     out["pairing-bar-swap-invariance"] = residual(

@@ -330,11 +330,17 @@ def along_frame(u, d):
 
     u is (..., 4, 4) and d (..., 4, *shape) with the same batch axes;
     the result has d's shape with the frame index r in place of j.  A
-    constant (d None) has frame derivatives None, exactly zero.
+    constant (d None) has frame derivatives None, exactly zero.  A d
+    whose leading axes are not u's batch axes and then the partial
+    axis raises ValueError: the per-point shape is not known here, so
+    a frame cannot be broadcast against a larger batch of partials
+    (broadcast it first, as theta_parameters does).
     """
     if d is None:
         return None
     batch = u.shape[:-2]
+    if d.shape[:len(batch) + 1] != batch + (4,):
+        raise ValueError(f"partials of shape {d.shape} do not follow the frame's batch {batch}")
     flat = np.reshape(d, batch + (4, -1))
     return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
 
@@ -404,15 +410,18 @@ def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
     the equivalent form -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 at
     every point (it does exactly for exact inverse pairs; the check
     guards inconsistent inputs), after the inverse pairs are checked on
-    the same jets.
+    the same jets.  The frame may lack leading batch axes of the
+    transition (one frame under a stack of transitions): it is
+    broadcast to the transition's batch.
     """
     check_inverse_pairs(jets, points)
     u = frame_jet[0]
+    batch = np.broadcast_shapes(jets[0][0].shape[:-2], u.shape[:-2])
+    u = np.broadcast_to(u, batch + (4, 4))
     out = []
     for (s, ds), (t, dt) in (jets[:2], jets[2:]):
         # a constant factor (d None) makes its form exactly zero
-        zero = np.zeros(np.broadcast_shapes(s.shape[:-2], u.shape[:-2]) + (4, *s.shape[-2:]),
-                        dtype=np.result_type(s, t))
+        zero = np.zeros(batch + (4, *s.shape[-2:]), dtype=np.result_type(s, t))
         first = zero if dt is None else einsum("ka,iaj->ikj", s, along_frame(u, dt))
         second = zero if ds is None else -einsum("ika,aj->ikj", along_frame(u, ds), t)
         disagree = np.max(np.abs(first - second), axis=(-3, -2, -1)) > 1e-6

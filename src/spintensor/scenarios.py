@@ -18,6 +18,7 @@ jets.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -253,8 +254,9 @@ def expm(a):
     return scipy_expm(a)
 
 
-def _polynomial_exp_field(rng, dim, scale, real):
-    """exp of a seeded degree-1 polynomial matrix field: smooth, invertible."""
+def _polynomial_draws(rng, dim, scale, real):
+    """Seeded coefficients (C, [L_0..L_3]) of a degree-1 polynomial matrix
+    field, whose exponential is smooth and invertible."""
 
     def draw():
         raw = rng.standard_normal((dim, dim))
@@ -263,23 +265,30 @@ def _polynomial_exp_field(rng, dim, scale, real):
         return scale * raw
 
     const = draw()
-    return exp_linear_field(const, [0.5 * draw() for _ in range(4)])
+    return const, [0.5 * draw() for _ in range(4)]
 
 
 def exp_linear_field(const, linear) -> MatrixField:
     """The field exp(C + sum_a x^a L_a) with its exact partials.
 
-    One stacked expm call serves a whole batch of points.  An overflow
+    One stacked expm call serves a whole batch of points.  C and each
+    L_a may carry leading stack axes K, shape (*K, n, n): the field is
+    then a stack of fields, entry k evaluated at the points whose batch
+    index starts with k (points of batch shape (*K, ...)).  An overflow
     leaves non-finite values, which FrameTransition.jets rejects.
     """
-    dim = const.shape[0]
+    dim = const.shape[-1]
+    stack = const.shape[:-2]
 
     @np.errstate(all="ignore")
     def jet(points, deriv=True):
         x = np.asarray(points, dtype=float)
-        mat = np.broadcast_to(const, x.shape[:-1] + const.shape)
+        # the stack axes lead the batch; the coefficients broadcast over the rest
+        lead = stack + (1,) * (x.ndim - 1 - len(stack)) + (dim, dim)
+        coeffs = [np.reshape(c, lead) for c in linear]
+        mat = np.broadcast_to(np.reshape(const, lead), x.shape[:-1] + (dim, dim))
         for a in range(4):
-            mat = mat + x[..., a, None, None] * linear[a]
+            mat = mat + x[..., a, None, None] * coeffs[a]
         if not deriv:
             return expm(mat), None
         # The exponential of the block upper-triangular matrix with M on
@@ -290,7 +299,7 @@ def exp_linear_field(const, linear) -> MatrixField:
         block = np.zeros(mat.shape[:-2] + (5 * dim, 5 * dim), dtype=mat.dtype)
         for k in range(5):
             block[..., k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = mat
-        block[..., :dim, dim:] = np.hstack(linear)
+        block[..., :dim, dim:] = np.concatenate(coeffs, axis=-1)
         top = expm(block)[..., :dim, :]
         d = top[..., dim:].reshape(mat.shape[:-2] + (dim, 4, dim))
         return top[..., :dim], np.moveaxis(d, -2, -3)
@@ -299,14 +308,28 @@ def exp_linear_field(const, linear) -> MatrixField:
 
 
 def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTransition:
-    """Seeded smooth frame transition (tangent + spinor parts)."""
-    rng = np.random.default_rng(seed)
-    spin = _polynomial_exp_field(rng, spinor_dim, scale, real=False)
-    if tangent:
-        tan = _polynomial_exp_field(rng, 4, scale, real=True)
-    else:
-        tan = MatrixField.constant(np.eye(4))
-    return FrameTransition(tan, spin, spinor_dim=spinor_dim)
+    """Seeded smooth frame transition (tangent + spinor parts).
+
+    seed is one seed, or a sequence of seeds: then S and Ss stack the
+    transition of each seed along a leading axis (exp_linear_field),
+    each drawn from its own default_rng(seed) exactly as alone.
+    """
+    stacked = not isinstance(seed, numbers.Integral)
+    spin, tan = [], []
+    for one in (seed if stacked else (seed,)):
+        rng = np.random.default_rng(one)
+        spin.append(_polynomial_draws(rng, spinor_dim, scale, real=False))
+        if tangent:
+            tan.append(_polynomial_draws(rng, 4, scale, real=True))
+
+    def exp_field(draws):
+        combine = np.stack if stacked else (lambda arrays: arrays[0])
+        consts, linears = zip(*draws)
+        return exp_linear_field(combine(consts), [combine([l[a] for l in linears])
+                                                  for a in range(4)])
+
+    tan = exp_field(tan) if tangent else MatrixField.constant(np.eye(4))
+    return FrameTransition(tan, exp_field(spin), spinor_dim=spinor_dim)
 
 
 def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:

@@ -91,7 +91,9 @@ class SpinTensorValue:
     """Dense complex component array of one spin-tensor at one point.
 
     The components may carry leading batch axes, one value per point,
-    before the slot axes; the index arithmetic below takes single values.
+    before the slot axes; the index arithmetic below acts on the slot
+    axes of every batch entry alike (slot positions count from the
+    first slot axis).
     """
 
     signature: TensorSignature
@@ -172,11 +174,18 @@ class MetricMatrices:
         return self.d_lower.shape[0]
 
 
+def _batch_ndim(x: SpinTensorValue):
+    return x.components.ndim - x.signature.rank
+
+
 def _canonical(sig: TensorSignature, slots, components) -> SpinTensorValue:
-    """The value whose axes carry slots, in that order, with its axes
-    stably sorted into canonical block order (ORDER)."""
+    """The value whose trailing axes carry slots, in that order, with
+    those axes stably sorted into canonical block order (ORDER); the
+    leading batch axes stay in place."""
+    lead = np.ndim(components) - len(slots)
     perm = sorted(range(len(slots)), key=lambda axis: ORDER.index(slots[axis]))
-    return SpinTensorValue(sig.with_slots(slots), np.transpose(components, perm))
+    axes = list(range(lead)) + [lead + axis for axis in perm]
+    return SpinTensorValue(sig.with_slots(slots), np.transpose(components, axes))
 
 
 def tau(x: SpinTensorValue) -> SpinTensorValue:
@@ -195,13 +204,16 @@ def outer(x: SpinTensorValue, y: SpinTensorValue) -> SpinTensorValue:
     """Tensor product, re-sorted into canonical slot order.
 
     Within each (family, variance) block the slots of x precede those
-    of y.
+    of y.  Batch axes broadcast.
     """
     sx, sy = x.signature, y.signature
     if sx.spinor_dim != sy.spinor_dim:
         raise ValueError("spinor dimensions differ")
-    raw = np.tensordot(x.components, y.components, axes=0)
-    return _canonical(sx, sx.slots + sy.slots, raw)
+    # x's slots, then y's: x gains trailing unit axes, y leading ones
+    # after its batch
+    xs = x.components.reshape(x.components.shape + (1,) * sy.rank)
+    ys = y.components.reshape(y.components.shape[:_batch_ndim(y)] + (1,) * sx.rank + sy.shape)
+    return _canonical(sx, sx.slots + sy.slots, xs * ys)
 
 
 def contract(x: SpinTensorValue, slot_a: int, slot_b: int) -> SpinTensorValue:
@@ -217,7 +229,9 @@ def contract(x: SpinTensorValue, slot_a: int, slot_b: int) -> SpinTensorValue:
     if not (up_a and not up_b):
         raise ValueError("slot_a must be contravariant and slot_b covariant")
     rest = [block for axis, block in enumerate(slots) if axis not in (slot_a, slot_b)]
-    return _canonical(x.signature, rest, np.trace(x.components, axis1=slot_a, axis2=slot_b))
+    lead = _batch_ndim(x)
+    traced = np.trace(x.components, axis1=lead + slot_a, axis2=lead + slot_b)
+    return _canonical(x.signature, rest, traced)
 
 
 def _family_metric(metrics: MetricMatrices, family, direction):
@@ -254,7 +268,7 @@ def raise_lower(
     if family != TANGENT and x.signature.spinor_dim != metrics.spinor_dim:
         raise ValueError("metric spinor dimension mismatch")
     metric = _family_metric(metrics, family, direction)
-    moved = np.tensordot(x.components, metric, axes=([slot], [0]))
+    moved = np.tensordot(x.components, metric, axes=([_batch_ndim(x) + slot], [0]))
     # tensordot leaves the new index last, so the stable sort puts it
     # at the end of its block
     return _canonical(x.signature, slots[:slot] + slots[slot + 1:] + ((family, not up),), moved)

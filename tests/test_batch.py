@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 import spintensor
+from spintensor import cli
 from spintensor.chiral import (
     ScenarioError,
     build_chiral_metric_connection,
+    transform_connection,
     verify_concordance,
+    worst_residual,
 )
 from spintensor.dirac_connection import build_dirac_metric_connection
 from spintensor.expressions import EvaluationError
@@ -138,6 +141,26 @@ def test_frame_changes_under_a_seeded_transition(name, mode):
     ]
     assert_batch_matches(theta.theta, [s.theta for s in singles], "theta")
     assert_batch_matches(theta.vartheta, [s.vartheta for s in singles], "vartheta")
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_covariance_over_a_stack_of_seeds_is_the_per_seed_loop(name):
+    # the covariance stage moves, builds and transforms its three seed
+    # offsets as one (3, N) batch; the same steps one seed at a time
+    # give the same connections and the same residual, exactly
+    spec = bundled_scenario(name)
+    ctx = cli.Run(report=cli.ResidualReport(name, "covariance"), spec=spec)
+    cli.run_covariance(ctx)
+    base, table, conn = ctx.mode("chiral")
+    points = base.chart.points
+    worst = 0.0
+    for offset in range(3):
+        moved, trans_jets = base.deform_jets(table, random_transition(spec.seed + offset), points)
+        theta = theta_parameters(trans_jets, table["frame"], points)
+        back = transform_connection(build_chiral_metric_connection(moved, points), trans_jets, theta)
+        for part in ("Gamma", "A", "Abar"):
+            worst = worst_residual(worst, getattr(back, part) - getattr(conn, part))
+    assert ctx.report.checks["chiral-transformation-law"]["max_residual"] == worst
 
 
 # --- a failing third point -------------------------------------------

@@ -377,6 +377,23 @@ CATALOG = [
                   "covariance": (1, "numerical failure: seeded deformation 1: frame at "
                                     "(300.0, 0.0, 0.0, 0.0): frame is singular\n")},
                  id="far-seeded-transition"),
+    # two seed offsets fail the same check at different points: the
+    # first offset is named, at its own failing point, although the
+    # second one fails at an earlier point
+    pytest.param(with_changes("flat", seed=1), GOOD + [[0, -150, 0, 0], [0, 100, 0, 0]],
+                 {"concordance": (0, ""),
+                  "covariance": (1, "numerical failure: seeded deformation 1: frame at "
+                                    "(0.0, 100.0, 0.0, 0.0): frame is singular\n")},
+                 id="two-failing-seed-offsets"),
+    # seed offset 0 fails a later check (the moved metric's signature)
+    # at the point where offset 1's transition is singular: the earlier
+    # check is named
+    pytest.param({**with_metric("diag-scale", g00="1e12"), "seed": 0},
+                 GOOD + [[0, 100, 0, 0]],
+                 {"concordance": (0, ""),
+                  "covariance": (1, "numerical failure: seeded deformation 1: frame at "
+                                    "(0.0, 100.0, 0.0, 0.0): frame is singular\n")},
+                 id="earlier-check-of-a-later-seed-offset"),
     # the spec's own transition overflows in its matrix exponential
     pytest.param(with_changes("diag-scale", seed=2, deform={"scale": 328}), [[0, 0, 0, 0]],
                  both(2, "bad input: frame at (0.0, 0.0, 0.0, 0.0): frame is singular\n"),
@@ -466,10 +483,10 @@ def test_run_rejects_an_out_of_range_fd_step(capsys):
     assert all(line.startswith("bad input: ") for line in err)
 
 
-def test_a_seeded_deformation_report_makes_at_most_8_expm_calls(monkeypatch):
+def test_a_seeded_deformation_report_makes_at_most_4_expm_calls(monkeypatch):
     # the spec's transition (a tangent and a spinor expm) is evaluated
     # once per run, in the tangent half both modes' tables read;
-    # covariance adds one transition per seed offset
+    # covariance adds one stacked transition for its three seed offsets
     calls = []
     expm = scenarios.expm
 
@@ -480,7 +497,7 @@ def test_a_seeded_deformation_report_makes_at_most_8_expm_calls(monkeypatch):
     monkeypatch.setattr(scenarios, "expm", counted)
     code, _ = run_captured("all", spec_path="seeded-deformation")
     assert code == 0
-    assert len(calls) <= 8
+    assert len(calls) <= 4
 
 
 @pytest.fixture
@@ -509,11 +526,11 @@ def counted_work(monkeypatch):
 @pytest.mark.parametrize("name", ["seeded-deformation", "diag-scale"])
 def test_all_evaluates_each_table_and_builds_each_connection_once(name, counted_work):
     # per mode: one table, which also checks the scenario, shared by
-    # every stage; covariance builds 3 moved chiral connections besides
-    # the held ones
+    # every stage; covariance builds the moved chiral connections of its
+    # three seed offsets as one batch besides the held ones
     code, _ = run_captured("all", spec_path=name)
     assert code == 0
-    assert counted_work == {"ChiralScenario": 1, "DiracScenario": 1, "chiral": 4, "dirac": 1}
+    assert counted_work == {"ChiralScenario": 1, "DiracScenario": 1, "chiral": 2, "dirac": 1}
 
 
 def test_build_connection_evaluates_the_oracle_once(monkeypatch):
@@ -559,14 +576,14 @@ def test_concordance_computes_the_tangent_part_once_per_run(mode, monkeypatch):
     ("diag-scale", "concordance", 1),
     ("ortho-tetrad", "concordance", 1),
     ("seeded-deformation", "concordance", 1),
-    ("diag-scale", "all", 4),
-    ("seeded-deformation", "all", 4),
+    ("diag-scale", "all", 2),
+    ("seeded-deformation", "all", 2),
 ])
 def test_tangent_coefficients_are_computed_once_per_built_table(name, subcommand, calls,
                                                                 monkeypatch):
     # once for the run's tangent half, which both builders read (never
-    # for the undeformed base of a deformed table), and once for each of
-    # the 3 moved connections of covariance; each run of
+    # for the undeformed base of a deformed table), and once for the
+    # batch of covariance's 3 moved connections; each run of
     # metric_tangent_connection computes the frame's structural
     # constants once, which counts it however a builder reaches it
     counts = collections.Counter()
@@ -644,8 +661,9 @@ def test_a_one_mode_run_is_bit_equal_to_its_half_of_a_both_run(name, mode, tmp_p
 
 
 def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
-    # the chiral suite once; the Dirac suite and the Dirac tables once
-    # canonically and once per P/T/PT inversion
+    # the chiral suite once; the canonical Dirac tables once, then the
+    # tables of the identity, P, T and PT frames as one stack, and the
+    # Dirac suite once over that stack
     counts = collections.Counter()
 
     def counting(module, name):
@@ -669,8 +687,8 @@ def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
     monkeypatch.setattr(dirac.DiracConstants, "from_primary", classmethod(counted_from_primary))
     code, _ = run_captured("verify-identities")
     assert code == 0
-    assert counts == {"verify_chiral_identities": 1, "verify_dirac_identities": 4,
-                      "from_primary": 4}
+    assert counts == {"verify_chiral_identities": 1, "verify_dirac_identities": 1,
+                      "from_primary": 2}
 
 
 def test_an_oracle_step_outside_the_metric_domain_is_a_numerical_failure(capsys, tmp_path):

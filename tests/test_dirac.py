@@ -88,3 +88,22 @@ def test_derived_companions_are_consistent():
     assert np.array_equal(
         constants.gamma_inv, np.einsum("abk,km->abm", constants.gamma, constants.g_upper)
     )
+
+
+def test_a_stack_of_frames_is_each_frame_alone():
+    # one transform of the stacked spinor matrices (identity, P, T, PT)
+    # and one suite over the stack give, frame by frame, the tables and
+    # the residuals of the calls on each frame alone: exactly 0
+    canonical = canonical_dirac_constants()
+    spins = [np.eye(4)] + [frame_inversion(kind) for kind in ("P", "T", "PT")]
+    stack = canonical.transform(np.stack(spins))
+    suite = verify_dirac_identities(stack)
+    assert suite.keys() == verify_dirac_identities(canonical).keys()
+    for k, spin in enumerate(spins):
+        alone = canonical.transform(spin)
+        for name, value in vars(alone).items():
+            stacked = getattr(stack, name)
+            assert np.array_equal(stacked if stacked.shape == value.shape else stacked[k], value)
+        for check, value in verify_dirac_identities(alone).items():
+            assert suite[check].shape == (4,)
+            assert suite[check][k] == value == 0.0, (k, check)

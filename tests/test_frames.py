@@ -14,6 +14,7 @@ from spintensor.frames import (
     theta_parameters,
     transform_components,
 )
+from spintensor.scenarios import random_transition
 from spintensor.tensor_core import TensorSignature
 
 PT = (0.5, 0.2, -0.3, 0.1)
@@ -166,3 +167,35 @@ def test_theta_parameters_reject_inconsistent_pairs():
     jets = (s.jet(PT), bad_t.jet(PT), ss.jet(PT), ss.jet(PT))
     with pytest.raises(ValueError):
         theta_parameters(jets, FrameField.coordinate().jet(PT), PT)
+
+
+def test_along_frame_rejects_partials_of_another_batch():
+    # a frame at N points and partials of a (3, N) batch: the per-point
+    # shape is unknown, so the frame is not silently reshaped against them
+    points = np.array([PT, (0.1, -0.4, 0.2, 0.3)])
+    u = FrameField.from_expressions(
+        [["1", "x1", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "x0"], ["0", "0", "0", "1"]]
+    ).jet(points)[0]
+    d = np.broadcast_to(MatrixField.from_expressions([["x1", "x0"], ["x2", "x3"]]).jet(points)[1],
+                        (3, 2, 4, 2, 2))
+    with pytest.raises(ValueError):
+        along_frame(u, d)
+    # broadcast to the batch first, it gives each slice's result
+    lie = along_frame(np.broadcast_to(u, (3, 2, 4, 4)), d)
+    for k in range(3):
+        assert np.array_equal(lie[k], along_frame(u, d[k]))
+
+
+def test_theta_parameters_of_one_frame_under_a_stack_of_transitions():
+    # theta of an (N,) frame under a (3, N) stack of transitions equals,
+    # slice by slice, theta under each transition alone
+    points = np.array([PT, (0.1, -0.4, 0.2, 0.3)])
+    frame = FrameField.from_expressions(
+        [["1", "x1", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "x0"], ["0", "0", "0", "1"]]
+    ).jet(points)
+    stacked = np.broadcast_to(points, (3, 2, 4))
+    theta = theta_parameters(random_transition([4, 5, 6]).jets(stacked), frame, stacked)
+    for k, seed in enumerate([4, 5, 6]):
+        alone = theta_parameters(random_transition(seed).jets(points), frame, points)
+        assert np.array_equal(theta.theta[k], alone.theta)
+        assert np.array_equal(theta.vartheta[k], alone.vartheta)

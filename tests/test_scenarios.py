@@ -185,6 +185,21 @@ def test_random_transition_is_deterministic():
     assert not np.array_equal(a.S(PT), c.S(PT))
 
 
+def test_a_stack_of_seeds_is_each_seed_alone():
+    # each seed of the stack keeps its own generator and draw order: at
+    # its slice of a (3, N) batch, the stacked field is the field of
+    # that seed alone, values and partials, to the last bit
+    points = np.array([PT, (0.1, -0.4, 0.2, 0.3)])
+    stack = random_transition([3, 4, 5])
+    stacked = np.broadcast_to(points, (3, 2, 4))
+    for field in ("S", "Ss"):
+        value, d = getattr(stack, field).jet(stacked)
+        for k, seed in enumerate([3, 4, 5]):
+            alone = getattr(random_transition(seed), field).jet(points)
+            assert np.array_equal(value[k], alone[0])
+            assert np.array_equal(d[k], alone[1])
+
+
 def test_embedded_dirac_transition_block_structure():
     chiral = random_transition(seed=6, spinor_dim=2)
     dirac = embedded_dirac_transition(chiral)

@@ -171,3 +171,29 @@ def test_spinor_metric_convention():
     # sum_q d_iq d^qj = delta_i^j
     prod = CANONICAL_METRICS.d_lower @ CANONICAL_METRICS.d_upper
     assert np.array_equal(prod, np.eye(2))
+
+
+def batch_of(sig, seeds):
+    """A value with one leading batch axis, one random value per seed."""
+    return SpinTensorValue(sig, np.stack([random_value(sig, seed).components for seed in seeds]))
+
+
+def test_slot_operations_act_on_each_batch_entry():
+    # tau, outer, contract and raise_lower move slot axes only: on a
+    # batch they give each entry's own result
+    sig = TensorSignature(alpha=1, beta=1, gamma=1, n=1)
+    x = batch_of(sig, [7, 8, 9])
+    y = batch_of(TensorSignature(nu=1, m=1), [10, 11, 12])
+    cases = {
+        "tau": (lambda v, _: tau(v)),
+        "outer": outer,
+        "contract": (lambda v, _: contract(v, 0, 1)),
+        "lower": (lambda v, _: raise_lower(v, 0, CANONICAL_METRICS, "lower")),
+    }
+    for label, operation in cases.items():
+        batch = operation(x, y)
+        for k in range(3):
+            alone = operation(SpinTensorValue(sig, x.components[k]),
+                              SpinTensorValue(y.signature, y.components[k]))
+            assert batch.signature == alone.signature, label
+            assert np.array_equal(batch.components[k], alone.components), label
