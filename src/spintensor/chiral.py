@@ -6,15 +6,15 @@ spinor bilinears (the slices of G with the tangent index fixed are the
 Pauli matrices).  The builder produces the unique connection (Gamma, A,
 Abar) annihilating g, d, dbar and G.  A scenario gives its structure
 data at a batch of points as one table of jets, scenario.jets(points),
-with every entry evaluated once; the builders, the tangent connection
-and the one concordance verifier read that table only.  The table's
-tangent half (scenario.tangent_jets: the frame, the frame metric and
-its orthonormal factor, the torsion and the transitions' jets) is the
-same for a chiral and a Dirac scenario of the same fields, so a caller
-that holds it (a CLI run) evaluates it once for both tables, and
-tangent_connection's (g^-1, Gamma) once for both builders.  The
-verifier walks a scenario's STRUCTURE_FIELDS table and turns every
-defining property, chiral or Dirac, into a residual.
+with every entry evaluated once; the builders and the one concordance
+verifier read that table only.  The table's tangent half
+(scenario.tangent_jets: the frame, the frame metric and its
+orthonormal factor, the torsion, g^-1, the tangent coefficients Gamma
+and the transitions' jets) is the same for a chiral and a Dirac
+scenario of the same fields, so a caller that holds it (a CLI run)
+evaluates it once for both tables and both builders.  The verifier
+walks a scenario's STRUCTURE_FIELDS table and turns every defining
+property, chiral or Dirac, into a residual.
 """
 
 from __future__ import annotations
@@ -250,6 +250,30 @@ def _deform_tangent(entries, trans, points):
     return {"frame": frame, "g": g, "torsion": torsion}, trans_jets
 
 
+def _with_tangent_connection(half, points):
+    """The tangent half with "ginv", g^-1, checked as part of the metric
+    entry, and "Gamma", metric_tangent_connection of the half."""
+    g = np.real(half["g"][0])
+    with _entry("metric", points):
+        try:
+            ginv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            # only now, find the first point where LAPACK cannot invert g
+            singular = np.zeros(g.shape[:-2], dtype=bool)
+            for index in np.ndindex(singular.shape):
+                try:
+                    np.linalg.inv(g[index])
+                except np.linalg.LinAlgError:
+                    singular[index] = True
+                    break
+            check_points(singular, None, "not invertible", ValueError)
+            raise
+    return {**half, "ginv": ginv, "Gamma": metric_tangent_connection(half, ginv)}
+
+
+BARE_ENTRIES = ("torsion", "ginv", "Gamma")  # table entries held as values, not jets
+
+
 def _broadcast_table(table, batch):
     """The table's entries as read-only views broadcast to batch, which
     ends with the table's own batch axes."""
@@ -258,13 +282,14 @@ def _broadcast_table(table, batch):
     def widen(array):
         return None if array is None else np.broadcast_to(array, batch + np.shape(array)[own:])
 
-    return {attr: widen(entry) if attr == "torsion" else tuple(map(widen, entry))
+    return {attr: widen(entry) if attr in BARE_ENTRIES else tuple(map(widen, entry))
             for attr, entry in table.items()}
 
 
 def _table(tangent, spinor):
     """A table in table order from its tangent half and spinor entries."""
-    return {"frame": tangent["frame"], "g": tangent["g"], **spinor, "torsion": tangent["torsion"]}
+    return {"frame": tangent["frame"], "g": tangent["g"], **spinor,
+            **{attr: tangent[attr] for attr in BARE_ENTRIES}}
 
 
 class ChiralScenario:
@@ -274,7 +299,7 @@ class ChiralScenario:
     scenario's own fields.  Its structure data at a batch of points is
     one table, jets(points): the jets of the frame and of every
     STRUCTURE_FIELDS attribute (g among them as the frame components
-    U^T g U) and the torsion's value, each evaluated once.  Its
+    U^T g U) and the values of BARE_ENTRIES, each evaluated once.  Its
     tangent half (tangent_jets) holds nothing mode-specific, so a
     chiral and a Dirac scenario of the same fields can share it.
     Constructing a scenario evaluates nothing: the table is the only
@@ -311,16 +336,17 @@ class ChiralScenario:
         """The tangent half of the table at points.
 
         Maps "frame", "g" and "torsion" to the table's entries, moved by
-        every transition, "factor" to the jet (L, dL) of the
-        signed-Cholesky factor of the unmoved g, which the symbols
-        derive from, and "transitions" to each transition's (S, T, Ss,
-        Ts) jets.  Each field is evaluated once and checked, in table
-        order: the frame, the metric (U^T g U from the frame jet, then
-        its factor), the torsion (None without one: exactly zero), then
-        each transition (_deform_tangent).  Within an entry its values
-        come first, then its partials, then its checks; the first
-        failure raises a FieldError naming the entry and its first
-        failing point, even where a later one fails at an earlier point.
+        every transition, and "ginv" and "Gamma" to theirs, "factor" to
+        the jet (L, dL) of the signed-Cholesky factor of the unmoved g,
+        which the symbols derive from, and "transitions" to each
+        transition's (S, T, Ss, Ts) jets.  Each field is evaluated once
+        and checked, in table order: the frame, the metric (U^T g U from
+        the frame jet, then its factor), the torsion (None without one:
+        exactly zero), each transition (_deform_tangent), then g^-1.
+        Within an entry its values come first, then its partials, then
+        its checks; the first failure raises a FieldError naming the
+        entry and its first failing point, even where a later one fails
+        at an earlier point.
         """
         with _entry("frame", points):
             u = self.frame.jet(points)
@@ -334,6 +360,7 @@ class ChiralScenario:
         for trans in self.transitions:
             half, trans_jets = _deform_tangent(half, trans, points)
             moves.append(trans_jets)
+        half = _with_tangent_connection(half, points)
         return {**half, "factor": factor, "transitions": tuple(moves)}
 
     def jets(self, points, tangent=None):
@@ -342,13 +369,13 @@ class ChiralScenario:
         Maps "frame" and every STRUCTURE_FIELDS attribute to a jet
         (value, d), d the coordinate partials or None where they are
         exactly zero (the CANONICAL entries, the coordinate frame, a
-        constant metric), and "torsion" to a bare value, or None,
-        exactly zero, without torsion: nothing reads its partials.  The
-        frame, g and torsion are the tangent half's, tangent_jets(points),
-        which tangent holds where the caller has it (a run evaluates it
-        once for both modes).  The symbols carry the half's factor of g
-        on their tangent slot; they and the CANONICAL constants are
-        moved by each transition's spinor_transition pair.
+        constant metric), and each of BARE_ENTRIES to a value (the
+        torsion None, exactly zero, without one).  Those, the frame and
+        g are the tangent half's, tangent_jets(points), which tangent
+        holds where the caller has it (a run evaluates it once for both
+        modes).  The symbols carry the half's factor of g on their
+        tangent slot; they and the CANONICAL constants are moved by each
+        transition's spinor_transition pair.
         """
         if tangent is None:
             tangent = self.tangent_jets(points)
@@ -365,16 +392,17 @@ class ChiralScenario:
         to, and the transition's (S, T, Ss, Ts) jets, both at points.
 
         The frame, g and torsion move as in the tangent half
-        (_deform_tangent), from one evaluation of the transition; every
-        other entry is re-expressed with transform_components by the
-        spinor_transition pair.  A failure raises a FieldError.  points
-        may carry leading axes before the table's batch (a stack of
-        transitions at the table's points): the table is broadcast to
-        them first, so that each entry of the stack is moved with the
-        same operations as alone.
+        (_deform_tangent), from one evaluation of the transition, then
+        g^-1 and Gamma; every other entry is re-expressed with
+        transform_components by the spinor_transition pair.  A failure
+        raises a FieldError.  points may carry leading axes before the
+        table's batch (a stack of transitions at the table's points):
+        the table is broadcast to them first, so that each entry of the
+        stack is moved with the same operations as alone.
         """
         table = _broadcast_table(table, np.shape(points)[:-1])
         tangent, trans_jets = _deform_tangent(table, trans, points)
+        tangent = _with_tangent_connection(tangent, points)
         spinor = {attr: table[attr] for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"}
         return _table(tangent, self._deform_spinor(spinor, trans_jets, points)), trans_jets
 
@@ -392,12 +420,12 @@ class ChiralScenario:
         return {attr: transform_components(signature[attr], jet, spin_jets)
                 for attr, jet in entries.items()}
 
-    def concordance_extras(self, values, grads, ginv):
+    def concordance_extras(self, jets, grads):
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
-        point, from the fields' values and covariant derivatives there
-        and g^-1."""
+        point, from the table and the fields' covariant derivatives."""
         dg = grads["g"]  # [..., q, p, r]
-        gl = compute_g_lower_symbols(values["G"], ginv, values["d"], values["dbar"])
+        ginv = jets["ginv"]
+        gl = compute_g_lower_symbols(jets["G"][0], ginv, jets["d"][0], jets["dbar"][0])
         return {
             "metric-trace": einsum("qp,qpr->r", ginv, dg),
             "symbol-sandwich": einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
@@ -435,7 +463,7 @@ class SpinorConnection:
             object.__setattr__(self, name, arr)
 
 
-def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
+def metric_tangent_connection(jets, ginv) -> np.ndarray:
     """Tangent coefficients Gamma[..., i, k, j] of the metric connection.
 
     Gamma^k_ij = sum_r g^{kr}/2 (L_i g_jr + L_j g_ri - L_r g_ij)
@@ -443,17 +471,14 @@ def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
                - sum_rs g^{kr} (c^s_ir/2) g_sj - sum_rs g^{kr} (c^s_jr/2) g_si
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
-    with c the structural constants of the frame and T the torsion, all
-    read from a scenario's table of jets or its tangent half.  The L(g)
+    with c the structural constants of the frame, T the torsion and
+    ginv g^-1, the frame, g and T read from a tangent half.  The L(g)
     terms drop out for a constant metric and the T terms for a torsion
-    of None.  ginv is g^-1 where the caller already holds it
-    (tangent_connection).
+    of None.  A tangent half holds the result as its "Gamma" entry.
     """
     g, dg = jets["g"]
     g = np.real(g)
     lg = along_frame(jets["frame"][0], dg)  # lg[..., r, a, b] = L_r(g)_{ab}
-    if ginv is None:
-        ginv = np.linalg.inv(g)
     c = structural_constants(jets["frame"])
     t = jets["torsion"]
 
@@ -479,21 +504,12 @@ def metric_tangent_connection(jets, ginv=None) -> np.ndarray:
     return gamma
 
 
-def tangent_connection(jets):
-    """(g^-1, Gamma) of a table or of its tangent half: the inverse frame
-    metric and the tangent coefficients, the part of the metric
-    connection both builders share.  A run computes it once, from its
-    tangent half, and passes it to each builder as tangent_conn."""
-    ginv = np.linalg.inv(np.real(jets["g"][0]))
-    return ginv, metric_tangent_connection(jets, ginv)
-
-
-def build_chiral_metric_connection(jets, points, tangent_conn=None) -> SpinorConnection:
+def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G at every point.
 
-    jets is a chiral scenario's table at points.  The spinor
-    coefficients come from contracting the tangent coefficients with
-    the mixed symbols:
+    jets is a chiral scenario's table at points, whose "Gamma" are the
+    tangent coefficients.  The spinor coefficients come from
+    contracting them with the mixed symbols:
 
     A^i_rj    = 1/4 sum G^{i sbar}_p Gamma^p_rq G^q_{j sbar}
               - 1/4 sum L_r(G^{i sbar}_q) G^q_{j sbar}
@@ -501,12 +517,10 @@ def build_chiral_metric_connection(jets, points, tangent_conn=None) -> SpinorCon
     Abar^ibar_r jbar mirrors this with the barred slot of G and the
     unbarred spin-metric trace.  A term whose field is constant (its
     L None) drops out.  For real metric data Abar = conj(A), checked at
-    every point to 1e-9 relative to 1 + max|A|.  tangent_conn is the
-    table's (g^-1, Gamma) where the caller holds it, else
-    tangent_connection computes it here.
+    every point to 1e-9 relative to 1 + max|A|.
     """
     u = jets["frame"][0]
-    ginv, gamma = tangent_connection(jets) if tangent_conn is None else tangent_conn
+    ginv, gamma = jets["ginv"], jets["Gamma"]
     gu, dgu = jets["G"]
     d, dd = jets["d"]
     db, ddb = jets["dbar"]
@@ -580,43 +594,39 @@ def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
     concordance_residuals."""
     points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
     jets = scenario.jets(points)
-    return concordance_residuals(scenario, jets, build(jets, points))
+    conn = build(jets, points)
+    return concordance_residuals(scenario, jets, conn, tangent_concordance(jets, conn))
 
 
-def tangent_concordance(jets, conn: SpinorConnection, ginv=None):
-    """(g^-1, nabla g) of a table and a connection built from it: the
-    tangent part of concordance.  It reads only the tangent half and
-    Gamma, so the chiral and Dirac connections of one tangent half give
-    it alike, and a run computes it once for both.  ginv is g^-1 where
-    the caller holds it (tangent_connection)."""
+def tangent_concordance(jets, conn: SpinorConnection):
+    """nabla g of a table and a connection built from it: the tangent
+    part of concordance.  It reads only the tangent half and Gamma, so
+    the chiral and Dirac connections of one tangent half give it alike,
+    and a run computes it once for both."""
     g, dg = jets["g"]
-    if ginv is None:
-        ginv = np.linalg.inv(np.real(g))
     sig = TensorSignature(n=2, spinor_dim=conn.spinor_dim)
-    return ginv, covariant_components(sig, g, along_frame(jets["frame"][0], dg), conn)
+    return covariant_components(sig, g, along_frame(jets["frame"][0], dg), conn)
 
 
 def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection,
-                          tangent=None) -> dict:
+                          nabla_g) -> dict:
     """The concordance residuals of a connection built from the table.
 
     Each row of the scenario's STRUCTURE_FIELDS gives nabla-<check>, the
     max absolute covariant derivative of that field over all points of
     the table; the scenario's concordance_extras add its mode's other
-    conditions.  tangent is the table's (g^-1, nabla g) where the
-    caller holds it, else tangent_concordance computes it here.  A
-    non-finite residual anywhere makes the reported maximum non-finite.
+    conditions.  nabla_g is tangent_concordance of the table and the
+    connection.  A non-finite residual anywhere makes the reported
+    maximum non-finite.
     """
-    ginv, nabla_g = tangent_concordance(jets, conn) if tangent is None else tangent
     u = jets["frame"][0]
-    out, values, grads = {}, {}, {"g": nabla_g}
+    out, grads = {}, {"g": nabla_g}
     for check, attr, sig in scenario.STRUCTURE_FIELDS:
-        value, d = jets[attr]
-        values[attr] = value
         if attr not in grads:
+            value, d = jets[attr]
             grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
         out[f"nabla-{check}"] = worst_residual(0.0, grads[attr])
-    for check, residual in scenario.concordance_extras(values, grads, ginv).items():
+    for check, residual in scenario.concordance_extras(jets, grads).items():
         out[check] = worst_residual(0.0, residual)
     return out
 

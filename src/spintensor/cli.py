@@ -38,14 +38,14 @@ nested list, at the cost of formatting its floats.
 Each run evaluates a mode's table (scenario.jets) once, at all sample
 points as one batch, and builds its connection once; every stage reads
 them.  The tangent half of those tables (the frame, the frame metric
-and its orthonormal factor, the torsion and the spec's transition
-jets; ChiralScenario.tangent_jets) is evaluated once per run, by the
-first mode, and so is (g^-1, Gamma) (tangent_connection): the chiral
-and Dirac tables hold the same tangent entries, the Dirac table lifts
-the held chiral transition, and both builders read the same tangent
-coefficients (Run.tangent).  Concordance computes the tangent part of
-its residuals, (g^-1, nabla g), once for both modes.  The tables are
-also where the scenario is checked: constructing a scenario evaluates
+and its orthonormal factor, the torsion, g^-1, the tangent
+coefficients Gamma and the spec's transition jets;
+ChiralScenario.tangent_jets) is evaluated once per run, by the first
+mode (Run.tangent): the chiral and Dirac tables hold the same tangent
+entries, the Dirac table lifts the held chiral transition, and both
+builders read the same Gamma.  Concordance computes the tangent part
+of its residuals, nabla g, once for both modes.  The tables are also
+where the scenario is checked: constructing a scenario evaluates
 nothing.  A failure names its first failing point once.
 """
 
@@ -70,7 +70,6 @@ from .chiral import (
     canonical_chiral_constants,
     concordance_residuals,
     tangent_concordance,
-    tangent_connection,
     transform_connection,
     verify_chiral_identities,
     worst_residual,
@@ -270,11 +269,10 @@ class Run:
 
     tangent is the run's tangent half at the sample points
     (ChiralScenario.tangent_jets: the frame, the frame metric, its
-    factor, the torsion and the spec's transition jets) and the
-    (g^-1, Gamma) pair built from it (tangent_connection), made once by
-    the first mode.  held maps a mode to the spec's scenario for it,
-    its table at the sample points, read from the tangent half, and the
-    connection built from that table and the held pair, all made on
+    factor, the torsion, g^-1, Gamma and the spec's transition jets),
+    made once by the first mode.  held maps a mode to the spec's
+    scenario for it, its table at the sample points, read from the
+    tangent half, and the connection built from that table, all made on
     first use (mode) and read by every later stage of the run.
     """
 
@@ -283,7 +281,7 @@ class Run:
     seed: int = None
     fd_step: float = None
     tol_scale: float = 1.0
-    tangent: tuple = None
+    tangent: dict = None
     held: dict = field(default_factory=dict)
 
     def mode(self, mode):
@@ -293,11 +291,9 @@ class Run:
             scenario = loader(self.spec)
             points = scenario.chart.points
             if self.tangent is None:
-                half = scenario.tangent_jets(points)
-                self.tangent = half, tangent_connection(half)
-            half, connection = self.tangent
-            jets = scenario.jets(points, half)
-            self.held[mode] = (scenario, jets, build(jets, points, tangent_conn=connection))
+                self.tangent = scenario.tangent_jets(points)
+            jets = scenario.jets(points, self.tangent)
+            self.held[mode] = (scenario, jets, build(jets, points))
         return self.held[mode]
 
 
@@ -381,17 +377,16 @@ def run_build_connection(ctx: Run):
 
 def run_concordance(ctx: Run):
     """Concordance residual suites of each mode.  The tangent part,
-    (g^-1, nabla g), is the same for both modes: it is computed once,
-    from the first mode's connection and the run's g^-1."""
+    nabla g, is the same for both modes: it is computed once, from the
+    first mode's table and connection."""
     tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
     npoints = len(ctx.spec.sample_points)
-    tangent = None
+    nabla_g = None
     for mode in ctx.spec.modes:
         scenario, jets, conn = ctx.mode(mode)
-        if tangent is None:
-            _, (ginv, _) = ctx.tangent
-            tangent = tangent_concordance(jets, conn, ginv)
-        residuals = concordance_residuals(scenario, jets, conn, tangent)
+        if nabla_g is None:
+            nabla_g = tangent_concordance(jets, conn)
+        residuals = concordance_residuals(scenario, jets, conn, nabla_g)
         for check, value in residuals.items():
             ctx.report.record(f"{mode}-{check}", value, tol, npoints)
 
@@ -407,7 +402,7 @@ def run_covariance(ctx: Run):
     of three seeds), evaluated once at the sample points broadcast to a
     (3, N) batch: the base table is deformed, the moved connection
     built, theta derived and the back-transform taken once over that
-    batch.  A deformed table that fails its checks (FieldError) is a
+    batch.  A failing check of a moved table, connection or theta is a
     numerical failure naming the seed of its batch index: the input is
     valid.  Of several failures, the first check in that order fails,
     at its first seed offset, then its first point.
@@ -421,12 +416,11 @@ def run_covariance(ctx: Run):
     seeds = [base_seed + offset for offset in range(3)]
     stacked = np.broadcast_to(points, (len(seeds),) + points.shape)
     try:
-        moved, trans_jets = base.deform_jets(
-            base_jets, random_transition(seeds, spinor_dim=2), stacked)
-    except FieldError as exc:
+        moved, trans_jets = base.deform_jets(base_jets, random_transition(seeds), stacked)
+        conn_moved = build_chiral_metric_connection(moved, stacked)
+        theta = theta_parameters(trans_jets, base_jets["frame"], stacked)
+    except (FieldError, NumericalError) as exc:
         raise NumericalError(f"seeded deformation {seeds[exc.index[0]]}: {exc}") from exc
-    conn_moved = build_chiral_metric_connection(moved, stacked)
-    theta = theta_parameters(trans_jets, base_jets["frame"], stacked)
     back = transform_connection(conn_moved, trans_jets, theta)
     worst = 0.0
     for ours, theirs in (

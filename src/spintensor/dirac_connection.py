@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralScenario, SpinorConnection, tangent_connection
+from .chiral import ChiralScenario, SpinorConnection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
 from .frames import (
     add_terms,
@@ -174,15 +174,15 @@ class DiracScenario(ChiralScenario):
         """The Dirac lift of a chiral transition's held (S, T, Ss, Ts)
         jets: S and T as they are, the spinor matrix
         blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet), checked like
-        a frame, and its inverse; the operations
-        scenarios.embedded_dirac_transition evaluates."""
+        a frame, and its inverse.  This is the only Dirac lift of a
+        transition: a Dirac table moves its spinor entries with it."""
         s, t, ss, _ = trans_jets
         block = check_frame(embed_spinor_jet(ss, points), points)
         return s, t, block, inverse_jet(block)
 
-    def concordance_extras(self, values, grads, ginv):
+    def concordance_extras(self, jets, grads):
         """H nabla H + nabla H H at every point."""
-        h, dh = values["H"], grads["H"]  # dh[..., a, b, r]
+        h, dh = jets["H"][0], grads["H"]  # dh[..., a, b, r]
         return {
             "chirality-involution-derivative":
             einsum("ab,bcr->acr", h, dh) + einsum("abr,bc->acr", dh, h)
@@ -216,25 +216,22 @@ def _adjoint(mat):
     return np.conj(np.swapaxes(mat, -1, -2))
 
 
-def build_dirac_metric_connection(jets, points, method="simplified",
-                                  tangent_conn=None) -> SpinorConnection:
+def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorConnection:
     """The unique metric connection of a Dirac scenario at every point.
 
     jets is a Dirac scenario's table at points; points only completes
     the builders' shared signature, as no check here names a point.
-    The tangent coefficients are shared with the chiral builder.  The
-    spinor coefficients are computed either from the simplified closed
-    formula ("simplified") or by assembling the four chirality blocks
-    ("blocks"); the two routes agree identically and are kept separate
-    as mutual cross-checks.  In both, a term with the frame derivative
-    of a constant split array (its L None) drops out.  Abar is the
-    conjugate of A.  tangent_conn is the table's (g^-1, Gamma) where the
-    caller holds it, else tangent_connection computes it here.
+    The tangent coefficients are the table's "Gamma", as in the chiral
+    builder.  The spinor coefficients are computed either from the
+    simplified closed formula ("simplified") or by assembling the four
+    chirality blocks ("blocks"); the two routes agree identically and
+    are kept separate as mutual cross-checks.  In both, a term with the
+    frame derivative of a constant split array (its L None) drops out.
+    Abar is the conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
-    ginv, gamma_t = tangent_connection(jets) if tangent_conn is None else tangent_conn
-    ginv = ginv.astype(complex)
+    ginv, gamma_t = jets["ginv"].astype(complex), jets["Gamma"]
 
     d_jet = jets["d"]
     split = _split_arrays(jets["H"], jets["gamma"], d_jet, inverse_jet(d_jet))

@@ -366,13 +366,12 @@ class FrameTransition:
 
     S maps tilde frame labels to untilde expansions (tilde frame vector
     i is sum_j S[j, i] times untilde frame vector j); T is its pointwise
-    inverse.  Ss/Ts are the spinor analogues of dimension spinor_dim.
+    inverse.  Ss/Ts are the 2x2 spinor analogues: transitions are chiral.
     """
 
-    def __init__(self, S: MatrixField, Ss: MatrixField, spinor_dim=2):
+    def __init__(self, S: MatrixField, Ss: MatrixField):
         self.S = S
         self.Ss = Ss
-        self.spinor_dim = spinor_dim
 
     def jets(self, points):
         """Jets of (S, T, Ss, Ts) at points from one evaluation each of S

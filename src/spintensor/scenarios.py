@@ -8,11 +8,10 @@ and the spec holds the parsed fields; loaders turn a spec into
 ChiralScenario / DiracScenario objects on those same fields, so the two
 modes of a spec share them and parse nothing again.  The deformation
 helpers produce smooth seeded transitions as matrix exponentials of
-low-degree polynomial matrix fields.  A deformed scenario is its base
-scenario plus one chiral transition: its table is the base table moved
-entry by entry with one evaluation of the transition, whose spinor part
-a Dirac table lifts to blockdiag(Ss, (Ss^dagger)^-1) from the held
-jets.
+low-degree polynomial matrix fields.  Transitions are chiral: a
+deformed scenario is its base plus one, whose spinor part a Dirac
+table lifts (DiracScenario.spinor_transition), and
+ChiralScenario.deform_jets moves a held table by another.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .chiral import ChiralScenario
-from .dirac_connection import DiracScenario, embed_spinor_jet
+from .dirac_connection import DiracScenario
 from .expressions import ParseError
 from .frames import Chart, FrameField, FrameTransition, MatrixField, einsum
 
@@ -230,11 +229,10 @@ def _spec_scenario(spec: ScenarioSpec, cls):
                transitions=transitions)
 
 
-def spec_transition(spec: ScenarioSpec, spinor_dim=2) -> FrameTransition:
+def spec_transition(spec: ScenarioSpec) -> FrameTransition:
     deform = spec.deform or {}
     return random_transition(
         seed=deform.get("seed", spec.seed),
-        spinor_dim=spinor_dim,
         scale=float(deform.get("scale", 0.15)),
         tangent=deform.get("tangent", True),
     )
@@ -307,8 +305,8 @@ def exp_linear_field(const, linear) -> MatrixField:
     return MatrixField(jet)
 
 
-def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTransition:
-    """Seeded smooth frame transition (tangent + spinor parts).
+def random_transition(seed, scale=0.15, tangent=True) -> FrameTransition:
+    """Seeded smooth chiral frame transition (tangent + 2x2 spinor parts).
 
     seed is one seed, or a sequence of seeds: then S and Ss stack the
     transition of each seed along a leading axis (exp_linear_field),
@@ -318,7 +316,7 @@ def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTran
     spin, tan = [], []
     for one in (seed if stacked else (seed,)):
         rng = np.random.default_rng(one)
-        spin.append(_polynomial_draws(rng, spinor_dim, scale, real=False))
+        spin.append(_polynomial_draws(rng, 2, scale, real=False))
         if tangent:
             tan.append(_polynomial_draws(rng, 4, scale, real=True))
 
@@ -329,41 +327,7 @@ def random_transition(seed, spinor_dim=2, scale=0.15, tangent=True) -> FrameTran
                                                   for a in range(4)])
 
     tan = exp_field(tan) if tangent else MatrixField.constant(np.eye(4))
-    return FrameTransition(tan, exp_field(spin), spinor_dim=spinor_dim)
-
-
-def embedded_dirac_transition(chiral: FrameTransition) -> FrameTransition:
-    """Lift a chiral transition to the Dirac bundle: the same S, and the
-    spinor part blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet, which a
-    Dirac table also lifts a held chiral transition's jets with)."""
-    if chiral.spinor_dim != 2:
-        raise ValueError("expected a chiral transition")
-
-    def spin(points, deriv=True):
-        return embed_spinor_jet(chiral.Ss.jet(points, deriv), points)
-
-    return FrameTransition(chiral.S, MatrixField(spin), spinor_dim=4)
-
-
-# --- scenario deformation --------------------------------------------
-
-
-def deform_scenario(scenario, trans: FrameTransition):
-    """Scenario as seen from the frame deformed by a chiral transition.
-
-    A scenario of the same class and fields with the transition appended
-    to its transitions; nothing is evaluated until its table is.  Its
-    table is the base table moved by ChiralScenario.deform_jets (the
-    frame picks up S on the right, every other entry, the torsion
-    included, is re-expressed with transform_components) from one
-    evaluation of the transition; a Dirac table lifts its spinor part.
-    """
-    if trans.spinor_dim != 2:
-        raise ValueError("scenarios are deformed by chiral transitions")
-    return type(scenario)(
-        scenario.chart, scenario.frame, scenario.g, torsion=scenario.torsion,
-        transitions=scenario.transitions + (trans,),
-    )
+    return FrameTransition(tan, exp_field(spin))
 
 
 # --- independent cross-check -----------------------------------------

@@ -82,8 +82,3 @@ def symbol_jet(factor_jet, canonical):
     (orthonormal_factor_jet).
     """
     return einsum_jet("abc,qc->abq", (np.asarray(canonical, dtype=complex), None), factor_jet)
-
-
-def derived_symbol_jet(g_jet, canonical):
-    """symbol_jet of canonical from the factor of the metric jet g_jet."""
-    return symbol_jet(orthonormal_factor_jet(g_jet), canonical)

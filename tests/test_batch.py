@@ -20,6 +20,7 @@ import pytest
 import spintensor
 from spintensor import cli
 from spintensor.chiral import (
+    BARE_ENTRIES,
     ScenarioError,
     build_chiral_metric_connection,
     transform_connection,
@@ -39,9 +40,7 @@ from spintensor.scenarios import (
     bundled_scenario,
     bundled_scenario_names,
     chiral_scenario_from_spec,
-    deform_scenario,
     dirac_scenario_from_spec,
-    embedded_dirac_transition,
     load_scenario_spec,
     random_transition,
 )
@@ -75,8 +74,9 @@ def scenario_points(name, mode):
     return scenario, scenario.chart.points
 
 
-def torsion_value(entry, points):
-    """A torsion entry as a value: a bare array, or None, exactly zero."""
+def bare_value(entry, points):
+    """A bare entry as a value: its array, or for None (a torsion that
+    is exactly zero) zeros."""
     return np.zeros(np.shape(points)[:-1] + (4, 4, 4)) if entry is None else entry
 
 
@@ -86,8 +86,9 @@ def test_structure_field_jets(name, mode):
     table = scenario.jets(points)
     singles = [scenario.jets(point) for point in points]
     for label, entry in table.items():
-        value, d = (torsion_value(entry, points), None) if label == "torsion" else entry
-        singles_value = [torsion_value(s[label], point) if label == "torsion" else s[label][0]
+        bare = label in BARE_ENTRIES
+        value, d = (bare_value(entry, points), None) if bare else entry
+        singles_value = [bare_value(s[label], point) if bare else s[label][0]
                          for s, point in zip(singles, points)]
         assert_batch_matches(value, singles_value, f"{name} {mode} {label}")
         if d is not None:
@@ -120,23 +121,26 @@ def test_concordance(name, mode):
 @pytest.mark.parametrize("name, mode", CASES)
 def test_frame_changes_under_a_seeded_transition(name, mode):
     scenario, points = scenario_points(name, mode)
-    trans = random_transition(seed=11, spinor_dim=2)
-    if mode == "dirac":
-        trans = embedded_dirac_transition(trans)
+    trans = random_transition(seed=11)
+
+    def mode_jets(points):
+        # this mode's (S, T, Ss, Ts): a Dirac scenario lifts the chiral Ss
+        return scenario.spinor_transition(trans.jets(points), points)
+
     table = scenario.jets(points)
-    trans_jets = trans.jets(points)
+    trans_jets = mode_jets(points)
     for _, attr, sig in scenario.STRUCTURE_FIELDS:
         value, d = table[attr]
         moved, dmoved = transform_components(sig, (value, d), trans_jets)
         singles = [
-            transform_components(sig, (value[k], None if d is None else d[k]), trans.jets(point))
+            transform_components(sig, (value[k], None if d is None else d[k]), mode_jets(point))
             for k, point in enumerate(points)
         ]
         assert_batch_matches(moved, [m for m, _ in singles], attr)
         assert_batch_matches(dmoved, [dm for _, dm in singles], f"d{attr}")
     theta = theta_parameters(trans_jets, table["frame"], points)
     singles = [
-        theta_parameters(trans.jets(point), scenario.jets(point)["frame"], point)
+        theta_parameters(mode_jets(point), scenario.jets(point)["frame"], point)
         for point in points
     ]
     assert_batch_matches(theta.theta, [s.theta for s in singles], "theta")
@@ -215,9 +219,14 @@ def test_failed_abar_check_at_the_third_point():
     # from a seeded frame the conjugate-coefficient check trips
     spec = bundled_scenario("diag-scale")
     spec.sample_points = GOOD + [[-0.9999999999999999, 0.0, 0.0, 0.0]]
-    scenario = deform_scenario(chiral_scenario_from_spec(spec), random_transition(seed=2))
+    base, trans = chiral_scenario_from_spec(spec), random_transition(seed=2)
+
+    def build(points):
+        moved, _ = base.deform_jets(base.jets(points), trans, points)
+        return build_chiral_metric_connection(moved, points)
+
     message = same_error(
-        lambda points: build_chiral_metric_connection(scenario.jets(points), points),
+        build,
         spec.sample_points,
         NumericalError,
     )

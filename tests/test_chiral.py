@@ -28,8 +28,8 @@ from spintensor.dirac_connection import build_dirac_metric_connection
 from spintensor.scenarios import (
     bundled_scenario,
     chiral_scenario_from_spec,
+    bundled_scenario_names,
     coordinate_christoffel,
-    deform_scenario,
     dirac_scenario_from_spec,
     random_transition,
 )
@@ -80,14 +80,14 @@ def test_tangent_connection_matches_christoffel_oracle():
     scenario = diag_scenario()
     g_coord = MatrixField.from_expressions(DIAG_METRIC)
     for point in scenario.chart.sample_points:
-        gamma = metric_tangent_connection(scenario.jets(point))
+        gamma = scenario.jets(point)["Gamma"]
         oracle = coordinate_christoffel(g_coord, point)
         assert np.max(np.abs(gamma - oracle)) < 1e-5
 
 
 def test_tangent_connection_hand_values():
     scenario = diag_scenario()
-    gamma = metric_tangent_connection(scenario.jets((0.5, 0.0, 0.0, 0.0)))
+    gamma = scenario.jets((0.5, 0.0, 0.0, 0.0))["Gamma"]
     assert abs(gamma[0, 1, 1] - 2.0 / 3.0) < 1e-9  # direction 0, upper 1, lower 1
     assert abs(gamma[1, 0, 1] - 1.5) < 1e-9  # direction 1, upper 0, lower 1
 
@@ -96,7 +96,7 @@ def test_connection_is_torsion_free_in_anholonomic_frames():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     for point in scenario.chart.sample_points:
         jets = scenario.jets(point)
-        gamma = metric_tangent_connection(jets)
+        gamma = jets["Gamma"]
         c = structural_constants(jets["frame"])
         asym = gamma - gamma.transpose(2, 1, 0)
         assert np.max(np.abs(asym - np.einsum("kij->ikj", c))) < 1e-9
@@ -111,7 +111,7 @@ def test_prescribed_torsion_is_reproduced():
     scenario = ChiralScenario(
         base.chart, base.frame, base.g, torsion=MatrixField.constant(t)
     )
-    gamma = metric_tangent_connection(scenario.jets(PT))
+    gamma = scenario.jets(PT)["Gamma"]
     asym = gamma - gamma.transpose(2, 1, 0)
     assert np.allclose(asym, np.einsum("kij->ikj", t), atol=1e-9)
     # and the connection stays metric
@@ -200,7 +200,7 @@ def test_transform_connection_with_identity_transition_is_identity():
     scenario = diag_scenario()
     jets = scenario.jets(PT)
     conn = build_chiral_metric_connection(jets, PT)
-    trans = random_transition(seed=0, spinor_dim=2, scale=0.0).jets(PT)
+    trans = random_transition(seed=0, scale=0.0).jets(PT)
     theta = theta_parameters(trans, jets["frame"], PT)
     back = transform_connection(conn, trans, theta)
     assert np.allclose(back.Gamma, conn.Gamma, atol=1e-9)
@@ -209,15 +209,32 @@ def test_transform_connection_with_identity_transition_is_identity():
 
 def test_connection_covariance_round_trip():
     base = diag_scenario()
-    trans = random_transition(seed=5, spinor_dim=2)
-    moved = deform_scenario(base, trans)
+    trans = random_transition(seed=5)
+    moved, _ = base.deform_jets(base.jets(PT), trans, PT)
     theta = theta_parameters(trans.jets(PT), base.jets(PT)["frame"], PT)
-    conn_moved = build_at(build_chiral_metric_connection, moved, PT)
+    conn_moved = build_chiral_metric_connection(moved, PT)
     conn_base = build_at(build_chiral_metric_connection, base, PT)
     back = transform_connection(conn_moved, trans.jets(PT), theta)
     assert np.max(np.abs(back.Gamma - conn_base.Gamma)) < 1e-5
     assert np.max(np.abs(back.A - conn_base.A)) < 1e-5
     assert np.max(np.abs(back.Abar - conn_base.Abar)) < 1e-5
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_a_table_carries_the_tangent_connection_of_its_own_entries(name):
+    # g^-1 and Gamma are those of the table's frame, g and torsion: after
+    # the spec's own transition moved them, and again after deform_jets
+    # moved them to a further frame, alone or as a stack of seeds
+    scenario = chiral_scenario_from_spec(bundled_scenario(name))
+    points = scenario.chart.points
+    table = scenario.jets(points)
+    stacked = np.broadcast_to(points, (2,) + points.shape)
+    tables = [table, scenario.deform_jets(table, random_transition(seed=8), points)[0],
+              scenario.deform_jets(table, random_transition([8, 9]), stacked)[0]]
+    for jets in tables:
+        ginv = np.linalg.inv(np.real(jets["g"][0]))
+        assert np.array_equal(jets["ginv"], ginv)
+        assert np.array_equal(jets["Gamma"], metric_tangent_connection(jets, ginv))
 
 
 def test_conjugate_coefficients_are_conjugates():

@@ -438,12 +438,19 @@ CATALOG = [
     # rounding of a seeded frame change passes it
     pytest.param(with_metric("diag-scale", g00="1e8"), GOOD, both(0), id="large-metric"),
     # ill-conditioned enough that the moved connection itself loses A's
-    # reality to rounding
+    # reality to rounding (in seed offsets 2, 3 and 4; the first is named)
     pytest.param(with_metric("diag-scale", g00="1e12"), GOOD,
                  {"concordance": (0, ""),
-                  "covariance": (1, "numerical failure: Abar is not the conjugate of A at "
-                                    "(0.5, 0.2, -0.3, 0.1)\n")},
+                  "covariance": (1, "numerical failure: seeded deformation 2: Abar is not the "
+                                    "conjugate of A at (0.5, 0.2, -0.3, 0.1)\n")},
                  id="ill-conditioned-metric"),
+    # a moved metric that passes its checks but is exactly singular to
+    # LAPACK: seed 6 far from the origin, where det g rounds to 0
+    pytest.param({**with_metric("diag-scale", g00="1e12"), "seed": 6}, GOOD + [[0, 60, 0, 0]],
+                 {"concordance": (0, ""),
+                  "covariance": (1, "numerical failure: seeded deformation 6: metric at "
+                                    "(0.0, 60.0, 0.0, 0.0): not invertible\n")},
+                 id="singular-moved-metric"),
 ]
 
 
@@ -553,14 +560,14 @@ def test_build_connection_evaluates_the_oracle_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["both", "chiral", "dirac"])
 def test_concordance_computes_the_tangent_part_once_per_run(mode, monkeypatch):
-    # (g^-1, nabla g) reads only the tangent half and Gamma, which both
-    # modes share: one computation per run, from the run's held g^-1
+    # nabla g reads only the tangent half and Gamma, which both modes
+    # share: one computation per run
     calls = []
     tangent_concordance = cli.tangent_concordance
 
-    def counted(jets, conn, ginv=None):
-        calls.append(ginv is not None)
-        return tangent_concordance(jets, conn, ginv)
+    def counted(jets, conn):
+        calls.append(True)
+        return tangent_concordance(jets, conn)
 
     monkeypatch.setattr(cli, "tangent_concordance", counted)
     spec = bundled_spec("ortho-tetrad")
@@ -631,6 +638,9 @@ def test_both_tables_of_a_run_hold_one_tangent_half(name):
     for label in ("frame", "g"):
         assert chiral_jets[label] is dirac_jets[label]
         assert chiral_jets[label][0] is dirac_jets[label][0]
+    # and the same g^-1 and tangent coefficients, the run's tangent half's
+    for label in ("ginv", "Gamma"):
+        assert chiral_jets[label] is dirac_jets[label] is ctx.tangent[label]
 
 
 @pytest.mark.parametrize("mode", ["chiral", "dirac"])

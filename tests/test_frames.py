@@ -89,7 +89,7 @@ def test_structural_constants_known_value():
     assert np.max(np.abs(c + c.transpose(0, 2, 1))) == 0.0
 
 
-def scale_transition(spinor_dim=2):
+def scale_transition():
     s = MatrixField.from_expressions(
         [
             ["1", "0", "0", "0"],
@@ -98,8 +98,8 @@ def scale_transition(spinor_dim=2):
             ["0", "0", "0", "1"],
         ]
     )
-    ss = MatrixField.constant(np.eye(spinor_dim, dtype=complex))
-    return FrameTransition(s, ss, spinor_dim=spinor_dim)
+    ss = MatrixField.constant(np.eye(2, dtype=complex))
+    return FrameTransition(s, ss)
 
 
 def test_transition_inverses_check():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm_frechet
 
+from spintensor.chiral import BARE_ENTRIES
 from spintensor.dirac_connection import SPLIT_NAMES, _split_arrays
 from spintensor.frames import inverse_jet
 from spintensor.scenarios import (
@@ -19,7 +20,6 @@ from spintensor.scenarios import (
     bundled_scenario_names,
     chiral_scenario_from_spec,
     dirac_scenario_from_spec,
-    embedded_dirac_transition,
     exp_linear_field,
     spec_transition,
 )
@@ -66,7 +66,7 @@ def test_structure_field_jets(name):
     for point in spec.sample_points:
         for mode, scenario in scenarios.items():
             for label, entry in scenario.jets(point).items():
-                if label == "torsion":  # a bare value, None when zero: no partials
+                if label in BARE_ENTRIES:  # a bare value: no partials
                     continue
                 value, d = entry
 
@@ -77,16 +77,19 @@ def test_structure_field_jets(name):
 
 
 def test_seeded_transition_jets():
+    # the spec's chiral transition, and its Dirac lift
     spec = bundled_scenario("seeded-deformation")
-    chiral = spec_transition(spec, spinor_dim=2)
-    dirac = embedded_dirac_transition(chiral)
+    chiral = spec_transition(spec)
+    dirac = dirac_scenario_from_spec(spec)
+    kinds = {"chiral": chiral.jets,
+             "dirac": lambda p: dirac.spinor_transition(chiral.jets(p), p)}
     for point in spec.sample_points:
-        for trans, kind in ((chiral, "chiral"), (dirac, "dirac")):
+        for kind, jets in kinds.items():
             for k, label in enumerate(("S", "T", "Ss", "Ts")):
-                value, d = trans.jets(point)[k]
+                value, d = jets(point)[k]
 
-                def plain(p, k=k):
-                    return trans.jets(p)[k][0]
+                def plain(p, k=k, jets=jets):
+                    return jets(p)[k][0]
 
                 assert_jet_matches(value, d, plain, point, f"{kind} {label}")
 

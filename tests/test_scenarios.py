@@ -11,16 +11,15 @@ from spintensor.scenarios import (
     bundled_scenario_names,
     chiral_scenario_from_spec,
     coordinate_christoffel,
-    deform_scenario,
     dirac_scenario_from_spec,
-    embedded_dirac_transition,
     load_scenario_spec,
     random_transition,
 )
 from spintensor.tetrads import (
-    derived_symbol_jet,
+    orthonormal_factor_jet,
     signed_cholesky,
     signed_cholesky_partial,
+    symbol_jet,
 )
 
 PT = (0.5, 0.2, -0.3, 0.1)
@@ -153,7 +152,7 @@ def test_derived_symbol_field_reduces_to_canonical_on_minkowski():
     from spintensor.chiral import G_UPPER
 
     g = MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
-    value, d = derived_symbol_jet(g.jet(PT), G_UPPER)
+    value, d = symbol_jet(orthonormal_factor_jet(g.jet(PT)), G_UPPER)
     assert np.array_equal(value, G_UPPER)
     assert d is None
 
@@ -200,23 +199,21 @@ def test_a_stack_of_seeds_is_each_seed_alone():
             assert np.array_equal(d[k], alone[1])
 
 
-def test_embedded_dirac_transition_block_structure():
-    chiral = random_transition(seed=6, spinor_dim=2)
-    dirac = embedded_dirac_transition(chiral)
-    spin = dirac.Ss(PT)
-    top = chiral.Ss(PT)
+def test_dirac_spinor_transition_block_structure():
+    chiral = random_transition(seed=6).jets(PT)
+    dirac = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
+    spin = dirac.spinor_transition(chiral, PT)[2][0]
+    top = chiral[2][0]
     assert np.array_equal(spin[:2, :2], top)
     assert np.allclose(spin[2:, 2:], np.linalg.inv(top.conj().T), atol=1e-12)
     assert np.max(np.abs(spin[:2, 2:])) == 0.0
-    with pytest.raises(ValueError):
-        embedded_dirac_transition(dirac)
 
 
-def test_deform_scenario_preserves_structure_compatibility():
+def test_deform_jets_preserves_structure_compatibility():
     base = chiral_scenario_from_spec(load_scenario_spec(GOOD_SPEC))
-    moved = deform_scenario(base, random_transition(seed=8))
+    trans = random_transition(seed=8)
     for point in [PT]:
-        jets = moved.jets(point)
+        jets, _ = base.deform_jets(base.jets(point), trans, point)
         g = np.real(jets["g"][0])
         gu = jets["G"][0]
         d = jets["d"][0]
