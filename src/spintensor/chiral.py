@@ -10,7 +10,7 @@ with every entry evaluated once; the builders and the one concordance
 verifier read that table only.  The table's tangent half
 (scenario.tangent_jets: the frame, the frame metric and its
 orthonormal factor, the torsion, g^-1, the tangent coefficients Gamma
-and the transitions' jets) is the same for a chiral and a Dirac
+and the transition's jets) is the same for a chiral and a Dirac
 scenario of the same fields, so a caller that holds it (a CLI run)
 evaluates it once for both tables and both builders.  The verifier
 walks a scenario's STRUCTURE_FIELDS table and turns every defining
@@ -308,13 +308,12 @@ class ChiralScenario:
     STRUCTURE_FIELDS lists every field the metric connection annihilates
     as (check name, attribute, tensor type).  Besides g, each is its
     CANONICAL constant, except the symbol field named by SYMBOLS, which
-    is derived from g.  transitions (chiral FrameTransitions, empty for
-    an undeformed scenario) move the table to the frames they deform
-    to, in order; spinor_transition gives the spinor pair each one
-    moves this mode's spinor entries with.
+    is derived from g.  transition (a chiral FrameTransition, None for
+    an undeformed scenario) moves the table to the frame it deforms
+    to; spinor_transition gives the spinor pair it moves this mode's
+    spinor entries with.
     """
 
-    spinor_dim = 2
     STRUCTURE_FIELDS = (
         ("metric", "g", TensorSignature(n=2)),
         ("spin-metric", "d", TensorSignature(beta=2)),
@@ -325,28 +324,28 @@ class ChiralScenario:
     SYMBOLS = ("G", G_UPPER)
 
     def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None,
-                 transitions=()):
+                 transition=None):
         self.chart = chart
         self.frame = frame
         self.g = g
         self.torsion = torsion
-        self.transitions = transitions
+        self.transition = transition
 
     def tangent_jets(self, points):
         """The tangent half of the table at points.
 
         Maps "frame", "g" and "torsion" to the table's entries, moved by
-        every transition, and "ginv" and "Gamma" to theirs, "factor" to
+        the transition, and "ginv" and "Gamma" to theirs, "factor" to
         the jet (L, dL) of the signed-Cholesky factor of the unmoved g,
-        which the symbols derive from, and "transitions" to each
-        transition's (S, T, Ss, Ts) jets.  Each field is evaluated once
-        and checked, in table order: the frame, the metric (U^T g U from
-        the frame jet, then its factor), the torsion (None without one:
-        exactly zero), each transition (_deform_tangent), then g^-1.
-        Within an entry its values come first, then its partials, then
-        its checks; the first failure raises a FieldError naming the
-        entry and its first failing point, even where a later one fails
-        at an earlier point.
+        which the symbols derive from, and "transition" to the
+        transition's (S, T, Ss, Ts) jets (None without one).  Each field
+        is evaluated once and checked, in table order: the frame, the
+        metric (U^T g U from the frame jet, then its factor), the torsion
+        (None without one: exactly zero), the transition
+        (_deform_tangent), then g^-1.  Within an entry its values come
+        first, then its partials, then its checks; the first failure
+        raises a FieldError naming the entry and its first failing
+        point, even where a later one fails at an earlier point.
         """
         with _entry("frame", points):
             u = self.frame.jet(points)
@@ -355,13 +354,11 @@ class ChiralScenario:
             factor = orthonormal_factor_jet(g)
         with _entry("torsion", points):
             torsion = None if self.torsion is None else _check_torsion(self.torsion(points))
-        half = {"frame": u, "g": g, "torsion": torsion}
-        moves = []
-        for trans in self.transitions:
-            half, trans_jets = _deform_tangent(half, trans, points)
-            moves.append(trans_jets)
+        half, trans_jets = {"frame": u, "g": g, "torsion": torsion}, None
+        if self.transition is not None:
+            half, trans_jets = _deform_tangent(half, self.transition, points)
         half = _with_tangent_connection(half, points)
-        return {**half, "factor": factor, "transitions": tuple(moves)}
+        return {**half, "factor": factor, "transition": trans_jets}
 
     def jets(self, points, tangent=None):
         """The structure data at points as one table of jets.
@@ -374,7 +371,7 @@ class ChiralScenario:
         g are the tangent half's, tangent_jets(points), which tangent
         holds where the caller has it (a run evaluates it once for both
         modes).  The symbols carry the half's factor of g on their
-        tangent slot; they and the CANONICAL constants are moved by each
+        tangent slot; they and the CANONICAL constants are moved by the
         transition's spinor_transition pair.
         """
         if tangent is None:
@@ -383,8 +380,8 @@ class ChiralScenario:
         spinor = {symbols: symbol_jet(tangent["factor"], canonical)}
         for attr, value in self.CANONICAL.items():
             spinor[attr] = constant_jet(value, points)
-        for trans_jets in tangent["transitions"]:
-            spinor = self._deform_spinor(spinor, trans_jets, points)
+        if tangent["transition"] is not None:
+            spinor = self._deform_spinor(spinor, tangent["transition"])
         return _table(tangent, spinor)
 
     def deform_jets(self, table, trans, points):
@@ -404,18 +401,17 @@ class ChiralScenario:
         tangent, trans_jets = _deform_tangent(table, trans, points)
         tangent = _with_tangent_connection(tangent, points)
         spinor = {attr: table[attr] for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"}
-        return _table(tangent, self._deform_spinor(spinor, trans_jets, points)), trans_jets
+        return _table(tangent, self._deform_spinor(spinor, trans_jets)), trans_jets
 
-    def spinor_transition(self, trans_jets, points):
+    def spinor_transition(self, trans_jets):
         """The (S, T, Ss, Ts) jets this mode's spinor entries move with,
         from a chiral transition's: for the chiral bundle, its own."""
         return trans_jets
 
-    def _deform_spinor(self, entries, trans_jets, points):
+    def _deform_spinor(self, entries, trans_jets):
         """Spinor entries re-expressed with transform_components by the
         spinor_transition pair of a chiral transition's jets."""
-        with _entry("frame", points):
-            spin_jets = self.spinor_transition(trans_jets, points)
+        spin_jets = self.spinor_transition(trans_jets)
         signature = {attr: sig for _, attr, sig in self.STRUCTURE_FIELDS}
         return {attr: transform_components(signature[attr], jet, spin_jets)
                 for attr, jet in entries.items()}

@@ -13,9 +13,9 @@ non-finite residual fails its check; a consistency check, a singular
 matrix or non-finite connection in a build, a tangent oracle whose
 finite-difference steps leave the metric's domain, or a failing seeded
 frame change of covariance fails on one stderr line), 2 the spec, a
-flag or an environment override could not be read or parsed, or the
+flag or an environment override could not be read or parsed, the
 scenario cannot be built (one stderr line names the field and the
-point).
+point) or the report cannot be written to --out.
 Flags may also be set through environment variables with the
 SPINTENSOR_ prefix (SPINTENSOR_SPEC, SPINTENSOR_OUT, SPINTENSOR_SEED,
 SPINTENSOR_FD_STEP, SPINTENSOR_TOL_SCALE, SPINTENSOR_FORMAT); explicit
@@ -333,18 +333,20 @@ def run_verify_identities(ctx: Run):
 def run_build_connection(ctx: Run):
     """Emit coefficient tables at every sample point.
 
-    When the spec uses the coordinate frame, a raw finite-difference
-    Christoffel table (step --fd-step, else the spec's) is emitted next
-    to the tangent coefficients and their agreement is recorded as a
-    check.  Each mode's connection is the run's (Run.mode) and the
-    oracle is built once per run, for all points, from the first mode's
-    coordinate metric (scenario.g) after that mode's connection is
-    checked; the per-point tables are slices of those batches.  A
-    connection that is not finite, or an oracle whose finite-difference
-    steps leave the metric's domain, is a numerical failure.
+    When the spec uses the coordinate frame, no deformation and no
+    torsion, a raw finite-difference Christoffel table (step --fd-step,
+    else the spec's; torsion-free and independent of the builders) is
+    emitted next to the tangent coefficients and their agreement is
+    recorded as a check.  Each mode's connection is the run's
+    (Run.mode) and the oracle is built once per run, for all points,
+    from the first mode's coordinate metric (scenario.g) after that
+    mode's connection is checked; the per-point tables are slices of
+    those batches.  A connection that is not finite, or an oracle whose
+    finite-difference steps leave the metric's domain, is a numerical
+    failure.
     """
     spec = ctx.spec
-    has_oracle = spec.frame is None and not spec.deform
+    has_oracle = spec.frame is None and not spec.deform and spec.torsion is None
     step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
     oracle = None
     for mode in spec.modes:
@@ -491,8 +493,12 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
     report = ctx.report
     payload = report.to_json() if fmt == "json" else report.to_text()
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"bad input: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         stream.write(payload)
     if not report.overall_pass:

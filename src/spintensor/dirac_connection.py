@@ -19,7 +19,6 @@ from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
 from .frames import (
     add_terms,
     along_frame,
-    check_frame,
     check_points,
     einsum,
     einsum_jet,
@@ -152,13 +151,12 @@ class DiracScenario(ChiralScenario):
     d is the 4x4 Dirac spin-metric field, gamma the [a, b, m] symbol
     field (derived from g like the chiral mixed symbols), H the
     chirality operator field and D the Hermitian pairing field;
-    canonical constants, deformed only through frame transitions.  Its
-    transitions are chiral, like a chiral scenario's, so both share one
-    tangent half; its table lifts each one's spinor part
+    canonical constants, deformed only through a frame transition.  Its
+    transition is chiral, like a chiral scenario's, so both share one
+    tangent half; its table lifts the transition's spinor part
     (spinor_transition).
     """
 
-    spinor_dim = 4
     STRUCTURE_FIELDS = (
         ("metric", "g", TensorSignature(n=2, spinor_dim=4)),
         ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4)),
@@ -170,14 +168,15 @@ class DiracScenario(ChiralScenario):
     CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
     SYMBOLS = ("gamma", GAMMA)
 
-    def spinor_transition(self, trans_jets, points):
+    def spinor_transition(self, trans_jets):
         """The Dirac lift of a chiral transition's held (S, T, Ss, Ts)
         jets: S and T as they are, the spinor matrix
-        blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet), checked like
-        a frame, and its inverse.  This is the only Dirac lift of a
+        blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet) and its
+        inverse, unchecked: FrameTransition.jets checked Ss and the
+        block's |det| is 1.  This is the only Dirac lift of a
         transition: a Dirac table moves its spinor entries with it."""
         s, t, ss, _ = trans_jets
-        block = check_frame(embed_spinor_jet(ss, points), points)
+        block = embed_spinor_jet(ss)
         return s, t, block, inverse_jet(block)
 
     def concordance_extras(self, jets, grads):
@@ -189,16 +188,16 @@ class DiracScenario(ChiralScenario):
         }
 
 
-def embed_spinor_jet(ss_jet, points):
+def embed_spinor_jet(ss_jet):
     """Jet of blockdiag(Ss, (Ss^dagger)^-1) from the jet of a chiral
-    spinor transition Ss, which is first checked like a frame.
+    spinor transition Ss, already checked like a frame.
 
     The last two Dirac frame vectors are the barred dual co-frame,
     which transforms with the conjugate inverse transpose.  This keeps
     the canonical spin-metric block layout, the chirality operator and
     the pairing intact, so the deformed frame stays canonically chiral.
     """
-    top, dtop = check_frame(ss_jet, points)
+    top, dtop = ss_jet
     dual, ddual = inverse_jet((_adjoint(top), None if dtop is None else _adjoint(dtop)))
     out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
     out[..., :2, :2] = top

@@ -321,8 +321,8 @@ class FrameField:
     def from_expressions(cls, grid):
         return cls(MatrixField.from_expressions(grid))
 
-    def jet(self, points, deriv=True):
-        return check_frame(self.components.jet(points, deriv), points)
+    def jet(self, points):
+        return check_frame(self.components.jet(points), points)
 
 
 def along_frame(u, d):

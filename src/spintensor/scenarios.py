@@ -9,9 +9,9 @@ ChiralScenario / DiracScenario objects on those same fields, so the two
 modes of a spec share them and parse nothing again.  The deformation
 helpers produce smooth seeded transitions as matrix exponentials of
 low-degree polynomial matrix fields.  Transitions are chiral: a
-deformed scenario is its base plus one, whose spinor part a Dirac
-table lifts (DiracScenario.spinor_transition), and
-ChiralScenario.deform_jets moves a held table by another.
+deformed scenario is its base plus one (ChiralScenario.transition),
+whose spinor part a Dirac table lifts (DiracScenario.spinor_transition),
+and ChiralScenario.deform_jets moves a held table by another.
 """
 
 from __future__ import annotations
@@ -219,23 +219,18 @@ def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
 
 def _spec_scenario(spec: ScenarioSpec, cls):
     """The spec's scenario on its parsed fields, deformed by the spec's
-    chiral transition if it has one (a Dirac table lifts it).  Nothing
+    chiral transition if it has one (random_transition of its deform
+    seed, else the spec's seed; a Dirac table lifts it).  Nothing
     is evaluated here: its first table's tangent half
     (ChiralScenario.tangent_jets) evaluates and checks the base entries,
     then the transition."""
-    chart = Chart(sample_points=spec.sample_points)
-    transitions = (spec_transition(spec),) if spec.deform else ()
-    return cls(chart, spec.frame_field, spec.metric_field, torsion=spec.torsion_field,
-               transitions=transitions)
-
-
-def spec_transition(spec: ScenarioSpec) -> FrameTransition:
-    deform = spec.deform or {}
-    return random_transition(
-        seed=deform.get("seed", spec.seed),
-        scale=float(deform.get("scale", 0.15)),
-        tangent=deform.get("tangent", True),
-    )
+    transition = None
+    if spec.deform:
+        transition = random_transition(seed=spec.deform.get("seed", spec.seed),
+                                       scale=float(spec.deform.get("scale", 0.15)),
+                                       tangent=spec.deform.get("tangent", True))
+    return cls(Chart(sample_points=spec.sample_points), spec.frame_field, spec.metric_field,
+               torsion=spec.torsion_field, transition=transition)
 
 
 # --- seeded smooth transitions ---------------------------------------

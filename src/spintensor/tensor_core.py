@@ -155,20 +155,6 @@ class MetricMatrices:
         if not np.allclose(self.dbar_lower, np.conj(self.d_lower), atol=1e-12):
             raise ValueError("dbar_lower must be the conjugate of d_lower")
 
-    @classmethod
-    def from_lower(cls, g_lower, d_lower):
-        g_lower = np.asarray(g_lower, dtype=float)
-        d_lower = np.asarray(d_lower, dtype=complex)
-        dbar_lower = np.conj(d_lower)
-        return cls(
-            g_lower=g_lower,
-            g_upper=np.linalg.inv(g_lower),
-            d_lower=d_lower,
-            d_upper=np.linalg.inv(d_lower),
-            dbar_lower=dbar_lower,
-            dbar_upper=np.linalg.inv(dbar_lower),
-        )
-
     @property
     def spinor_dim(self):
         return self.d_lower.shape[0]

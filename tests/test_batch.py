@@ -125,7 +125,7 @@ def test_frame_changes_under_a_seeded_transition(name, mode):
 
     def mode_jets(points):
         # this mode's (S, T, Ss, Ts): a Dirac scenario lifts the chiral Ss
-        return scenario.spinor_transition(trans.jets(points), points)
+        return scenario.spinor_transition(trans.jets(points))
 
     table = scenario.jets(points)
     trans_jets = mode_jets(points)
@@ -207,7 +207,7 @@ def test_singular_frame_at_the_third_point():
     )
     # the fourth point fails too; the message names the first failure
     message = same_error(
-        lambda points: frame.jet(points, deriv=False),
+        frame.jet,
         GOOD + [[0.0, 0.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]],
         ValueError,
     )

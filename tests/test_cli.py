@@ -139,6 +139,16 @@ def test_out_flag_writes_the_report(tmp_path):
     assert data["overall_pass"] is True
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_is_exit_2(where, capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    code, payload = run_captured("verify-identities", out=str(target))
+    err = capsys.readouterr().err
+    assert (code, payload) == (2, "")
+    assert err.startswith("bad input: cannot write report: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
 def test_report_invariant_overall_iff_every_check():
     report = ResidualReport(name="x", subcommand="y")
     report.record("a", 0.0, 1e-9, 1)
@@ -398,6 +408,12 @@ CATALOG = [
     pytest.param(with_changes("diag-scale", seed=2, deform={"scale": 328}), [[0, 0, 0, 0]],
                  both(2, "bad input: frame at (0.0, 0.0, 0.0, 0.0): frame is singular\n"),
                  id="overflowing-transition"),
+    # the one check of the spec's Ss also guards a Dirac-only run,
+    # whose table lifts Ss without checking it again
+    pytest.param(with_changes("diag-scale", seed=2, deform={"scale": 328}, mode="dirac"),
+                 [[0, 0, 0, 0]],
+                 both(2, "bad input: frame at (0.0, 0.0, 0.0, 0.0): frame is singular\n"),
+                 id="overflowing-transition-dirac-only"),
     # the metric's partials overflow before its orthonormal factor is checked
     pytest.param(with_metric("diag-scale", g01="x2/x0", g10="x2/x0"), GOOD + [[1e-200, 0, 1, 0]],
                  bad_metric("(1e-200, 0.0, 1.0, 0.0)", "partial derivative: overflow in '/'"),
@@ -505,6 +521,25 @@ def test_a_seeded_deformation_report_makes_at_most_4_expm_calls(monkeypatch):
     code, _ = run_captured("all", spec_path="seeded-deformation")
     assert code == 0
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("subcommand, determinants", [("concordance", 4), ("all", 7)])
+def test_a_seeded_deformation_checks_each_frame_once(subcommand, determinants, monkeypatch):
+    # the frame, the spec's S and Ss and the moved frame U S, once per
+    # run for both modes (the Dirac lift of Ss is not checked again);
+    # covariance adds its stacked S and Ss and their moved frame
+    calls = []
+    check_points = frames.check_points
+
+    def counted(bad, points, message, *args, **kwargs):
+        if message == "frame is singular":  # check_frame's, however it is imported
+            calls.append(bad.shape)
+        return check_points(bad, points, message, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "check_points", counted)
+    code, _ = run_captured(subcommand, spec_path="seeded-deformation")
+    assert code == 0
+    assert len(calls) == determinants
 
 
 @pytest.fixture
@@ -699,6 +734,21 @@ def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
     assert code == 0
     assert counts == {"verify_chiral_identities": 1, "verify_dirac_identities": 1,
                       "from_primary": 2}
+
+
+def test_a_spec_with_torsion_has_no_tangent_oracle(capsys, tmp_path):
+    # the raw Christoffel oracle is torsion-free: it would disagree with
+    # the connection of a valid torsion, so such a spec gets none
+    torsion = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+    torsion[0][0][1], torsion[0][1][0] = "0.1*x1", "-0.1*x1"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**bundled_spec("diag-scale"), "torsion": torsion}))
+    code, payload = run_captured("build-connection", spec_path=str(path))
+    assert (code, capsys.readouterr().err) == (0, "")
+    data = json.loads(payload)
+    assert not any("tangent-oracle" in check for check in data["checks"])
+    for table in data["tables"].values():
+        assert not any("tangent-oracle" in entry for entry in table)
 
 
 def test_an_oracle_step_outside_the_metric_domain_is_a_numerical_failure(capsys, tmp_path):

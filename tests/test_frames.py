@@ -64,7 +64,7 @@ def test_frame_field_rejects_singular_frames():
         [["x0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
     with pytest.raises(ValueError):
-        frame.jet((0.0, 0, 0, 0), deriv=False)
+        frame.jet((0.0, 0, 0, 0))
 
 
 def test_structural_constants_vanish_for_coordinate_frames():

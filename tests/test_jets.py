@@ -21,7 +21,6 @@ from spintensor.scenarios import (
     chiral_scenario_from_spec,
     dirac_scenario_from_spec,
     exp_linear_field,
-    spec_transition,
 )
 
 STEP = 1e-5
@@ -79,10 +78,10 @@ def test_structure_field_jets(name):
 def test_seeded_transition_jets():
     # the spec's chiral transition, and its Dirac lift
     spec = bundled_scenario("seeded-deformation")
-    chiral = spec_transition(spec)
+    chiral = chiral_scenario_from_spec(spec).transition
     dirac = dirac_scenario_from_spec(spec)
     kinds = {"chiral": chiral.jets,
-             "dirac": lambda p: dirac.spinor_transition(chiral.jets(p), p)}
+             "dirac": lambda p: dirac.spinor_transition(chiral.jets(p))}
     for point in spec.sample_points:
         for kind, jets in kinds.items():
             for k, label in enumerate(("S", "T", "Ss", "Ts")):

@@ -200,13 +200,18 @@ def test_a_stack_of_seeds_is_each_seed_alone():
 
 
 def test_dirac_spinor_transition_block_structure():
-    chiral = random_transition(seed=6).jets(PT)
+    # blockdiag(Ss, (Ss^dagger)^-1) at every sample point; its |det| is
+    # 1 by construction, which is why the lift is not checked again
     dirac = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
-    spin = dirac.spinor_transition(chiral, PT)[2][0]
+    points = dirac.chart.points
+    chiral = random_transition(seed=6).jets(points)
+    spin = dirac.spinor_transition(chiral)[2][0]
     top = chiral[2][0]
-    assert np.array_equal(spin[:2, :2], top)
-    assert np.allclose(spin[2:, 2:], np.linalg.inv(top.conj().T), atol=1e-12)
-    assert np.max(np.abs(spin[:2, 2:])) == 0.0
+    assert np.array_equal(spin[..., :2, :2], top)
+    assert np.allclose(spin[..., 2:, 2:], np.linalg.inv(np.conj(np.swapaxes(top, -1, -2))),
+                       atol=1e-12)
+    assert np.max(np.abs(spin[..., :2, 2:])) == 0.0
+    assert np.max(np.abs(np.abs(np.linalg.det(spin)) - 1.0)) < 1e-12
 
 
 def test_deform_jets_preserves_structure_compatibility():
@@ -224,7 +229,6 @@ def test_deform_jets_preserves_structure_compatibility():
 
 def test_dirac_scenario_from_spec_has_four_component_fields():
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
-    assert scenario.spinor_dim == 4
     jets = scenario.jets(PT)
     assert jets["gamma"][0].shape == (4, 4, 4)
     assert jets["d"][0].shape == (4, 4)

@@ -15,8 +15,14 @@ from spintensor.tensor_core import (
 
 RNG = np.random.default_rng(11)
 
-CANONICAL_METRICS = MetricMatrices.from_lower(
-    np.diag([1.0, -1.0, -1.0, -1.0]), np.array([[0, 1], [-1, 0]], dtype=complex)
+D_LOWER = np.array([[0, 1], [-1, 0]], dtype=complex)
+CANONICAL_METRICS = MetricMatrices(
+    g_lower=np.diag([1.0, -1.0, -1.0, -1.0]),
+    g_upper=np.diag([1.0, -1.0, -1.0, -1.0]),
+    d_lower=D_LOWER,
+    d_upper=np.linalg.inv(D_LOWER),
+    dbar_lower=np.conj(D_LOWER),
+    dbar_upper=np.linalg.inv(np.conj(D_LOWER)),
 )
 
 
