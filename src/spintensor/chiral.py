@@ -322,6 +322,7 @@ class ChiralScenario:
     )
     CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
     SYMBOLS = ("G", G_UPPER)
+    LIFT_INVARIANT = ()  # spinor entries every spinor_transition fixes exactly
 
     def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None,
                  transition=None):
@@ -372,7 +373,8 @@ class ChiralScenario:
         holds where the caller has it (a run evaluates it once for both
         modes).  The symbols carry the half's factor of g on their
         tangent slot; they and the CANONICAL constants are moved by the
-        transition's spinor_transition pair.
+        transition's spinor_transition pair, except the LIFT_INVARIANT
+        constants, which every such pair fixes exactly.
         """
         if tangent is None:
             tangent = self.tangent_jets(points)
@@ -390,8 +392,9 @@ class ChiralScenario:
 
         The frame, g and torsion move as in the tangent half
         (_deform_tangent), from one evaluation of the transition, then
-        g^-1 and Gamma; every other entry is re-expressed with
-        transform_components by the spinor_transition pair.  A failure
+        g^-1 and Gamma; every other entry but the LIFT_INVARIANT ones is
+        re-expressed with transform_components by the spinor_transition
+        pair.  A failure
         raises a FieldError.  points may carry leading axes before the
         table's batch (a stack of transitions at the table's points):
         the table is broadcast to them first, so that each entry of the
@@ -410,10 +413,12 @@ class ChiralScenario:
 
     def _deform_spinor(self, entries, trans_jets):
         """Spinor entries re-expressed with transform_components by the
-        spinor_transition pair of a chiral transition's jets."""
+        spinor_transition pair of a chiral transition's jets; the
+        LIFT_INVARIANT entries are kept as they are."""
         spin_jets = self.spinor_transition(trans_jets)
         signature = {attr: sig for _, attr, sig in self.STRUCTURE_FIELDS}
-        return {attr: transform_components(signature[attr], jet, spin_jets)
+        return {attr: jet if attr in self.LIFT_INVARIANT
+                else transform_components(signature[attr], jet, spin_jets)
                 for attr, jet in entries.items()}
 
     def concordance_extras(self, jets, grads):

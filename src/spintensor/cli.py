@@ -432,10 +432,10 @@ def run_covariance(ctx: Run):
     ctx.report.record("chiral-transformation-law", worst, tol, len(seeds) * npoints)
     if "dirac" in spec.modes:
         _, _, conn = ctx.mode("dirac")
-        # deformed embedded frames keep the block layout, so the
-        # restriction is still exact; the restriction residual is
-        # the covariance statement for the Dirac bundle here.
-        restricted = restrict_to_chiral(conn, points, tol=1e-6 if spec.deform else 1e-9)
+        # the lifted frames keep the block layout, so the restriction
+        # is exact; its residual is the covariance statement for the
+        # Dirac bundle here.
+        restricted = restrict_to_chiral(conn, points)
         worst = worst_residual(0.0, restricted.A - conn_base.A)
         ctx.report.record("dirac-chiral-restriction", worst, tol, npoints)
 

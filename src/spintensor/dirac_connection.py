@@ -1,8 +1,9 @@
 """Metric connection construction on the Dirac bundle.
 
-The chirality operator H yields two projector fields whose splits of
-the gamma-symbols and of the spin-metric drive the explicit formula for
-the spinor coefficients A.  Two independent routes are implemented: the
+The chirality operator H, the same constant on every Dirac table,
+yields two constant projectors whose splits of the gamma-symbols and
+of the spin-metric drive the explicit formula for the spinor
+coefficients A.  Two independent routes are implemented: the
 four-block assembly and the simplified single formula; tests hold them
 against each other.  Restriction to the chiral sub-bundle recovers the
 2x2 connection of the chiral builder.
@@ -46,13 +47,13 @@ SPLIT_NAMES = ("bh", "ch", "bc", "cb", "bd_low", "cd_low", "bd_up", "cd_up")
 
 def _split_arrays(h, gamma, d_lower, d_upper):
     """Jets of the projectors and split structure data (SPLIT_NAMES order)
-    from the jets of H, gamma and the spin-metric and its inverse; each
-    has d None where every jet it is made from does (a constant H makes
-    constant projectors)."""
+    from the value of H, which every Dirac table holds constant, and the
+    jets of gamma and the spin-metric and its inverse.  The projectors
+    are constant (d None); each split array has d None where every jet
+    it is made from does."""
     eye = np.eye(4, dtype=complex)
-    h, dh = h
-    bh = (0.5 * (eye + h), None if dh is None else 0.5 * dh)
-    ch = (0.5 * (eye - h), None if dh is None else -0.5 * dh)
+    bh = (0.5 * (eye + h), None)
+    ch = (0.5 * (eye - h), None)
     return (
         bh,
         ch,
@@ -75,7 +76,7 @@ def chirality_split(constants: DiracConstants) -> ChiralitySplit:
     0) on canonical constants.
     """
     jets = _split_arrays(
-        *((arr, None) for arr in (constants.H, constants.gamma, constants.d_lower, constants.d_upper))
+        constants.H, *((arr, None) for arr in (constants.gamma, constants.d_lower, constants.d_upper))
     )
     bh, ch, bc, cb, bd_low, cd_low, bd_up, cd_up = (value for value, _ in jets)
     eye = np.eye(4, dtype=complex)
@@ -154,7 +155,10 @@ class DiracScenario(ChiralScenario):
     canonical constants, deformed only through a frame transition.  Its
     transition is chiral, like a chiral scenario's, so both share one
     tangent half; its table lifts the transition's spinor part
-    (spinor_transition).
+    (spinor_transition).  The lift is block-diagonal and pairs the
+    dual block with the chiral one, so it fixes H and D exactly: every
+    Dirac table, moved or not, holds them as their CANONICAL constants
+    (LIFT_INVARIANT, d None) and is canonically chiral.
     """
 
     STRUCTURE_FIELDS = (
@@ -167,17 +171,18 @@ class DiracScenario(ChiralScenario):
     )
     CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
     SYMBOLS = ("gamma", GAMMA)
+    LIFT_INVARIANT = ("H", "D")
 
     def spinor_transition(self, trans_jets):
         """The Dirac lift of a chiral transition's held (S, T, Ss, Ts)
         jets: S and T as they are, the spinor matrix
-        blockdiag(Ss, (Ss^dagger)^-1) (embed_spinor_jet) and its
-        inverse, unchecked: FrameTransition.jets checked Ss and the
+        blockdiag(Ss, Ts^dagger) and its inverse blockdiag(Ts,
+        Ss^dagger), read off the held pair with no inversion and no
+        check: FrameTransition.jets checked Ss and inverted it, and the
         block's |det| is 1.  This is the only Dirac lift of a
         transition: a Dirac table moves its spinor entries with it."""
-        s, t, ss, _ = trans_jets
-        block = embed_spinor_jet(ss)
-        return s, t, block, inverse_jet(block)
+        s, t, ss, ts = trans_jets
+        return s, t, _dual_blocks_jet(ss, ts), _dual_blocks_jet(ts, ss)
 
     def concordance_extras(self, jets, grads):
         """H nabla H + nabla H H at every point."""
@@ -188,31 +193,19 @@ class DiracScenario(ChiralScenario):
         }
 
 
-def embed_spinor_jet(ss_jet):
-    """Jet of blockdiag(Ss, (Ss^dagger)^-1) from the jet of a chiral
-    spinor transition Ss, already checked like a frame.
+def _dual_blocks_jet(top, dual):
+    """Jet of blockdiag(top, dual^dagger) from the jets of a transition
+    pair's 2x2 matrices (partials both None or both arrays): the barred
+    dual co-frame moves with the conjugate inverse transpose of top."""
 
-    The last two Dirac frame vectors are the barred dual co-frame,
-    which transforms with the conjugate inverse transpose.  This keeps
-    the canonical spin-metric block layout, the chirality operator and
-    the pairing intact, so the deformed frame stays canonically chiral.
-    """
-    top, dtop = ss_jet
-    dual, ddual = inverse_jet((_adjoint(top), None if dtop is None else _adjoint(dtop)))
-    out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
-    out[..., :2, :2] = top
-    out[..., 2:, 2:] = dual
-    if dtop is None:
-        return out, None
-    d = np.zeros(dtop.shape[:-2] + (4, 4), dtype=complex)
-    d[..., :2, :2] = dtop
-    d[..., 2:, 2:] = ddual
-    return out, d
+    def place(a, b):
+        out = np.zeros(a.shape[:-2] + (4, 4), dtype=complex)
+        out[..., :2, :2] = a
+        out[..., 2:, 2:] = np.conj(np.swapaxes(b, -1, -2))
+        return out
 
-
-def _adjoint(mat):
-    """Conjugate transpose over the last two axes."""
-    return np.conj(np.swapaxes(mat, -1, -2))
+    (a, da), (b, db) = top, dual
+    return place(a, b), None if da is None else place(da, db)
 
 
 def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorConnection:
@@ -225,21 +218,19 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     simplified closed formula ("simplified") or by assembling the four
     chirality blocks ("blocks"); the two routes agree identically and
     are kept separate as mutual cross-checks.  In both, a term with the
-    frame derivative of a constant split array (its L None) drops out.
-    Abar is the conjugate of A.
+    frame derivative of a constant split array (its L None) drops out:
+    the projectors of the table's constant H always, so the blocks
+    route has no cross-chirality blocks.  Abar is the conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
     ginv, gamma_t = jets["ginv"].astype(complex), jets["Gamma"]
 
     d_jet = jets["d"]
-    split = _split_arrays(jets["H"], jets["gamma"], d_jet, inverse_jet(d_jet))
+    split = _split_arrays(jets["H"][0], jets["gamma"], d_jet, inverse_jet(d_jet))
     u = jets["frame"][0]
-    values = {name: value for name, (value, _) in zip(SPLIT_NAMES, split)}
+    bh, ch, bc, cb, _, _, bd_up, cd_up = (value for value, _ in split)
     lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, split)}
-    bh, ch = values["bh"], values["ch"]
-    bc, cb = values["bc"], values["cb"]
-    bd_up, cd_up = values["bd_up"], values["cd_up"]
 
     def lie_term(subscripts, *operands):
         # None, exactly zero, when an operand is a constant's L (None)
@@ -271,9 +262,9 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
                     trace_times(lie["cd_low"], cd_up, bh))
             - einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
         )
-        # plus the cross blocks: projector derivatives only
-        a = lie_sum(lie_term("sj,kis->kij", ch, lie["bh"]),
-                    lie_term("sj,kis->kij", bh, lie["ch"])) + cc_a + bb_a
+        # the cross blocks hold projector derivatives only: zero for
+        # the constant H of every Dirac table
+        a = cc_a + bb_a
     else:
         a = 0.25 * (
             lie_sum(
@@ -288,9 +279,10 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     return SpinorConnection(gamma_t, a, np.conj(a), spinor_dim=4)
 
 
-def restrict_to_chiral(
-    dirac_conn: SpinorConnection, points=None, tol=1e-9
-) -> SpinorConnection:
+RESTRICTION_TOL = 1e-9  # both block checks of restrict_to_chiral
+
+
+def restrict_to_chiral(dirac_conn: SpinorConnection, points=None) -> SpinorConnection:
     """Restrict a Dirac connection to its chiral sub-bundle.
 
     Valid in a canonically orthonormal chiral frame, where the spinor
@@ -298,8 +290,9 @@ def restrict_to_chiral(
     chiral frame vectors and the bottom-right block acts on the barred
     dual co-frame, forcing it to be minus the conjugate transpose of the
     chiral block.  Gamma passes through unchanged.  Both block checks
-    hold at every point; with points, the batch of points the
-    connection was built at, a failure names the first failing point.
+    hold at every point to RESTRICTION_TOL; with points, the batch of
+    points the connection was built at, a failure names the first
+    failing point.
     """
     if dirac_conn.spinor_dim != 4:
         raise ValueError("expected a Dirac connection")
@@ -308,12 +301,12 @@ def restrict_to_chiral(
     off = np.maximum(
         np.max(np.abs(a[..., :2, 2:]), axis=axes), np.max(np.abs(a[..., 2:, :2]), axis=axes)
     )
-    check_points(off > tol, points, f"connection not block-diagonal in chiral frame "
+    check_points(off > RESTRICTION_TOL, points, f"connection not block-diagonal in chiral frame "
                  f"(off-block {np.max(off):.3e})")
     chiral_a = a[..., :2, :2]
     dual_block = a[..., 2:, 2:]
     expected = -np.swapaxes(np.conj(chiral_a), -1, -2)
-    check_points(np.max(np.abs(dual_block - expected), axis=axes) > tol, points,
+    check_points(np.max(np.abs(dual_block - expected), axis=axes) > RESTRICTION_TOL, points,
                  "dual co-frame block does not pair with the chiral block")
     return SpinorConnection(
         dirac_conn.Gamma, chiral_a, np.conj(chiral_a), spinor_dim=2

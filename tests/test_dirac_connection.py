@@ -92,7 +92,7 @@ def test_restriction_recovers_the_chiral_connection():
         chiral = chiral_scenario_from_spec(spec)
         for point in dirac.chart.sample_points:
             restricted = restrict_to_chiral(
-                build_dirac_metric_connection(dirac.jets(point), point), tol=1e-6
+                build_dirac_metric_connection(dirac.jets(point), point)
             )
             cc = build_chiral_metric_connection(chiral.jets(point), point)
             assert restricted.spinor_dim == 2

@@ -99,7 +99,7 @@ def test_dirac_split_array_jets(name):
 
     def split(point):
         jets = scenario.jets(point)
-        return _split_arrays(jets["H"], jets["gamma"], jets["d"], inverse_jet(jets["d"]))
+        return _split_arrays(jets["H"][0], jets["gamma"], jets["d"], inverse_jet(jets["d"]))
 
     for point in scenario.chart.sample_points:
         for k, (value, d) in enumerate(split(point)):

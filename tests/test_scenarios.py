@@ -199,18 +199,35 @@ def test_a_stack_of_seeds_is_each_seed_alone():
             assert np.array_equal(d[k], alone[1])
 
 
-def test_dirac_spinor_transition_block_structure():
-    # blockdiag(Ss, (Ss^dagger)^-1) at every sample point; its |det| is
-    # 1 by construction, which is why the lift is not checked again
+def test_dirac_spinor_transition_block_structure(monkeypatch):
+    # the lift is blockdiag(Ss, Ts^dagger) and its inverse
+    # blockdiag(Ts, Ss^dagger), read off the held jets, values and
+    # partials, with no inversion; its |det| is 1 by construction,
+    # which is why the lift is not checked again
     dirac = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
     points = dirac.chart.points
     chiral = random_transition(seed=6).jets(points)
-    spin = dirac.spinor_transition(chiral)[2][0]
-    top = chiral[2][0]
-    assert np.array_equal(spin[..., :2, :2], top)
-    assert np.allclose(spin[..., 2:, 2:], np.linalg.inv(np.conj(np.swapaxes(top, -1, -2))),
-                       atol=1e-12)
-    assert np.max(np.abs(spin[..., :2, 2:])) == 0.0
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+    lifted = dirac.spinor_transition(chiral)
+    monkeypatch.undo()
+    assert inversions == []
+    assert lifted[0] is chiral[0] and lifted[1] is chiral[1]
+
+    def blockdiag(top, dual):
+        out = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
+        out[..., :2, :2] = top
+        out[..., 2:, 2:] = np.conj(np.swapaxes(dual, -1, -2))
+        return out
+
+    (ss, dss), (ts, dts) = chiral[2:]
+    for (value, d), (top, dtop), (dual, ddual) in zip(lifted[2:], ((ss, dss), (ts, dts)),
+                                                      ((ts, dts), (ss, dss))):
+        assert np.array_equal(value, blockdiag(top, dual))
+        assert np.array_equal(d, blockdiag(dtop, ddual))
+    spin, spin_inv = lifted[2][0], lifted[3][0]
+    assert np.max(np.abs(spin @ spin_inv - np.eye(4))) < 1e-15
     assert np.max(np.abs(np.abs(np.linalg.det(spin)) - 1.0)) < 1e-12
 
 
