@@ -341,9 +341,9 @@ def run_build_connection(ctx: Run):
     (Run.mode) and the oracle is built once per run, for all points,
     from the first mode's coordinate metric (scenario.g) after that
     mode's connection is checked; the per-point tables are slices of
-    those batches.  A connection that is not finite, or an oracle whose
-    finite-difference steps leave the metric's domain, is a numerical
-    failure.
+    those batches, with every exact zero written as 0.0, never -0.0.  A
+    connection that is not finite, or an oracle whose finite-difference
+    steps leave the metric's domain, is a numerical failure.
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform and spec.torsion is None
@@ -354,12 +354,14 @@ def run_build_connection(ctx: Run):
         points = scenario.chart.points
         check_points(~np.isfinite(conn.A).all(axis=(-3, -2, -1)), points,
                      f"{mode} connection is not finite")
+        # + 0.0 writes an exact zero as 0.0, whichever sign its terms left
+        gamma, a, abar = conn.Gamma.real + 0.0, conn.A + 0.0, conn.Abar + 0.0
         entries = [
             {
                 "point": list(point),
-                "tangent": conn.Gamma[k].real,
-                "spinor": _complex_table(conn.A[k]),
-                "conjugate-spinor": _complex_table(conn.Abar[k]),
+                "tangent": gamma[k],
+                "spinor": _complex_table(a[k]),
+                "conjugate-spinor": _complex_table(abar[k]),
             }
             for k, point in enumerate(scenario.chart.sample_points)
         ]
@@ -370,7 +372,7 @@ def run_build_connection(ctx: Run):
                 except EvaluationError as exc:
                     raise NumericalError(
                         f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
-            for entry, table in zip(entries, oracle):
+            for entry, table in zip(entries, oracle + 0.0):
                 entry["tangent-oracle"] = table
             worst = worst_residual(0.0, conn.Gamma - oracle)
             ctx.report.record(f"{mode}-tangent-oracle", worst, 1e-5, len(entries))

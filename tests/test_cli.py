@@ -118,6 +118,30 @@ def test_all_is_the_union_of_the_four_subcommands(name):
     assert whole.get("tables", {}) == tables
 
 
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_connection_tables_write_exact_zeros_unsigned(name):
+    # a report's bytes must not depend on the sign its terms leave on
+    # an exact zero
+    def numbers(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                yield from numbers(item)
+        else:
+            yield value
+
+    code, payload = run_captured("build-connection", spec_path=name)
+    assert code == 0
+    tables = json.loads(payload)["tables"]
+    assert tables
+    for label, entries in tables.items():
+        zeros = [x for x in numbers(entries) if x == 0.0]
+        assert zeros, label
+        assert all(math.copysign(1.0, x) > 0 for x in zeros), label
+    assert all(line.strip() not in ("-0.0", "-0.0,") for line in payload.splitlines())
+
+
 def test_reports_are_deterministic_modulo_timestamp():
     _, first = run_captured("all", spec_path="diag-scale", seed=2)
     _, second = run_captured("all", spec_path="diag-scale", seed=2)
