@@ -394,11 +394,11 @@ class ChiralScenario:
         (_deform_tangent), from one evaluation of the transition, then
         g^-1 and Gamma; every other entry but the LIFT_INVARIANT ones is
         re-expressed with transform_components by the spinor_transition
-        pair.  A failure
-        raises a FieldError.  points may carry leading axes before the
-        table's batch (a stack of transitions at the table's points):
-        the table is broadcast to them first, so that each entry of the
-        stack is moved with the same operations as alone.
+        pair.  A failure raises a FieldError.  points may carry leading
+        axes before the table's batch (a stack of transitions at the
+        table's points): the table is broadcast to them first, so that
+        each entry of the stack is moved with the same operations as
+        alone.
         """
         table = _broadcast_table(table, np.shape(points)[:-1])
         tangent, trans_jets = _deform_tangent(table, trans, points)

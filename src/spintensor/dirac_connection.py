@@ -155,10 +155,9 @@ class DiracScenario(ChiralScenario):
     canonical constants, deformed only through a frame transition.  Its
     transition is chiral, like a chiral scenario's, so both share one
     tangent half; its table lifts the transition's spinor part
-    (spinor_transition).  The lift is block-diagonal and pairs the
-    dual block with the chiral one, so it fixes H and D exactly: every
-    Dirac table, moved or not, holds them as their CANONICAL constants
-    (LIFT_INVARIANT, d None) and is canonically chiral.
+    (spinor_transition).  The lift fixes H and D exactly, so every
+    Dirac table, moved or not, is canonically chiral: it holds them as
+    their CANONICAL constants (LIFT_INVARIANT, d None).
     """
 
     STRUCTURE_FIELDS = (
