@@ -1,12 +1,17 @@
 """Metric connection construction on the Dirac bundle.
 
-The chirality operator H, the same constant on every Dirac table,
-yields two constant projectors whose splits of the gamma-symbols and
-of the spin-metric drive the explicit formula for the spinor
-coefficients A.  Two independent routes are implemented: the
-four-block assembly and the simplified single formula; tests hold them
-against each other.  Restriction to the chiral sub-bundle recovers the
-2x2 connection of the chiral builder.
+Every Dirac table holds the chirality operator H as the constant
+H_DIRAC = diag(1, 1, -1, -1), so the chiral sub-bundle and its
+conjugate are the coordinate blocks 0:2 and 2:4 (CHIRAL, DUAL), and
+the gamma-symbols vanish on the same-chirality blocks.  The explicit
+formula for the spinor coefficients A reads the table's gamma and
+spin-metric on those blocks.  Two independent routes are implemented:
+the simplified single formula, which contracts the full gamma, and the
+block assembly, which contracts gamma's two cross blocks; they agree
+to rounding and tests hold them against each other.  Restriction to
+the chiral sub-bundle recovers the 2x2 connection of the chiral
+builder.  The projector split of a frame's constants
+(chirality_split) is the exact check suite of the Dirac structure.
 """
 
 from __future__ import annotations
@@ -17,15 +22,12 @@ import numpy as np
 
 from .chiral import ChiralScenario, SpinorConnection
 from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
-from .frames import (
-    add_terms,
-    along_frame,
-    check_points,
-    einsum,
-    einsum_jet,
-    inverse_jet,
-)
+from .frames import along_frame, check_points, einsum
 from .tensor_core import TensorSignature
+
+# the +1 and -1 eigenspaces of H_DIRAC: the chiral frame and the barred
+# dual co-frame
+CHIRAL, DUAL = slice(0, 2), slice(2, 4)
 
 
 @dataclass(frozen=True)
@@ -42,44 +44,24 @@ class ChiralitySplit:
     c_d_upper: np.ndarray
 
 
-SPLIT_NAMES = ("bh", "ch", "bc", "cb", "bd_low", "cd_low", "bd_up", "cd_up")
-
-
-def _split_arrays(h, gamma, d_lower, d_upper):
-    """Jets of the projectors and split structure data (SPLIT_NAMES order)
-    from the value of H, which every Dirac table holds constant, and the
-    jets of gamma and the spin-metric and its inverse.  The projectors
-    are constant (d None); each split array has d None where every jet
-    it is made from does."""
-    eye = np.eye(4, dtype=complex)
-    bh = (0.5 * (eye + h), None)
-    ch = (0.5 * (eye - h), None)
-    return (
-        bh,
-        ch,
-        einsum_jet("ar,sb,rsm->abm", bh, ch, gamma),
-        einsum_jet("ar,sb,rsm->abm", ch, bh, gamma),
-        einsum_jet("rb,rs,sh->bh", bh, d_lower, bh),
-        einsum_jet("rb,rs,sh->bh", ch, d_lower, ch),
-        einsum_jet("ar,rs,es->ae", bh, d_upper, bh),
-        einsum_jet("ar,rs,es->ae", ch, d_upper, ch),
-    )
-
-
 def chirality_split(constants: DiracConstants) -> ChiralitySplit:
     """Build and verify the projector split of one frame's constants.
 
-    Verifies projector algebra, the vanishing of the same-chirality
-    gamma pieces, reconstruction of gamma from the two cross pieces, and
-    the metric-contraction identities relating split gammas to the split
-    spin-metrics and to the projectors.  All checks are exact (residual
-    0) on canonical constants.
+    The projectors are formed from the frame's H, whichever frame it is
+    (P, T and PT frames included).  Verifies projector algebra, the
+    vanishing of the same-chirality gamma pieces, reconstruction of
+    gamma from the two cross pieces, and the metric-contraction
+    identities relating split gammas to the split spin-metrics and to
+    the projectors.  All checks are exact (residual 0) on canonical
+    constants.
     """
-    jets = _split_arrays(
-        constants.H, *((arr, None) for arr in (constants.gamma, constants.d_lower, constants.d_upper))
-    )
-    bh, ch, bc, cb, bd_low, cd_low, bd_up, cd_up = (value for value, _ in jets)
     eye = np.eye(4, dtype=complex)
+    bh = 0.5 * (eye + constants.H)
+    ch = 0.5 * (eye - constants.H)
+    bc = np.einsum("ar,sb,rsm->abm", bh, ch, constants.gamma)
+    cb = np.einsum("ar,sb,rsm->abm", ch, bh, constants.gamma)
+    bd_low, cd_low = (np.einsum("rb,rs,sh->bh", p, constants.d_lower, p) for p in (bh, ch))
+    bd_up, cd_up = (np.einsum("ar,rs,es->ae", p, constants.d_upper, p) for p in (bh, ch))
     ginv = constants.g_upper.astype(complex)
 
     def check(name, lhs, rhs=None):
@@ -199,8 +181,8 @@ def _dual_blocks_jet(top, dual):
 
     def place(a, b):
         out = np.zeros(a.shape[:-2] + (4, 4), dtype=complex)
-        out[..., :2, :2] = a
-        out[..., 2:, 2:] = np.conj(np.swapaxes(b, -1, -2))
+        out[..., CHIRAL, CHIRAL] = a
+        out[..., DUAL, DUAL] = np.conj(np.swapaxes(b, -1, -2))
         return out
 
     (a, da), (b, db) = top, dual
@@ -212,69 +194,60 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
 
     jets is a Dirac scenario's table at points; points only completes
     the builders' shared signature, as no check here names a point.
-    The tangent coefficients are the table's "Gamma", as in the chiral
-    builder.  The spinor coefficients are computed either from the
-    simplified closed formula ("simplified") or by assembling the four
-    chirality blocks ("blocks"); the two routes agree identically and
-    are kept separate as mutual cross-checks.  In both, a term with the
-    frame derivative of a constant split array (its L None) drops out:
-    the projectors of the table's constant H always, so the blocks
-    route has no cross-chirality blocks.  Abar is the conjugate of A.
+    The table's H must be the constant H_DIRAC, d None, as every Dirac
+    table holds it (DiracScenario.LIFT_INVARIANT); any other H raises
+    ValueError.  The tangent coefficients are the table's "Gamma", as
+    in the chiral builder.  The spinor coefficients are computed either
+    from the simplified closed formula over the full gamma
+    ("simplified") or by assembling A's two diagonal 2x2 blocks from
+    gamma's cross blocks ("blocks"); the off-chirality blocks of A are
+    exact zeros in both.  The routes contract gamma independently and
+    agree to rounding, so they are kept as mutual cross-checks.  A term
+    with the frame derivative of a constant entry (its L None) drops
+    out.  Abar is the conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
+    h, dh = jets["H"]
+    if dh is not None or not np.all(h == H_DIRAC):
+        raise ValueError("the Dirac builder needs the table's H to be the constant H_DIRAC")
     ginv, gamma_t = jets["ginv"].astype(complex), jets["Gamma"]
-
-    d_jet = jets["d"]
-    split = _split_arrays(jets["H"][0], jets["gamma"], d_jet, inverse_jet(d_jet))
     u = jets["frame"][0]
-    bh, ch, bc, cb, _, _, bd_up, cd_up = (value for value, _ in split)
-    lie = {name: along_frame(u, d) for name, (_, d) in zip(SPLIT_NAMES, split)}
+    gamma, l_gamma = jets["gamma"][0], along_frame(u, jets["gamma"][1])
+    l_d = along_frame(u, jets["d"][1])
+    d_inv = None if l_d is None else np.linalg.inv(jets["d"][0])
 
-    def lie_term(subscripts, *operands):
-        # None, exactly zero, when an operand is a constant's L (None)
-        if any(op is None for op in operands):
-            return None
-        return einsum(subscripts, *operands)
+    def trace(block):
+        # sum_ab L_k(d)_{ab} d^{ba} over one chirality block
+        return einsum("kab,ba->k", l_d[..., block, block], d_inv[..., block, block])
 
-    def lie_sum(*terms):
-        # the Lie terms that do not drop out, summed in order; 0.0 if none
-        total = add_terms(*terms)
-        return 0.0 if total is None else total
-
-    def trace_times(lie_d, d_up, projector):
-        # (sum_ab L_k(d)_{ab} d^{ba}) P_ij
-        trace = lie_term("kab,ba->k", lie_d, d_up)
-        return None if trace is None else trace[..., None, None] * projector[..., None, :, :]
-
-    # 0.25 (x + y - z) is 0.25 x + 0.25 y - 0.25 z to the last bit:
-    # scaling by a power of two is exact.
     if method == "blocks":
-        # same-chirality blocks
-        cc_a = 0.25 * (
-            lie_sum(lie_term("kabm,mn,ian,bj->kij", lie["bc"], ginv, cb, ch),
-                    trace_times(lie["bd_low"], bd_up, ch))
-            - einsum("krm,qjr,mn,iqn->kij", gamma_t, bc, ginv, cb)
-        )
-        bb_a = 0.25 * (
-            lie_sum(lie_term("kabm,mn,ian,bj->kij", lie["cb"], ginv, bc, bh),
-                    trace_times(lie["cd_low"], cd_up, bh))
-            - einsum("krm,qjr,mn,iqn->kij", gamma_t, cb, ginv, bc)
-        )
-        # the cross blocks hold projector derivatives only: zero for
-        # the constant H of every Dirac table
-        a = cc_a + bb_a
-    else:
-        a = 0.25 * (
-            lie_sum(
-                add_terms(trace_times(lie["bd_low"], bd_up, ch),
-                          trace_times(lie["cd_low"], cd_up, bh)),
-                add_terms(lie_term("kajm,mn,ian->kij", lie["bc"], ginv, cb),
-                          lie_term("kajm,mn,ian->kij", lie["cb"], ginv, bc)),
+        a = np.zeros(gamma_t.shape[:-2] + (4, 4), dtype=complex)  # [..., k, i, j]
+        for own, other in ((CHIRAL, DUAL), (DUAL, CHIRAL)):
+            # A on the own block reads gamma's (other, own) and (own,
+            # other) blocks and the spin-metric's other block
+            cross, back = gamma[..., other, own, :], gamma[..., own, other, :]
+            lie = 0.0
+            if l_gamma is not None:
+                lie = einsum("kajm,mn,ian->kij", l_gamma[..., other, own, :], ginv, back)
+            if l_d is not None:
+                lie = lie + trace(other)[..., None, None] * np.eye(2)
+            a[..., own, own] = 0.25 * (
+                lie - einsum("krm,ajr,mn,ian->kij", gamma_t, cross, ginv, back)
             )
-            - (einsum("krm,ajr,mn,ian->kij", gamma_t, bc, ginv, cb)
-               + einsum("krm,ajr,mn,ian->kij", gamma_t, cb, ginv, bc))
-        )
+    else:
+        # gamma's same-chirality blocks are exact zeros, so each
+        # contraction of the full gamma is the sum over both cross blocks
+        lie = 0.0
+        if l_gamma is not None:
+            lie = einsum("kajm,mn,ian->kij", l_gamma, ginv, gamma)
+        if l_d is not None:
+            # each block's trace on the other block's diagonal
+            diagonal = np.zeros(l_d.shape[:-1], dtype=complex)
+            diagonal[..., CHIRAL] = trace(DUAL)[..., None]
+            diagonal[..., DUAL] = trace(CHIRAL)[..., None]
+            lie = lie + diagonal[..., None] * np.eye(4)
+        a = 0.25 * (lie - einsum("krm,ajr,mn,ian->kij", gamma_t, gamma, ginv, gamma))
     return SpinorConnection(gamma_t, a, np.conj(a), spinor_dim=4)
 
 
@@ -285,27 +258,27 @@ def restrict_to_chiral(dirac_conn: SpinorConnection, points=None) -> SpinorConne
     """Restrict a Dirac connection to its chiral sub-bundle.
 
     Valid in a canonically orthonormal chiral frame, where the spinor
-    coefficients are block-diagonal: the top-left 2x2 block acts on the
-    chiral frame vectors and the bottom-right block acts on the barred
-    dual co-frame, forcing it to be minus the conjugate transpose of the
+    coefficients are block-diagonal: the CHIRAL block acts on the
+    chiral frame vectors and the DUAL block acts on the barred dual
+    co-frame, forcing it to be minus the conjugate transpose of the
     chiral block.  Gamma passes through unchanged.  Both block checks
-    hold at every point to RESTRICTION_TOL; with points, the batch of
-    points the connection was built at, a failure names the first
-    failing point.
+    hold at every point to RESTRICTION_TOL, and fail on a non-finite
+    entry; with points, the batch of points the connection was built
+    at, a failure names the first failing point.
     """
     if dirac_conn.spinor_dim != 4:
         raise ValueError("expected a Dirac connection")
     a = dirac_conn.A
     axes = (-3, -2, -1)
-    off = np.maximum(
-        np.max(np.abs(a[..., :2, 2:]), axis=axes), np.max(np.abs(a[..., 2:, :2]), axis=axes)
-    )
-    check_points(off > RESTRICTION_TOL, points, f"connection not block-diagonal in chiral frame "
-                 f"(off-block {np.max(off):.3e})")
-    chiral_a = a[..., :2, :2]
-    dual_block = a[..., 2:, 2:]
+    off = np.maximum(np.max(np.abs(a[..., CHIRAL, DUAL]), axis=axes),
+                     np.max(np.abs(a[..., DUAL, CHIRAL]), axis=axes))
+    # written so that a NaN fails: it compares False with anything
+    check_points(~(off <= RESTRICTION_TOL), points,
+                 f"connection not block-diagonal in chiral frame (off-block {np.max(off):.3e})")
+    chiral_a = a[..., CHIRAL, CHIRAL]
     expected = -np.swapaxes(np.conj(chiral_a), -1, -2)
-    check_points(np.max(np.abs(dual_block - expected), axis=axes) > RESTRICTION_TOL, points,
+    pairing = np.max(np.abs(a[..., DUAL, DUAL] - expected), axis=axes)
+    check_points(~(pairing <= RESTRICTION_TOL), points,
                  "dual co-frame block does not pair with the chiral block")
     return SpinorConnection(
         dirac_conn.Gamma, chiral_a, np.conj(chiral_a), spinor_dim=2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from spintensor.chiral import (
     build_chiral_metric_connection,
     verify_concordance,
 )
-from spintensor.dirac import canonical_dirac_constants, frame_inversion
+from spintensor.dirac import H_DIRAC, canonical_dirac_constants, frame_inversion
 from spintensor.dirac_connection import (
+    CHIRAL,
+    DUAL,
     DiracScenario,
     build_dirac_metric_connection,
     chirality_split,
@@ -15,8 +19,10 @@ from spintensor.dirac_connection import (
 )
 from spintensor.scenarios import (
     bundled_scenario,
+    bundled_scenario_names,
     chiral_scenario_from_spec,
     dirac_scenario_from_spec,
+    random_transition,
 )
 
 PT = (0.5, 0.2, -0.3, 0.1)
@@ -53,14 +59,34 @@ def test_split_survives_inversions():
 
 
 def test_builder_methods_agree_on_all_scenarios():
-    for name in ("flat", "diag-scale", "ortho-tetrad", "seeded-deformation"):
+    # on each sample batch and on a (3, N) stack of seeded frame changes
+    for name in bundled_scenario_names():
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
-        for point in scenario.chart.sample_points:
-            jets = scenario.jets(point)
-            simple = build_dirac_metric_connection(jets, point, method="simplified")
-            blocks = build_dirac_metric_connection(jets, point, method="blocks")
+        points = scenario.chart.points
+        jets = scenario.jets(points)
+        stacked = np.broadcast_to(points, (3,) + points.shape)
+        moved, _ = scenario.deform_jets(jets, random_transition([2, 3, 4]), stacked)
+        for table, at in ((jets, points), (moved, stacked)):
+            simple = build_dirac_metric_connection(table, at, method="simplified")
+            blocks = build_dirac_metric_connection(table, at, method="blocks")
+            assert simple.A.shape == at.shape[:-1] + (4, 4, 4), name
             assert np.max(np.abs(simple.A - blocks.A)) < 1e-10, name
-            assert np.array_equal(simple.Gamma, blocks.Gamma)
+            assert np.array_equal(simple.Gamma, blocks.Gamma), name
+            for conn in (simple, blocks):
+                assert not np.any(conn.A[..., CHIRAL, DUAL]), name
+                assert not np.any(conn.A[..., DUAL, CHIRAL]), name
+
+
+@pytest.mark.parametrize("method", ["simplified", "blocks"])
+@pytest.mark.parametrize("h", [
+    (-H_DIRAC, None),  # the H of a P frame
+    (H_DIRAC, np.ones((4, 4, 4))),  # a varying H
+], ids=["P-frame", "varying"])
+def test_builder_rejects_a_table_without_the_canonical_chirality(h, method):
+    scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
+    jets = dict(scenario.jets(PT), H=h)
+    with pytest.raises(ValueError, match="H_DIRAC"):
+        build_dirac_metric_connection(jets, PT, method=method)
 
 
 def test_builder_rejects_unknown_method():
@@ -86,7 +112,7 @@ def test_dirac_tangent_part_matches_the_chiral_one():
 
 
 def test_restriction_recovers_the_chiral_connection():
-    for name in ("diag-scale", "seeded-deformation"):
+    for name in bundled_scenario_names():
         spec = bundled_scenario(name)
         dirac = dirac_scenario_from_spec(spec)
         chiral = chiral_scenario_from_spec(spec)
@@ -117,6 +143,22 @@ def test_restriction_rejects_non_block_connections():
         restrict_to_chiral(bad)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ((1, 0, 3), "not block-diagonal"),
+    ((1, 2, 3), "does not pair"),
+], ids=["off-block", "dual-block"])
+def test_restriction_rejects_a_non_finite_entry(entry, message):
+    scenario = dirac_scenario_from_spec(bundled_scenario("ortho-tetrad"))
+    points = scenario.chart.points
+    conn = build_dirac_metric_connection(scenario.jets(points), points)
+    bad_a = conn.A.copy()
+    bad_a[(2,) + entry] = np.nan
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
+    at = re.escape(str(tuple(points[2].tolist())))
+    with pytest.raises(ValueError, match=rf"{message}.* at {at}$"):
+        restrict_to_chiral(bad, points)
+
+
 def test_restriction_rejects_chiral_input():
     scenario = chiral_scenario_from_spec(bundled_scenario("flat"))
     conn = build_chiral_metric_connection(scenario.jets(PT), PT)
@@ -125,7 +167,7 @@ def test_restriction_rejects_chiral_input():
 
 
 def test_dirac_concordance_on_bundled_scenarios():
-    for name in ("flat", "diag-scale", "ortho-tetrad"):
+    for name in bundled_scenario_names():
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
         res = verify_concordance(build_dirac_metric_connection, scenario)
         assert max(res.values()) < 1e-9, name

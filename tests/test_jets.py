@@ -4,8 +4,7 @@ A jet (value, d) must carry the value the plain call returns and
 partials that agree with central differences of that value; d None,
 exactly zero partials, must agree with them too.  Checked
 on every entry of the table of every bundled scenario (chiral and
-Dirac, deformed ones included), on the seeded transitions and on the
-Dirac split arrays.
+Dirac, deformed ones included) and on the seeded transitions.
 """
 
 import numpy as np
@@ -13,8 +12,6 @@ import pytest
 from scipy.linalg import expm_frechet
 
 from spintensor.chiral import BARE_ENTRIES
-from spintensor.dirac_connection import SPLIT_NAMES, _split_arrays
-from spintensor.frames import inverse_jet
 from spintensor.scenarios import (
     bundled_scenario,
     bundled_scenario_names,
@@ -91,21 +88,6 @@ def test_seeded_transition_jets():
                     return jets(p)[k][0]
 
                 assert_jet_matches(value, d, plain, point, f"{kind} {label}")
-
-
-@pytest.mark.parametrize("name", bundled_scenario_names())
-def test_dirac_split_array_jets(name):
-    scenario = dirac_scenario_from_spec(bundled_scenario(name))
-
-    def split(point):
-        jets = scenario.jets(point)
-        return _split_arrays(jets["H"][0], jets["gamma"], jets["d"], inverse_jet(jets["d"]))
-
-    for point in scenario.chart.sample_points:
-        for k, (value, d) in enumerate(split(point)):
-            assert_jet_matches(
-                value, d, lambda p: split(p)[k][0], point, f"{name} {SPLIT_NAMES[k]}"
-            )
 
 
 @pytest.mark.parametrize("dim, real", [(2, False), (4, True)])

@@ -1,10 +1,9 @@
 """A jet's d None means exactly zero partials, and nothing else.
 
 Constant table entries, the chirality operator and pairing of every
-Dirac table (moved or not), the split arrays of a constant chirality
-operator, products of constants, grids of constant expressions and
-constant transitions carry no partial array at all, and the theta-parameters of a constant
-transition are exactly zero.  The torsion entry is a bare value, in a
+Dirac table (moved or not), products of constants, grids of constant
+expressions and constant transitions carry no partial array at all,
+and the theta-parameters of a constant transition are exactly zero.  The torsion entry is a bare value, in a
 scenario's table and in a moved one.
 """
 
@@ -13,13 +12,11 @@ import pytest
 
 from spintensor.chiral import BARE_ENTRIES, ChiralScenario
 from spintensor.dirac import DD_DIRAC, H_DIRAC
-from spintensor.dirac_connection import SPLIT_NAMES, _split_arrays
 from spintensor.frames import (
     FrameField,
     FrameTransition,
     MatrixField,
     einsum_jet,
-    inverse_jet,
     theta_parameters,
 )
 from spintensor.scenarios import (
@@ -75,20 +72,6 @@ def test_every_dirac_table_holds_canonical_h_and_d(name):
     stacked = np.broadcast_to(points, (3,) + points.shape)
     moved, _ = scenario.deform_jets(jets, random_transition([2, 3, 4]), stacked)
     assert_canonical_h_and_d(moved, stacked.shape[:-1])
-
-
-@pytest.mark.parametrize("name", bundled_scenario_names())
-def test_constant_chirality_operator_gives_constant_splits(name):
-    _, jets = table(name, "dirac")
-    split = dict(zip(
-        SPLIT_NAMES,
-        _split_arrays(jets["H"][0], jets["gamma"], jets["d"], inverse_jet(jets["d"])),
-    ))
-    for label in ("bh", "ch"):
-        assert split[label][1] is None, label
-    if not bundled_scenario(name).deform:
-        for label in ("bd_low", "cd_low", "bd_up", "cd_up"):
-            assert split[label][1] is None, label
 
 
 def test_product_of_constants_is_constant():
