@@ -18,9 +18,8 @@ from .tensor_core import (
     raise_lower,
     outer,
 )
-from .lorentz_cover import PauliBasis, LorentzMatrix, phi, random_sl2c
+from .lorentz_cover import LorentzMatrix, phi, random_sl2c
 from .frames import (
-    Chart,
     MatrixField,
     FrameField,
     FrameTransition,
@@ -76,11 +75,9 @@ __all__ = [
     "contract",
     "raise_lower",
     "outer",
-    "PauliBasis",
     "LorentzMatrix",
     "phi",
     "random_sl2c",
-    "Chart",
     "MatrixField",
     "FrameField",
     "FrameTransition",

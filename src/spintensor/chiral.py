@@ -27,7 +27,6 @@ import numpy as np
 
 from .expressions import EvaluationError
 from .frames import (
-    Chart,
     FrameField,
     MatrixField,
     ThetaParameters,
@@ -54,7 +53,7 @@ from .tetrads import orthonormal_factor_jet, symbol_jet
 D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 # G[i, ibar, q]: both-upper mixed symbols, equal to sigma_q[i, ibar]
-G_UPPER = np.transpose(np.asarray(PAULI.sigma), (1, 2, 0)).copy()
+G_UPPER = np.transpose(PAULI, (1, 2, 0)).copy()
 
 
 @dataclass(frozen=True)
@@ -295,6 +294,7 @@ def _table(tangent, spinor):
 class ChiralScenario:
     """Everything needed to build and test a chiral metric connection.
 
+    points are the sample points, one read-only float64 (N, 4) array;
     frame, g (the coordinate metric) and the optional torsion are the
     scenario's own fields.  Its structure data at a batch of points is
     one table, jets(points): the jets of the frame and of every
@@ -324,9 +324,13 @@ class ChiralScenario:
     SYMBOLS = ("G", G_UPPER)
     LIFT_INVARIANT = ()  # spinor entries every spinor_transition fixes exactly
 
-    def __init__(self, chart: Chart, frame: FrameField, g: MatrixField, torsion=None,
+    def __init__(self, points, frame: FrameField, g: MatrixField, torsion=None,
                  transition=None):
-        self.chart = chart
+        points = np.array(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 4:
+            raise ValueError("sample points must be 4-vectors")
+        points.flags.writeable = False
+        self.points = points
         self.frame = frame
         self.g = g
         self.torsion = torsion
@@ -441,27 +445,30 @@ class SpinorConnection:
     Gamma[..., i, k, j] is the tangent coefficient with derivative
     direction i, upper index k and lower index j; A[..., r, i, j] /
     Abar[..., r, i, j] are the spinor and conjugate-spinor coefficient
-    matrices per direction.  The leading axes are the batch axes of the
-    points, the same for all three arrays.
+    matrices per direction, 2x2 on the chiral bundle and 4x4 on the
+    Dirac bundle (spinor_dim).  The leading axes are the batch axes of
+    the points, the same for all three arrays.
     """
 
     Gamma: np.ndarray
     A: np.ndarray
     Abar: np.ndarray
-    spinor_dim: int = 2
 
     def __post_init__(self):
         batch = np.shape(self.Gamma)[:-3]
-        for name, shape in (
-            ("Gamma", (4, 4, 4)),
-            ("A", (4, self.spinor_dim, self.spinor_dim)),
-            ("Abar", (4, self.spinor_dim, self.spinor_dim)),
-        ):
+        n = np.shape(self.A)[-1] if np.ndim(self.A) else 0
+        if n not in (2, 4):
+            raise ValueError("A must hold 2x2 or 4x4 matrices")
+        for name, shape in (("Gamma", (4, 4, 4)), ("A", (4, n, n)), ("Abar", (4, n, n))):
             arr = np.asarray(getattr(self, name), dtype=complex).copy()
             if arr.shape != batch + shape:
                 raise ValueError(f"{name} must have shape {shape} after the batch axes {batch}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def spinor_dim(self):
+        return self.A.shape[-1]
 
 
 def metric_tangent_connection(jets, ginv) -> np.ndarray:
@@ -542,7 +549,7 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     scale = 1.0 + np.max(np.abs(a), axis=(-3, -2, -1))
     unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > 1e-9 * scale
     check_points(unreal, points, "Abar is not the conjugate of A")
-    return SpinorConnection(gamma, a, abar, spinor_dim=2)
+    return SpinorConnection(gamma, a, abar)
 
 
 def covariant_derivative(
@@ -590,10 +597,10 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
 
 def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
     """Residual report for the concordance conditions of a scenario at
-    points (the sample points by default): the scenario's table,
-    evaluated once, build(jets, points) from that same table, then
-    concordance_residuals."""
-    points = scenario.chart.points if points is None else np.asarray(points, dtype=float)
+    points (scenario.points, the sample points, by default): the
+    scenario's table, evaluated once, build(jets, points) from that
+    same table, then concordance_residuals."""
+    points = scenario.points if points is None else np.asarray(points, dtype=float)
     jets = scenario.jets(points)
     conn = build(jets, points)
     return concordance_residuals(scenario, jets, conn, tangent_concordance(jets, conn))
@@ -653,4 +660,4 @@ def transform_connection(conn: SpinorConnection, jets, theta: ThetaParameters) -
         einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t.astype(complex), conn.Abar)
         + np.conj(theta.vartheta)
     )
-    return SpinorConnection(gamma, a, abar, spinor_dim=conn.spinor_dim)
+    return SpinorConnection(gamma, a, abar)

@@ -289,7 +289,7 @@ class Run:
         if mode not in self.held:
             loader, build = MODES[mode]
             scenario = loader(self.spec)
-            points = scenario.chart.points
+            points = scenario.points
             if self.tangent is None:
                 self.tangent = scenario.tangent_jets(points)
             jets = scenario.jets(points, self.tangent)
@@ -351,19 +351,19 @@ def run_build_connection(ctx: Run):
     oracle = None
     for mode in spec.modes:
         scenario, _, conn = ctx.mode(mode)
-        points = scenario.chart.points
+        points = scenario.points
         check_points(~np.isfinite(conn.A).all(axis=(-3, -2, -1)), points,
                      f"{mode} connection is not finite")
         # + 0.0 writes an exact zero as 0.0, whichever sign its terms left
         gamma, a, abar = conn.Gamma.real + 0.0, conn.A + 0.0, conn.Abar + 0.0
         entries = [
             {
-                "point": list(point),
+                "point": point,
                 "tangent": gamma[k],
                 "spinor": _complex_table(a[k]),
                 "conjugate-spinor": _complex_table(abar[k]),
             }
-            for k, point in enumerate(scenario.chart.sample_points)
+            for k, point in enumerate(points.tolist())
         ]
         if has_oracle:
             if oracle is None:
@@ -415,7 +415,7 @@ def run_covariance(ctx: Run):
     tol = spec.tolerances["covariance"] * ctx.tol_scale
     base_seed = spec.seed if ctx.seed is None else ctx.seed
     base, base_jets, conn_base = ctx.mode("chiral")
-    points = base.chart.points
+    points = base.points
     npoints = len(spec.sample_points)
     seeds = [base_seed + offset for offset in range(3)]
     stacked = np.broadcast_to(points, (len(seeds),) + points.shape)

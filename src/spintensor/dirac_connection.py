@@ -248,7 +248,7 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
             diagonal[..., DUAL] = trace(CHIRAL)[..., None]
             lie = lie + diagonal[..., None] * np.eye(4)
         a = 0.25 * (lie - einsum("krm,ajr,mn,ian->kij", gamma_t, gamma, ginv, gamma))
-    return SpinorConnection(gamma_t, a, np.conj(a), spinor_dim=4)
+    return SpinorConnection(gamma_t, a, np.conj(a))
 
 
 RESTRICTION_TOL = 1e-9  # both block checks of restrict_to_chiral
@@ -280,6 +280,4 @@ def restrict_to_chiral(dirac_conn: SpinorConnection, points=None) -> SpinorConne
     pairing = np.max(np.abs(a[..., DUAL, DUAL] - expected), axis=axes)
     check_points(~(pairing <= RESTRICTION_TOL), points,
                  "dual co-frame block does not pair with the chiral block")
-    return SpinorConnection(
-        dirac_conn.Gamma, chiral_a, np.conj(chiral_a), spinor_dim=2
-    )
+    return SpinorConnection(dirac_conn.Gamma, chiral_a, np.conj(chiral_a))

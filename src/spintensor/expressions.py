@@ -16,6 +16,11 @@ overflows, and any other non-finite result.  values_at raises one
 EvaluationError for the first failure in batch order, then expression
 order, then left-to-right evaluation order; the error carries that
 batch index, and its text names the failing operation only.
+
+Parsing, differentiation, compilation and evaluation recurse over the
+AST, so an expression nested more than MAX_DEPTH levels deep, or one
+whose partial is, is a ParseError: every accepted expression evaluates
+within Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """Syntax error with a byte offset and the tokens that were expected."""
+    """Syntax error with a byte offset (or None) and the expected tokens."""
 
     def __init__(self, message, position, expected=()):
         self.position = position
         self.expected = tuple(expected)
-        detail = f"{message} at position {position}"
+        detail = message if position is None else f"{message} at position {position}"
         if expected:
             detail += " (expected: " + ", ".join(expected) + ")"
         super().__init__(detail)
@@ -50,6 +55,11 @@ class EvaluationError(ArithmeticError):
 
 
 VARIABLES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
+
+# Levels an AST may have (a leaf is one).  Evaluation takes two Python
+# frames a level, which leaves a caller about 590 of the default limit
+# of 1000; tests and bundled specs nest 7 levels at most.
+MAX_DEPTH = 200
 
 # the numpy ufunc of every operator and function, for compiled ASTs
 UFUNCS = {
@@ -288,6 +298,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # nested expression() calls
 
     @property
     def current(self):
@@ -315,6 +326,10 @@ class _Parser:
         return node
 
     def expression(self, min_level):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression is nested more than {MAX_DEPTH} levels deep",
+                             self.current.position)
         node = self.primary()
         while True:
             token = self.current
@@ -326,6 +341,7 @@ class _Parser:
             self.advance()
             next_min = level if token.text in _RIGHT_ASSOC else level + 1
             node = BinOp(token.text, node, self.expression(next_min))
+        self.depth -= 1
         return node
 
     def primary(self):
@@ -364,7 +380,19 @@ class _Parser:
 def parse_ast(text: str) -> Node:
     if not text or not text.strip():
         raise ParseError("empty expression", 0, ["number", "identifier", "'('", "'-'"])
-    return _Parser(text).parse()
+    return _shallow(_Parser(text).parse(), "expression")
+
+
+def _shallow(ast, label):
+    """ast, or a ParseError if it has more than MAX_DEPTH levels; counted
+    level by level, without recursion, each shared subtree once a level."""
+    level = [ast]
+    for _ in range(MAX_DEPTH):
+        level = list({id(child): child for node in level for child in vars(node).values()
+                      if isinstance(child, Node)}.values())
+        if not level:
+            return ast
+    raise ParseError(f"{label} is nested more than {MAX_DEPTH} levels deep", None)
 
 
 class Expression:
@@ -378,7 +406,6 @@ class Expression:
         self.ast = ast
         self.source = source
         self._compiled = ast.compile()
-        self._partials = {}
 
     @classmethod
     def parse(cls, text):
@@ -388,9 +415,9 @@ class Expression:
         return values_at([self], points)[..., 0]
 
     def partial(self, var):
-        if var not in self._partials:
-            self._partials[var] = Expression(self.ast.diff(var))
-        return self._partials[var]
+        """The partial along coordinate var as a new Expression; a
+        ParseError if it is nested too deep (MAX_DEPTH)."""
+        return Expression(_shallow(self.ast.diff(var), f"partial along x{var}"))
 
     def __repr__(self):
         return f"Expression({self.source if self.source is not None else self.ast})"

@@ -1,7 +1,7 @@
-"""Charts, frame fields, jets and frame transitions.
+"""Frame fields, jets and frame transitions.
 
-A Chart fixes coordinates x0..x3 and sample points.  Array-valued
-fields carry their value together with its four coordinate partials as
+Fields are functions of the coordinates x0..x3.  Array-valued fields
+carry their value together with its four coordinate partials as
 one jet; every composition propagates jets exactly (the product rule
 over an einsum, the inverse rule, ...).  Frame fields give the expansion of a
 tangent frame in the coordinate frame; transitions between frames
@@ -162,25 +162,6 @@ def _matmul_step(left, right, left_batch, right_batch, rest, sizes):
         return product.reshape(out_shape)
 
     return step, "".join(result)
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Coordinate chart with sample points."""
-
-    sample_points: tuple = ()
-
-    def __post_init__(self):
-        points = tuple(tuple(float(c) for c in p) for p in self.sample_points)
-        for p in points:
-            if len(p) != 4:
-                raise ValueError("sample points must be 4-vectors")
-        object.__setattr__(self, "sample_points", points)
-
-    @property
-    def points(self):
-        """The sample points as one (N, 4) batch."""
-        return np.array(self.sample_points, dtype=float).reshape(-1, 4)
 
 
 class MatrixField:

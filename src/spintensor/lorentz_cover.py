@@ -8,7 +8,8 @@ import numpy as np
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 
-_SIGMA = np.array(
+# PAULI[k]: the 2x2 unit matrix (k = 0), then the three Pauli matrices
+PAULI = np.array(
     [
         [[1, 0], [0, 1]],
         [[0, 1], [1, 0]],
@@ -17,24 +18,7 @@ _SIGMA = np.array(
     ],
     dtype=complex,
 )
-
-
-@dataclass(frozen=True)
-class PauliBasis:
-    """The 2x2 unit matrix together with the three Pauli matrices."""
-
-    sigma: np.ndarray = None
-
-    def __post_init__(self):
-        arr = _SIGMA.copy() if self.sigma is None else np.asarray(self.sigma, dtype=complex)
-        arr.flags.writeable = False
-        object.__setattr__(self, "sigma", arr)
-
-    def __getitem__(self, k):
-        return self.sigma[k]
-
-
-PAULI = PauliBasis()
+PAULI.flags.writeable = False
 
 
 @dataclass(frozen=True)

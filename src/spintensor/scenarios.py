@@ -1,12 +1,12 @@
 """Scenario catalog: spec files, deformations and oracles.
 
-A scenario spec is a JSON document describing a chart, a coordinate
-metric, an optional tangent frame and torsion (all as expression
-grids), sample points, tolerances and an optional seeded frame
-deformation.  load_scenario_spec parses the grids once, to fail fast,
-and the spec holds the parsed fields; loaders turn a spec into
-ChiralScenario / DiracScenario objects on those same fields, so the two
-modes of a spec share them and parse nothing again.  The deformation
+A scenario spec is a JSON document describing a coordinate metric,
+an optional tangent frame and torsion (all as expression grids),
+sample points, tolerances and an optional seeded frame deformation.
+load_scenario_spec parses the grids once, to fail fast, and the spec
+holds the parsed fields; loaders turn a spec into ChiralScenario /
+DiracScenario objects on those same fields, so the two modes of a spec
+share them and parse nothing again.  The deformation
 helpers produce smooth seeded transitions as matrix exponentials of
 low-degree polynomial matrix fields.  Transitions are chiral: a
 deformed scenario is its base plus one (ChiralScenario.transition),
@@ -27,7 +27,7 @@ import numpy as np
 from .chiral import ChiralScenario
 from .dirac_connection import DiracScenario
 from .expressions import ParseError
-from .frames import Chart, FrameField, FrameTransition, MatrixField, einsum
+from .frames import FrameField, FrameTransition, MatrixField, einsum
 
 SPEC_SCHEMA = "scenario-spec/1"
 
@@ -77,7 +77,10 @@ def load_scenario_spec(source) -> ScenarioSpec:
                 data = json.load(handle)
         except OSError as exc:
             raise SpecError(f"cannot read spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"spec is not UTF-8 text: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the decoder's depth
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
@@ -229,7 +232,7 @@ def _spec_scenario(spec: ScenarioSpec, cls):
         transition = random_transition(seed=spec.deform.get("seed", spec.seed),
                                        scale=float(spec.deform.get("scale", 0.15)),
                                        tangent=spec.deform.get("tangent", True))
-    return cls(Chart(sample_points=spec.sample_points), spec.frame_field, spec.metric_field,
+    return cls(spec.sample_points, spec.frame_field, spec.metric_field,
                torsion=spec.torsion_field, transition=transition)
 
 

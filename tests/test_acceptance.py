@@ -88,7 +88,7 @@ def test_criterion_03_flat_connection_vanishes(verdict):
         (build_dirac_metric_connection, dirac_scenario_from_spec),
     ):
         scenario = load(bundled_scenario("flat"))
-        for point in scenario.chart.sample_points:
+        for point in scenario.points:
             conn = build(scenario.jets(point), point)
             worst = max(
                 worst,
@@ -111,7 +111,7 @@ def test_criterion_04_curved_diagonal_oracle(verdict):
         ]
     )
     worst = 0.0
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         gamma = build_chiral_metric_connection(scenario.jets(point), point).Gamma
         oracle = coordinate_christoffel(g_coord, point)
         worst = max(worst, float(np.max(np.abs(np.real(gamma) - oracle))))
@@ -143,7 +143,7 @@ def test_criterion_06_covariance_of_the_builder(verdict):
     worst = 0.0
     for seed in (1, 2, 3):
         trans = random_transition(seed=seed)
-        for point in base.chart.sample_points:
+        for point in base.points:
             base_jets = base.jets(point)
             trans_jets = trans.jets(point)
             moved, _ = base.deform_jets(base_jets, trans, point)
@@ -167,7 +167,7 @@ def test_criterion_07_restriction_to_the_chiral_bundle(verdict):
     chiral = chiral_scenario_from_spec(spec)
     worst_block = 0.0
     worst_pair = 0.0
-    for point in dirac.chart.sample_points:
+    for point in dirac.points:
         conn = build_dirac_metric_connection(dirac.jets(point), point)
         restricted = restrict_to_chiral(conn)
         cc = build_chiral_metric_connection(chiral.jets(point), point)
@@ -185,7 +185,7 @@ def test_criterion_07_restriction_to_the_chiral_bundle(verdict):
 def test_criterion_08_block_assembly_equals_simplified_form(verdict):
     scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
     worst = 0.0
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         jets = scenario.jets(point)
         blocks = build_dirac_metric_connection(jets, point, method="blocks")
         simple = build_dirac_metric_connection(jets, point, method="simplified")

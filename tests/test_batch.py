@@ -71,7 +71,7 @@ def assert_batch_matches(batch, singles, label):
 
 def scenario_points(name, mode):
     scenario = BUILDERS[mode][0](bundled_scenario(name))
-    return scenario, scenario.chart.points
+    return scenario, scenario.points
 
 
 def bare_value(entry, points):
@@ -156,7 +156,7 @@ def test_covariance_over_a_stack_of_seeds_is_the_per_seed_loop(name):
     ctx = cli.Run(report=cli.ResidualReport(name, "covariance"), spec=spec)
     cli.run_covariance(ctx)
     base, table, conn = ctx.mode("chiral")
-    points = base.chart.points
+    points = base.points
     worst = 0.0
     for offset in range(3):
         moved, trans_jets = base.deform_jets(table, random_transition(spec.seed + offset), points)
@@ -198,7 +198,7 @@ def test_negative_sqrt_at_the_third_point():
     failure = r"^metric at \(-0\.2, 0\.0, 0\.0, 0\.0\): sqrt\(-0\.2\)"
     scenario = chiral_scenario_from_spec(spec)
     with pytest.raises(ScenarioError, match=failure):
-        scenario.jets(scenario.chart.points)
+        scenario.jets(scenario.points)
 
 
 def test_singular_frame_at_the_third_point():
@@ -235,7 +235,7 @@ def test_failed_abar_check_at_the_third_point():
 
 def test_point_batches_of_any_leading_shape():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    points = scenario.chart.points[:4]
+    points = scenario.points[:4]
     flat = build_chiral_metric_connection(scenario.jets(points), points)
     grid_points = points.reshape(2, 2, 4)
     grid = build_chiral_metric_connection(scenario.jets(grid_points), grid_points)

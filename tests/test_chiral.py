@@ -18,7 +18,6 @@ from spintensor.chiral import (
 )
 from spintensor import scenarios
 from spintensor.frames import (
-    Chart,
     FrameField,
     MatrixField,
     structural_constants,
@@ -69,7 +68,7 @@ def test_lower_symbols_invert_the_upper_ones():
 
 def test_flat_connection_is_zero():
     scenario = chiral_scenario_from_spec(bundled_scenario("flat"))
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         conn = build_at(build_chiral_metric_connection, scenario, point)
         assert np.max(np.abs(conn.Gamma)) < 1e-12
         assert np.max(np.abs(conn.A)) < 1e-12
@@ -79,7 +78,7 @@ def test_flat_connection_is_zero():
 def test_tangent_connection_matches_christoffel_oracle():
     scenario = diag_scenario()
     g_coord = MatrixField.from_expressions(DIAG_METRIC)
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         gamma = scenario.jets(point)["Gamma"]
         oracle = coordinate_christoffel(g_coord, point)
         assert np.max(np.abs(gamma - oracle)) < 1e-5
@@ -94,7 +93,7 @@ def test_tangent_connection_hand_values():
 
 def test_connection_is_torsion_free_in_anholonomic_frames():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         jets = scenario.jets(point)
         gamma = jets["Gamma"]
         c = structural_constants(jets["frame"])
@@ -109,7 +108,7 @@ def test_prescribed_torsion_is_reproduced():
     t[1, 0, 1] = 0.25
     t[1, 1, 0] = -0.25
     scenario = ChiralScenario(
-        base.chart, base.frame, base.g, torsion=MatrixField.constant(t)
+        base.points, base.frame, base.g, torsion=MatrixField.constant(t)
     )
     gamma = scenario.jets(PT)["Gamma"]
     asym = gamma - gamma.transpose(2, 1, 0)
@@ -120,26 +119,40 @@ def test_prescribed_torsion_is_reproduced():
 
 
 def test_scenario_validation():
-    chart = Chart(sample_points=[PT])
     bad_g = MatrixField.constant(np.diag([1.0, 1.0, -1.0, -1.0]))
-    scenario = ChiralScenario(chart, FrameField.coordinate(), bad_g)
+    scenario = ChiralScenario([PT], FrameField.coordinate(), bad_g)
     with pytest.raises(ValueError):
-        scenario.jets(scenario.chart.points)
+        scenario.jets(scenario.points)
     scenario = ChiralScenario(
-        chart,
+        [PT],
         FrameField.coordinate(),
         MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0])),
         torsion=MatrixField.constant(np.ones((4, 4, 4))),
     )
     with pytest.raises(ValueError):
-        scenario.jets(scenario.chart.points)
+        scenario.jets(scenario.points)
+
+
+def test_scenario_points_are_one_read_only_array():
+    source = np.array([PT, (0, 1, 2, 3)])
+    scenario = ChiralScenario(source, FrameField.coordinate(), MatrixField.constant(np.eye(4)))
+    source[0, 0] = 7.0
+    assert scenario.points.dtype == np.float64
+    assert scenario.points.tolist() == [list(PT), [0.0, 1.0, 2.0, 3.0]]
+    with pytest.raises(ValueError):
+        scenario.points[0, 0] = 1.0
+    for bad in ([(1.0, 2.0)], PT, [[PT]]):
+        with pytest.raises(ValueError, match="sample points must be 4-vectors"):
+            ChiralScenario(bad, FrameField.coordinate(), MatrixField.constant(np.eye(4)))
+    with pytest.raises(ValueError):
+        ChiralScenario([PT, (1.0, 2.0)], FrameField.coordinate(), MatrixField.constant(np.eye(4)))
 
 
 def test_structure_fields_track_the_metric():
     # the mixed-symbol field must satisfy the spin-metric contraction
     # identity against the frame metric at every point
     scenario = diag_scenario()
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         jets = scenario.jets(point)
         g = np.real(jets["g"][0])
         gu = jets["G"][0]
@@ -226,7 +239,7 @@ def test_a_table_carries_the_tangent_connection_of_its_own_entries(name):
     # the spec's own transition moved them, and again after deform_jets
     # moved them to a further frame, alone or as a stack of seeds
     scenario = chiral_scenario_from_spec(bundled_scenario(name))
-    points = scenario.chart.points
+    points = scenario.points
     table = scenario.jets(points)
     stacked = np.broadcast_to(points, (2,) + points.shape)
     tables = [table, scenario.deform_jets(table, random_transition(seed=8), points)[0],
@@ -241,6 +254,20 @@ def test_conjugate_coefficients_are_conjugates():
     scenario = chiral_scenario_from_spec(bundled_scenario("ortho-tetrad"))
     conn = build_at(build_chiral_metric_connection, scenario, PT)
     assert np.allclose(conn.Abar, np.conj(conn.A), atol=1e-12)
+
+
+def test_spinor_dim_is_read_off_the_spinor_coefficients():
+    spec = bundled_scenario("ortho-tetrad")
+    for load, build, n in ((chiral_scenario_from_spec, build_chiral_metric_connection, 2),
+                           (dirac_scenario_from_spec, build_dirac_metric_connection, 4)):
+        conn = build_at(build, load(spec), PT)
+        assert conn.spinor_dim == n and conn.A.shape == (4, n, n)
+    gamma = np.zeros((4, 4, 4))
+    for a, abar in ((np.zeros((4, 3, 3)), np.zeros((4, 3, 3))),
+                    (np.zeros((4, 2, 2)), np.zeros((4, 4, 4))),
+                    (np.zeros((4, 2, 4)), np.zeros((4, 2, 4)))):
+        with pytest.raises(ValueError):
+            SpinorConnection(gamma, a, abar)
 
 
 def test_non_finite_connection_fails_concordance():

@@ -491,6 +491,20 @@ CATALOG = [
                   "covariance": (1, "numerical failure: seeded deformation 6: metric at "
                                     "(0.0, 60.0, 0.0, 0.0): not invertible\n")},
                  id="singular-moved-metric"),
+    # cells nested too deep to evaluate within Python's recursion limit
+    # are rejected when the spec loads (expressions.MAX_DEPTH)
+    pytest.param(with_metric("diag-scale", g11="-1+0*(" + "+".join(["x0"] * 600) + ")"), GOOD,
+                 both(2, "bad input: bad expression in spec: expression is nested more than "
+                         "200 levels deep\n"),
+                 id="deep-sum"),
+    pytest.param(with_metric("diag-scale", g00="*".join(["(1+x0)"] * 350)), GOOD,
+                 both(2, "bad input: bad expression in spec: expression is nested more than "
+                         "200 levels deep\n"),
+                 id="deep-product"),
+    pytest.param(with_metric("diag-scale", g00="-" * 2000 + "x0"), GOOD,
+                 both(2, "bad input: bad expression in spec: expression is nested more than "
+                         "200 levels deep at position 200\n"),
+                 id="deep-unary-minus"),
 ]
 
 
@@ -501,6 +515,21 @@ def test_failing_spec_catalog(spec, points, expected, subcommand, capsys, tmp_pa
     path.write_text(json.dumps({**spec, "sample_points": points}))
     code, _ = run_captured(subcommand, spec_path=str(path))
     assert (code, capsys.readouterr().err) == expected[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", ["concordance", "covariance"])
+@pytest.mark.parametrize("content, expected", [
+    pytest.param(b'\xff\xfe{"a":1}', "bad input: spec is not UTF-8 text: 'utf-8' codec can't "
+                 "decode byte 0xff in position 0: invalid start byte\n", id="not-utf-8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000,
+                 "bad input: spec is not valid JSON: maximum recursion depth exceeded while "
+                 "decoding a JSON array from a unicode string\n", id="deeply-nested-arrays"),
+])
+def test_unreadable_spec_bytes(content, expected, subcommand, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, _ = run_captured(subcommand, spec_path=str(path))
+    assert (code, capsys.readouterr().err) == (2, expected)
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS[1:])

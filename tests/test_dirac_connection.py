@@ -62,7 +62,7 @@ def test_builder_methods_agree_on_all_scenarios():
     # on each sample batch and on a (3, N) stack of seeded frame changes
     for name in bundled_scenario_names():
         scenario = dirac_scenario_from_spec(bundled_scenario(name))
-        points = scenario.chart.points
+        points = scenario.points
         jets = scenario.jets(points)
         stacked = np.broadcast_to(points, (3,) + points.shape)
         moved, _ = scenario.deform_jets(jets, random_transition([2, 3, 4]), stacked)
@@ -116,7 +116,7 @@ def test_restriction_recovers_the_chiral_connection():
         spec = bundled_scenario(name)
         dirac = dirac_scenario_from_spec(spec)
         chiral = chiral_scenario_from_spec(spec)
-        for point in dirac.chart.sample_points:
+        for point in dirac.points:
             restricted = restrict_to_chiral(
                 build_dirac_metric_connection(dirac.jets(point), point)
             )
@@ -138,7 +138,7 @@ def test_restriction_rejects_non_block_connections():
     conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     bad_a = conn.A.copy()
     bad_a[0, 0, 3] = 1.0
-    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
     with pytest.raises(ValueError):
         restrict_to_chiral(bad)
 
@@ -149,11 +149,11 @@ def test_restriction_rejects_non_block_connections():
 ], ids=["off-block", "dual-block"])
 def test_restriction_rejects_a_non_finite_entry(entry, message):
     scenario = dirac_scenario_from_spec(bundled_scenario("ortho-tetrad"))
-    points = scenario.chart.points
+    points = scenario.points
     conn = build_dirac_metric_connection(scenario.jets(points), points)
     bad_a = conn.A.copy()
     bad_a[(2,) + entry] = np.nan
-    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
     at = re.escape(str(tuple(points[2].tolist())))
     with pytest.raises(ValueError, match=rf"{message}.* at {at}$"):
         restrict_to_chiral(bad, points)
@@ -181,7 +181,7 @@ def test_dirac_concordance_on_deformed_scenario():
 
 def test_dirac_gamma_field_tracks_the_metric():
     scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         jets = scenario.jets(point)
         g = np.real(jets["g"][0])
         gamma = jets["gamma"][0]
@@ -199,7 +199,7 @@ def test_non_finite_connection_fails_dirac_concordance():
     conn = build_dirac_metric_connection(scenario.jets(PT), PT)
     bad_a = conn.A.copy()
     bad_a[1, 2, 3] = np.nan
-    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a), spinor_dim=4)
+    bad = SpinorConnection(conn.Gamma, bad_a, np.conj(bad_a))
     res = verify_concordance(lambda jets, points: bad, scenario)
     assert not np.isfinite(res["nabla-spin-metric"])
     assert not np.isfinite(res["nabla-chirality"])

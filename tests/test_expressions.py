@@ -139,16 +139,40 @@ def test_quotient_partials_near_the_underflow_of_the_divisor_squared():
     assert (expr.partial(0)(point), expr.partial(1)(point)) == (-1e170, 1e170)
 
 
-def test_partials_are_cached():
-    expr = Expression.parse("x0*x1")
-    assert expr.partial(0) is expr.partial(0)
-
-
 def test_variable_free_subtrees_differentiate_to_zero():
     assert Expression.parse("-1").partial(0).ast == Num(0.0)
     # unfolded, the partial of sqrt(0) is 0.5/sqrt(0)*0: a division by zero
     assert Expression.parse("sqrt(0)").partial(0)((0.0, 0.0, 0.0, 0.0)) == 0.0
     assert Expression.parse("x0*sqrt(x1)").partial(0)((0.5, 0.0, 0.0, 0.0)) == 0.0
+
+
+def test_nesting_is_bounded_by_max_depth():
+    # 200 levels (199 minus signs over x0) parse, differentiate and
+    # evaluate, also under a deep caller stack; one more level does not
+    expr = Expression.parse("-" * 199 + "x0")
+
+    def evaluate(frames):
+        if frames:
+            return evaluate(frames - 1)
+        return expr((2.0, 0, 0, 0)), expr.partial(0)((2.0, 0, 0, 0))
+
+    assert evaluate(300) == (-2.0, -1.0)
+    too_deep = [
+        ("-" * 200 + "x0", "expression is nested more than 200 levels deep at position 200"),
+        ("(" * 300 + "x0" + ")" * 300,
+         "expression is nested more than 200 levels deep at position 200"),
+        ("+".join(["x0"] * 201), "expression is nested more than 200 levels deep"),
+    ]
+    for text, message in too_deep:
+        with pytest.raises(ParseError) as info:
+            Expression.parse(text)
+        assert str(info.value) == message
+    # a cell within the bound whose partial is not: each x0^ adds
+    # three levels to the partial
+    expr = Expression.parse("^".join(["x0"] * 80))
+    assert [expr.partial(a).ast for a in (1, 2, 3)] == [Num(0.0)] * 3
+    with pytest.raises(ParseError, match="^partial along x0 is nested more than 200 levels deep$"):
+        expr.partial(0)
 
 
 def test_the_first_failure_in_batch_then_expression_then_evaluation_order():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spintensor.frames import (
-    Chart,
     FrameField,
     FrameTransition,
     MatrixField,
@@ -18,13 +17,6 @@ from spintensor.scenarios import random_transition
 from spintensor.tensor_core import TensorSignature
 
 PT = (0.5, 0.2, -0.3, 0.1)
-
-
-def test_chart_validation():
-    with pytest.raises(ValueError):
-        Chart(sample_points=[(1.0, 2.0)])
-    chart = Chart(sample_points=[PT])
-    assert chart.sample_points == (PT,)
 
 
 def test_constant_fields_have_exactly_zero_partials():

@@ -11,6 +11,8 @@ from spintensor.lorentz_cover import (
 
 
 def test_pauli_basis_is_traceless_and_hermitian():
+    assert PAULI.shape == (4, 2, 2) and not PAULI.flags.writeable
+    assert np.array_equal(PAULI[0], np.eye(2))
     for k in range(1, 4):
         assert abs(np.trace(PAULI[k])) == 0
     for k in range(4):

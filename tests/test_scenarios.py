@@ -160,7 +160,7 @@ def test_derived_symbol_field_reduces_to_canonical_on_minkowski():
 def test_frame_metric_field_of_tetrad_is_minkowski():
     spec = bundled_scenario("ortho-tetrad")
     scenario = chiral_scenario_from_spec(spec)
-    for point in scenario.chart.sample_points:
+    for point in scenario.points:
         assert np.allclose(
             np.real(scenario.jets(point)["g"][0]),
             np.diag([1.0, -1.0, -1.0, -1.0]),
@@ -205,7 +205,7 @@ def test_dirac_spinor_transition_block_structure(monkeypatch):
     # partials, with no inversion; its |det| is 1 by construction,
     # which is why the lift is not checked again
     dirac = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
-    points = dirac.chart.points
+    points = dirac.points
     chiral = random_transition(seed=6).jets(points)
     inversions = []
     inv = np.linalg.inv
@@ -264,7 +264,7 @@ def test_a_deformed_table_evaluates_its_transition_once(load, monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(scenarios, "expm", counted)
-    scenario.jets(scenario.chart.points)
+    scenario.jets(scenario.points)
     assert len(calls) == 2
 
 
@@ -281,5 +281,5 @@ def test_a_table_evaluates_each_expression_grid_once(load, monkeypatch):
         return values_at(cells, points)
 
     monkeypatch.setattr(frames, "values_at", counted)
-    scenario.jets(scenario.chart.points)
+    scenario.jets(scenario.points)
     assert calls == [16, 64, 16, 64]

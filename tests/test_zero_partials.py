@@ -34,7 +34,7 @@ UNDEFORMED = [name for name in bundled_scenario_names() if not bundled_scenario(
 
 def table(name, mode):
     scenario = LOADERS[mode](bundled_scenario(name))
-    return scenario, scenario.jets(scenario.chart.points)
+    return scenario, scenario.jets(scenario.points)
 
 
 @pytest.mark.parametrize("mode", sorted(LOADERS))
@@ -67,7 +67,7 @@ def assert_canonical_h_and_d(jets, batch):
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_every_dirac_table_holds_canonical_h_and_d(name):
     scenario, jets = table(name, "dirac")
-    points = scenario.chart.points
+    points = scenario.points
     assert_canonical_h_and_d(jets, points.shape[:-1])
     stacked = np.broadcast_to(points, (3,) + points.shape)
     moved, _ = scenario.deform_jets(jets, random_transition([2, 3, 4]), stacked)
@@ -102,8 +102,8 @@ def test_torsion_is_a_bare_value_in_plain_and_moved_tables():
     base = chiral_scenario_from_spec(bundled_scenario("diag-scale"))
     t = np.zeros((4, 4, 4))
     t[1, 0, 1], t[1, 1, 0] = 0.25, -0.25
-    scenario = ChiralScenario(base.chart, base.frame, base.g, torsion=MatrixField.constant(t))
-    points = scenario.chart.points
+    scenario = ChiralScenario(base.points, base.frame, base.g, torsion=MatrixField.constant(t))
+    points = scenario.points
     jets = scenario.jets(points)
     assert isinstance(jets["torsion"], np.ndarray)
     assert np.array_equal(jets["torsion"], np.broadcast_to(t, (len(points), 4, 4, 4)))
