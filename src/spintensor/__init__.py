@@ -29,7 +29,6 @@ from .frames import (
     transform_components,
 )
 from .chiral import (
-    ChiralConstants,
     ChiralScenario,
     SpinorConnection,
     SpinTensorField,
@@ -41,16 +40,15 @@ from .chiral import (
     transform_connection,
 )
 from .dirac import (
-    DiracConstants,
     DiracFrameKind,
     canonical_dirac_constants,
     embed_chiral_frame,
     frame_inversion,
     classify_frame,
+    transform_table,
     verify_dirac_identities,
 )
 from .dirac_connection import (
-    ChiralitySplit,
     DiracScenario,
     chirality_split,
     build_dirac_metric_connection,
@@ -85,7 +83,6 @@ __all__ = [
     "structural_constants",
     "theta_parameters",
     "transform_components",
-    "ChiralConstants",
     "ChiralScenario",
     "SpinorConnection",
     "SpinTensorField",
@@ -95,14 +92,13 @@ __all__ = [
     "verify_chiral_identities",
     "verify_concordance",
     "transform_connection",
-    "DiracConstants",
     "DiracFrameKind",
     "canonical_dirac_constants",
     "embed_chiral_frame",
     "frame_inversion",
     "classify_frame",
+    "transform_table",
     "verify_dirac_identities",
-    "ChiralitySplit",
     "DiracScenario",
     "chirality_split",
     "build_dirac_metric_connection",

@@ -3,8 +3,10 @@
 Canonical structure data: the antisymmetric 2x2 spin-metric d, its
 conjugate dbar, and the mixed symbols G linking tangent vectors to
 spinor bilinears (the slices of G with the tangent index fixed are the
-Pauli matrices).  The builder produces the unique connection (Gamma, A,
-Abar) annihilating g, d, dbar and G.  A scenario gives its structure
+Pauli matrices).  With the Minkowski metric they are one table of
+values keyed like a scenario's (canonical_chiral_constants), which the
+identity suite reads.  The builder produces the unique connection
+(Gamma, A, Abar) annihilating g, d, dbar and G.  A scenario gives its structure
 data at a batch of points as one table of jets, scenario.jets(points),
 with every entry evaluated once; the builders and the one concordance
 verifier read that table only.  The table's tangent half
@@ -19,6 +21,7 @@ property, chiral or Dirac, into a residual.
 
 from __future__ import annotations
 
+import functools
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -40,7 +43,7 @@ from .frames import (
     structural_constants,
     transform_components,
 )
-from .lorentz_cover import MINKOWSKI, PAULI
+from .lorentz_cover import MINKOWSKI, PAULI, read_only
 from .tensor_core import (
     BARRED,
     SPINOR,
@@ -50,24 +53,10 @@ from .tensor_core import (
 )
 from .tetrads import orthonormal_factor_jet, symbol_jet
 
-D_CHIRAL = np.array([[0, 1], [-1, 0]], dtype=complex)
+D_CHIRAL = read_only(np.array([[0, 1], [-1, 0]], dtype=complex))
 
 # G[i, ibar, q]: both-upper mixed symbols, equal to sigma_q[i, ibar]
-G_UPPER = np.transpose(PAULI, (1, 2, 0)).copy()
-
-
-@dataclass(frozen=True)
-class ChiralConstants:
-    """Canonical chiral structure matrices and their companions."""
-
-    d_lower: np.ndarray
-    d_upper: np.ndarray
-    dbar_lower: np.ndarray
-    dbar_upper: np.ndarray
-    G_upper: np.ndarray  # [i, ibar, q]
-    G_lower: np.ndarray  # [q, i, ibar]
-    g_lower: np.ndarray
-    g_upper: np.ndarray
+G_UPPER = read_only(np.transpose(PAULI, (1, 2, 0)).copy())
 
 
 def compute_g_lower_symbols(g_upper_mixed, g_upper, d_lower, dbar_lower):
@@ -79,51 +68,48 @@ def compute_g_lower_symbols(g_upper_mixed, g_upper, d_lower, dbar_lower):
     return einsum("jbk,kq,ji,bc->qic", g_upper_mixed, g_upper, d_lower, dbar_lower)
 
 
-def canonical_chiral_constants() -> ChiralConstants:
-    """The canonical tables with their companions.  Nothing is checked
-    here: verify_chiral_identities gives residual 0 on them."""
-    d_lower = D_CHIRAL.copy()
-    d_upper = np.linalg.inv(d_lower)
-    dbar_lower = np.conj(d_lower)
-    dbar_upper = np.linalg.inv(dbar_lower)
-    g_lower = MINKOWSKI.copy()
-    g_upper = MINKOWSKI.copy()
-    g_lower_symbols = compute_g_lower_symbols(G_UPPER, g_upper, d_lower, dbar_lower)
-    return ChiralConstants(
-        d_lower=d_lower,
-        d_upper=d_upper,
-        dbar_lower=dbar_lower,
-        dbar_upper=dbar_upper,
-        G_upper=G_UPPER.copy(),
-        G_lower=g_lower_symbols,
-        g_lower=g_lower,
-        g_upper=g_upper,
-    )
+def canonical_table(structure_fields, canonical, symbols):
+    """A bundle's structure fields' values in a canonical frame, keyed
+    like its scenarios' tables (structure_fields): g is MINKOWSKI, the
+    symbol field named by symbols its canonical table and every other
+    field its canonical constant, all read-only module constants."""
+    values = {"g": MINKOWSKI, symbols[0]: symbols[1], **canonical}
+    return {attr: values[attr] for _, attr, _ in structure_fields}
 
 
-def verify_chiral_identities(constants: ChiralConstants) -> dict:
-    """Residuals of the mixed-symbol identity suite.
+def canonical_chiral_constants() -> dict:
+    """The chiral canonical table: g, d, dbar and G.  Nothing is checked
+    here: verify_chiral_identities gives residual 0 on it."""
+    return canonical_table(ChiralScenario.STRUCTURE_FIELDS, ChiralScenario.CANONICAL,
+                           ChiralScenario.SYMBOLS)
+
+
+def table_residual(batch, lhs, rhs=0.0):
+    """max |lhs - rhs| over each frame's entries, the frames being the
+    batch leading axes of a suite's table: a float for one frame, an
+    array with one residual per frame for a stack.  A NaN is kept."""
+    diff = np.abs(lhs - rhs)
+    return np.max(diff, axis=tuple(range(batch, diff.ndim)))
+
+
+def verify_chiral_identities(table) -> dict:
+    """Residuals of the mixed-symbol identity suite on a chiral table of
+    values (g, d, dbar, G), one frame or a stack along leading batch
+    axes; g^-1, d^-1, dbar^-1 and the lowered symbols are derived.
 
     All identities hold exactly (Gaussian-integer entries) on the
-    canonical tables and to rounding on consistently transformed ones.
+    canonical table and to rounding on any consistent frame's.
     """
-    gu = constants.G_upper
-    gl = constants.G_lower
-    g = constants.g_lower
-    ginv = constants.g_upper
-    d = constants.d_lower
-    du = constants.d_upper
-    db = constants.dbar_lower
-    dbu = constants.dbar_upper
-
-    def residual(lhs, rhs):
-        return float(np.max(np.abs(lhs - rhs)))
+    g, d, db, gu = (table[attr] for attr in ("g", "d", "dbar", "G"))
+    ginv, du, dbu = (np.linalg.inv(m) for m in (g, d, db))
+    gl = compute_g_lower_symbols(gu, ginv, d, db)
+    residual = functools.partial(table_residual, np.ndim(d) - 2)
 
     out = {}
     # reality: G^{i ibar}_q = conj(G^{ibar i}_q), same for the lower symbols
-    out["g-symbol-reality"] = max(
-        residual(gu, np.conj(gu.transpose(1, 0, 2))),
-        residual(gl, np.conj(gl.transpose(0, 2, 1))),
+    out["g-symbol-reality"] = np.maximum(
+        residual(gu, np.conj(np.swapaxes(gu, -3, -2))),
+        residual(gl, np.conj(np.swapaxes(gl, -2, -1))),
     )
     # lower symbols re-derived from the upper ones
     out["g-symbol-lowering"] = residual(
@@ -131,28 +117,28 @@ def verify_chiral_identities(constants: ChiralConstants) -> dict:
     )
     # sum_pq g_pq G^p G^q = 2 d dbar
     out["spin-metric-from-symbols"] = residual(
-        np.einsum("pq,pix,qjy->ijxy", g, gl, gl),
-        2.0 * np.einsum("ij,xy->ijxy", d, db),
+        einsum("pq,pix,qjy->ijxy", g, gl, gl),
+        2.0 * einsum("ij,xy->ijxy", d, db),
     )
     # sum d dbar G G = 2 g
     out["metric-from-symbols"] = residual(
-        np.einsum("ij,xy,ixp,jyq->pq", d, db, gu, gu), 2.0 * g
+        einsum("ij,xy,ixp,jyq->pq", d, db, gu, gu), 2.0 * g
     )
     # upper-index versions of the two above
     out["spin-metric-upper-from-symbols"] = residual(
-        np.einsum("pq,ixp,jyq->ijxy", ginv, gu, gu),
-        2.0 * np.einsum("ij,xy->ijxy", du, dbu),
+        einsum("pq,ixp,jyq->ijxy", ginv, gu, gu),
+        2.0 * einsum("ij,xy->ijxy", du, dbu),
     )
     out["metric-upper-from-symbols"] = residual(
-        np.einsum("ij,xy,pix,qjy->pq", du, dbu, gl, gl), 2.0 * ginv
+        einsum("ij,xy,pix,qjy->pq", du, dbu, gl, gl), 2.0 * ginv
     )
     # trace orthogonality and completeness
     out["symbol-trace-orthogonality"] = residual(
-        np.einsum("ixp,qix->qp", gu, gl), 2.0 * np.eye(4)
+        einsum("ixp,qix->qp", gu, gl), 2.0 * np.eye(4)
     )
     out["symbol-completeness"] = residual(
-        np.einsum("ixq,qjy->ijxy", gu, gl),
-        2.0 * np.einsum("ij,xy->ijxy", np.eye(2), np.eye(2)),
+        einsum("ixq,qjy->ijxy", gu, gl),
+        2.0 * einsum("ij,xy->ijxy", np.eye(2), np.eye(2)),
     )
     return out
 
@@ -320,7 +306,7 @@ class ChiralScenario:
         ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2)),
         ("mixed-symbols", "G", TensorSignature(alpha=1, nu=1, n=1)),
     )
-    CANONICAL = {"d": D_CHIRAL, "dbar": np.conj(D_CHIRAL)}
+    CANONICAL = {"d": D_CHIRAL, "dbar": read_only(np.conj(D_CHIRAL))}
     SYMBOLS = ("G", G_UPPER)
     LIFT_INVARIANT = ()  # spinor entries every spinor_transition fixes exactly
 

@@ -1,26 +1,32 @@
-"""Dirac-bundle constants, identity suite, frame kinds and inversions.
+"""Dirac-bundle structure tables, identity suite, frame kinds and inversions.
 
 The Dirac bundle is the direct sum of a chiral bundle and its Hermitian
-conjugate.  In a canonically orthonormal chiral frame the structure
-constants are: the 4x4 spin-metric d, the chirality operator H, the
-Hermitian pairing D and the gamma-symbols whose fixed-tangent-index
-slices are the Dirac matrices.  Frame kinds (orthonormal / chiral /
+conjugate.  In a canonically orthonormal chiral frame its structure
+fields are constants: the 4x4 spin-metric d, the chirality operator H,
+the Hermitian pairing D and the gamma-symbols whose fixed-tangent-index
+slices are the Dirac matrices.  STRUCTURE_FIELDS, CANONICAL and SYMBOLS
+name them once, for DiracScenario and for the canonical table
+(canonical_dirac_constants), a dict of values keyed like a Dirac
+scenario's table; the identity suite reads such a table and derives
+the companions it needs.  Frame kinds (orthonormal / chiral /
 self-adjoint and their "anti" twins) are decided by exact matrix match,
-and the P/T/PT inversions are constant 4x4 spinor matrices between them.
+and the P/T/PT inversions are constant 4x4 spinor matrices between
+them, which transform_table applies to a table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import G_UPPER
+from .chiral import canonical_chiral_constants, canonical_table, table_residual
 from .frames import einsum, transform_components
-from .lorentz_cover import MINKOWSKI
+from .lorentz_cover import read_only
 from .tensor_core import SpinTensorValue, TensorSignature, tau
 
-D_DIRAC = np.array(
+D_DIRAC = read_only(np.array(
     [
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
@@ -28,11 +34,11 @@ D_DIRAC = np.array(
         [0, 0, 1, 0],
     ],
     dtype=complex,
-)
+))
 
-H_DIRAC = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+H_DIRAC = read_only(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
 
-DD_DIRAC = np.array(
+DD_DIRAC = read_only(np.array(
     [
         [0, 0, 1, 0],
         [0, 0, 0, 1],
@@ -40,7 +46,7 @@ DD_DIRAC = np.array(
         [0, 1, 0, 0],
     ],
     dtype=complex,
-)
+))
 
 # gamma[a, b, m]: upper spinor index a, lower spinor index b, tangent m;
 # gamma[:, :, m] is the m-th Dirac matrix
@@ -69,130 +75,65 @@ GAMMA[:, :, 3] = [
     [-1, 0, 0, 0],
     [0, 1, 0, 0],
 ]
+read_only(GAMMA)
+
+STRUCTURE_FIELDS = (
+    ("metric", "g", TensorSignature(n=2, spinor_dim=4)),
+    ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4)),
+    ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2, spinor_dim=4)),
+    ("gamma-symbols", "gamma", TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)),
+    ("chirality", "H", TensorSignature(alpha=1, beta=1, spinor_dim=4)),
+    ("pairing", "D", TensorSignature(beta=1, gamma=1, spinor_dim=4)),
+)
+CANONICAL = {"d": D_DIRAC, "dbar": read_only(np.conj(D_DIRAC)), "H": H_DIRAC, "D": DD_DIRAC}
+SYMBOLS = ("gamma", GAMMA)
 
 
-@dataclass(frozen=True)
-class DiracConstants:
-    """Structure matrices of one Dirac frame with derived companions.
+def canonical_dirac_constants() -> dict:
+    """The Dirac canonical table: g, d, dbar, gamma, H and D.  Nothing
+    is checked here: verify_dirac_identities gives residual 0 on it."""
+    return canonical_table(STRUCTURE_FIELDS, CANONICAL, SYMBOLS)
 
-    Every array may carry leading batch axes, one frame per batch index
-    (a stack of frames, from transform of a stack of spinor matrices).
+
+def transform_table(table, spin):
+    """The table of the frame reached through the constant spinor
+    transition spin (new frame vector i is column i in the old frame),
+    the tangent frame staying put: every entry re-expressed by its
+    STRUCTURE_FIELDS type with transform_components.  spin may be a
+    stack (..., 4, 4) of transitions: the tables of every frame come
+    out as one stack, from one pass.
     """
-
-    d_lower: np.ndarray
-    d_upper: np.ndarray
-    dbar_lower: np.ndarray
-    dbar_upper: np.ndarray
-    H: np.ndarray
-    D_lower: np.ndarray  # D[i, ibar]
-    D_upper: np.ndarray
-    gamma: np.ndarray  # [a, b, m], lower tangent index
-    gamma_inv: np.ndarray  # [a, b, m], raised tangent index
-    gamma_herm_upper: np.ndarray  # [i, ibar, m]: both spinor indices upper
-    gamma_herm_lower: np.ndarray  # [i, ibar, m]: spinor lower, tangent upper
-    g_lower: np.ndarray
-    g_upper: np.ndarray
-
-    @classmethod
-    def from_primary(cls, d_lower, H, D_lower, gamma, g_lower):
-        d_lower = np.asarray(d_lower, dtype=complex)
-        H = np.asarray(H, dtype=complex)
-        D_lower = np.asarray(D_lower, dtype=complex)
-        gamma = np.asarray(gamma, dtype=complex)
-        g_lower = np.asarray(g_lower, dtype=float)
-        d_upper = np.linalg.inv(d_lower)
-        dbar_lower = np.conj(d_lower)
-        dbar_upper = np.linalg.inv(dbar_lower)
-        g_upper = np.linalg.inv(g_lower)
-        # raised tangent index: gamma^{am}_b = sum_k gamma^a_{bk} g^{km}
-        gamma_inv = einsum("abk,km->abm", gamma, g_upper)
-        # D^{i ibar} = sum d^{ia} D_{a abar} dbar^{abar ibar}
-        D_upper = einsum("ia,ab,bj->ij", d_upper, D_lower, dbar_upper)
-        # gamma^{i ibar}_m = sum_a gamma^i_{am} D^{a ibar}
-        gamma_herm_upper = einsum("iam,aj->ijm", gamma, D_upper)
-        # gamma^m_{i ibar} = sum_a gamma^{am}_i D_{a ibar}
-        gamma_herm_lower = einsum("aim,aj->ijm", gamma_inv, D_lower)
-        return cls(
-            d_lower=d_lower,
-            d_upper=d_upper,
-            dbar_lower=dbar_lower,
-            dbar_upper=dbar_upper,
-            H=H,
-            D_lower=D_lower,
-            D_upper=D_upper,
-            gamma=gamma,
-            gamma_inv=gamma_inv,
-            gamma_herm_upper=gamma_herm_upper,
-            gamma_herm_lower=gamma_herm_lower,
-            g_lower=g_lower,
-            g_upper=g_upper,
-        )
-
-    def transform(self, spin):
-        """Constants of the frame reached through the constant spinor
-        transition spin (new frame vector i is column i in the old
-        frame), the tangent frame staying put.
-
-        Primary matrices are re-expressed per their signatures; derived
-        companions are rebuilt, which keeps all inverse relations exact.
-        spin may be a stack (..., 4, 4) of transitions: the constants of
-        every frame come out as one stack, from one pass.
-        """
-        d_sig = TensorSignature(beta=2, spinor_dim=4)
-        h_sig = TensorSignature(alpha=1, beta=1, spinor_dim=4)
-        dd_sig = TensorSignature(beta=1, gamma=1, spinor_dim=4)
-        gamma_sig = TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)
-        g_sig = TensorSignature(n=2, spinor_dim=4)
-        eye = np.eye(4)
-        jets = ((eye, None), (eye, None), (spin, None), (np.linalg.inv(spin), None))
-
-        def move(sig, components):
-            return transform_components(sig, (components, None), jets)[0]
-
-        moved = {
-            "d_lower": move(d_sig, self.d_lower),
-            "H": move(h_sig, self.H),
-            "D_lower": move(dd_sig, self.D_lower),
-            "gamma": move(gamma_sig, self.gamma),
-            "g_lower": np.real(move(g_sig, self.g_lower)),
-        }
-        return DiracConstants.from_primary(
-            moved["d_lower"], moved["H"], moved["D_lower"], moved["gamma"], moved["g_lower"]
-        )
+    eye = np.eye(4)
+    jets = ((eye, None), (eye, None), (spin, None), (np.linalg.inv(spin), None))
+    return {attr: transform_components(sig, (table[attr], None), jets)[0]
+            for _, attr, sig in STRUCTURE_FIELDS}
 
 
-def canonical_dirac_constants() -> DiracConstants:
-    """The canonical tables with their companions.  Nothing is checked
-    here: verify_dirac_identities gives residual 0 on them."""
-    return DiracConstants.from_primary(D_DIRAC, H_DIRAC, DD_DIRAC, GAMMA, MINKOWSKI)
+def verify_dirac_identities(table) -> dict:
+    """Residuals of the full Dirac identity suite on a Dirac table of
+    values (g, d, dbar, gamma, H, D).
 
-
-def verify_dirac_identities(constants: DiracConstants) -> dict:
-    """Residuals of the full Dirac identity suite.
-
-    Exactly zero on the canonical tables (Gaussian-integer entries);
-    still zero to rounding after any consistent frame transform.  Each
-    residual has the constants' batch shape: a float for one frame, an
-    array with one residual per frame for a stack.
+    The companions are derived from the table: d^-1, dbar^-1, g^-1,
+    gamma with its tangent index raised, D's inverse pairing and the
+    two Hermitian gammas.  Exactly zero on the canonical table
+    (Gaussian-integer entries); still zero to rounding after any
+    consistent frame transform.  Each residual has the table's batch
+    shape: a float for one frame, an array with one residual per frame
+    for a stack.
     """
-    d = constants.d_lower
-    du = constants.d_upper
-    h = constants.H
-    dd = constants.D_lower
-    ddu = constants.D_upper
-    gm = constants.gamma
-    gi = constants.gamma_inv
-    ghu = constants.gamma_herm_upper
-    ghl = constants.gamma_herm_lower
-    g = constants.g_lower.astype(complex)
-    ginv = constants.g_upper.astype(complex)
+    d, h, dd, gm, g = (np.asarray(table[attr], dtype=complex)
+                       for attr in ("d", "H", "D", "gamma", "g"))
+    du, ginv = np.linalg.inv(d), np.linalg.inv(g)
+    # raised tangent index: gamma^{am}_b = sum_k gamma^a_{bk} g^{km}
+    gi = einsum("abk,km->abm", gm, ginv)
+    # D^{i ibar} = sum d^{ia} D_{a abar} dbar^{abar ibar}
+    ddu = einsum("ia,ab,bj->ij", du, dd, np.linalg.inv(table["dbar"]))
+    # gamma^{i ibar}_m = sum_a gamma^i_{am} D^{a ibar}
+    ghu = einsum("iam,aj->ijm", gm, ddu)
+    # gamma^m_{i ibar} = sum_a gamma^{am}_i D_{a ibar}
+    ghl = einsum("aim,aj->ijm", gi, dd)
     eye = np.eye(4, dtype=complex)
-    batch = np.ndim(h) - 2
-
-    def residual(lhs, rhs=0.0):
-        # the max over each frame's entries
-        diff = np.abs(lhs - rhs)
-        return np.max(diff, axis=tuple(range(batch, diff.ndim)))
+    residual = functools.partial(table_residual, np.ndim(h) - 2)
 
     def transpose(m):
         return np.swapaxes(m, -1, -2)
@@ -212,7 +153,7 @@ def verify_dirac_identities(constants: DiracConstants) -> dict:
     out["gamma-spin-metric-conjugation"] = residual(
         einsum("abi,ae,bh->hei", gm, d, du), gm
     )
-    # tangent raise consistency (gamma_inv definition re-derived)
+    # tangent raise consistency (the raised gamma re-derived)
     out["gamma-tangent-raise"] = residual(
         gi, einsum("abk,km->abm", gm, ginv)
     )
@@ -285,7 +226,8 @@ def verify_dirac_identities(constants: DiracConstants) -> dict:
     # sum H^q_b d^{ba} = sum d^{qb} H^a_b
     out["chirality-spin-metric-upper-symmetry"] = residual(h @ du, du @ transpose(h))
     # pairing is invariant under the bar-swap involution (Hermitian matrix)
-    dd_value = SpinTensorValue(TensorSignature(beta=1, gamma=1, spinor_dim=4), dd)
+    pairing = {attr: sig for _, attr, sig in STRUCTURE_FIELDS}["D"]
+    dd_value = SpinTensorValue(pairing, dd)
     out["pairing-bar-swap-invariance"] = residual(
         tau(dd_value).components, dd_value.components
     )
@@ -333,40 +275,40 @@ _INVERSIONS = {
 
 def frame_inversion(kind: str) -> np.ndarray:
     """Constant 4x4 spinor matrix of the P, T or PT frame inversion, for
-    DiracConstants.transform."""
+    transform_table."""
     if kind not in _INVERSIONS:
         raise ValueError("kind must be one of 'P', 'T', 'PT'")
     return _INVERSIONS[kind].copy()
 
 
 def embed_chiral_frame() -> dict:
-    """Canonical embedding of a chiral frame into the Dirac bundle.
+    """Residuals of the canonical embedding of a chiral frame into the
+    Dirac bundle, read off the two canonical tables.
 
     Frame vectors 1, 2 are the chiral frame; vectors 3, 4 are the
-    barred dual co-frame.  Asserts the block layout of the embedded
-    structure matrices: the Dirac spin-metric splits into the chiral
-    spin-metric and its negated inverse-transpose block, and the
-    top-right gamma blocks are exactly the chiral mixed symbols.  The
-    checks read the canonical module tables (D_DIRAC, H_DIRAC, DD_DIRAC,
-    GAMMA, MINKOWSKI) directly.
+    barred dual co-frame.  The Dirac spin-metric splits into the chiral
+    spin-metric and its negated inverse-transpose block, H is the block
+    sign matrix, the top-right gamma blocks are exactly the chiral
+    mixed symbols and the bottom-left ones their tangent-raised
+    conjugates; canonical-classification is 0 when the frame classifies
+    as (ortho, chiral, self-adjoint), else 1.
     """
-    d2 = np.array([[0, 1], [-1, 0]], dtype=complex)
+    chiral, dirac = canonical_chiral_constants(), canonical_dirac_constants()
+    d2 = chiral["d"]
     expected_d = np.zeros((4, 4), dtype=complex)
     expected_d[:2, :2] = d2
-    expected_d[2:, 2:] = -d2
-    if not np.array_equal(D_DIRAC, expected_d):
-        raise AssertionError("embedded spin-metric does not have the chiral block layout")
-    if not np.array_equal(H_DIRAC, np.diag([1, 1, -1, -1]).astype(complex)):
-        raise AssertionError("chirality operator is not the block sign matrix")
-    # top-right gamma block carries the chiral mixed symbols through the
-    # dual-frame pairing; bottom-left is the tangent-raised conjugate
-    # (MINKOWSKI is its own inverse)
-    if not np.array_equal(GAMMA[:2, 2:, :], G_UPPER):
-        raise AssertionError("gamma top-right blocks do not match the chiral symbols")
-    expected_bottom = np.einsum("mq,jiq->ijm", MINKOWSKI, np.conj(G_UPPER))
-    if not np.array_equal(GAMMA[2:, :2, :], expected_bottom):
-        raise AssertionError("gamma bottom-left blocks do not match the paired symbols")
-    kind = classify_frame(D_DIRAC, H_DIRAC, DD_DIRAC)
-    if kind != DiracFrameKind("ortho", "chiral", "self-adjoint"):
-        raise AssertionError("embedded frame does not classify canonically")
-    return {"d": D_DIRAC, "H": H_DIRAC, "D": DD_DIRAC, "gamma": GAMMA, "kind": kind}
+    expected_d[2:, 2:] = -np.linalg.inv(d2).T
+    expected_bottom = einsum("mq,jiq->ijm", np.linalg.inv(chiral["g"]), np.conj(chiral["G"]))
+    try:
+        kind = classify_frame(dirac["d"], dirac["H"], dirac["D"])
+    except ValueError:  # a matrix that matches neither reference sign
+        kind = None
+    residual = functools.partial(table_residual, 0)
+    return {
+        "spin-metric-blocks": residual(dirac["d"], expected_d),
+        "chirality-blocks": residual(dirac["H"], np.diag([1, 1, -1, -1])),
+        "gamma-chiral-blocks": residual(dirac["gamma"][:2, 2:, :], chiral["G"]),
+        "gamma-paired-blocks": residual(dirac["gamma"][2:, :2, :], expected_bottom),
+        "canonical-classification":
+        float(kind != DiracFrameKind("ortho", "chiral", "self-adjoint")),
+    }

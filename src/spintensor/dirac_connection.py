@@ -10,122 +10,86 @@ the simplified single formula, which contracts the full gamma, and the
 block assembly, which contracts gamma's two cross blocks; they agree
 to rounding and tests hold them against each other.  Restriction to
 the chiral sub-bundle recovers the 2x2 connection of the chiral
-builder.  The projector split of a frame's constants
-(chirality_split) is the exact check suite of the Dirac structure.
+builder.  The projector split of a Dirac table (chirality_split) is
+one more residual suite of the Dirac structure, exactly zero on the
+canonical table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .chiral import ChiralScenario, SpinorConnection
-from .dirac import DD_DIRAC, D_DIRAC, GAMMA, H_DIRAC, DiracConstants
+from . import dirac
+from .chiral import ChiralScenario, SpinorConnection, table_residual
+from .dirac import H_DIRAC
 from .frames import along_frame, check_points, einsum
-from .tensor_core import TensorSignature
 
 # the +1 and -1 eigenspaces of H_DIRAC: the chiral frame and the barred
 # dual co-frame
 CHIRAL, DUAL = slice(0, 2), slice(2, 4)
 
 
-@dataclass(frozen=True)
-class ChiralitySplit:
-    """Projectors and split structure data of one Dirac frame."""
+def chirality_split(table) -> dict:
+    """Residuals of the projector split of a Dirac table of values (g,
+    d, dbar, gamma, H, D), one frame or a stack along leading batch axes.
 
-    bulletH: np.ndarray  # (id + H) / 2
-    circH: np.ndarray  # (id - H) / 2
-    bc_gamma: np.ndarray  # bullet-circ split of gamma, [a, b, m]
-    cb_gamma: np.ndarray  # circ-bullet split
-    b_d_lower: np.ndarray
-    c_d_lower: np.ndarray
-    b_d_upper: np.ndarray
-    c_d_upper: np.ndarray
-
-
-def chirality_split(constants: DiracConstants) -> ChiralitySplit:
-    """Build and verify the projector split of one frame's constants.
-
-    The projectors are formed from the frame's H, whichever frame it is
-    (P, T and PT frames included).  Verifies projector algebra, the
-    vanishing of the same-chirality gamma pieces, reconstruction of
-    gamma from the two cross pieces, and the metric-contraction
-    identities relating split gammas to the split spin-metrics and to
-    the projectors.  All checks are exact (residual 0) on canonical
-    constants.
+    The projectors are formed from the table's H, whichever frame it is
+    (P, T and PT frames included), with d^-1 and g^-1 derived.  Checks
+    the projector algebra, the vanishing of the same-chirality gamma
+    pieces, reconstruction of gamma from the two cross pieces, the
+    split spin-metrics' antisymmetry and rank (|rank - 2|), and the
+    metric-contraction identities relating split gammas to the split
+    spin-metrics and to the projectors.  Each residual is exactly 0 on
+    the canonical table.
     """
+    h, d, gm = (np.asarray(table[attr], dtype=complex) for attr in ("H", "d", "gamma"))
+    du, ginv = np.linalg.inv(d), np.linalg.inv(np.asarray(table["g"], dtype=complex))
+    residual = functools.partial(table_residual, np.ndim(h) - 2)
     eye = np.eye(4, dtype=complex)
-    bh = 0.5 * (eye + constants.H)
-    ch = 0.5 * (eye - constants.H)
-    bc = np.einsum("ar,sb,rsm->abm", bh, ch, constants.gamma)
-    cb = np.einsum("ar,sb,rsm->abm", ch, bh, constants.gamma)
-    bd_low, cd_low = (np.einsum("rb,rs,sh->bh", p, constants.d_lower, p) for p in (bh, ch))
-    bd_up, cd_up = (np.einsum("ar,rs,es->ae", p, constants.d_upper, p) for p in (bh, ch))
-    ginv = constants.g_upper.astype(complex)
+    bh, ch = 0.5 * (eye + h), 0.5 * (eye - h)
 
-    def check(name, lhs, rhs=None):
-        diff = lhs if rhs is None else lhs - rhs
-        if np.any(diff):
-            raise AssertionError(f"chirality split check failed: {name}")
+    def split(left, right):
+        return einsum("ar,sb,rsm->abm", left, right, gm)
 
-    check("projector-sum", bh + ch, eye)
-    check("projector-product", bh @ ch)
-    check("projector-idempotence", bh @ bh, bh)
-    check("projector-idempotence-circ", ch @ ch, ch)
-    bb = np.einsum("ar,sb,rsm->abm", bh, bh, constants.gamma)
-    cc = np.einsum("ar,sb,rsm->abm", ch, ch, constants.gamma)
-    check("same-chirality-gamma-vanishing", bb)
-    check("same-chirality-gamma-vanishing-circ", cc)
-    check("gamma-reconstruction", bc + cb, constants.gamma)
-    # split spin-metrics are antisymmetric, rank two
+    bc, cb = split(bh, ch), split(ch, bh)
+    bd_low, cd_low = (einsum("rb,rs,sh->bh", p, d, p) for p in (bh, ch))
+    bd_up, cd_up = (einsum("ar,rs,es->ae", p, du, p) for p in (bh, ch))
+    out = {
+        "projector-sum": residual(bh + ch, eye),
+        "projector-product": residual(bh @ ch),
+        "projector-idempotence": residual(bh @ bh, bh),
+        "projector-idempotence-circ": residual(ch @ ch, ch),
+        "same-chirality-gamma-vanishing": residual(split(bh, bh)),
+        "same-chirality-gamma-vanishing-circ": residual(split(ch, ch)),
+        "gamma-reconstruction": residual(bc + cb, gm),
+    }
+    # split spin-metrics are antisymmetric, rank two; a non-finite one
+    # (whose SVD does not converge) has a NaN rank residual
     for name, arr in (("b", bd_low), ("c", cd_low)):
-        check(f"split-spin-metric-antisymmetry-{name}", arr + arr.T)
-        if np.linalg.matrix_rank(arr) != 2:
-            raise AssertionError(f"split spin-metric {name} is not rank 2")
+        out[f"split-spin-metric-antisymmetry-{name}"] = residual(arr, -np.swapaxes(arr, -1, -2))
+        finite = np.isfinite(arr).all(axis=(-2, -1))
+        rank = np.linalg.matrix_rank(np.where(finite[..., None, None], arr, 0.0))
+        out[f"split-spin-metric-rank-{name}"] = np.where(finite, np.abs(rank - 2.0), np.nan)[()]
     # sum_mn bc^a_{bm} g^{mn} bc^e_{hn} = 2 bd^{ae} cd_{bh}, and mirror
-    check(
-        "split-gamma-metric-bb",
-        np.einsum("abm,mn,ehn->abeh", bc, ginv, bc),
-        2.0 * np.einsum("ae,bh->abeh", bd_up, cd_low),
+    out["split-gamma-metric-bb"] = residual(
+        einsum("abm,mn,ehn->abeh", bc, ginv, bc), 2.0 * einsum("ae,bh->abeh", bd_up, cd_low)
     )
-    check(
-        "split-gamma-metric-cc",
-        np.einsum("abm,mn,ehn->abeh", cb, ginv, cb),
-        2.0 * np.einsum("ae,bh->abeh", cd_up, bd_low),
+    out["split-gamma-metric-cc"] = residual(
+        einsum("abm,mn,ehn->abeh", cb, ginv, cb), 2.0 * einsum("ae,bh->abeh", cd_up, bd_low)
     )
     # sum_mn bc^a_{bm} g^{mn} cb^e_{hn} = 2 bH^a_h cH^e_b, and mirror
-    check(
-        "split-gamma-projector-bc",
-        np.einsum("abm,mn,ehn->abeh", bc, ginv, cb),
-        2.0 * np.einsum("ah,eb->abeh", bh, ch),
+    out["split-gamma-projector-bc"] = residual(
+        einsum("abm,mn,ehn->abeh", bc, ginv, cb), 2.0 * einsum("ah,eb->abeh", bh, ch)
     )
-    check(
-        "split-gamma-projector-cb",
-        np.einsum("abm,mn,ehn->abeh", cb, ginv, bc),
-        2.0 * np.einsum("ah,eb->abeh", ch, bh),
+    out["split-gamma-projector-cb"] = residual(
+        einsum("abm,mn,ehn->abeh", cb, ginv, bc), 2.0 * einsum("ah,eb->abeh", ch, bh)
     )
     # contracted forms: sum_a bc^a_{bm} g^{mn} cb^i_{an} = 4 cH^i_b, mirror
-    check(
-        "split-gamma-contracted-bc",
-        np.einsum("abm,mn,ian->ib", bc, ginv, cb),
-        4.0 * ch,
-    )
-    check(
-        "split-gamma-contracted-cb",
-        np.einsum("abm,mn,ian->ib", cb, ginv, bc),
-        4.0 * bh,
-    )
-    return ChiralitySplit(
-        bulletH=bh,
-        circH=ch,
-        bc_gamma=bc,
-        cb_gamma=cb,
-        b_d_lower=bd_low,
-        c_d_lower=cd_low,
-        b_d_upper=bd_up,
-        c_d_upper=cd_up,
-    )
+    out["split-gamma-contracted-bc"] = residual(einsum("abm,mn,ian->ib", bc, ginv, cb), 4.0 * ch)
+    out["split-gamma-contracted-cb"] = residual(einsum("abm,mn,ian->ib", cb, ginv, bc), 4.0 * bh)
+    return out
 
 
 class DiracScenario(ChiralScenario):
@@ -139,19 +103,14 @@ class DiracScenario(ChiralScenario):
     tangent half; its table lifts the transition's spinor part
     (spinor_transition).  The lift fixes H and D exactly, so every
     Dirac table, moved or not, is canonically chiral: it holds them as
-    their CANONICAL constants (LIFT_INVARIANT, d None).
+    their CANONICAL constants (LIFT_INVARIANT, d None).  Its
+    STRUCTURE_FIELDS, CANONICAL and SYMBOLS are the dirac module's, the
+    ones the canonical table (canonical_dirac_constants) is made of.
     """
 
-    STRUCTURE_FIELDS = (
-        ("metric", "g", TensorSignature(n=2, spinor_dim=4)),
-        ("spin-metric", "d", TensorSignature(beta=2, spinor_dim=4)),
-        ("conjugate-spin-metric", "dbar", TensorSignature(gamma=2, spinor_dim=4)),
-        ("gamma-symbols", "gamma", TensorSignature(alpha=1, beta=1, n=1, spinor_dim=4)),
-        ("chirality", "H", TensorSignature(alpha=1, beta=1, spinor_dim=4)),
-        ("pairing", "D", TensorSignature(beta=1, gamma=1, spinor_dim=4)),
-    )
-    CANONICAL = {"d": D_DIRAC, "dbar": np.conj(D_DIRAC), "H": H_DIRAC, "D": DD_DIRAC}
-    SYMBOLS = ("gamma", GAMMA)
+    STRUCTURE_FIELDS = dirac.STRUCTURE_FIELDS
+    CANONICAL = dirac.CANONICAL
+    SYMBOLS = dirac.SYMBOLS
     LIFT_INVARIANT = ("H", "D")
 
     def spinor_transition(self, trans_jets):

@@ -6,10 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
+
+def read_only(array):
+    """array, its writeable flag cleared: a module constant that no
+    caller can write into."""
+    array.flags.writeable = False
+    return array
+
+
+MINKOWSKI = read_only(np.diag([1.0, -1.0, -1.0, -1.0]))
 
 # PAULI[k]: the 2x2 unit matrix (k = 0), then the three Pauli matrices
-PAULI = np.array(
+PAULI = read_only(np.array(
     [
         [[1, 0], [0, 1]],
         [[0, 1], [1, 0]],
@@ -17,8 +25,7 @@ PAULI = np.array(
         [[1, 0], [0, -1]],
     ],
     dtype=complex,
-)
-PAULI.flags.writeable = False
+))
 
 
 @dataclass(frozen=True)

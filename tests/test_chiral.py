@@ -60,9 +60,11 @@ def test_canonical_identity_suite_is_exactly_zero():
 
 
 def test_lower_symbols_invert_the_upper_ones():
-    constants = canonical_chiral_constants()
+    table = canonical_chiral_constants()
+    ginv = np.linalg.inv(table["g"])
+    lower = compute_g_lower_symbols(table["G"], ginv, table["d"], table["dbar"])
     # contracting upper against lower symbols gives twice the tangent identity
-    prod = np.einsum("ixp,qix->pq", constants.G_upper, constants.G_lower)
+    prod = np.einsum("ixp,qix->pq", table["G"], lower)
     assert np.array_equal(prod, 2.0 * np.eye(4))
 
 

@@ -759,9 +759,9 @@ def test_a_one_mode_run_is_bit_equal_to_its_half_of_a_both_run(name, mode, tmp_p
 
 
 def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
-    # the chiral suite once; the canonical Dirac tables once, then the
-    # tables of the identity, P, T and PT frames as one stack, and the
-    # Dirac suite once over that stack
+    # the chiral suite once; the tables of the identity, P, T and PT
+    # frames as one stack from one transform_table of the canonical
+    # Dirac table, and the Dirac suite once over that stack
     counts = collections.Counter()
 
     def counting(module, name):
@@ -776,17 +776,31 @@ def test_verify_identities_builds_and_checks_each_table_once(monkeypatch):
 
     counting(chiral, "verify_chiral_identities")
     counting(dirac, "verify_dirac_identities")
-    from_primary = dirac.DiracConstants.from_primary.__func__
-
-    def counted_from_primary(cls, *args):
-        counts["from_primary"] += 1
-        return from_primary(cls, *args)
-
-    monkeypatch.setattr(dirac.DiracConstants, "from_primary", classmethod(counted_from_primary))
+    counting(dirac, "transform_table")
     code, _ = run_captured("verify-identities")
     assert code == 0
     assert counts == {"verify_chiral_identities": 1, "verify_dirac_identities": 1,
-                      "from_primary": 2}
+                      "transform_table": 1}
+
+
+def test_a_corrupted_canonical_table_fails_its_checks(monkeypatch, capsys):
+    # a same-chirality gamma entry breaks the chirality split: the suite
+    # records what it measured and the run fails with exit 1, no traceback
+    def corrupted():
+        table = dirac.canonical_dirac_constants()
+        gamma = table["gamma"].copy()
+        gamma[0, 1, 0] = 1.0
+        return {**table, "gamma": gamma}
+
+    monkeypatch.setattr(cli, "canonical_dirac_constants", corrupted)
+    code, payload = run_captured("verify-identities")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert json.loads(payload)["checks"]["dirac-chirality-split-suite"]["max_residual"] == 1.0
+    failed = [line for line in err.splitlines() if line.startswith("failed checks: ")]
+    assert len(failed) == 1
+    assert "dirac-chirality-split-suite" in failed[0].split(": ", 1)[1].split(", ")
+    assert "dirac-chiral-embedding-suite" not in failed[0]
 
 
 def test_a_spec_with_torsion_has_no_tangent_oracle(capsys, tmp_path):

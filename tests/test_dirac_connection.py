@@ -8,7 +8,12 @@ from spintensor.chiral import (
     build_chiral_metric_connection,
     verify_concordance,
 )
-from spintensor.dirac import H_DIRAC, canonical_dirac_constants, frame_inversion
+from spintensor.dirac import (
+    H_DIRAC,
+    canonical_dirac_constants,
+    frame_inversion,
+    transform_table,
+)
 from spintensor.dirac_connection import (
     CHIRAL,
     DUAL,
@@ -30,32 +35,54 @@ PT = (0.5, 0.2, -0.3, 0.1)
 
 def test_chirality_split_projectors():
     split = chirality_split(canonical_dirac_constants())
-    bh, ch = split.bulletH, split.circH
-    assert np.array_equal(bh + ch, np.eye(4))
-    assert np.array_equal(bh @ bh, bh)
-    assert np.array_equal(ch @ ch, ch)
-    assert np.array_equal(bh @ ch, np.zeros((4, 4)))
+    checks = ("projector-sum", "projector-product", "projector-idempotence",
+              "projector-idempotence-circ")
+    for check in checks:
+        assert split[check] == 0.0, check
+    # an H that is not an involution gives projectors that are not idempotent
+    table = {**canonical_dirac_constants(), "H": 2.0 * H_DIRAC}
+    split = chirality_split(table)
+    assert split["projector-sum"] == 0.0
+    assert split["projector-idempotence"] == split["projector-idempotence-circ"] == 0.75
 
 
 def test_chirality_split_gamma_pieces():
-    constants = canonical_dirac_constants()
-    split = chirality_split(constants)
-    assert np.array_equal(split.bc_gamma + split.cb_gamma, constants.gamma)
-    # each split piece lives strictly in one off-diagonal block
-    assert np.max(np.abs(split.bc_gamma[2:, :, :])) == 0.0
-    assert np.max(np.abs(split.cb_gamma[:2, :, :])) == 0.0
+    split = chirality_split(canonical_dirac_constants())
+    for check in ("same-chirality-gamma-vanishing", "same-chirality-gamma-vanishing-circ",
+                  "gamma-reconstruction"):
+        assert split[check] == 0.0, check
+    # one same-chirality gamma entry is measured by its own residual
+    gamma = canonical_dirac_constants()["gamma"].copy()
+    gamma[0, 1, 2] = 0.5
+    split = chirality_split({**canonical_dirac_constants(), "gamma": gamma})
+    assert split["same-chirality-gamma-vanishing"] == 0.5
+    assert split["same-chirality-gamma-vanishing-circ"] == 0.0
+    assert split["gamma-reconstruction"] == 0.5
 
 
 def test_split_spin_metrics_have_rank_two():
     split = chirality_split(canonical_dirac_constants())
-    assert np.linalg.matrix_rank(split.b_d_lower) == 2
-    assert np.linalg.matrix_rank(split.c_d_lower) == 2
+    for check in ("split-spin-metric-rank-b", "split-spin-metric-rank-c",
+                  "split-spin-metric-antisymmetry-b", "split-spin-metric-antisymmetry-c"):
+        assert split[check] == 0.0, check
+    # with H the identity the bullet split spin-metric is all of d (rank
+    # 4) and the circ one is zero (rank 0)
+    split = chirality_split({**canonical_dirac_constants(), "H": np.eye(4)})
+    assert split["split-spin-metric-rank-b"] == 2.0
+    assert split["split-spin-metric-rank-c"] == 2.0
+    # a non-finite spin-metric is measured as NaN, not raised from the SVD
+    d = canonical_dirac_constants()["d"].copy()
+    d[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        split = chirality_split({**canonical_dirac_constants(), "d": d})
+    assert np.isnan(split["split-spin-metric-rank-b"])
 
 
 def test_split_survives_inversions():
-    for kind in ("P", "T", "PT"):
-        constants = canonical_dirac_constants().transform(frame_inversion(kind))
-        chirality_split(constants)  # raises on any violated identity
+    spins = np.stack([frame_inversion(kind) for kind in ("P", "T", "PT")])
+    split = chirality_split(transform_table(canonical_dirac_constants(), spins))
+    for check, values in split.items():
+        assert np.array_equal(values, np.zeros(3)), check
 
 
 def test_builder_methods_agree_on_all_scenarios():
