@@ -9,15 +9,7 @@ the CLI (spintensor.cli, or python -m spintensor) both drive the same
 verifiers.
 """
 
-from .tensor_core import (
-    TensorSignature,
-    SpinTensorValue,
-    MetricMatrices,
-    tau,
-    contract,
-    raise_lower,
-    outer,
-)
+from .tensor_core import TensorSignature
 from .lorentz_cover import LorentzMatrix, phi, random_sl2c
 from .frames import (
     MatrixField,
@@ -31,9 +23,7 @@ from .frames import (
 from .chiral import (
     ChiralScenario,
     SpinorConnection,
-    SpinTensorField,
     canonical_chiral_constants,
-    covariant_derivative,
     build_chiral_metric_connection,
     verify_chiral_identities,
     verify_concordance,
@@ -67,12 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TensorSignature",
-    "SpinTensorValue",
-    "MetricMatrices",
-    "tau",
-    "contract",
-    "raise_lower",
-    "outer",
     "LorentzMatrix",
     "phi",
     "random_sl2c",
@@ -85,9 +69,7 @@ __all__ = [
     "transform_components",
     "ChiralScenario",
     "SpinorConnection",
-    "SpinTensorField",
     "canonical_chiral_constants",
-    "covariant_derivative",
     "build_chiral_metric_connection",
     "verify_chiral_identities",
     "verify_concordance",

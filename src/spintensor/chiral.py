@@ -48,7 +48,6 @@ from .tensor_core import (
     BARRED,
     SPINOR,
     TANGENT,
-    SpinTensorValue,
     TensorSignature,
 )
 from .tetrads import orthonormal_factor_jet, symbol_jet
@@ -144,14 +143,6 @@ def verify_chiral_identities(table) -> dict:
 
 
 # --- scenarios and fields --------------------------------------------
-
-
-@dataclass
-class SpinTensorField:
-    """Spin-tensor-valued field: one signature, array-valued components."""
-
-    signature: TensorSignature
-    components: MatrixField
 
 
 class ScenarioError(ValueError):
@@ -536,27 +527,6 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     unreal = np.max(np.abs(abar - np.conj(a)), axis=(-3, -2, -1)) > 1e-9 * scale
     check_points(unreal, points, "Abar is not the conjugate of A")
     return SpinorConnection(gamma, a, abar)
-
-
-def covariant_derivative(
-    x: SpinTensorField, conn: SpinorConnection, jets, points
-) -> SpinTensorValue:
-    """Covariant derivative of a spin-tensor field at points.
-
-    jets is the scenario's table at points (its frame gives the frame
-    derivatives).  Returns the type (..|..|m, n+1) value whose last axis
-    is the derivative direction: the Lie-derivative term plus +A / -A on
-    contravariant / covariant spinor slots, +Abar / -Abar on barred
-    slots and +Gamma / -Gamma on tangent slots.
-    """
-    sig = x.signature
-    value, d = x.components.jet(points)
-    lie = along_frame(jets["frame"][0], d)
-    new_sig = TensorSignature(
-        alpha=sig.alpha, beta=sig.beta, nu=sig.nu, gamma=sig.gamma,
-        m=sig.m, n=sig.n + 1, spinor_dim=sig.spinor_dim,
-    )
-    return SpinTensorValue(new_sig, covariant_components(sig, value, lie, conn))
 
 
 def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnection):

@@ -24,7 +24,7 @@ import numpy as np
 from .chiral import canonical_chiral_constants, canonical_table, table_residual
 from .frames import einsum, transform_components
 from .lorentz_cover import read_only
-from .tensor_core import SpinTensorValue, TensorSignature, tau
+from .tensor_core import TensorSignature
 
 D_DIRAC = read_only(np.array(
     [
@@ -225,12 +225,9 @@ def verify_dirac_identities(table) -> dict:
     out["chirality-tracelessness"] = residual(trace(h))
     # sum H^q_b d^{ba} = sum d^{qb} H^a_b
     out["chirality-spin-metric-upper-symmetry"] = residual(h @ du, du @ transpose(h))
-    # pairing is invariant under the bar-swap involution (Hermitian matrix)
-    pairing = {attr: sig for _, attr, sig in STRUCTURE_FIELDS}["D"]
-    dd_value = SpinTensorValue(pairing, dd)
-    out["pairing-bar-swap-invariance"] = residual(
-        tau(dd_value).components, dd_value.components
-    )
+    # pairing is invariant under the bar-swap involution, which on D's
+    # (beta=1, gamma=1) slots is the conjugate transpose: D is Hermitian
+    out["pairing-bar-swap-invariance"] = residual(np.conj(transpose(dd)), dd)
     return out
 
 

@@ -6,11 +6,10 @@ import pytest
 from spintensor.chiral import (
     ChiralScenario,
     SpinorConnection,
-    SpinTensorField,
     build_chiral_metric_connection,
     canonical_chiral_constants,
     compute_g_lower_symbols,
-    covariant_derivative,
+    covariant_components,
     metric_tangent_connection,
     transform_connection,
     verify_chiral_identities,
@@ -20,6 +19,7 @@ from spintensor import scenarios
 from spintensor.frames import (
     FrameField,
     MatrixField,
+    along_frame,
     structural_constants,
     theta_parameters,
 )
@@ -32,7 +32,7 @@ from spintensor.scenarios import (
     dirac_scenario_from_spec,
     random_transition,
 )
-from spintensor.tensor_core import TensorSignature, outer
+from spintensor.tensor_core import TensorSignature
 
 PT = (0.5, 0.2, -0.3, 0.1)
 
@@ -186,15 +186,11 @@ def test_covariant_derivative_leibniz_rule():
     sig_y = TensorSignature(beta=1, n=1)
     x_arr = rng.standard_normal(sig_x.shape) + 1j * rng.standard_normal(sig_x.shape)
     y_arr = rng.standard_normal(sig_y.shape) + 1j * rng.standard_normal(sig_y.shape)
-    x = SpinTensorField(sig_x, MatrixField.constant(x_arr))
-    y = SpinTensorField(sig_y, MatrixField.constant(y_arr))
-    nx = covariant_derivative(x, conn, jets, PT).components
-    ny = covariant_derivative(y, conn, jets, PT).components
+    # constant fields: no Lie-derivative term (lie None)
+    nx = covariant_components(sig_x, x_arr, None, conn)
+    ny = covariant_components(sig_y, y_arr, None, conn)
     sig_xy = TensorSignature(alpha=1, beta=1, n=1)
-    xy = SpinTensorField(
-        sig_xy, MatrixField.constant(np.einsum("a,jq->ajq", x_arr, y_arr))
-    )
-    nxy = covariant_derivative(xy, conn, jets, PT).components
+    nxy = covariant_components(sig_xy, np.einsum("a,jq->ajq", x_arr, y_arr), None, conn)
     expected = np.einsum("ar,jq->ajqr", nx, y_arr) + np.einsum(
         "a,jqr->ajqr", x_arr, ny
     )
@@ -205,8 +201,9 @@ def test_covariant_derivative_of_scalars_is_the_lie_derivative():
     scenario = diag_scenario()
     jets = scenario.jets(PT)
     conn = build_chiral_metric_connection(jets, PT)
-    f = SpinTensorField(TensorSignature(), MatrixField.from_expressions("(1+x0)^2"))
-    val = covariant_derivative(f, conn, jets, PT).components
+    value, d = MatrixField.from_expressions("(1+x0)^2").jet(PT)
+    lie = along_frame(jets["frame"][0], d)
+    val = covariant_components(TensorSignature(), value, lie, conn)
     assert abs(val[0] - 3.0) < 1e-6  # d/dx0 (1+x0)^2 at 0.5
     assert np.max(np.abs(val[1:])) < 1e-8
 

@@ -134,6 +134,18 @@ def test_a_stack_of_frames_is_each_frame_alone():
             assert suite[check][k] == value == 0.0, (k, check)
 
 
+@pytest.mark.parametrize("sign, expected", [(-1, 0.0), (1, 1.0)])
+def test_pairing_bar_swap_reads_the_hermitian_part(sign, expected):
+    # the canonical D is real and symmetric, so it cannot tell the
+    # conjugate transpose from the plain transpose: an i on (0, 1) and
+    # sign * i on (1, 0) is Hermitian for sign -1 (residual 0) and
+    # symmetric but not Hermitian for sign +1 (residual |2i| / 2 = 1)
+    off = np.zeros((4, 4), dtype=complex)
+    off[0, 1], off[1, 0] = 1j, sign * 1j
+    table = {**canonical_dirac_constants(), "D": dirac.DD_DIRAC + 0.5 * off}
+    assert verify_dirac_identities(table)["pairing-bar-swap-invariance"] == expected
+
+
 def test_canonical_tables_are_read_only():
     # a caller that writes into a returned table cannot corrupt the
     # module constants every later table is made of
