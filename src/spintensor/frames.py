@@ -322,8 +322,14 @@ def along_frame(u, d):
     batch = u.shape[:-2]
     if d.shape[:len(batch) + 1] != batch + (4,):
         raise ValueError(f"partials of shape {d.shape} do not follow the frame's batch {batch}")
+    ut = np.swapaxes(u, -1, -2)
     flat = np.reshape(d, batch + (4, -1))
-    return np.reshape(np.swapaxes(u, -1, -2) @ flat, d.shape)
+    if np.iscomplexobj(flat) and not np.iscomplexobj(u):
+        # a real frame times the float view of complex partials: one real
+        # matmul, not a complex one with u promoted to complex
+        flat = np.ascontiguousarray(flat)
+        return np.reshape((ut @ flat.view(flat.real.dtype)).view(flat.dtype), d.shape)
+    return np.reshape(ut @ flat, d.shape)
 
 
 def structural_constants(frame_jet) -> np.ndarray:
