@@ -17,6 +17,7 @@ and ChiralScenario.deform_jets moves a held table by another.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -239,15 +240,81 @@ def _spec_scenario(spec: ScenarioSpec, cls):
 # --- seeded smooth transitions ---------------------------------------
 
 
+# Higham (2005), Table 2.3: the largest 1-norm at which the degree-m
+# Padé approximant of exp meets double-precision unit roundoff
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+              13: 5.371920351148152e0}
+
+
+def _pade_coefficients(m):
+    """b_0..b_m of the degree-m diagonal Padé approximant of exp, b_m = 1."""
+    return [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+            for j in range(m + 1)]
+
+
+PADE_COEFFICIENTS = {m: _pade_coefficients(m) for m in PADE_THETA}
+# matrices per Padé evaluation: its temporaries are about ten times its
+# input, so a large stack is evaluated in parts of this many
+EXPM_CHUNK = 256
+
+
+def _pade(a, m):
+    """r_m(a) = (V - U)^-1 (V + U) for a stack a of shape (k, n, n)."""
+    b = PADE_COEFFICIENTS[m]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        powers = [ident, a2]  # a^0, a^2, ..., a^(m - 1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
 def expm(a):
-    """scipy.linalg.expm over the last two axes of a.
+    """The matrix exponential over the last two axes of a, by scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
 
-    scipy.linalg is imported on the first call: it is most of the
-    package's import time and only seeded transitions need it.
+    Each matrix picks its own Padé degree m in 3, 5, 7, 9, 13 from its
+    own 1-norm, and is scaled by 2^-s only at degree 13; the matrices
+    that share (m, s) are evaluated as one stack.  So each entry of a
+    stack is exactly the exponential of that matrix alone, whatever
+    its stack-mates are.  A matrix whose 1-norm is not finite (a
+    non-finite entry, or one past the float range) has an all-NaN
+    exponential; one whose exponential overflows leaves non-finite
+    values, with numpy's overflow warnings unless errstate silences
+    them.
     """
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    flat = a.reshape((-1,) + a.shape[-2:])
+    norm = np.abs(flat).sum(axis=-2).max(axis=-1)
+    degree = np.full(norm.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= PADE_THETA[m]] = m
+    # s = ceil(log2(norm / theta_13)) from norm / theta_13 = f 2^e, 0.5 <= f < 1
+    fraction, exponent = np.frexp(norm / PADE_THETA[13])
+    scale = np.where(degree == 13, np.maximum(exponent - (fraction == 0.5), 0), 0)
+    finite = np.isfinite(norm)
+    out = np.full(flat.shape, np.nan, dtype=flat.dtype)
+    for m, s in sorted(set(zip(degree[finite].tolist(), scale[finite].tolist()))):
+        index = np.flatnonzero(finite & (degree == m) & (scale == s))
+        for start in range(0, len(index), EXPM_CHUNK):
+            part = index[start:start + EXPM_CHUNK]
+            r = _pade(flat[part] * 2.0 ** -s, m)
+            for _ in range(s):
+                r = r @ r
+            out[part] = r
+    return out.reshape(a.shape)
 
 
 def _polynomial_draws(rng, dim, scale, real):

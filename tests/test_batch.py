@@ -8,16 +8,11 @@ fails must raise the error the call at that point raises.
 """
 
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spintensor
 from spintensor import cli
 from spintensor.chiral import (
     BARE_ENTRIES,
@@ -241,11 +236,3 @@ def test_point_batches_of_any_leading_shape():
     grid = build_chiral_metric_connection(scenario.jets(grid_points), grid_points)
     assert grid.A.shape == (2, 2, 4, 2, 2)
     assert np.array_equal(grid.A.reshape(flat.A.shape), flat.A)
-
-
-def test_import_defers_scipy_linalg():
-    # a fresh interpreter: this one has imported scipy.linalg already
-    src = Path(spintensor.__file__).resolve().parents[1]
-    code = "import spintensor, sys; assert 'scipy.linalg' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
