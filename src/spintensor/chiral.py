@@ -52,7 +52,7 @@ from .tensor_core import (
 )
 from .tetrads import orthonormal_factor_jet, symbol_jet
 
-D_CHIRAL = read_only(np.array([[0, 1], [-1, 0]], dtype=complex))
+D_CHIRAL = read_only(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 # G[i, ibar, q]: both-upper mixed symbols, equal to sigma_q[i, ibar]
 G_UPPER = read_only(np.transpose(PAULI, (1, 2, 0)).copy())
@@ -185,7 +185,7 @@ def _check_metric(jet):
     size = np.maximum(1.0, np.max(np.abs(gval), axis=(-2, -1)))
     check_points(np.max(np.abs(gval - np.swapaxes(gval, -1, -2)), axis=(-2, -1)) > 1e-10 * size,
                  None, "not symmetric", ValueError)
-    eigs = np.linalg.eigvalsh(np.real(gval))
+    eigs = np.linalg.eigvalsh(gval)
     check_points((np.sum(eigs > 0, axis=-1) != 1) | (np.sum(eigs < 0, axis=-1) != 3), None,
                  "signature is not (+,-,-,-)", ValueError)
     return jet
@@ -211,13 +211,11 @@ def _deform_tangent(entries, trans, points):
     with _entry("frame", points):
         trans_jets = trans.jets(points)
         frame = check_frame(einsum_jet("ij,jk->ik", entries["frame"], trans_jets[0]), points)
-    value, d = transform_components(TensorSignature(n=2), entries["g"], trans_jets)
-    g = (np.real(value), None if d is None else np.real(d))
+    g = transform_components(TensorSignature(n=2), entries["g"], trans_jets)
     torsion = entries["torsion"]
     if torsion is not None:
         values = tuple((value, None) for value, _ in trans_jets)
-        torsion = np.real(
-            transform_components(TensorSignature(m=1, n=2), (torsion, None), values)[0])
+        torsion = transform_components(TensorSignature(m=1, n=2), (torsion, None), values)[0]
     with _entry("metric", points):
         _check_metric(g)
     if torsion is not None:
@@ -229,7 +227,7 @@ def _deform_tangent(entries, trans, points):
 def _with_tangent_connection(half, points):
     """The tangent half with "ginv", g^-1, checked as part of the metric
     entry, and "Gamma", metric_tangent_connection of the half."""
-    g = np.real(half["g"][0])
+    g = half["g"][0]
     with _entry("metric", points):
         try:
             ginv = np.linalg.inv(g)
@@ -424,7 +422,8 @@ class SpinorConnection:
     Abar[..., r, i, j] are the spinor and conjugate-spinor coefficient
     matrices per direction, 2x2 on the chiral bundle and 4x4 on the
     Dirac bundle (spinor_dim).  The leading axes are the batch axes of
-    the points, the same for all three arrays.
+    the points, the same for all three arrays.  Gamma is float64, A and
+    Abar complex.
     """
 
     Gamma: np.ndarray
@@ -437,7 +436,7 @@ class SpinorConnection:
         if n not in (2, 4):
             raise ValueError("A must hold 2x2 or 4x4 matrices")
         for name, shape in (("Gamma", (4, 4, 4)), ("A", (4, n, n)), ("Abar", (4, n, n))):
-            arr = np.asarray(getattr(self, name), dtype=complex).copy()
+            arr = np.array(getattr(self, name), dtype=float if name == "Gamma" else complex)
             if arr.shape != batch + shape:
                 raise ValueError(f"{name} must have shape {shape} after the batch axes {batch}")
             arr.flags.writeable = False
@@ -462,7 +461,6 @@ def metric_tangent_connection(jets, ginv) -> np.ndarray:
     of None.  A tangent half holds the result as its "Gamma" entry.
     """
     g, dg = jets["g"]
-    g = np.real(g)
     lg = along_frame(jets["frame"][0], dg)  # lg[..., r, a, b] = L_r(g)_{ab}
     c = structural_constants(jets["frame"])
     t = jets["torsion"]
@@ -470,7 +468,6 @@ def metric_tangent_connection(jets, ginv) -> np.ndarray:
     if lg is None:
         gamma = np.zeros(g.shape[:-2] + (4, 4, 4))
     else:
-        lg = np.real(lg)
         gamma = 0.5 * (
             einsum("kr,ijr->ikj", ginv, lg)
             + einsum("kr,jri->ikj", ginv, lg)
@@ -512,7 +509,7 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     lgu, ld, ldb = (along_frame(u, x) for x in (dgu, dd, ddb))
     gl = compute_g_lower_symbols(gu, ginv, d, db)
 
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(2)
     a = 0.25 * einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
     abar = 0.25 * einsum("sip,rpq,qsj->rij", gu, gamma, gl)
     if lgu is not None:
@@ -536,7 +533,7 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
     For a constant field (lie None) the connection terms alone."""
     if sig.spinor_dim != conn.spinor_dim:
         raise ValueError("field and connection spinor dimensions differ")
-    out = None if lie is None else np.moveaxis(np.asarray(lie), -sig.rank - 1, -1).astype(complex)
+    out = None if lie is None else np.moveaxis(np.asarray(lie), -sig.rank - 1, -1)
     coeff = {SPINOR: conn.A, BARRED: conn.Abar, TANGENT: conn.Gamma}
     old = string.ascii_lowercase[: sig.rank]  # slot letters, all before "r"
     for axis, (family, up) in enumerate(sig.slots):
@@ -548,7 +545,7 @@ def covariant_components(sig: TensorSignature, value, lie, conn: SpinorConnectio
             out = term if up else -term
         else:
             out = out + term if up else out - term
-    return np.zeros(np.shape(value) + (4,), dtype=complex) if out is None else out
+    return np.zeros(np.shape(value) + (4,), dtype=np.result_type(value)) if out is None else out
 
 
 def verify_concordance(build, scenario: ChiralScenario, points=None) -> dict:
@@ -611,9 +608,7 @@ def transform_connection(conn: SpinorConnection, jets, theta: ThetaParameters) -
     """
     s, t, ss, ts = (value for value, _ in jets)
     gamma = einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
-    a = einsum("ka,bj,ci,cab->ikj", ss, ts, t.astype(complex), conn.A) + theta.vartheta
-    abar = (
-        einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t.astype(complex), conn.Abar)
-        + np.conj(theta.vartheta)
-    )
+    a = einsum("ka,bj,ci,cab->ikj", ss, ts, t, conn.A) + theta.vartheta
+    abar = (einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t, conn.Abar)
+            + np.conj(theta.vartheta))
     return SpinorConnection(gamma, a, abar)

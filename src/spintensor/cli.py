@@ -355,7 +355,7 @@ def run_build_connection(ctx: Run):
         check_points(~np.isfinite(conn.A).all(axis=(-3, -2, -1)), points,
                      f"{mode} connection is not finite")
         # + 0.0 writes an exact zero as 0.0, whichever sign its terms left
-        gamma, a, abar = conn.Gamma.real + 0.0, conn.A + 0.0, conn.Abar + 0.0
+        gamma, a, abar = conn.Gamma + 0.0, conn.A + 0.0, conn.Abar + 0.0
         entries = [
             {
                 "point": point,

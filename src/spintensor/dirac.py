@@ -33,10 +33,10 @@ D_DIRAC = read_only(np.array(
         [0, 0, 0, -1],
         [0, 0, 1, 0],
     ],
-    dtype=complex,
+    dtype=float,
 ))
 
-H_DIRAC = read_only(np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
+H_DIRAC = read_only(np.diag([1.0, 1.0, -1.0, -1.0]))
 
 DD_DIRAC = read_only(np.array(
     [
@@ -45,7 +45,7 @@ DD_DIRAC = read_only(np.array(
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ],
-    dtype=complex,
+    dtype=float,
 ))
 
 # gamma[a, b, m]: upper spinor index a, lower spinor index b, tangent m;
@@ -121,8 +121,7 @@ def verify_dirac_identities(table) -> dict:
     shape: a float for one frame, an array with one residual per frame
     for a stack.
     """
-    d, h, dd, gm, g = (np.asarray(table[attr], dtype=complex)
-                       for attr in ("d", "H", "D", "gamma", "g"))
+    d, h, dd, gm, g = (table[attr] for attr in ("d", "H", "D", "gamma", "g"))
     du, ginv = np.linalg.inv(d), np.linalg.inv(g)
     # raised tangent index: gamma^{am}_b = sum_k gamma^a_{bk} g^{km}
     gi = einsum("abk,km->abm", gm, ginv)
@@ -132,7 +131,7 @@ def verify_dirac_identities(table) -> dict:
     ghu = einsum("iam,aj->ijm", gm, ddu)
     # gamma^m_{i ibar} = sum_a gamma^{am}_i D_{a ibar}
     ghl = einsum("aim,aj->ijm", gi, dd)
-    eye = np.eye(4, dtype=complex)
+    eye = np.eye(4)
     residual = functools.partial(table_residual, np.ndim(h) - 2)
 
     def transpose(m):
@@ -244,7 +243,6 @@ def classify_frame(d_lower, H, D_lower) -> DiracFrameKind:
     """Classify a Dirac frame by exact match against the reference matrices."""
 
     def pick(matrix, reference, positive, negative):
-        matrix = np.asarray(matrix, dtype=complex)
         if np.array_equal(matrix, reference):
             return positive
         if np.array_equal(matrix, -reference):
@@ -292,7 +290,7 @@ def embed_chiral_frame() -> dict:
     """
     chiral, dirac = canonical_chiral_constants(), canonical_dirac_constants()
     d2 = chiral["d"]
-    expected_d = np.zeros((4, 4), dtype=complex)
+    expected_d = np.zeros((4, 4))
     expected_d[:2, :2] = d2
     expected_d[2:, 2:] = -np.linalg.inv(d2).T
     expected_bottom = einsum("mq,jiq->ijm", np.linalg.inv(chiral["g"]), np.conj(chiral["G"]))

@@ -44,10 +44,10 @@ def chirality_split(table) -> dict:
     spin-metrics and to the projectors.  Each residual is exactly 0 on
     the canonical table.
     """
-    h, d, gm = (np.asarray(table[attr], dtype=complex) for attr in ("H", "d", "gamma"))
-    du, ginv = np.linalg.inv(d), np.linalg.inv(np.asarray(table["g"], dtype=complex))
+    h, d, gm, g = (table[attr] for attr in ("H", "d", "gamma", "g"))
+    du, ginv = np.linalg.inv(d), np.linalg.inv(g)
     residual = functools.partial(table_residual, np.ndim(h) - 2)
-    eye = np.eye(4, dtype=complex)
+    eye = np.eye(4)
     bh, ch = 0.5 * (eye + h), 0.5 * (eye - h)
 
     def split(left, right):
@@ -170,7 +170,7 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     h, dh = jets["H"]
     if dh is not None or not np.all(h == H_DIRAC):
         raise ValueError("the Dirac builder needs the table's H to be the constant H_DIRAC")
-    ginv, gamma_t = jets["ginv"].astype(complex), jets["Gamma"]
+    ginv, gamma_t = jets["ginv"], jets["Gamma"]
     u = jets["frame"][0]
     gamma, l_gamma = jets["gamma"][0], along_frame(u, jets["gamma"][1])
     l_d = along_frame(u, jets["d"][1])

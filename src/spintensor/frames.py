@@ -70,14 +70,28 @@ def einsum(subscripts, *operands):
     """np.einsum over leading batch axes ("...") shared by every operand.
 
     subscripts names the per-point axes only ("ij,jk->ik"); operands
-    without batch axes broadcast.  Operands are contracted pair by pair
-    along numpy's greedy path, each pair as one batched matrix product,
-    with the plan made once per subscripts and operand shapes.
+    without batch axes broadcast, and with none at all this is np.einsum.
+    Otherwise operands are contracted pair by pair along numpy's greedy
+    path, each pair as one batched matrix product, planned once per
+    subscripts, operand shapes and kinds.  Real factors stay real: a real
+    operand multiplies a complex one's float view (real_matmul).
     """
+    kinds = tuple((np.shape(op), np.iscomplexobj(op)) for op in operands)
+    inputs = subscripts.split("->")[0].split(",")
+    if all(len(shape) == len(letters) for (shape, _), letters in zip(kinds, inputs)):
+        return np.einsum(subscripts, *operands)
     operands = list(operands)
-    for positions, step in _plan(subscripts, tuple(np.shape(op) for op in operands)):
+    for positions, step in _plan(subscripts, kinds):
         operands.append(step(*[operands.pop(k) for k in positions]))
     return operands[0]
+
+
+def real_matmul(x, y):
+    """x @ y for a real x and a complex y as one real matmul of x into
+    y's float view (re, im interleaved), x not promoted to complex."""
+    if y.shape[-1] > 1 and y.strides[-1] != y.itemsize:
+        y = np.ascontiguousarray(y)  # the float view needs a contiguous last axis
+    return (x @ y.view(y.real.dtype)).view(y.dtype)
 
 
 def _batched(inputs, output):
@@ -85,9 +99,9 @@ def _batched(inputs, output):
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(subscripts, shapes):
+def _plan(subscripts, kinds):
     """Steps (operand positions, function) of one contraction; each step
-    pops its operands and appends its result.
+    pops its operands and appends its result; kinds are (shape, is complex).
 
     The path is numpy's greedy one with no cap on intermediate size:
     the default cap (the largest operand) would leave one slow
@@ -97,15 +111,15 @@ def _plan(subscripts, shapes):
     inputs = inputs.split(",")
     if len(inputs) == 1:
         return (((0,), functools.partial(np.einsum, _batched(inputs, output))),)
-    sizes, batches = {}, []
-    for letters, shape in zip(inputs, shapes):
-        batches.append(shape[: len(shape) - len(letters)])
+    sizes, batches = {}, []  # batches: each operand's (batch shape, is complex)
+    for letters, (shape, is_complex) in zip(inputs, kinds):
+        batches.append((shape[: len(shape) - len(letters)], is_complex))
         sizes.update(zip(letters, shape[len(shape) - len(letters):]))
     path = [(0, 1)]
     if len(inputs) > 2:
         path = np.einsum_path(
             _batched(inputs, output),
-            *(np.broadcast_to(0.0, shape) for shape in shapes),
+            *(np.broadcast_to(0.0, shape) for shape, _ in kinds),
             optimize=("greedy", 2**62),
         )[0][1:]
     steps = []
@@ -121,23 +135,29 @@ def _plan(subscripts, shapes):
             step = functools.partial(np.einsum, _batched(picked, letters))
         steps.append((positions, step))
         inputs.append(letters)
-        batches.append(np.broadcast_shapes(*batch))
+        batches.append((np.broadcast_shapes(*(b for b, _ in batch)), any(c for _, c in batch)))
     if inputs[0] != output:
         steps.append(((0,), functools.partial(np.einsum, _batched(inputs, output))))
     return tuple(steps)
 
 
-def _matmul_step(left, right, left_batch, right_batch, rest, sizes):
+def _matmul_step(left, right, left_kind, right_kind, rest, sizes):
     """One pairwise contraction as a batched matrix product; returns
     (function, letters of its result).  Letters shared by both operands
     and still needed later become matmul batch axes, the other shared
-    ones are summed."""
+    ones are summed.  Kinds are (batch shape, is complex); of a real and
+    a complex operand the real one is the left factor (real_matmul)."""
     shared = [c for c in left if c in right]
     if any(c not in rest for c in left + right if c not in shared) or \
             len(set(left)) < len(left) or len(set(right)) < len(right):
         # a letter summed within one operand, or a diagonal: plain einsum
         letters = "".join(dict.fromkeys(c for c in left + right if c in rest))
         return functools.partial(np.einsum, _batched([left, right], letters)), letters
+    (left_batch, left_complex), (right_batch, right_complex) = left_kind, right_kind
+    swap = left_complex and not right_complex
+    if swap:
+        left, right, left_batch, right_batch = right, left, right_batch, left_batch
+    product = real_matmul if right_complex != left_complex else np.matmul
     kept = [c for c in shared if c in rest]
     summed = [c for c in shared if c not in rest]
     left_free = [c for c in left if c not in right]
@@ -158,8 +178,10 @@ def _matmul_step(left, right, left_batch, right_batch, rest, sizes):
     out_shape = np.broadcast_shapes(left_batch, right_batch) + tuple(sizes[c] for c in result)
 
     def step(a, b):
-        product = a.transpose(perm_l).reshape(shape_l) @ b.transpose(perm_r).reshape(shape_r)
-        return product.reshape(out_shape)
+        if swap:
+            a, b = b, a
+        return product(a.transpose(perm_l).reshape(shape_l),
+                       b.transpose(perm_r).reshape(shape_r)).reshape(out_shape)
 
     return step, "".join(result)
 
@@ -310,12 +332,13 @@ def along_frame(u, d):
     """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d.
 
     u is (..., 4, 4) and d (..., 4, *shape) with the same batch axes;
-    the result has d's shape with the frame index r in place of j.  A
-    constant (d None) has frame derivatives None, exactly zero.  A d
-    whose leading axes are not u's batch axes and then the partial
-    axis raises ValueError: the per-point shape is not known here, so
-    a frame cannot be broadcast against a larger batch of partials
-    (broadcast it first, as theta_parameters does).
+    the result has d's shape with the frame index r in place of j (a
+    real u multiplies complex partials by real_matmul).  A constant (d
+    None) has frame derivatives None, exactly zero.  A d whose leading
+    axes are not u's batch axes and then the partial axis raises
+    ValueError: the per-point shape is not known here, so a frame
+    cannot be broadcast against a larger batch of partials (broadcast
+    it first, as theta_parameters does).
     """
     if d is None:
         return None
@@ -324,12 +347,8 @@ def along_frame(u, d):
         raise ValueError(f"partials of shape {d.shape} do not follow the frame's batch {batch}")
     ut = np.swapaxes(u, -1, -2)
     flat = np.reshape(d, batch + (4, -1))
-    if np.iscomplexobj(flat) and not np.iscomplexobj(u):
-        # a real frame times the float view of complex partials: one real
-        # matmul, not a complex one with u promoted to complex
-        flat = np.ascontiguousarray(flat)
-        return np.reshape((ut @ flat.view(flat.real.dtype)).view(flat.dtype), d.shape)
-    return np.reshape(ut @ flat, d.shape)
+    product = real_matmul if np.iscomplexobj(flat) and not np.iscomplexobj(u) else np.matmul
+    return np.reshape(product(ut, flat), d.shape)
 
 
 def structural_constants(frame_jet) -> np.ndarray:
@@ -421,9 +440,9 @@ def transform_components(sig: TensorSignature, jet, trans_jets):
 
     jet is the (value, d) jet of components of type sig and trans_jets
     a transition's (S, T, Ss, Ts) jets at the same points; the value
-    (taken as complex) may carry their batch axes or none.  The map
-    goes from untilde to tilde components: Ts on contravariant spinor
-    slots, Ss on covariant, conjugates on barred slots, T on
+    may carry their batch axes or none, and real factors stay real.
+    The map goes from untilde to tilde components: Ts on contravariant
+    spinor slots, Ss on covariant, conjugates on barred slots, T on
     contravariant tangent, S on covariant tangent; (T, S, Ts, Ss) gives
     the inverse map.  The partials follow by the product rule over the
     components and every slot factor, each with d None (a constant)
@@ -450,7 +469,7 @@ def transform_components(sig: TensorSignature, jet, trans_jets):
     inputs = [old] + [n + o if up else o + n for (_, up), o, n in zip(sig.slots, old, new)]
     return einsum_jet(
         ",".join(inputs) + "->" + new,
-        (np.asarray(value, dtype=complex), d),
+        (np.asarray(value), d),
         *(factors[slot] for slot in sig.slots),
     )
 

@@ -69,8 +69,8 @@ def orthonormal_factor_jet(g_jet):
     its partials follow from g's through signed_cholesky_partial, and a
     constant g (dg None) gives a constant factor."""
     g, dg = g_jet
-    lower = signed_cholesky(np.real(g))
-    return lower, None if dg is None else signed_cholesky_partial(lower, np.real(dg))
+    lower = signed_cholesky(g)
+    return lower, None if dg is None else signed_cholesky_partial(lower, dg)
 
 
 def symbol_jet(factor_jet, canonical):

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from spintensor import frames
 from spintensor.frames import (
     FrameField,
     FrameTransition,
     MatrixField,
     along_frame,
     check_inverse_pairs,
+    einsum,
     einsum_jet,
     inverse_jet,
     structural_constants,
@@ -191,3 +195,87 @@ def test_theta_parameters_of_one_frame_under_a_stack_of_transitions():
         alone = theta_parameters(random_transition(seed).jets(points), frame, points)
         assert np.array_equal(theta.theta[k], alone.theta)
         assert np.array_equal(theta.vartheta[k], alone.vartheta)
+
+
+# contractions of the engine: (subscripts, per-point shape of each operand)
+CONTRACTIONS = [
+    ("ij,jk->ik", [(4, 4), (4, 4)]),
+    ("ka,iaj->ikj", [(4, 4), (4, 4, 4)]),
+    ("kr,sir,sj->ikj", [(4, 4), (4, 4, 4), (4, 4)]),
+    ("rji,ij,ab->rab", [(4, 2, 2), (2, 2), (2, 2)]),
+    ("krm,ajr,mn,ian->kij", [(4, 4, 4), (4, 4, 4), (4, 4), (4, 4, 4)]),  # the Dirac builder's
+    ("qp,qpr->r", [(4, 4), (4, 4, 4)]),
+    ("kij->ikj", [(4, 4, 4)]),
+]
+BATCH = (3, 5)
+
+
+def _operands(shapes, pairing, layout, seed=0):
+    """Operands of the given per-point shapes, complex where pairing says,
+    with leading BATCH axes laid out as layout says: "batched" arrays,
+    "transposed" views (neither C- nor F-contiguous in their per-point
+    axes), "broadcast" stride-0 views of one point, or "batch-free" for
+    every operand after the first (numpy broadcasts them)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, (shape, is_complex) in enumerate(zip(shapes, pairing)):
+        batch = BATCH if layout not in ("broadcast", "batch-free") or k == 0 else ()
+        x = rng.normal(size=batch + shape)
+        if is_complex:
+            x = x + 1j * rng.normal(size=batch + shape)
+        if layout == "transposed":
+            x = np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+        elif layout == "broadcast" and k > 0:
+            x = np.broadcast_to(x, BATCH + shape)
+        out.append(x)
+    return out
+
+
+def _batched(subscripts):
+    inputs, output = subscripts.split("->")
+    return ",".join("..." + s for s in inputs.split(",")) + "->..." + output
+
+
+@pytest.mark.parametrize("subscripts,shapes", CONTRACTIONS)
+@pytest.mark.parametrize(
+    "layout", ["batched", "transposed", "broadcast", "batch-free", "unbatched"])
+def test_einsum_equals_numpy_for_every_real_complex_pairing(subscripts, shapes, layout):
+    # "unbatched": no operand has batch axes, the call is np.einsum itself
+    for pairing in itertools.product((False, True), repeat=len(shapes)):
+        ops = _operands(shapes, pairing, layout)
+        if layout == "unbatched":
+            ops = [op[0, 0] for op in ops]
+        ours, ref = einsum(subscripts, *ops), np.einsum(_batched(subscripts), *ops)
+        assert ours.shape == ref.shape
+        assert ours.dtype == (np.complex128 if any(pairing) else np.float64)
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("subscripts,shapes", CONTRACTIONS)
+def test_einsum_result_does_not_depend_on_which_plan_came_first(subscripts, shapes):
+    # each pairing gives the same bits from a cold plan cache and from one
+    # warmed by every other pairing of the same shapes first
+    pairings = list(itertools.product((False, True), repeat=len(shapes)))
+    cold = {}
+    for pairing in pairings:
+        frames._plan.cache_clear()
+        cold[pairing] = einsum(subscripts, *_operands(shapes, pairing, "batched"))
+    frames._plan.cache_clear()
+    for first in pairings:
+        for pairing in pairings[::-1]:
+            einsum(subscripts, *_operands(shapes, pairing, "batched", seed=1))
+        warm = einsum(subscripts, *_operands(shapes, first, "batched"))
+        assert warm.dtype == cold[first].dtype
+        assert np.array_equal(warm, cold[first])
+
+
+def test_along_frame_keeps_real_partials_real():
+    rng = np.random.default_rng(2)
+    u, d = rng.normal(size=(5, 4, 4)), rng.normal(size=(5, 4, 2, 3))
+    dc = d + 1j * rng.normal(size=d.shape)
+    assert along_frame(u, d).dtype == np.float64
+    for partials in (d, dc, np.swapaxes(np.swapaxes(dc, -1, -2).copy(), -1, -2)):
+        lie = along_frame(u, partials)
+        ref = np.einsum("...jr,...jab->...rab", u, partials)
+        assert lie.dtype == partials.dtype
+        assert np.max(np.abs(lie - ref)) <= 1e-14 * np.max(np.abs(ref))
