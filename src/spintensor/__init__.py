@@ -10,12 +10,10 @@ verifiers.
 """
 
 from .tensor_core import TensorSignature
-from .lorentz_cover import LorentzMatrix, phi, random_sl2c
+from .lorentz_cover import phi, random_sl2c
 from .frames import (
     MatrixField,
-    FrameField,
     FrameTransition,
-    ThetaParameters,
     structural_constants,
     theta_parameters,
     transform_components,
@@ -57,13 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TensorSignature",
-    "LorentzMatrix",
     "phi",
     "random_sl2c",
     "MatrixField",
-    "FrameField",
     "FrameTransition",
-    "ThetaParameters",
     "structural_constants",
     "theta_parameters",
     "transform_components",

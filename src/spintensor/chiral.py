@@ -30,9 +30,7 @@ import numpy as np
 
 from .expressions import EvaluationError
 from .frames import (
-    FrameField,
     MatrixField,
-    ThetaParameters,
     along_frame,
     check_frame,
     check_points,
@@ -270,13 +268,14 @@ class ChiralScenario:
     """Everything needed to build and test a chiral metric connection.
 
     points are the sample points, one read-only float64 (N, 4) array;
-    frame, g (the coordinate metric) and the optional torsion are the
-    scenario's own fields.  Its structure data at a batch of points is
-    one table, jets(points): the jets of the frame and of every
-    STRUCTURE_FIELDS attribute (g among them as the frame components
-    U^T g U) and the values of BARE_ENTRIES, each evaluated once.  Its
-    tangent half (tangent_jets) holds nothing mode-specific, so a
-    chiral and a Dirac scenario of the same fields can share it.
+    frame (the MatrixField of the frame's expansion U, checked where
+    tangent_jets reads it), g (the coordinate metric) and the optional
+    torsion are the scenario's own fields.  Its structure data at a
+    batch of points is one table, jets(points): the jets of the frame
+    and of every STRUCTURE_FIELDS attribute (g among them as the frame
+    components U^T g U) and the values of BARE_ENTRIES, each evaluated
+    once.  Its tangent half (tangent_jets) holds nothing mode-specific,
+    so a chiral and a Dirac scenario of the same fields can share it.
     Constructing a scenario evaluates nothing: the table is the only
     place its fields are evaluated and checked.
 
@@ -299,7 +298,7 @@ class ChiralScenario:
     SYMBOLS = ("G", G_UPPER)
     LIFT_INVARIANT = ()  # spinor entries every spinor_transition fixes exactly
 
-    def __init__(self, points, frame: FrameField, g: MatrixField, torsion=None,
+    def __init__(self, points, frame: MatrixField, g: MatrixField, torsion=None,
                  transition=None):
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 4:
@@ -328,7 +327,7 @@ class ChiralScenario:
         point, even where a later one fails at an earlier point.
         """
         with _entry("frame", points):
-            u = self.frame.jet(points)
+            u = check_frame(self.frame.jet(points), points)
         with _entry("metric", points):
             g = _check_metric(einsum_jet("ai,ab,bj->ij", u, self.g.jet(points), u))
             factor = orthonormal_factor_jet(g)
@@ -597,18 +596,20 @@ def worst_residual(running, residual):
     return float(np.max(np.abs(residual), initial=running))
 
 
-def transform_connection(conn: SpinorConnection, jets, theta: ThetaParameters) -> SpinorConnection:
+def transform_connection(conn: SpinorConnection, jets, thetas) -> SpinorConnection:
     """Map a tilde-frame connection to the untilde frame.
 
     jets are the transition's (S, T, Ss, Ts) jets at the connection's
-    points.  Gamma^k_ij = sum S^k_a T^b_j T^c_i tilde-Gamma^a_cb +
-    theta^k_ij, with the spinor transitions and vartheta for A and
-    their conjugates for Abar.  theta must be computed with Lie
-    derivatives along the untilde frame.
+    points and thetas its (theta, vartheta) pair (theta_parameters).
+    Gamma^k_ij = sum S^k_a T^b_j T^c_i tilde-Gamma^a_cb + theta^k_ij,
+    with the spinor transitions and vartheta for A and their conjugates
+    for Abar.  theta must be computed with Lie derivatives along the
+    untilde frame.
     """
     s, t, ss, ts = (value for value, _ in jets)
-    gamma = einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta.theta
-    a = einsum("ka,bj,ci,cab->ikj", ss, ts, t, conn.A) + theta.vartheta
+    theta, vartheta = thetas
+    gamma = einsum("ka,bj,ci,cab->ikj", s, t, t, conn.Gamma) + theta
+    a = einsum("ka,bj,ci,cab->ikj", ss, ts, t, conn.A) + vartheta
     abar = (einsum("ka,bj,ci,cab->ikj", np.conj(ss), np.conj(ts), t, conn.Abar)
-            + np.conj(theta.vartheta))
+            + np.conj(vartheta))
     return SpinorConnection(gamma, a, abar)

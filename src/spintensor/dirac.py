@@ -197,13 +197,6 @@ def verify_dirac_identities(table) -> dict:
         residual(einsum("ja,ia->ij", dd, ddu), eye),
         residual(einsum("aj,ai->ji", dd, ddu), eye),
     )
-    # hermitian gamma constructions re-derived
-    out["hermitian-gamma-upper-construction"] = residual(
-        ghu, einsum("iam,aj->ijm", gm, ddu)
-    )
-    out["hermitian-gamma-lower-construction"] = residual(
-        ghl, einsum("aim,aj->ijm", gi, dd)
-    )
     # hermitian gamma reality: each fixed-m slice is Hermitian
     out["hermitian-gamma-reality"] = np.maximum(
         residual(ghu, np.conj(np.swapaxes(ghu, -3, -2))),

@@ -3,11 +3,14 @@
 Fields are functions of the coordinates x0..x3.  Array-valued fields
 carry their value together with its four coordinate partials as
 one jet; every composition propagates jets exactly (the product rule
-over an einsum, the inverse rule, ...).  Frame fields give the expansion of a
-tangent frame in the coordinate frame; transitions between frames
-carry the tangent pair (S, T) and the spinor pair (Ss, Ts).  Their
-theta-parameters, the frame change of components and the structural
-constants of a frame all work on jets the caller already holds.
+over an einsum, the inverse rule, ...).  A frame is a MatrixField of
+the expansion U[j, i] of frame vector i in the coordinate frame
+(column i holds its coordinate components); its jet is checked
+non-singular (check_frame) where it is read.  Transitions between
+frames carry the tangent pair (S, T) and the spinor pair (Ss, Ts).
+Their theta-parameters (a plain (theta, vartheta) pair), the frame
+change of components and the structural constants of a frame all work
+on jets the caller already holds.
 
 A jet's partials d are None exactly when they are exactly zero (a
 constant): every composition forms no product-rule term for such a
@@ -28,7 +31,6 @@ from __future__ import annotations
 import functools
 import operator
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -307,27 +309,6 @@ def check_frame(jet, points):
     return jet
 
 
-class FrameField:
-    """Expansion U[j, i] of frame vector i in the coordinate frame.
-
-    Column i holds the coordinate components of the i-th frame vector.
-    """
-
-    def __init__(self, components: MatrixField):
-        self.components = components
-
-    @classmethod
-    def coordinate(cls):
-        return cls(MatrixField.constant(np.eye(4)))
-
-    @classmethod
-    def from_expressions(cls, grid):
-        return cls(MatrixField.from_expressions(grid))
-
-    def jet(self, points):
-        return check_frame(self.components.jet(points), points)
-
-
 def along_frame(u, d):
     """Frame derivatives L_r = sum_j U[j, r] d_j from coordinate partials d.
 
@@ -395,23 +376,12 @@ def check_inverse_pairs(jets, points):
         check_points(residual > 1e-10, points, "transition inverse pair is inconsistent")
 
 
-@dataclass(frozen=True)
-class ThetaParameters:
-    """Inhomogeneous connection-transformation terms at each point.
-
-    theta[..., i, k, j] is the tangent parameter with upper index k and
-    lower indices (i, j); vartheta is the spinor analogue.
-    """
-
-    theta: np.ndarray
-    vartheta: np.ndarray
-
-
-def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
-    """Theta-parameters of a transition relative to a frame.
+def theta_parameters(jets, frame_jet, points):
+    """Theta-parameters (theta, vartheta) of a transition relative to a frame.
 
     jets are the transition's (S, T, Ss, Ts) jets and frame_jet the
-    frame's jet, all at points.  theta^k_ij = sum_a S^k_a L_i(T^a_j);
+    frame's jet, all at points.  theta[..., i, k, j] = theta^k_ij =
+    sum_a S^k_a L_i(T^a_j), and vartheta the same of (Ss, Ts);
     the equivalent form -sum_a L_i(S^k_a) T^a_j must agree to 1e-6 at
     every point (it does exactly for exact inverse pairs; the check
     guards inconsistent inputs), after the inverse pairs are checked on
@@ -432,7 +402,7 @@ def theta_parameters(jets, frame_jet, points) -> ThetaParameters:
         disagree = np.max(np.abs(first - second), axis=(-3, -2, -1)) > 1e-6
         check_points(disagree, points, "theta-parameter forms disagree")
         out.append(first)
-    return ThetaParameters(theta=out[0], vartheta=out[1])
+    return tuple(out)
 
 
 def transform_components(sig: TensorSignature, jet, trans_jets):

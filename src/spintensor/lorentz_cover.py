@@ -1,8 +1,10 @@
-"""Pauli basis and the double cover of the restricted Lorentz group."""
+"""Pauli basis and the double cover of the restricted Lorentz group.
+
+phi maps a stack of SL(2,C) matrices to its stack of Lorentz matrices
+as plain float arrays; random_sl2c draws seeded SL(2,C) matrices.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,54 +30,26 @@ PAULI = read_only(np.array(
 ))
 
 
-@dataclass(frozen=True)
-class LorentzMatrix:
-    """Real 4x4 member of the proper orthochronous Lorentz group."""
+def phi(s_spin) -> np.ndarray:
+    """Images of SL(2,C) matrices in the restricted Lorentz group.
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        tol = 1e-9
-        arr = np.asarray(self.entries, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        if arr.shape != (4, 4):
-            raise ValueError("Lorentz matrix must be 4x4")
-        if np.max(np.abs(arr.T @ MINKOWSKI @ arr - MINKOWSKI)) > tol:
-            raise ValueError("matrix does not preserve the Minkowski form")
-        if abs(np.linalg.det(arr) - 1.0) > tol:
-            raise ValueError("matrix is not special (det != 1)")
-        if arr[0, 0] < 1.0 - tol:
-            raise ValueError("matrix is not orthochronous")
-
-    def __matmul__(self, other):
-        if isinstance(other, LorentzMatrix):
-            return LorentzMatrix(self.entries @ other.entries)
-        return self.entries @ other
-
-
-def phi(s_spin: np.ndarray) -> LorentzMatrix:
-    """Image of an SL(2,C) matrix in the restricted Lorentz group.
-
-    The matrix S is read off from S sigma_m S^dagger expanded in the
-    Pauli basis; the coefficients are extracted with the trace formula
-    S^k_m = Re tr(sigma_k S sigma_m S^dagger) / 2, valid because
-    tr(sigma_a sigma_b) = 2 delta_ab.
+    s_spin is a (..., 2, 2) stack; the result is the (..., 4, 4) float
+    array Lambda^k_m = Re tr(sigma_k S sigma_m S^dagger) / 2, the
+    coefficients of S sigma_m S^dagger in the Pauli basis (valid because
+    tr(sigma_a sigma_b) = 2 delta_ab).  It is one plain np.einsum, so
+    each entry of a stack is bitwise that matrix alone.  A matrix with
+    |det S - 1| > 1e-9, or an extraction that leaves an imaginary
+    residue above 1e-10, raises ValueError.
     """
     s_spin = np.asarray(s_spin, dtype=complex)
-    if s_spin.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if abs(np.linalg.det(s_spin) - 1.0) > 1e-9:
+    if s_spin.shape[-2:] != (2, 2):
+        raise ValueError("expected 2x2 matrices")
+    if np.any(np.abs(np.linalg.det(s_spin) - 1.0) > 1e-9):
         raise ValueError("not in SL(2,C)")
-    out = np.empty((4, 4), dtype=float)
-    for m in range(4):
-        conjugated = s_spin @ PAULI[m] @ s_spin.conj().T
-        for k in range(4):
-            coeff = 0.5 * np.trace(PAULI[k] @ conjugated)
-            if abs(coeff.imag) > 1e-10:
-                raise ValueError("coefficient extraction left an imaginary residue")
-            out[k, m] = coeff.real
-    return LorentzMatrix(out)
+    coeff = 0.5 * np.einsum("kab,...bc,mcd,...ad->...km", PAULI, s_spin, PAULI, s_spin.conj())
+    if np.any(np.abs(coeff.imag) > 1e-10):
+        raise ValueError("coefficient extraction left an imaginary residue")
+    return coeff.real
 
 
 def random_sl2c(seed: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .chiral import ChiralScenario
 from .dirac_connection import DiracScenario
 from .expressions import ParseError
-from .frames import FrameField, FrameTransition, MatrixField, einsum
+from .frames import FrameTransition, MatrixField, einsum
 
 SPEC_SCHEMA = "scenario-spec/1"
 
@@ -60,7 +60,7 @@ class ScenarioSpec:
     seed: int = 0
     deform: dict = None
     metric_field: MatrixField = field(default=None, repr=False, compare=False)
-    frame_field: FrameField = field(default=None, repr=False, compare=False)
+    frame_field: MatrixField = field(default=None, repr=False, compare=False)
     torsion_field: MatrixField = field(default=None, repr=False, compare=False)
 
     @property
@@ -201,10 +201,10 @@ def _metric_field(grid) -> MatrixField:
     return MatrixField.from_expressions(grid)
 
 
-def _frame_field(grid) -> FrameField:
+def _frame_field(grid) -> MatrixField:
     if grid is None:
-        return FrameField.coordinate()
-    return FrameField.from_expressions(grid)
+        return MatrixField.constant(np.eye(4))
+    return MatrixField.from_expressions(grid)
 
 
 def _torsion_field(grid):
@@ -407,11 +407,10 @@ def coordinate_christoffel(g_coord: MatrixField, points, step=1e-4):
     serve as an oracle.
     """
     x = np.asarray(points, dtype=float)
-    ginv = np.linalg.inv(np.real(np.asarray(g_coord(x))))
+    ginv = np.linalg.inv(g_coord(x))
     dg = np.stack(
         [
-            (np.real(np.asarray(g_coord(x + offset))) - np.real(np.asarray(g_coord(x - offset))))
-            / (2.0 * step)
+            (g_coord(x + offset) - g_coord(x - offset)) / (2.0 * step)
             for offset in step * np.eye(4)
         ],
         axis=-3,

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-TANGENT_DIM = 4
-
 SPINOR = "spinor"
 BARRED = "barred"
 TANGENT = "tangent"
@@ -65,13 +63,6 @@ class TensorSignature:
         for block, name in zip(ORDER, COUNT_FIELDS):
             slots += (block,) * getattr(self, name)
         return slots
-
-    @property
-    def shape(self):
-        dims = []
-        for family, _ in self.slots:
-            dims.append(TANGENT_DIM if family == TANGENT else self.spinor_dim)
-        return tuple(dims)
 
     @property
     def rank(self):

@@ -33,7 +33,7 @@ from spintensor.dirac_connection import (
 )
 from spintensor.expressions import Expression, ParseError, parse_ast
 from spintensor.frames import MatrixField, theta_parameters
-from spintensor.lorentz_cover import phi, random_sl2c
+from spintensor.lorentz_cover import MINKOWSKI, phi, random_sl2c
 from spintensor.scenarios import (
     bundled_scenario,
     bundled_scenario_names,
@@ -69,15 +69,19 @@ def test_criterion_01_exact_identity_suite(verdict):
 
 
 def test_criterion_02_double_cover_homomorphism(verdict):
-    ok = np.array_equal(phi(np.eye(2)).entries, np.eye(4))
-    ok = ok and np.array_equal(phi(-np.eye(2)).entries, np.eye(4))
+    ok = np.array_equal(phi(np.eye(2)), np.eye(4))
+    ok = ok and np.array_equal(phi(-np.eye(2)), np.eye(4))
     worst = 0.0
     for seed in range(100):
         s1 = random_sl2c(2 * seed)
         s2 = random_sl2c(2 * seed + 1)
-        gap = np.max(np.abs(phi(s1 @ s2).entries - phi(s1).entries @ phi(s2).entries))
+        lam1, lam2 = phi(s1), phi(s2)
+        gap = np.max(np.abs(phi(s1 @ s2) - lam1 @ lam2))
         worst = max(worst, float(gap))
-        # membership invariants are enforced by the LorentzMatrix type
+        # each image is in the restricted Lorentz group
+        for lam in (lam1, lam2):
+            ok = ok and np.max(np.abs(lam.T @ MINKOWSKI @ lam - MINKOWSKI)) <= 1e-9
+            ok = ok and abs(np.linalg.det(lam) - 1.0) <= 1e-9 and lam[0, 0] >= 1.0 - 1e-9
     verdict(2, f"group homomorphism over 100 seeds (max gap {worst:.2e})",
             ok and worst < 1e-9)
 

@@ -5,10 +5,10 @@ import pytest
 
 from spintensor import frames
 from spintensor.frames import (
-    FrameField,
     FrameTransition,
     MatrixField,
     along_frame,
+    check_frame,
     check_inverse_pairs,
     einsum,
     einsum_jet,
@@ -21,6 +21,7 @@ from spintensor.scenarios import random_transition
 from spintensor.tensor_core import TensorSignature
 
 PT = (0.5, 0.2, -0.3, 0.1)
+COORDINATE_FRAME = MatrixField.constant(np.eye(4))
 
 
 def test_constant_fields_have_exactly_zero_partials():
@@ -38,7 +39,7 @@ def test_matmul_and_inverse_field_partials():
 
 def test_lie_derivative_along_coordinate_frame_is_partial():
     f = MatrixField.from_expressions("x0^2*x2")
-    u, _ = FrameField.coordinate().jet(PT)
+    u, _ = COORDINATE_FRAME.jet(PT)
     value, d = f.jet(PT)
     lie = along_frame(u, d)
     assert value == f(PT)
@@ -48,7 +49,7 @@ def test_lie_derivative_along_coordinate_frame_is_partial():
 
 def test_along_frame_scales_with_the_frame():
     mat = MatrixField.from_expressions([["x1", "0"], ["0", "x1"]])
-    frame = FrameField.from_expressions(
+    frame = MatrixField.from_expressions(
         [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
     lie = along_frame(frame.jet(PT)[0], mat.jet(PT)[1])
@@ -56,21 +57,22 @@ def test_along_frame_scales_with_the_frame():
 
 
 def test_frame_field_rejects_singular_frames():
-    frame = FrameField.from_expressions(
+    frame = MatrixField.from_expressions(
         [["x0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     )
-    with pytest.raises(ValueError):
-        frame.jet((0.0, 0, 0, 0))
+    point = (0.0, 0, 0, 0)
+    with pytest.raises(ValueError, match="frame is singular"):
+        check_frame(frame.jet(point), point)
 
 
 def test_structural_constants_vanish_for_coordinate_frames():
-    c = structural_constants(FrameField.coordinate().jet(PT))
+    c = structural_constants(COORDINATE_FRAME.jet(PT))
     assert np.array_equal(c, np.zeros((4, 4, 4)))
 
 
 def test_structural_constants_known_value():
     # E0 = d0, E1 = (1/(1+x0)) d1: [E0, E1] = -(1/(1+x0)) E1
-    frame = FrameField.from_expressions(
+    frame = MatrixField.from_expressions(
         [
             ["1", "0", "0", "0"],
             ["0", "1/(1+x0)", "0", "0"],
@@ -109,7 +111,8 @@ def test_transform_components_round_trip():
     trans = scale_transition()
     sig = TensorSignature(alpha=1, beta=1, nu=1, m=1, n=1)
     rng = np.random.default_rng(3)
-    value = rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape)
+    shape = (2, 2, 2, 4, 4)  # one spinor axis per spinor slot, then two tangent axes
+    value = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     s, t, ss, ts = trans.jets(PT)
     there = transform_components(sig, (value, None), (s, t, ss, ts))
     back, d = transform_components(sig, there, (t, s, ts, ss))
@@ -132,21 +135,21 @@ def test_theta_parameters_vanish_for_constant_transitions():
         MatrixField.constant(np.diag([1.0, 2.0, 1.0, 1.0])),
         MatrixField.constant(np.eye(2, dtype=complex)),
     )
-    theta = theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)
-    assert np.allclose(theta.theta, 0.0, atol=1e-12)
-    assert np.allclose(theta.vartheta, 0.0, atol=1e-12)
+    theta, vartheta = theta_parameters(trans.jets(PT), COORDINATE_FRAME.jet(PT), PT)
+    assert np.allclose(theta, 0.0, atol=1e-12)
+    assert np.allclose(vartheta, 0.0, atol=1e-12)
 
 
 def test_theta_parameters_known_value():
     # S = diag(1, 1+x0, 1, 1): theta^k_ij = S^k_a L_i T^a_j picks up
     # exactly one entry, theta^1_01 = (1+x0) * d0 (1/(1+x0)) = -1/(1+x0)
     trans = scale_transition()
-    theta = theta_parameters(trans.jets(PT), FrameField.coordinate().jet(PT), PT)
-    assert abs(theta.theta[0, 1, 1] - (-1.0 / 1.5)) < 1e-9
+    theta, vartheta = theta_parameters(trans.jets(PT), COORDINATE_FRAME.jet(PT), PT)
+    assert abs(theta[0, 1, 1] - (-1.0 / 1.5)) < 1e-9
     mask = np.ones((4, 4, 4), dtype=bool)
     mask[0, 1, 1] = False
-    assert np.max(np.abs(theta.theta[mask])) < 1e-9
-    assert np.max(np.abs(theta.vartheta)) < 1e-12
+    assert np.max(np.abs(theta[mask])) < 1e-9
+    assert np.max(np.abs(vartheta)) < 1e-12
 
 
 def test_theta_parameters_reject_inconsistent_pairs():
@@ -162,14 +165,14 @@ def test_theta_parameters_reject_inconsistent_pairs():
     bad_t = MatrixField.constant(np.eye(4))  # not the inverse of s
     jets = (s.jet(PT), bad_t.jet(PT), ss.jet(PT), ss.jet(PT))
     with pytest.raises(ValueError):
-        theta_parameters(jets, FrameField.coordinate().jet(PT), PT)
+        theta_parameters(jets, COORDINATE_FRAME.jet(PT), PT)
 
 
 def test_along_frame_rejects_partials_of_another_batch():
     # a frame at N points and partials of a (3, N) batch: the per-point
     # shape is unknown, so the frame is not silently reshaped against them
     points = np.array([PT, (0.1, -0.4, 0.2, 0.3)])
-    u = FrameField.from_expressions(
+    u = MatrixField.from_expressions(
         [["1", "x1", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "x0"], ["0", "0", "0", "1"]]
     ).jet(points)[0]
     d = np.broadcast_to(MatrixField.from_expressions([["x1", "x0"], ["x2", "x3"]]).jet(points)[1],
@@ -186,15 +189,15 @@ def test_theta_parameters_of_one_frame_under_a_stack_of_transitions():
     # theta of an (N,) frame under a (3, N) stack of transitions equals,
     # slice by slice, theta under each transition alone
     points = np.array([PT, (0.1, -0.4, 0.2, 0.3)])
-    frame = FrameField.from_expressions(
+    frame = MatrixField.from_expressions(
         [["1", "x1", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "1", "x0"], ["0", "0", "0", "1"]]
     ).jet(points)
     stacked = np.broadcast_to(points, (3, 2, 4))
-    theta = theta_parameters(random_transition([4, 5, 6]).jets(stacked), frame, stacked)
+    theta, vartheta = theta_parameters(random_transition([4, 5, 6]).jets(stacked), frame, stacked)
     for k, seed in enumerate([4, 5, 6]):
-        alone = theta_parameters(random_transition(seed).jets(points), frame, points)
-        assert np.array_equal(theta.theta[k], alone.theta)
-        assert np.array_equal(theta.vartheta[k], alone.vartheta)
+        alone, valone = theta_parameters(random_transition(seed).jets(points), frame, points)
+        assert np.array_equal(theta[k], alone)
+        assert np.array_equal(vartheta[k], valone)
 
 
 # contractions of the engine: (subscripts, per-point shape of each operand)

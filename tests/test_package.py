@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_runs_without_scipy():
         run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                              capture_output=True, text=True)
         assert (run.returncode, run.stderr) == (0, ""), args
+
+
+def test_readme_library_example_runs(capsys):
+    # the one python block under README "Library example" runs as
+    # written, so renaming or deleting a public name it uses fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert abs(float(lines[0]) - 2 / 3) < 1e-12
+    assert lines[1] == "(5, 4, 2, 2)"

@@ -13,7 +13,6 @@ import pytest
 from spintensor.chiral import BARE_ENTRIES, ChiralScenario
 from spintensor.dirac import DD_DIRAC, H_DIRAC
 from spintensor.frames import (
-    FrameField,
     FrameTransition,
     MatrixField,
     einsum_jet,
@@ -93,9 +92,9 @@ def test_product_of_constants_is_constant():
 def test_constant_transitions_have_exactly_zero_theta(s, ss):
     jets = FrameTransition(MatrixField.constant(s), MatrixField.constant(ss)).jets(POINTS)
     assert all(d is None for _, d in jets)
-    theta = theta_parameters(jets, FrameField.coordinate().jet(POINTS), POINTS)
-    assert np.array_equal(theta.theta, np.zeros((len(POINTS), 4, 4, 4)))
-    assert np.array_equal(theta.vartheta, np.zeros((len(POINTS), 4, 2, 2)))
+    theta, vartheta = theta_parameters(jets, MatrixField.constant(np.eye(4)).jet(POINTS), POINTS)
+    assert np.array_equal(theta, np.zeros((len(POINTS), 4, 4, 4)))
+    assert np.array_equal(vartheta, np.zeros((len(POINTS), 4, 2, 2)))
 
 
 def test_torsion_is_a_bare_value_in_plain_and_moved_tables():
