@@ -34,7 +34,6 @@ from .frames import (
     along_frame,
     check_frame,
     check_points,
-    constant_jet,
     einsum,
     einsum_jet,
     point_label,
@@ -89,18 +88,34 @@ def table_residual(batch, lhs, rhs=0.0):
     return np.max(diff, axis=tuple(range(batch, diff.ndim)))
 
 
+def suite_values(table, structure_fields):
+    """A suite's table of values, every entry broadcast to the table's
+    batch shape, and that shape's length.  The batch shape is that of
+    the batched entries, the leading axes before each entry's per-point
+    slots; a canonical constant in a scenario's table has none.  So
+    every residual of a suite has one value per frame."""
+    own = {attr: np.shape(table[attr])[:np.ndim(table[attr]) - sig.rank]
+           for _, attr, sig in structure_fields}
+    batch = np.broadcast_shapes(*own.values())
+    return {attr: table[attr] if own[attr] == batch else
+            np.broadcast_to(table[attr], batch + np.shape(table[attr])[len(own[attr]):])
+            for attr in own}, len(batch)
+
+
 def verify_chiral_identities(table) -> dict:
     """Residuals of the mixed-symbol identity suite on a chiral table of
     values (g, d, dbar, G), one frame or a stack along leading batch
-    axes; g^-1, d^-1, dbar^-1 and the lowered symbols are derived.
+    axes (suite_values); g^-1, d^-1, dbar^-1 and the lowered symbols
+    are derived.
 
     All identities hold exactly (Gaussian-integer entries) on the
     canonical table and to rounding on any consistent frame's.
     """
-    g, d, db, gu = (table[attr] for attr in ("g", "d", "dbar", "G"))
+    values, batch = suite_values(table, ChiralScenario.STRUCTURE_FIELDS)
+    g, d, db, gu = (values[attr] for attr in ("g", "d", "dbar", "G"))
     ginv, du, dbu = (np.linalg.inv(m) for m in (g, d, db))
     gl = compute_g_lower_symbols(gu, ginv, d, db)
-    residual = functools.partial(table_residual, np.ndim(d) - 2)
+    residual = functools.partial(table_residual, batch)
 
     out = {}
     # reality: G^{i ibar}_q = conj(G^{ibar i}_q), same for the lower symbols
@@ -224,7 +239,9 @@ def _deform_tangent(entries, trans, points):
 
 def _with_tangent_connection(half, points):
     """The tangent half with "ginv", g^-1, checked as part of the metric
-    entry, and "Gamma", metric_tangent_connection of the half."""
+    entry, "lie", the frame derivatives of g ({"g": L(g)}, formed once
+    here for every reader of the table), and "Gamma",
+    metric_tangent_connection of the half."""
     g = half["g"][0]
     with _entry("metric", points):
         try:
@@ -240,28 +257,33 @@ def _with_tangent_connection(half, points):
                     break
             check_points(singular, None, "not invertible", ValueError)
             raise
-    return {**half, "ginv": ginv, "Gamma": metric_tangent_connection(half, ginv)}
+    half = {**half, "ginv": ginv, "lie": {"g": along_frame(half["frame"][0], half["g"][1])}}
+    return {**half, "Gamma": metric_tangent_connection(half, ginv)}
 
 
-BARE_ENTRIES = ("torsion", "ginv", "Gamma")  # table entries held as values, not jets
+# table entries that are not jets: values, and "lie", a dict of them;
+# the chiral table alone has "G_lower"
+BARE_ENTRIES = ("torsion", "ginv", "Gamma", "lie", "G_lower")
 
 
-def _broadcast_table(table, batch):
-    """The table's entries as read-only views broadcast to batch, which
-    ends with the table's own batch axes."""
-    own = len(table["frame"][0].shape) - 2
+def _broadcast_table(table, ranks, batch):
+    """The table's torsion and its jets named in ranks (attribute ->
+    per-point rank of the value) as read-only views broadcast to batch,
+    which ends with the table's own batch axes, those of its frame.  An
+    array with no axes before its per-point ones (a canonical constant)
+    is kept as it is."""
+    own = table["frame"][0].ndim - 2
 
-    def widen(array):
-        return None if array is None else np.broadcast_to(array, batch + np.shape(array)[own:])
+    def widen(array, rank):
+        if array is None or array.ndim == rank:
+            return array
+        return np.broadcast_to(array, batch + array.shape[own:])
 
-    return {attr: widen(entry) if attr in BARE_ENTRIES else tuple(map(widen, entry))
-            for attr, entry in table.items()}
-
-
-def _table(tangent, spinor):
-    """A table in table order from its tangent half and spinor entries."""
-    return {"frame": tangent["frame"], "g": tangent["g"], **spinor,
-            **{attr: tangent[attr] for attr in BARE_ENTRIES}}
+    out = {"torsion": widen(table["torsion"], 3)}
+    for attr, rank in ranks.items():
+        value, d = table[attr]
+        out[attr] = widen(value, rank), widen(d, rank + 1)  # d: the partial axis first
+    return out
 
 
 class ChiralScenario:
@@ -346,23 +368,26 @@ class ChiralScenario:
         (value, d), d the coordinate partials or None where they are
         exactly zero (the CANONICAL entries, the coordinate frame, a
         constant metric), and each of BARE_ENTRIES to a value (the
-        torsion None, exactly zero, without one).  Those, the frame and
-        g are the tangent half's, tangent_jets(points), which tangent
-        holds where the caller has it (a run evaluates it once for both
-        modes).  The symbols carry the half's factor of g on their
-        tangent slot; they and the CANONICAL constants are moved by the
-        transition's spinor_transition pair, except the LIFT_INVARIANT
-        constants, which every such pair fixes exactly.
+        torsion None, exactly zero, without one; "lie" and the lowered
+        symbols as _table forms them).  The frame, g, the torsion, g^-1
+        and Gamma are the tangent half's, tangent_jets(points), which
+        tangent holds where the caller has it (a run evaluates it once
+        for both modes).  The symbols carry the half's factor of g on
+        their tangent slot; they and the CANONICAL constants are moved
+        by the transition's spinor_transition pair, except the
+        LIFT_INVARIANT constants, which every such pair fixes exactly.
+        A CANONICAL constant that is not moved is held as the read-only
+        constant itself, (constant, None), with no batch axes: every
+        other entry carries the batch of points.
         """
         if tangent is None:
             tangent = self.tangent_jets(points)
         symbols, canonical = self.SYMBOLS
         spinor = {symbols: symbol_jet(tangent["factor"], canonical)}
-        for attr, value in self.CANONICAL.items():
-            spinor[attr] = constant_jet(value, points)
+        spinor.update((attr, (value, None)) for attr, value in self.CANONICAL.items())
         if tangent["transition"] is not None:
             spinor = self._deform_spinor(spinor, tangent["transition"])
-        return _table(tangent, spinor)
+        return self._table(tangent, spinor)
 
     def deform_jets(self, table, trans, points):
         """The table as seen from the frame a chiral transition deforms
@@ -376,13 +401,45 @@ class ChiralScenario:
         axes before the table's batch (a stack of transitions at the
         table's points): the table is broadcast to them first, so that
         each entry of the stack is moved with the same operations as
-        alone.
+        alone; a canonical constant, which has no batch axes, is kept
+        as it is.
         """
-        table = _broadcast_table(table, np.shape(points)[:-1])
+        ranks = {"frame": 2, **{attr: sig.rank for _, attr, sig in self.STRUCTURE_FIELDS}}
+        table = _broadcast_table(table, ranks, np.shape(points)[:-1])
         tangent, trans_jets = _deform_tangent(table, trans, points)
         tangent = _with_tangent_connection(tangent, points)
         spinor = {attr: table[attr] for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"}
-        return _table(tangent, self._deform_spinor(spinor, trans_jets)), trans_jets
+        return self._table(tangent, self._deform_spinor(spinor, trans_jets)), trans_jets
+
+    def _table(self, tangent, spinor):
+        """A table in table order from its tangent half and spinor
+        entries (complete_table)."""
+        bare = {attr: tangent[attr] for attr in ("torsion", "ginv", "Gamma", "lie")}
+        return self.complete_table({"frame": tangent["frame"], "g": tangent["g"], **spinor, **bare})
+
+    def complete_table(self, table):
+        """The table with the entries derived from its spinor jets
+        formed again: "lie", which maps g and every spinor entry to its
+        frame derivatives (along_frame; None for a constant), and this
+        mode's lowered symbols (lowered_symbols).  Every table a
+        scenario gives holds them, formed once for the builder and the
+        concordance verifier, which read them as held: a caller that
+        replaces a spinor entry of a table passes the result here.  L(g),
+        like g^-1 and Gamma, is the tangent half's ("lie" holds it
+        alone there): a new frame, g or torsion needs a new tangent
+        half."""
+        u = table["frame"][0]
+        spinor = [attr for _, attr, _ in self.STRUCTURE_FIELDS if attr != "g"]
+        lie = {"g": table["lie"]["g"], **{attr: along_frame(u, table[attr][1]) for attr in spinor}}
+        table = {**table, "lie": lie}
+        return {**table, **self.lowered_symbols(table)}
+
+    def lowered_symbols(self, table):
+        """{"G_lower": the both-lower mixed symbols of the table}
+        (compute_g_lower_symbols), read by the builder and by
+        concordance_extras."""
+        return {"G_lower": compute_g_lower_symbols(table["G"][0], table["ginv"],
+                                                   table["d"][0], table["dbar"][0])}
 
     def spinor_transition(self, trans_jets):
         """The (S, T, Ss, Ts) jets this mode's spinor entries move with,
@@ -403,8 +460,7 @@ class ChiralScenario:
         """sum g^{qp} nabla_r g_{qp} and sum G nabla g G + (i<->j) at every
         point, from the table and the fields' covariant derivatives."""
         dg = grads["g"]  # [..., q, p, r]
-        ginv = jets["ginv"]
-        gl = compute_g_lower_symbols(jets["G"][0], ginv, jets["d"][0], jets["dbar"][0])
+        ginv, gl = jets["ginv"], jets["G_lower"]
         return {
             "metric-trace": einsum("qp,qpr->r", ginv, dg),
             "symbol-sandwich": einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
@@ -455,12 +511,13 @@ def metric_tangent_connection(jets, ginv) -> np.ndarray:
                + T^k_ij/2
                - sum_rs g^{kr} (T^s_ir/2) g_sj - sum_rs g^{kr} (T^s_jr/2) g_si
     with c the structural constants of the frame, T the torsion and
-    ginv g^-1, the frame, g and T read from a tangent half.  The L(g)
-    terms drop out for a constant metric and the T terms for a torsion
-    of None.  A tangent half holds the result as its "Gamma" entry.
+    ginv g^-1, the frame, g, L(g) ("lie") and T read from a tangent
+    half.  The L(g) terms drop out for a constant metric and the T
+    terms for a torsion of None.  A tangent half holds the result as
+    its "Gamma" entry.
     """
-    g, dg = jets["g"]
-    lg = along_frame(jets["frame"][0], dg)  # lg[..., r, a, b] = L_r(g)_{ab}
+    g = jets["g"][0]
+    lg = jets["lie"]["g"]  # lg[..., r, a, b] = L_r(g)_{ab}
     c = structural_constants(jets["frame"])
     t = jets["torsion"]
 
@@ -489,8 +546,10 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     """The unique connection annihilating g, d, dbar and G at every point.
 
     jets is a chiral scenario's table at points, whose "Gamma" are the
-    tangent coefficients.  The spinor coefficients come from
-    contracting them with the mixed symbols:
+    tangent coefficients, "G_lower" the lowered symbols and "lie" the
+    frame derivatives L, read as held (a table whose spinor entries were
+    replaced needs ChiralScenario.complete_table first).  The spinor
+    coefficients come from contracting them with the mixed symbols:
 
     A^i_rj    = 1/4 sum G^{i sbar}_p Gamma^p_rq G^q_{j sbar}
               - 1/4 sum L_r(G^{i sbar}_q) G^q_{j sbar}
@@ -500,13 +559,9 @@ def build_chiral_metric_connection(jets, points) -> SpinorConnection:
     L None) drops out.  For real metric data Abar = conj(A), checked at
     every point to 1e-9 relative to 1 + max|A|.
     """
-    u = jets["frame"][0]
-    ginv, gamma = jets["ginv"], jets["Gamma"]
-    gu, dgu = jets["G"]
-    d, dd = jets["d"]
-    db, ddb = jets["dbar"]
-    lgu, ld, ldb = (along_frame(u, x) for x in (dgu, dd, ddb))
-    gl = compute_g_lower_symbols(gu, ginv, d, db)
+    gamma, gl = jets["Gamma"], jets["G_lower"]
+    gu, d, db = (jets[attr][0] for attr in ("G", "d", "dbar"))
+    lgu, ld, ldb = (jets["lie"][attr] for attr in ("G", "d", "dbar"))
 
     eye = np.eye(2)
     a = 0.25 * einsum("ibp,rpq,qjb->rij", gu, gamma, gl)
@@ -563,9 +618,8 @@ def tangent_concordance(jets, conn: SpinorConnection):
     part of concordance.  It reads only the tangent half and Gamma, so
     the chiral and Dirac connections of one tangent half give it alike,
     and a run computes it once for both."""
-    g, dg = jets["g"]
     sig = TensorSignature(n=2, spinor_dim=conn.spinor_dim)
-    return covariant_components(sig, g, along_frame(jets["frame"][0], dg), conn)
+    return covariant_components(sig, jets["g"][0], jets["lie"]["g"], conn)
 
 
 def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection,
@@ -579,12 +633,10 @@ def concordance_residuals(scenario: ChiralScenario, jets, conn: SpinorConnection
     connection.  A non-finite residual anywhere makes the reported
     maximum non-finite.
     """
-    u = jets["frame"][0]
     out, grads = {}, {"g": nabla_g}
     for check, attr, sig in scenario.STRUCTURE_FIELDS:
         if attr not in grads:
-            value, d = jets[attr]
-            grads[attr] = covariant_components(sig, value, along_frame(u, d), conn)
+            grads[attr] = covariant_components(sig, jets[attr][0], jets["lie"][attr], conn)
         out[f"nabla-{check}"] = worst_residual(0.0, grads[attr])
     for check, residual in scenario.concordance_extras(jets, grads).items():
         out[check] = worst_residual(0.0, residual)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import canonical_chiral_constants, canonical_table, table_residual
+from .chiral import canonical_chiral_constants, canonical_table, suite_values, table_residual
 from .frames import einsum, transform_components
 from .lorentz_cover import read_only
 from .tensor_core import TensorSignature
@@ -118,21 +118,22 @@ def verify_dirac_identities(table) -> dict:
     two Hermitian gammas.  Exactly zero on the canonical table
     (Gaussian-integer entries); still zero to rounding after any
     consistent frame transform.  Each residual has the table's batch
-    shape: a float for one frame, an array with one residual per frame
-    for a stack.
+    shape (suite_values): a float for one frame, an array with one
+    residual per frame for a stack.
     """
-    d, h, dd, gm, g = (table[attr] for attr in ("d", "H", "D", "gamma", "g"))
+    values, batch = suite_values(table, STRUCTURE_FIELDS)
+    d, h, dd, gm, g = (values[attr] for attr in ("d", "H", "D", "gamma", "g"))
     du, ginv = np.linalg.inv(d), np.linalg.inv(g)
     # raised tangent index: gamma^{am}_b = sum_k gamma^a_{bk} g^{km}
     gi = einsum("abk,km->abm", gm, ginv)
     # D^{i ibar} = sum d^{ia} D_{a abar} dbar^{abar ibar}
-    ddu = einsum("ia,ab,bj->ij", du, dd, np.linalg.inv(table["dbar"]))
+    ddu = einsum("ia,ab,bj->ij", du, dd, np.linalg.inv(values["dbar"]))
     # gamma^{i ibar}_m = sum_a gamma^i_{am} D^{a ibar}
     ghu = einsum("iam,aj->ijm", gm, ddu)
     # gamma^m_{i ibar} = sum_a gamma^{am}_i D_{a ibar}
     ghl = einsum("aim,aj->ijm", gi, dd)
     eye = np.eye(4)
-    residual = functools.partial(table_residual, np.ndim(h) - 2)
+    residual = functools.partial(table_residual, batch)
 
     def transpose(m):
         return np.swapaxes(m, -1, -2)

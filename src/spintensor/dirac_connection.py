@@ -22,9 +22,9 @@ import functools
 import numpy as np
 
 from . import dirac
-from .chiral import ChiralScenario, SpinorConnection, table_residual
+from .chiral import ChiralScenario, SpinorConnection, suite_values, table_residual
 from .dirac import H_DIRAC
-from .frames import along_frame, check_points, einsum
+from .frames import check_points, einsum
 
 # the +1 and -1 eigenspaces of H_DIRAC: the chiral frame and the barred
 # dual co-frame
@@ -33,7 +33,8 @@ CHIRAL, DUAL = slice(0, 2), slice(2, 4)
 
 def chirality_split(table) -> dict:
     """Residuals of the projector split of a Dirac table of values (g,
-    d, dbar, gamma, H, D), one frame or a stack along leading batch axes.
+    d, dbar, gamma, H, D), one frame or a stack along leading batch axes
+    (suite_values).
 
     The projectors are formed from the table's H, whichever frame it is
     (P, T and PT frames included), with d^-1 and g^-1 derived.  Checks
@@ -44,9 +45,10 @@ def chirality_split(table) -> dict:
     spin-metrics and to the projectors.  Each residual is exactly 0 on
     the canonical table.
     """
-    h, d, gm, g = (table[attr] for attr in ("H", "d", "gamma", "g"))
+    values, batch = suite_values(table, dirac.STRUCTURE_FIELDS)
+    h, d, gm, g = (values[attr] for attr in ("H", "d", "gamma", "g"))
     du, ginv = np.linalg.inv(d), np.linalg.inv(g)
-    residual = functools.partial(table_residual, np.ndim(h) - 2)
+    residual = functools.partial(table_residual, batch)
     eye = np.eye(4)
     bh, ch = 0.5 * (eye + h), 0.5 * (eye - h)
 
@@ -103,7 +105,8 @@ class DiracScenario(ChiralScenario):
     tangent half; its table lifts the transition's spinor part
     (spinor_transition).  The lift fixes H and D exactly, so every
     Dirac table, moved or not, is canonically chiral: it holds them as
-    their CANONICAL constants (LIFT_INVARIANT, d None).  Its
+    their CANONICAL constants themselves (LIFT_INVARIANT, d None, no
+    batch axes).  Its
     STRUCTURE_FIELDS, CANONICAL and SYMBOLS are the dirac module's, the
     ones the canonical table (canonical_dirac_constants) is made of.
     """
@@ -132,6 +135,11 @@ class DiracScenario(ChiralScenario):
             einsum("ab,bcr->acr", h, dh) + einsum("abr,bc->acr", dh, h)
         }
 
+    def lowered_symbols(self, table):
+        """No lowered symbols: the Dirac builder and concordance_extras
+        read the table's gamma as it is."""
+        return {}
+
 
 def _dual_blocks_jet(top, dual):
     """Jet of blockdiag(top, dual^dagger) from the jets of a transition
@@ -156,7 +164,9 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     The table's H must be the constant H_DIRAC, d None, as every Dirac
     table holds it (DiracScenario.LIFT_INVARIANT); any other H raises
     ValueError.  The tangent coefficients are the table's "Gamma", as
-    in the chiral builder.  The spinor coefficients are computed either
+    in the chiral builder, and its "lie" the frame derivatives L, read
+    as held (ChiralScenario.complete_table).  The spinor coefficients
+    are computed either
     from the simplified closed formula over the full gamma
     ("simplified") or by assembling A's two diagonal 2x2 blocks from
     gamma's cross blocks ("blocks"); the off-chirality blocks of A are
@@ -171,9 +181,7 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     if dh is not None or not np.all(h == H_DIRAC):
         raise ValueError("the Dirac builder needs the table's H to be the constant H_DIRAC")
     ginv, gamma_t = jets["ginv"], jets["Gamma"]
-    u = jets["frame"][0]
-    gamma, l_gamma = jets["gamma"][0], along_frame(u, jets["gamma"][1])
-    l_d = along_frame(u, jets["d"][1])
+    gamma, l_gamma, l_d = jets["gamma"][0], jets["lie"]["gamma"], jets["lie"]["d"]
     d_inv = None if l_d is None else np.linalg.inv(jets["d"][0])
 
     def trace(block):

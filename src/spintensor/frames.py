@@ -21,9 +21,11 @@ no jet at all.
 
 Points carry a leading batch shape: an array of shape (..., 4) holds
 one point per batch index, and every value computed from it carries
-the same leading axes (a single (4,) point has batch shape ()).  A
-check that fails at some points names the first of them in batch
-order (check_points).
+the same leading axes (a single (4,) point has batch shape ()).  The
+one exception is a canonical constant that a scenario's table holds
+unmoved: it is the read-only constant itself, with no batch axes, and
+every contraction (einsum) broadcasts it.  A check that fails at some
+points names the first of them in batch order (check_points).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import functools
 import operator
 import string
+import typing
 
 import numpy as np
 
@@ -71,21 +74,19 @@ def check_points(bad, points, message, error=NumericalError):
 def einsum(subscripts, *operands):
     """np.einsum over leading batch axes ("...") shared by every operand.
 
-    subscripts names the per-point axes only ("ij,jk->ik"); operands
-    without batch axes broadcast, and with none at all this is np.einsum.
-    Otherwise operands are contracted pair by pair along numpy's greedy
-    path, each pair as one batched matrix product, planned once per
-    subscripts, operand shapes and kinds.  Real factors stay real: a real
-    operand multiplies a complex one's float view (real_matmul).
+    subscripts names the per-point axes only ("ij,jk->ik"); operands are
+    arrays, and those without batch axes broadcast (with none at all
+    this is np.einsum).  Otherwise operands are contracted pair by pair
+    along numpy's greedy path, each pair as one batched matrix product.
+    The steps are compiled once per subscripts and operand shapes and
+    dtypes into one program (_program), which a call runs as it is.
+    Real factors stay real: a real operand multiplies a complex one's
+    float view (real_matmul).
     """
-    kinds = tuple((np.shape(op), np.iscomplexobj(op)) for op in operands)
-    inputs = subscripts.split("->")[0].split(",")
-    if all(len(shape) == len(letters) for (shape, _), letters in zip(kinds, inputs)):
-        return np.einsum(subscripts, *operands)
-    operands = list(operands)
-    for positions, step in _plan(subscripts, kinds):
-        operands.append(step(*[operands.pop(k) for k in positions]))
-    return operands[0]
+    return _program(subscripts, tuple(map(_SHAPE_AND_DTYPE, operands)))(*operands)
+
+
+_SHAPE_AND_DTYPE = operator.attrgetter("shape", "dtype")
 
 
 def real_matmul(x, y):
@@ -101,91 +102,135 @@ def _batched(inputs, output):
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(subscripts, kinds):
-    """Steps (operand positions, function) of one contraction; each step
-    pops its operands and appends its result; kinds are (shape, is complex).
+def _program(subscripts, kinds):
+    """The compiled contraction of einsum for operands of these kinds,
+    (shape, dtype) each: a function of the operands that runs the
+    planned steps (_plan) at fixed operand positions, or np.einsum where
+    no operand has batch axes."""
+    inputs = subscripts.split("->")[0].split(",")
+    if all(len(shape) == len(letters) for (shape, _), letters in zip(kinds, inputs)):
+        return functools.partial(np.einsum, subscripts)
+    steps = _plan(subscripts, tuple(shape for shape, _ in kinds),
+                  tuple(dtype.kind == "c" for _, dtype in kinds))
 
-    The path is numpy's greedy one with no cap on intermediate size:
-    the default cap (the largest operand) would leave one slow
-    multi-operand loop, because a batch axis scales every operand alike.
+    def run(*operands):
+        values = list(operands)
+        for step, args in steps:
+            values.append(step(*[values[k] for k in args]))
+        return values[-1]
+
+    return run
+
+
+def _plan(subscripts, shapes, kinds):
+    """Steps (function, argument positions) of one contraction: the
+    operands hold positions 0..n-1 and each step's result the next one;
+    kinds are the operands' is-complex flags.
+
+    The path is numpy's greedy one with no cap on intermediate size,
+    which contracts pairs only: the default cap (the largest operand)
+    would leave one slow multi-operand loop, because a batch axis scales
+    every operand alike.
     """
     inputs, output = subscripts.split("->")
     inputs = inputs.split(",")
     if len(inputs) == 1:
-        return (((0,), functools.partial(np.einsum, _batched(inputs, output))),)
-    sizes, batches = {}, []  # batches: each operand's (batch shape, is complex)
-    for letters, (shape, is_complex) in zip(inputs, kinds):
-        batches.append((shape[: len(shape) - len(letters)], is_complex))
+        return ((functools.partial(np.einsum, _batched(inputs, output)), (0,)),)
+    sizes = {}
+    for letters, shape in zip(inputs, shapes):
         sizes.update(zip(letters, shape[len(shape) - len(letters):]))
     path = [(0, 1)]
     if len(inputs) > 2:
         path = np.einsum_path(
             _batched(inputs, output),
-            *(np.broadcast_to(0.0, shape) for shape, _ in kinds),
+            *(np.broadcast_to(0.0, shape) for shape in shapes),
             optimize=("greedy", 2**62),
         )[0][1:]
+    live = [_Operand(k, *operand) for k, operand in enumerate(zip(inputs, shapes, kinds))]
     steps = []
     for contract in path:
-        positions = tuple(sorted(contract, reverse=True))
-        picked = [inputs.pop(k) for k in positions]
-        batch = [batches.pop(k) for k in positions]
-        rest = output + "".join(inputs)
-        if len(picked) == 2:
-            step, letters = _matmul_step(*picked, *batch, rest, sizes)
-        else:
-            letters = "".join(dict.fromkeys(c for c in "".join(picked) if c in rest))
-            step = functools.partial(np.einsum, _batched(picked, letters))
-        steps.append((positions, step))
-        inputs.append(letters)
-        batches.append((np.broadcast_shapes(*(b for b, _ in batch)), any(c for _, c in batch)))
-    if inputs[0] != output:
-        steps.append(((0,), functools.partial(np.einsum, _batched(inputs, output))))
+        picked = [live.pop(k) for k in sorted(contract, reverse=True)]
+        rest = output + "".join(operand.letters for operand in live)
+        step, args, letters = _matmul_step(*picked, rest, sizes, final=not live)
+        steps.append((step, args))
+        batch = np.broadcast_shapes(*(op.batch for op in picked))
+        live.append(_Operand(len(shapes) + len(steps) - 1, letters,
+                             batch + tuple(sizes[c] for c in letters),
+                             any(op.is_complex for op in picked)))
+    (last,) = live
+    if last.letters != output:
+        steps.append((functools.partial(np.einsum, _batched([last.letters], output)),
+                      (last.position,)))
     return tuple(steps)
 
 
-def _matmul_step(left, right, left_kind, right_kind, rest, sizes):
+class _Operand(typing.NamedTuple):
+    """An operand of a planned contraction: an input or a step's result."""
+
+    position: int
+    letters: str
+    shape: tuple
+    is_complex: bool
+
+    @property
+    def batch(self):
+        return self.shape[:len(self.shape) - len(self.letters)]
+
+
+def _matmul_step(left, right, rest, sizes, final):
     """One pairwise contraction as a batched matrix product; returns
-    (function, letters of its result).  Letters shared by both operands
-    and still needed later become matmul batch axes, the other shared
-    ones are summed.  Kinds are (batch shape, is complex); of a real and
-    a complex operand the real one is the left factor (real_matmul)."""
-    shared = [c for c in left if c in right]
-    if any(c not in rest for c in left + right if c not in shared) or \
-            len(set(left)) < len(left) or len(set(right)) < len(right):
+    (function, its argument positions, letters of its result) for two
+    _Operand.  Letters shared by both operands and still needed later become
+    matmul batch axes, the other shared ones are summed.  Of a real and
+    a complex operand the real one is the left factor (real_matmul).
+    The final step of a contraction gives its result's axes in the
+    output's order (a transposed view)."""
+    both = left.letters + right.letters
+    shared = [c for c in left.letters if c in right.letters]
+    if any(c not in rest for c in both if c not in shared) or \
+            len(set(left.letters)) < len(left.letters) or \
+            len(set(right.letters)) < len(right.letters):
         # a letter summed within one operand, or a diagonal: plain einsum
-        letters = "".join(dict.fromkeys(c for c in left + right if c in rest))
-        return functools.partial(np.einsum, _batched([left, right], letters)), letters
-    (left_batch, left_complex), (right_batch, right_complex) = left_kind, right_kind
-    swap = left_complex and not right_complex
-    if swap:
-        left, right, left_batch, right_batch = right, left, right_batch, left_batch
-    product = real_matmul if right_complex != left_complex else np.matmul
+        letters = "".join(dict.fromkeys(c for c in both if c in rest))
+        return (functools.partial(np.einsum, _batched([left.letters, right.letters], letters)),
+                (left.position, right.position), letters)
+    if left.is_complex and not right.is_complex:
+        left, right = right, left
+    product = real_matmul if left.is_complex != right.is_complex else np.matmul
     kept = [c for c in shared if c in rest]
     summed = [c for c in shared if c not in rest]
-    left_free = [c for c in left if c not in right]
-    right_free = [c for c in right if c not in left]
+    left_free = [c for c in left.letters if c not in right.letters]
+    right_free = [c for c in right.letters if c not in left.letters]
 
     def size(letters):
         return int(np.prod([sizes[c] for c in letters], dtype=int))
 
-    def arrange(letters, batch, order, shape):
-        perm = tuple(range(len(batch))) + tuple(len(batch) + letters.index(c) for c in order)
-        return perm, batch + shape
+    def arrange(operand, order, grouped):
+        """(permutation, shape) taking an operand to its batch axes and
+        then the grouped axes (kept, free, summed) or (kept, summed,
+        free)."""
+        nbatch = len(operand.batch)
+        perm = tuple(range(nbatch)) + tuple(nbatch + operand.letters.index(c) for c in order)
+        return perm, operand.batch + grouped
 
-    perm_l, shape_l = arrange(left, left_batch, kept + left_free + summed,
+    perm_l, shape_l = arrange(left, kept + left_free + summed,
                               (size(kept), size(left_free), size(summed)))
-    perm_r, shape_r = arrange(right, right_batch, kept + summed + right_free,
+    perm_r, shape_r = arrange(right, kept + summed + right_free,
                               (size(kept), size(summed), size(right_free)))
-    result = kept + left_free + right_free
-    out_shape = np.broadcast_shapes(left_batch, right_batch) + tuple(sizes[c] for c in result)
+    result = "".join(kept + left_free + right_free)
+    batch = np.broadcast_shapes(left.batch, right.batch)
+    out_shape = batch + tuple(sizes[c] for c in result)
+    out_perm = None
+    if final and result != rest:
+        out_perm = tuple(range(len(batch))) + tuple(len(batch) + result.index(c) for c in rest)
+        result = rest
 
     def step(a, b):
-        if swap:
-            a, b = b, a
-        return product(a.transpose(perm_l).reshape(shape_l),
-                       b.transpose(perm_r).reshape(shape_r)).reshape(out_shape)
+        out = product(a.transpose(perm_l).reshape(shape_l),
+                      b.transpose(perm_r).reshape(shape_r)).reshape(out_shape)
+        return out if out_perm is None else out.transpose(out_perm)
 
-    return step, "".join(result)
+    return step, (left.position, right.position), result
 
 
 class MatrixField:
@@ -250,7 +295,10 @@ class MatrixField:
 
 def constant_jet(array, points):
     """Jet of a constant array at points: its value broadcast over the
-    batch, and d None, exactly zero partials."""
+    batch, and d None, exactly zero partials.  MatrixField.constant
+    reads it, so a constant frame or metric carries the batch
+    (along_frame needs the frame's); a scenario's table holds its
+    canonical constants without batch axes instead (ChiralScenario.jets)."""
     batch = np.shape(points)[:-1]
     return np.broadcast_to(array, batch + array.shape), None
 
@@ -266,18 +314,24 @@ def einsum_jet(subscripts, *jets):
     carries the partial index after them.
     """
     value = einsum(subscripts, *(v for v, _ in jets))
-    inputs, output = subscripts.split("->")
-    inputs = inputs.split(",")
-    a = next(c for c in string.ascii_letters if c not in subscripts)
     terms = [
-        einsum(
-            ",".join(a + s if i == k else s for i, s in enumerate(inputs)) + "->" + a + output,
-            *(d if i == k else v for i, (v, _) in enumerate(jets)),
-        )
-        for k, (_, d) in enumerate(jets)
+        einsum(term, *(d if i == k else v for i, (v, _) in enumerate(jets)))
+        for k, (term, (_, d)) in enumerate(zip(_product_rule(subscripts), jets))
         if d is not None
     ]
     return value, add_terms(*terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _product_rule(subscripts):
+    """The subscripts of einsum_jet's product-rule term of each operand:
+    that operand's partial index, a new letter, leads its letters and
+    the output's."""
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    a = next(c for c in string.ascii_letters if c not in subscripts)
+    return tuple(",".join(a + s if i == k else s for i, s in enumerate(inputs)) + "->" + a + output
+                 for k in range(len(inputs)))
 
 
 def add_terms(*terms):

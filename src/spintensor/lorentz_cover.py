@@ -38,16 +38,21 @@ def phi(s_spin) -> np.ndarray:
     coefficients of S sigma_m S^dagger in the Pauli basis (valid because
     tr(sigma_a sigma_b) = 2 delta_ab).  It is one plain np.einsum, so
     each entry of a stack is bitwise that matrix alone.  A matrix with
-    |det S - 1| > 1e-9, or an extraction that leaves an imaginary
-    residue above 1e-10, raises ValueError.
+    |det S - 1| > max(1e-9, rounding), or an extraction that leaves an
+    imaginary residue above max(1e-10, rounding), raises ValueError.
+    rounding = 1e-13 max|S_ij|^2, some hundreds of times the rounding
+    of det S and of Lambda, which grows like |S|^2 (det S - 1 is about
+    1e-8 for a boost of rapidity 20); below 1e-10 for entries up to
+    |S_ij| = 31, so the tolerances there are the absolute ones.
     """
     s_spin = np.asarray(s_spin, dtype=complex)
     if s_spin.shape[-2:] != (2, 2):
         raise ValueError("expected 2x2 matrices")
-    if np.any(np.abs(np.linalg.det(s_spin) - 1.0) > 1e-9):
+    rounding = 1e-13 * np.max(np.abs(s_spin), axis=(-2, -1)) ** 2
+    if np.any(np.abs(np.linalg.det(s_spin) - 1.0) > np.maximum(1e-9, rounding)):
         raise ValueError("not in SL(2,C)")
     coeff = 0.5 * np.einsum("kab,...bc,mcd,...ad->...km", PAULI, s_spin, PAULI, s_spin.conj())
-    if np.any(np.abs(coeff.imag) > 1e-10):
+    if np.any(np.max(np.abs(coeff.imag), axis=(-2, -1)) > np.maximum(1e-10, rounding)):
         raise ValueError("coefficient extraction left an imaginary residue")
     return coeff.real
 

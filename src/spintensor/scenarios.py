@@ -47,6 +47,9 @@ class ScenarioSpec:
     and torsion grids parsed once, by load_scenario_spec, and every
     scenario of the spec evaluates those fields; a spec's grids are not
     reassigned after it is loaded, so the two never disagree.
+    transition is the spec's seeded chiral transition (random_transition
+    of its deform seed, else the spec's seed; None without deform),
+    drawn once when the spec is made, for every scenario of the spec.
     """
 
     name: str
@@ -62,6 +65,13 @@ class ScenarioSpec:
     metric_field: MatrixField = field(default=None, repr=False, compare=False)
     frame_field: MatrixField = field(default=None, repr=False, compare=False)
     torsion_field: MatrixField = field(default=None, repr=False, compare=False)
+    transition: FrameTransition = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.deform:
+            self.transition = random_transition(seed=self.deform.get("seed", self.seed),
+                                                scale=float(self.deform.get("scale", 0.15)),
+                                                tangent=self.deform.get("tangent", True))
 
     @property
     def modes(self):
@@ -223,18 +233,12 @@ def dirac_scenario_from_spec(spec: ScenarioSpec) -> DiracScenario:
 
 def _spec_scenario(spec: ScenarioSpec, cls):
     """The spec's scenario on its parsed fields, deformed by the spec's
-    chiral transition if it has one (random_transition of its deform
-    seed, else the spec's seed; a Dirac table lifts it).  Nothing
+    chiral transition if it has one (a Dirac table lifts it).  Nothing
     is evaluated here: its first table's tangent half
     (ChiralScenario.tangent_jets) evaluates and checks the base entries,
     then the transition."""
-    transition = None
-    if spec.deform:
-        transition = random_transition(seed=spec.deform.get("seed", spec.seed),
-                                       scale=float(spec.deform.get("scale", 0.15)),
-                                       tangent=spec.deform.get("tangent", True))
     return cls(spec.sample_points, spec.frame_field, spec.metric_field,
-               torsion=spec.torsion_field, transition=transition)
+               torsion=spec.torsion_field, transition=spec.transition)
 
 
 # --- seeded smooth transitions ---------------------------------------

@@ -3,8 +3,11 @@
 Every field, builder, verifier and frame change takes points of shape
 (..., 4).  On every bundled scenario and in both modes, the batch of
 all sample points must give what the calls at each single point give,
-to 1e-14 scaled by the value's magnitude; a batch whose third point
-fails must raise the error the call at that point raises.
+to 1e-14 scaled by the value's magnitude; a table entry without batch
+axes (a canonical constant) must be exactly every point's.  A table
+whose canonical constants are broadcast to the batch gives the bits of
+the same table with the constants as they are.  A batch whose third
+point fails must raise the error the call at that point raises.
 """
 
 import json
@@ -18,6 +21,8 @@ from spintensor.chiral import (
     BARE_ENTRIES,
     ScenarioError,
     build_chiral_metric_connection,
+    concordance_residuals,
+    tangent_concordance,
     transform_connection,
     verify_concordance,
     worst_residual,
@@ -69,25 +74,61 @@ def scenario_points(name, mode):
     return scenario, scenario.points
 
 
-def bare_value(entry, points):
-    """A bare entry as a value: its array, or for None (a torsion that
-    is exactly zero) zeros."""
-    return np.zeros(np.shape(points)[:-1] + (4, 4, 4)) if entry is None else entry
+def table_arrays(table):
+    """Every array of a table by label: each jet's value and partials
+    (d<label>), each bare value and each frame derivative (L<label>),
+    None where exactly zero."""
+    out = {}
+    for label, entry in table.items():
+        if label == "lie":
+            out.update((f"L{attr}", lie) for attr, lie in entry.items())
+        elif label in BARE_ENTRIES:
+            out[label] = entry
+        else:
+            out[label], out[f"d{label}"] = entry
+    return out
 
 
 @pytest.mark.parametrize("name, mode", CASES)
 def test_structure_field_jets(name, mode):
     scenario, points = scenario_points(name, mode)
+    table = table_arrays(scenario.jets(points))
+    singles = [table_arrays(scenario.jets(point)) for point in points]
+    assert all(single.keys() == table.keys() for single in singles)
+    for label, batch in table.items():
+        values = [single[label] for single in singles]
+        where = f"{name} {mode} {label}"
+        if batch is None:
+            assert all(value is None for value in values), where
+        elif batch.ndim == values[0].ndim:  # no batch axes: one constant for every point
+            assert all(np.array_equal(batch, value) for value in values), where
+        else:
+            assert_batch_matches(batch, values, where)
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_constants_without_batch_axes_give_the_bits_of_broadcast_ones(name, mode):
+    # the connection and the concordance residuals of a table whose
+    # canonical constants carry no batch axes are bitwise those of the
+    # table with the constants broadcast to the batch (its derived
+    # entries formed again from the broadcast ones)
+    scenario, points = scenario_points(name, mode)
     table = scenario.jets(points)
-    singles = [scenario.jets(point) for point in points]
-    for label, entry in table.items():
-        bare = label in BARE_ENTRIES
-        value, d = (bare_value(entry, points), None) if bare else entry
-        singles_value = [bare_value(s[label], point) if bare else s[label][0]
-                         for s, point in zip(singles, points)]
-        assert_batch_matches(value, singles_value, f"{name} {mode} {label}")
-        if d is not None:
-            assert_batch_matches(d, [s[label][1] for s in singles], f"{name} {mode} d{label}")
+    batch = points.shape[:-1]
+    constants = [attr for attr, constant in scenario.CANONICAL.items()
+                 if table[attr][0] is constant and table[attr][1] is None]
+    if mode == "dirac":
+        assert {"H", "D"} <= set(constants)
+    widened = scenario.complete_table(
+        {**table, **{attr: (np.broadcast_to(table[attr][0], batch + table[attr][0].shape), None)
+                     for attr in constants}})
+    for build in BUILDERS[mode][1]:
+        conn, wide = build(table, points), build(widened, points)
+        for part in ("Gamma", "A", "Abar"):
+            assert np.array_equal(getattr(conn, part), getattr(wide, part)), part
+        residuals = concordance_residuals(scenario, table, conn, tangent_concordance(table, conn))
+        assert residuals == concordance_residuals(scenario, widened, wide,
+                                                  tangent_concordance(widened, wide))
 
 
 @pytest.mark.parametrize("name, mode", CASES)
@@ -127,8 +168,11 @@ def test_frame_changes_under_a_seeded_transition(name, mode):
     for _, attr, sig in scenario.STRUCTURE_FIELDS:
         value, d = table[attr]
         moved, dmoved = transform_components(sig, (value, d), trans_jets)
+        # a value without batch axes (a canonical constant) is every point's
+        batched = value.ndim > sig.rank
         singles = [
-            transform_components(sig, (value[k], None if d is None else d[k]), mode_jets(point))
+            transform_components(sig, (value[k] if batched else value, None if d is None else d[k]),
+                                 mode_jets(point))
             for k, point in enumerate(points)
         ]
         assert_batch_matches(moved, [m for m, _ in singles], attr)

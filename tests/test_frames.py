@@ -256,14 +256,14 @@ def test_einsum_equals_numpy_for_every_real_complex_pairing(subscripts, shapes, 
 
 @pytest.mark.parametrize("subscripts,shapes", CONTRACTIONS)
 def test_einsum_result_does_not_depend_on_which_plan_came_first(subscripts, shapes):
-    # each pairing gives the same bits from a cold plan cache and from one
+    # each pairing gives the same bits from a cold program cache and from one
     # warmed by every other pairing of the same shapes first
     pairings = list(itertools.product((False, True), repeat=len(shapes)))
     cold = {}
     for pairing in pairings:
-        frames._plan.cache_clear()
+        frames._program.cache_clear()
         cold[pairing] = einsum(subscripts, *_operands(shapes, pairing, "batched"))
-    frames._plan.cache_clear()
+    frames._program.cache_clear()
     for first in pairings:
         for pairing in pairings[::-1]:
             einsum(subscripts, *_operands(shapes, pairing, "batched", seed=1))

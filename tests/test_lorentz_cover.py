@@ -94,3 +94,20 @@ def test_phi_of_a_large_boost_preserves_the_minkowski_form():
     assert np.isclose(lam[0, 0], np.cosh(10.0), rtol=1e-12, atol=0) and lam[0, 0] >= 1.0
     residual = np.max(np.abs(lam.T @ MINKOWSKI @ lam - MINKOWSKI))
     assert residual <= 1e-15 * np.max(np.abs(lam)) ** 2
+
+
+def test_phi_accepts_a_boost_of_rapidity_twenty():
+    # |det S - 1| = 1.1e-8 and an imaginary residue of 7e-9 are the
+    # rounding of entries about 1.1e4; the tolerances grow with
+    # max|S_ij|^2 = 1.2e8 to 1.2e-5, and a determinant 1.0002 fails them
+    s = boost(20.0)
+    assert abs(np.linalg.det(s) - 1.0) > 1e-9
+    lam = phi(s)
+    assert np.isclose(lam[0, 0], np.cosh(20.0), rtol=1e-12, atol=0)
+    residual = np.max(np.abs(lam.T @ MINKOWSKI @ lam - MINKOWSKI))
+    assert residual <= 1e-15 * np.max(np.abs(lam)) ** 2
+    with pytest.raises(ValueError, match="not in SL"):
+        phi(s * (1.0 + 1e-4))
+    # for entries of modulus about 1 the tolerance stays 1e-9
+    with pytest.raises(ValueError, match="not in SL"):
+        phi(np.diag([1.0, 1.0 + 2e-9]))
