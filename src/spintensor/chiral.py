@@ -262,8 +262,9 @@ def _with_tangent_connection(half, points):
 
 
 # table entries that are not jets: values, and "lie", a dict of them;
-# the chiral table alone has "G_lower"
-BARE_ENTRIES = ("torsion", "ginv", "Gamma", "lie", "G_lower")
+# the lowered symbols are the mode's, "G_lower" on a chiral table and
+# "gamma_lower" on a Dirac one
+BARE_ENTRIES = ("torsion", "ginv", "Gamma", "lie", "G_lower", "gamma_lower")
 
 
 def _broadcast_table(table, ranks, batch):
@@ -461,10 +462,11 @@ class ChiralScenario:
         point, from the table and the fields' covariant derivatives."""
         dg = grads["g"]  # [..., q, p, r]
         ginv, gl = jets["ginv"], jets["G_lower"]
+        # the (i<->j) term is the first with its free i and j swapped
+        sandwich = einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
         return {
             "metric-trace": einsum("qp,qpr->r", ginv, dg),
-            "symbol-sandwich": einsum("aix,abr,bjy->ixjyr", gl, dg, gl)
-            + einsum("ajx,abr,biy->ixjyr", gl, dg, gl),
+            "symbol-sandwich": sandwich + np.swapaxes(sandwich, -5, -3),
         }
 
 
@@ -532,13 +534,16 @@ def metric_tangent_connection(jets, ginv) -> np.ndarray:
     # c enters with the bracket order [frame_i, frame_j]; the sign is
     # pinned by torsion-freeness asym(Gamma) = c, not by metric
     # compatibility (the c-part is g-antisymmetric on its own).
+    # each (i<->j) term is the one before it with its free i and j swapped
     gamma += 0.5 * einsum("kij->ikj", c)
-    gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, c, g)
-    gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, c, g)
+    term = einsum("kr,sir,sj->ikj", ginv, c, g)
+    gamma -= 0.5 * term
+    gamma -= 0.5 * np.swapaxes(term, -3, -1)
     if t is not None:
         gamma += 0.5 * einsum("kij->ikj", t)
-        gamma -= 0.5 * einsum("kr,sir,sj->ikj", ginv, t, g)
-        gamma -= 0.5 * einsum("kr,sjr,si->ikj", ginv, t, g)
+        term = einsum("kr,sir,sj->ikj", ginv, t, g)
+        gamma -= 0.5 * term
+        gamma -= 0.5 * np.swapaxes(term, -3, -1)
     return gamma
 
 

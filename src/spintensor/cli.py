@@ -523,9 +523,16 @@ def _check_tolerances(spec, tol_scale):
 
 
 def _resolve_spec(spec_path) -> ScenarioSpec:
+    """The spec of a ScenarioSpec, a bundled scenario's name or a spec
+    file's path (a str or a PathLike).  Any other value raises a
+    SpecError that names its type, not its repr, which may be a whole
+    spec's."""
     if isinstance(spec_path, ScenarioSpec):
         return spec_path
-    text = str(spec_path)
+    text = os.fspath(spec_path) if isinstance(spec_path, (str, os.PathLike)) else None
+    if not isinstance(text, str):
+        raise SpecError("spec must be a bundled scenario name, a path or a ScenarioSpec, "
+                        f"not {type(spec_path).__name__}")
     if not text.endswith(".json") and not os.path.exists(text):
         return bundled_scenario(text)
     return load_scenario_spec(text)

@@ -4,15 +4,16 @@ Every Dirac table holds the chirality operator H as the constant
 H_DIRAC = diag(1, 1, -1, -1), so the chiral sub-bundle and its
 conjugate are the coordinate blocks 0:2 and 2:4 (CHIRAL, DUAL), and
 the gamma-symbols vanish on the same-chirality blocks.  The explicit
-formula for the spinor coefficients A reads the table's gamma and
-spin-metric on those blocks.  Two independent routes are implemented:
-the simplified single formula, which contracts the full gamma, and the
-block assembly, which contracts gamma's two cross blocks; they agree
-to rounding and tests hold them against each other.  Restriction to
-the chiral sub-bundle recovers the 2x2 connection of the chiral
-builder.  The projector split of a Dirac table (chirality_split) is
-one more residual suite of the Dirac structure, exactly zero on the
-canonical table.
+formula for the spinor coefficients A reads the table's gamma, its
+gamma lowered by g^-1 (the table's "gamma_lower") and its spin-metric
+on those blocks.  Two independent routes are implemented: the block
+assembly, which contracts gamma's two cross blocks (the default), and
+the simplified single formula, which contracts the full gamma; they
+agree to rounding and tests hold them against each other.
+Restriction to the chiral sub-bundle recovers the 2x2 connection of
+the chiral builder.  The projector split of a Dirac table
+(chirality_split) is one more residual suite of the Dirac structure,
+exactly zero on the canonical table.
 """
 
 from __future__ import annotations
@@ -136,9 +137,11 @@ class DiracScenario(ChiralScenario):
         }
 
     def lowered_symbols(self, table):
-        """No lowered symbols: the Dirac builder and concordance_extras
-        read the table's gamma as it is."""
-        return {}
+        """{"gamma_lower": gamma with its tangent index lowered by g^-1},
+        gamma_lower[..., i, a, m] = sum_n gamma^i_{an} g^{nm}, read by
+        both routes of the Dirac builder (concordance_extras reads no
+        symbols)."""
+        return {"gamma_lower": einsum("ian,mn->iam", table["gamma"][0], table["ginv"])}
 
 
 def _dual_blocks_jet(top, dual):
@@ -156,7 +159,7 @@ def _dual_blocks_jet(top, dual):
     return place(a, b), None if da is None else place(da, db)
 
 
-def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorConnection:
+def build_dirac_metric_connection(jets, points, method="blocks") -> SpinorConnection:
     """The unique metric connection of a Dirac scenario at every point.
 
     jets is a Dirac scenario's table at points; points only completes
@@ -164,23 +167,25 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     The table's H must be the constant H_DIRAC, d None, as every Dirac
     table holds it (DiracScenario.LIFT_INVARIANT); any other H raises
     ValueError.  The tangent coefficients are the table's "Gamma", as
-    in the chiral builder, and its "lie" the frame derivatives L, read
-    as held (ChiralScenario.complete_table).  The spinor coefficients
-    are computed either
+    in the chiral builder, its "lie" the frame derivatives L and its
+    "gamma_lower" gamma with the tangent index lowered, read as held (a
+    table whose spinor entries were replaced needs
+    DiracScenario.complete_table first).  The spinor coefficients are
+    computed either by assembling A's two diagonal 2x2 blocks from
+    gamma's cross blocks ("blocks", the default and the CLI's route) or
     from the simplified closed formula over the full gamma
-    ("simplified") or by assembling A's two diagonal 2x2 blocks from
-    gamma's cross blocks ("blocks"); the off-chirality blocks of A are
-    exact zeros in both.  The routes contract gamma independently and
-    agree to rounding, so they are kept as mutual cross-checks.  A term
-    with the frame derivative of a constant entry (its L None) drops
-    out.  Abar is the conjugate of A.
+    ("simplified"); the off-chirality blocks of A are exact zeros in
+    both.  The routes contract gamma independently and agree to
+    rounding, so they are kept as mutual cross-checks.  A term with the
+    frame derivative of a constant entry (its L None) drops out.  Abar
+    is the conjugate of A.
     """
     if method not in ("simplified", "blocks"):
         raise ValueError("method must be 'simplified' or 'blocks'")
     h, dh = jets["H"]
     if dh is not None or not np.all(h == H_DIRAC):
         raise ValueError("the Dirac builder needs the table's H to be the constant H_DIRAC")
-    ginv, gamma_t = jets["ginv"], jets["Gamma"]
+    gamma_t, lowered = jets["Gamma"], jets["gamma_lower"]
     gamma, l_gamma, l_d = jets["gamma"][0], jets["lie"]["gamma"], jets["lie"]["d"]
     d_inv = None if l_d is None else np.linalg.inv(jets["d"][0])
 
@@ -191,30 +196,29 @@ def build_dirac_metric_connection(jets, points, method="simplified") -> SpinorCo
     if method == "blocks":
         a = np.zeros(gamma_t.shape[:-2] + (4, 4), dtype=complex)  # [..., k, i, j]
         for own, other in ((CHIRAL, DUAL), (DUAL, CHIRAL)):
-            # A on the own block reads gamma's (other, own) and (own,
-            # other) blocks and the spin-metric's other block
-            cross, back = gamma[..., other, own, :], gamma[..., own, other, :]
+            # A on the own block reads gamma's (other, own) block, the
+            # lowered gamma's (own, other) block and the spin-metric's
+            # other block
+            cross, back = gamma[..., other, own, :], lowered[..., own, other, :]
             lie = 0.0
             if l_gamma is not None:
-                lie = einsum("kajm,mn,ian->kij", l_gamma[..., other, own, :], ginv, back)
+                lie = einsum("kajm,iam->kij", l_gamma[..., other, own, :], back)
             if l_d is not None:
                 lie = lie + trace(other)[..., None, None] * np.eye(2)
-            a[..., own, own] = 0.25 * (
-                lie - einsum("krm,ajr,mn,ian->kij", gamma_t, cross, ginv, back)
-            )
+            a[..., own, own] = 0.25 * (lie - einsum("krm,ajr,iam->kij", gamma_t, cross, back))
     else:
         # gamma's same-chirality blocks are exact zeros, so each
         # contraction of the full gamma is the sum over both cross blocks
         lie = 0.0
         if l_gamma is not None:
-            lie = einsum("kajm,mn,ian->kij", l_gamma, ginv, gamma)
+            lie = einsum("kajm,iam->kij", l_gamma, lowered)
         if l_d is not None:
             # each block's trace on the other block's diagonal
             diagonal = np.zeros(l_d.shape[:-1], dtype=complex)
             diagonal[..., CHIRAL] = trace(DUAL)[..., None]
             diagonal[..., DUAL] = trace(CHIRAL)[..., None]
             lie = lie + diagonal[..., None] * np.eye(4)
-        a = 0.25 * (lie - einsum("krm,ajr,mn,ian->kij", gamma_t, gamma, ginv, gamma))
+        a = 0.25 * (lie - einsum("krm,ajr,iam->kij", gamma_t, gamma, lowered))
     return SpinorConnection(gamma_t, a, np.conj(a))
 
 

@@ -397,7 +397,8 @@ def structural_constants(frame_jet) -> np.ndarray:
     u, du = frame_jet  # du[..., a, m, i]
     if du is None:
         return np.zeros(u.shape[:-2] + (4, 4, 4))
-    bracket = einsum("ai,amj->mij", u, du) - einsum("aj,ami->mij", u, du)
+    half = einsum("ai,amj->mij", u, du)  # its mirror, i<->j, is the other half
+    bracket = half - np.swapaxes(half, -1, -2)
     c = einsum("km,mij->kij", np.linalg.inv(u), bracket)
     return 0.5 * (c - np.swapaxes(c, -1, -2))  # antisymmetric to the last bit
 

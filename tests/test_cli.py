@@ -89,6 +89,20 @@ def test_unreadable_spec_is_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"name": "flat", "sample_points": [[0.1, 0.2, 0.3, 0.4]] * 10**4},
+    ["flat"],
+    3,
+    b"flat",
+], ids=["dict", "list", "int", "bytes"])
+def test_a_spec_of_another_type_is_one_line_naming_the_type(spec, capsys):
+    code, _ = run_captured("concordance", spec_path=spec)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("bad input: spec must be a bundled scenario name, a path or a ScenarioSpec, "
+                   f"not {type(spec).__name__}\n")
+
+
 def test_unknown_subcommand_is_exit_2():
     code, _ = run_captured("frobnicate")
     assert code == 2

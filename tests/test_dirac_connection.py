@@ -97,11 +97,46 @@ def test_builder_methods_agree_on_all_scenarios():
             simple = build_dirac_metric_connection(table, at, method="simplified")
             blocks = build_dirac_metric_connection(table, at, method="blocks")
             assert simple.A.shape == at.shape[:-1] + (4, 4, 4), name
-            assert np.max(np.abs(simple.A - blocks.A)) < 1e-10, name
+            scale = 1.0 + np.max(np.abs(simple.A))
+            assert np.max(np.abs(simple.A - blocks.A)) <= 1e-14 * scale, name
             assert np.array_equal(simple.Gamma, blocks.Gamma), name
             for conn in (simple, blocks):
                 assert not np.any(conn.A[..., CHIRAL, DUAL]), name
                 assert not np.any(conn.A[..., DUAL, CHIRAL]), name
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_table_holds_gamma_lowered_by_its_metric(name):
+    # on the sample batch and on a (3, N) stack of seeded frame changes
+    scenario = dirac_scenario_from_spec(bundled_scenario(name))
+    points = scenario.points
+    jets = scenario.jets(points)
+    stacked = np.broadcast_to(points, (3,) + points.shape)
+    moved, _ = scenario.deform_jets(jets, random_transition([2, 3, 4]), stacked)
+    for table in (jets, moved):
+        expected = np.einsum("...ian,...mn->...iam", table["gamma"][0], table["ginv"])
+        assert table["gamma_lower"].shape == expected.shape, name
+        scale = 1.0 + np.max(np.abs(expected))
+        assert np.max(np.abs(table["gamma_lower"] - expected)) <= 1e-15 * scale, name
+
+
+def test_complete_table_lowers_a_replaced_gamma():
+    scenario = dirac_scenario_from_spec(bundled_scenario("seeded-deformation"))
+    table = scenario.jets(scenario.points)
+    value, d = table["gamma"]
+    # doubling is exact, so the derived entries double bit for bit
+    replaced = scenario.complete_table({**table, "gamma": (2.0 * value, 2.0 * d)})
+    assert np.array_equal(replaced["gamma_lower"], 2.0 * table["gamma_lower"])
+    assert np.array_equal(replaced["lie"]["gamma"], 2.0 * table["lie"]["gamma"])
+
+
+@pytest.mark.parametrize("method", ["simplified", "blocks"])
+def test_builder_reads_the_held_gamma_lower(method):
+    scenario = dirac_scenario_from_spec(bundled_scenario("diag-scale"))
+    jets = scenario.jets(PT)
+    del jets["gamma_lower"]
+    with pytest.raises(KeyError, match="gamma_lower"):
+        build_dirac_metric_connection(jets, PT, method=method)
 
 
 @pytest.mark.parametrize("method", ["simplified", "blocks"])

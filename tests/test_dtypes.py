@@ -47,9 +47,9 @@ def test_real_data_stays_real(name, mode, monkeypatch):
     load, build, symbols = MODES[mode]
     scenario = load(bundled_scenario(name))
     points = scenario.points
-    table = scenario.jets(points)
     calls = []
     monkeypatch.setattr(dirac_connection, "einsum", _recording(calls))
+    table = scenario.jets(points)
     conn = build(table, points)
     for entry, value in _tangent_entries(table).items():
         assert value.dtype == np.float64, entry
@@ -57,11 +57,16 @@ def test_real_data_stays_real(name, mode, monkeypatch):
     assert tangent_concordance(table, conn).dtype == np.float64
     assert table[symbols][0].dtype == np.complex128
     assert conn.A.dtype == conn.Abar.dtype == np.complex128
-    # the Dirac builder contracts the table's Gamma and g^-1 as they are
-    dirac_terms = [dtypes for subscripts, dtypes in calls if subscripts == "krm,ajr,mn,ian->kij"]
-    assert len(dirac_terms) == (mode == "dirac")
-    for gamma_t, gamma, ginv, _ in dirac_terms:
-        assert (gamma_t, ginv, gamma) == (np.float64, np.float64, np.complex128)
+    # the Dirac table lowers gamma with g^-1 as it is, and the builder
+    # contracts the table's Gamma as it is, once per chirality block
+    lowering = [dtypes for subscripts, dtypes in calls if subscripts == "ian,mn->iam"]
+    tangent_terms = [dtypes for subscripts, dtypes in calls if subscripts == "krm,ajr,iam->kij"]
+    assert len(lowering) == (mode == "dirac")
+    assert len(tangent_terms) == 2 * (mode == "dirac")
+    for gamma, ginv in lowering:
+        assert (gamma, ginv) == (np.complex128, np.float64)
+    for gamma_t, gamma, lowered in tangent_terms:
+        assert (gamma_t, gamma, lowered) == (np.float64, np.complex128, np.complex128)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
