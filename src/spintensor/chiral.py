@@ -123,10 +123,6 @@ def verify_chiral_identities(table) -> dict:
         residual(gu, np.conj(np.swapaxes(gu, -3, -2))),
         residual(gl, np.conj(np.swapaxes(gl, -2, -1))),
     )
-    # lower symbols re-derived from the upper ones
-    out["g-symbol-lowering"] = residual(
-        gl, compute_g_lower_symbols(gu, ginv, d, db)
-    )
     # sum_pq g_pq G^p G^q = 2 d dbar
     out["spin-metric-from-symbols"] = residual(
         einsum("pq,pix,qjy->ijxy", g, gl, gl),
@@ -159,10 +155,6 @@ def verify_chiral_identities(table) -> dict:
 
 
 class ScenarioError(ValueError):
-    """Scenario data that fails validation; names the field and the point."""
-
-
-class FieldError(ScenarioError):
     """A table entry that cannot be evaluated or fails its check.
 
     field names the entry as validation reports it (frame, metric or
@@ -180,11 +172,11 @@ class FieldError(ScenarioError):
 
 @contextmanager
 def _entry(field, points):
-    """Raise a failure inside as a FieldError of field at points."""
+    """Raise a failure inside as a ScenarioError of field at points."""
     try:
         yield
     except (ValueError, EvaluationError) as exc:
-        raise FieldError(field, exc, points) from exc
+        raise ScenarioError(field, exc, points) from exc
 
 
 def _check_metric(jet):
@@ -219,7 +211,7 @@ def _deform_tangent(entries, trans, points):
     frame; the frame becomes U S, checked to be non-singular; g is
     re-expressed with transform_components and the torsion (None stays
     None) with the transition's values alone, both then checked like
-    the scenario's own.  A failure raises a FieldError.
+    the scenario's own.  A failure raises a ScenarioError.
     """
     with _entry("frame", points):
         trans_jets = trans.jets(points)
@@ -346,7 +338,7 @@ class ChiralScenario:
         (None without one: exactly zero), the transition
         (_deform_tangent), then g^-1.  Within an entry its values come
         first, then its partials, then its checks; the first failure
-        raises a FieldError naming the entry and its first failing
+        raises a ScenarioError naming the entry and its first failing
         point, even where a later one fails at an earlier point.
         """
         with _entry("frame", points):
@@ -398,7 +390,7 @@ class ChiralScenario:
         (_deform_tangent), from one evaluation of the transition, then
         g^-1 and Gamma; every other entry but the LIFT_INVARIANT ones is
         re-expressed with transform_components by the spinor_transition
-        pair.  A failure raises a FieldError.  points may carry leading
+        pair.  A failure raises a ScenarioError.  points may carry leading
         axes before the table's batch (a stack of transitions at the
         table's points): the table is broadcast to them first, so that
         each entry of the stack is moved with the same operations as

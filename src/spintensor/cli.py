@@ -6,7 +6,9 @@ tables at the sample points), concordance (covariant-constancy residual
 suites), covariance (seeded frame-deformation transformation-law check)
 and all (the four in that order).  The stages of one run share its
 report and, for each mode, its scenario, table and connection (MODES,
-Run.mode).
+Run.mode), and read the seed, FD step and scaled tolerances that Run
+resolves once from run()'s overrides and the spec.  A spec is checked
+when it is made (ScenarioSpec), whether loaded or built in code.
 
 Exit codes: 0 every check passed, 1 a numerical check failed (a
 non-finite residual fails its check; a consistency check, a singular
@@ -64,7 +66,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .chiral import (
-    FieldError,
     ScenarioError,
     build_chiral_metric_connection,
     canonical_chiral_constants,
@@ -268,6 +269,10 @@ def _layout(shape, level):
 class Run:
     """One invocation as its stages see it.
 
+    seed and fd_step are the override, else the spec's; tolerances are
+    IDENTITY_TOL ("identity") and the spec's, each scaled by tol_scale
+    (a SpecError if one is not finite).  Each is resolved once, when
+    the run is made, and the stages read it.
     tangent is the run's tangent half at the sample points
     (ChiralScenario.tangent_jets: the frame, the frame metric, its
     factor, the torsion, g^-1, Gamma and the spec's transition jets),
@@ -284,6 +289,20 @@ class Run:
     tol_scale: float = 1.0
     tangent: dict = None
     held: dict = field(default_factory=dict)
+    tolerances: dict = field(init=False)
+
+    def __post_init__(self):
+        spec = self.spec
+        if self.seed is None:
+            self.seed = spec.seed if spec else 0
+        if self.fd_step is None and spec:
+            self.fd_step = spec.fd_step
+        self.tolerances = {}
+        for name, base in {"identity": IDENTITY_TOL, **(spec.tolerances if spec else {})}.items():
+            self.tolerances[name] = base * self.tol_scale
+            if not math.isfinite(self.tolerances[name]):
+                raise SpecError(f"tolerance {name} {base!r} scaled by {self.tol_scale!r} "
+                                "is not a finite number")
 
     def mode(self, mode):
         """(scenario, table, connection) of mode, made once per run."""
@@ -313,7 +332,7 @@ def run_verify_identities(ctx: Run):
     maximum of their residuals as one check.
     """
     report = ctx.report
-    tol = IDENTITY_TOL * ctx.tol_scale
+    tol = ctx.tolerances["identity"]
     for check, value in verify_chiral_identities(canonical_chiral_constants()).items():
         report.record(f"chiral-{check}", value, tol, 1)
     dirac = canonical_dirac_constants()
@@ -334,8 +353,8 @@ def run_build_connection(ctx: Run):
     """Emit coefficient tables at every sample point.
 
     When the spec uses the coordinate frame, no deformation and no
-    torsion, a raw finite-difference Christoffel table (step --fd-step,
-    else the spec's; torsion-free and independent of the builders) is
+    torsion, a raw finite-difference Christoffel table (step
+    Run.fd_step; torsion-free and independent of the builders) is
     emitted next to the tangent coefficients and their agreement is
     recorded as a check.  Each mode's connection is the run's
     (Run.mode) and the oracle is built once per run, for all points,
@@ -347,7 +366,6 @@ def run_build_connection(ctx: Run):
     """
     spec = ctx.spec
     has_oracle = spec.frame is None and not spec.deform and spec.torsion is None
-    step = spec.fd_step if ctx.fd_step is None else ctx.fd_step
     oracle = None
     for mode in spec.modes:
         scenario, _, conn = ctx.mode(mode)
@@ -368,7 +386,7 @@ def run_build_connection(ctx: Run):
         if has_oracle:
             if oracle is None:
                 try:
-                    oracle = coordinate_christoffel(scenario.g, points, step=step)
+                    oracle = coordinate_christoffel(scenario.g, points, step=ctx.fd_step)
                 except EvaluationError as exc:
                     raise NumericalError(
                         f"tangent-oracle at {point_label(points, exc.index)}: {exc}") from exc
@@ -383,7 +401,7 @@ def run_concordance(ctx: Run):
     """Concordance residual suites of each mode.  The tangent part,
     nabla g, is the same for both modes: it is computed once, from the
     first mode's table and connection."""
-    tol = ctx.spec.tolerances["concordance"] * ctx.tol_scale
+    tol = ctx.tolerances["concordance"]
     npoints = len(ctx.spec.sample_points)
     nabla_g = None
     for mode in ctx.spec.modes:
@@ -416,18 +434,17 @@ def run_covariance(ctx: Run):
     not check the Dirac transformation law.
     """
     spec = ctx.spec
-    tol = spec.tolerances["covariance"] * ctx.tol_scale
-    base_seed = spec.seed if ctx.seed is None else ctx.seed
+    tol = ctx.tolerances["covariance"]
     base, base_jets, conn_base = ctx.mode("chiral")
     points = base.points
     npoints = len(spec.sample_points)
-    seeds = [base_seed + offset for offset in range(3)]
+    seeds = [ctx.seed + offset for offset in range(3)]
     stacked = np.broadcast_to(points, (len(seeds),) + points.shape)
     try:
         moved, trans_jets = base.deform_jets(base_jets, random_transition(seeds), stacked)
         conn_moved = build_chiral_metric_connection(moved, stacked)
         theta = theta_parameters(trans_jets, base_jets["frame"], stacked)
-    except (FieldError, NumericalError) as exc:
+    except (ScenarioError, NumericalError) as exc:
         raise NumericalError(f"seeded deformation {seeds[exc.index[0]]}: {exc}") from exc
     back = transform_connection(conn_moved, trans_jets, theta)
     worst = 0.0
@@ -474,18 +491,14 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         spec = None if spec_path is None else _resolve_spec(spec_path)
         if spec is None and subcommand != "verify-identities":
             raise SpecError(f"subcommand {subcommand!r} needs --spec")
-        _check_tolerances(spec, tol_scale)
         ctx = Run(
-            report=ResidualReport(
-                name=spec.name if spec else "canonical-constants",
-                subcommand=subcommand,
-                seed=seed if seed is not None else (spec.seed if spec else 0),
-            ),
+            report=ResidualReport(spec.name if spec else "canonical-constants", subcommand),
             spec=spec,
             seed=seed,
             fd_step=fd_step,
             tol_scale=tol_scale,
         )
+        ctx.report.seed = ctx.seed
         with np.errstate(all="ignore"):  # a non-finite value fails its check
             for stage in STAGES[subcommand]:
                 stage(ctx)
@@ -511,15 +524,6 @@ def run(subcommand, spec_path=None, seed=None, fd_step=None, tol_scale=1.0,
         print(f"failed checks: {failing}", file=sys.stderr)
         return 1
     return 0
-
-
-def _check_tolerances(spec, tol_scale):
-    """Every tolerance the stages use, scaled, must be a finite number."""
-    for name, base in (("identity", IDENTITY_TOL), *(spec.tolerances.items() if spec else ())):
-        if not math.isfinite(base * tol_scale):
-            raise SpecError(
-                f"tolerance {name} {base!r} scaled by {tol_scale!r} is not a finite number"
-            )
 
 
 def _resolve_spec(spec_path) -> ScenarioSpec:

@@ -153,10 +153,6 @@ def verify_dirac_identities(table) -> dict:
     out["gamma-spin-metric-conjugation"] = residual(
         einsum("abi,ae,bh->hei", gm, d, du), gm
     )
-    # tangent raise consistency (the raised gamma re-derived)
-    out["gamma-tangent-raise"] = residual(
-        gi, einsum("abk,km->abm", gm, ginv)
-    )
     # sum gamma^h_{ej} gamma^{ei}_h = 4 delta^i_j
     out["gamma-inverse-trace"] = residual(
         einsum("hej,ehi->ij", gm, gi), 4.0 * eye

@@ -77,7 +77,9 @@ def einsum(subscripts, *operands):
     subscripts names the per-point axes only ("ij,jk->ik"); operands are
     arrays, and those without batch axes broadcast (with none at all
     this is np.einsum).  Otherwise operands are contracted pair by pair
-    along numpy's greedy path, each pair as one batched matrix product.
+    along numpy's greedy path, each pair as one batched matrix product;
+    a diagonal ("ii") or a letter summed within one operand then raises
+    ValueError.
     The steps are compiled once per subscripts and operand shapes and
     dtypes into one program (_program), which a call runs as it is.
     Real factors stay real: a real operand multiplies a complex one's
@@ -157,10 +159,6 @@ def _plan(subscripts, shapes, kinds):
         live.append(_Operand(len(shapes) + len(steps) - 1, letters,
                              batch + tuple(sizes[c] for c in letters),
                              any(op.is_complex for op in picked)))
-    (last,) = live
-    if last.letters != output:
-        steps.append((functools.partial(np.einsum, _batched([last.letters], output)),
-                      (last.position,)))
     return tuple(steps)
 
 
@@ -190,10 +188,8 @@ def _matmul_step(left, right, rest, sizes, final):
     if any(c not in rest for c in both if c not in shared) or \
             len(set(left.letters)) < len(left.letters) or \
             len(set(right.letters)) < len(right.letters):
-        # a letter summed within one operand, or a diagonal: plain einsum
-        letters = "".join(dict.fromkeys(c for c in both if c in rest))
-        return (functools.partial(np.einsum, _batched([left.letters, right.letters], letters)),
-                (left.position, right.position), letters)
+        raise ValueError(f"cannot contract {left.letters!r} with {right.letters!r} over batch "
+                         "axes: a letter is repeated or summed within one operand")
     if left.is_complex and not right.is_complex:
         left, right = right, left
     product = real_matmul if left.is_complex != right.is_complex else np.matmul

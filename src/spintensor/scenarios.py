@@ -3,8 +3,9 @@
 A scenario spec is a JSON document describing a coordinate metric,
 an optional tangent frame and torsion (all as expression grids),
 sample points, tolerances and an optional seeded frame deformation.
-load_scenario_spec parses the grids once, to fail fast, and the spec
-holds the parsed fields; loaders turn a spec into ChiralScenario /
+A ScenarioSpec, loaded (load_scenario_spec) or built in code, checks
+its fields and parses the grids once, when it is made, to fail fast,
+and holds the parsed fields; loaders turn a spec into ChiralScenario /
 DiracScenario objects on those same fields, so the two modes of a spec
 share them and parse nothing again.  The deformation
 helpers produce smooth seeded transitions as matrix exponentials of
@@ -20,7 +21,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -41,37 +42,80 @@ class SpecError(ValueError):
 
 @dataclass
 class ScenarioSpec:
-    """Validated scenario description.
+    """A scenario description, checked when it is made (loaded or built
+    in code; a SpecError names the first bad field), with its defaults
+    and every key of DEFAULT_TOLERANCES filled in.
 
     metric_field, frame_field and torsion_field are the metric, frame
-    and torsion grids parsed once, by load_scenario_spec, and every
-    scenario of the spec evaluates those fields; a spec's grids are not
-    reassigned after it is loaded, so the two never disagree.
-    transition is the spec's seeded chiral transition (random_transition
-    of its deform seed, else the spec's seed; None without deform),
-    drawn once when the spec is made, for every scenario of the spec.
+    and torsion grids parsed once, when the spec is made, and every
+    scenario of the spec evaluates those fields; dataclasses.replace
+    makes and checks a new spec.  transition is the spec's seeded
+    chiral transition (random_transition of its deform seed, else the
+    spec's seed; None without deform), drawn once when the spec is
+    made, for every scenario of the spec.
     """
 
-    name: str
-    mode: str  # "chiral" | "dirac" | "both"
-    metric: object  # "minkowski" or 4x4 grid of expression strings
+    name: str = ""
+    mode: str = "both"  # "chiral" | "dirac" | "both"
+    metric: object = "minkowski"  # "minkowski" or 4x4 grid of expression strings
     frame: object = None  # None (identity) or 4x4 grid of expressions
-    torsion: object = None
+    torsion: object = None  # None or 4x4x4 grid of expressions
     sample_points: list = field(default_factory=list)
     fd_step: float = 1e-4
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 0
     deform: dict = None
-    metric_field: MatrixField = field(default=None, repr=False, compare=False)
-    frame_field: MatrixField = field(default=None, repr=False, compare=False)
-    torsion_field: MatrixField = field(default=None, repr=False, compare=False)
-    transition: FrameTransition = field(default=None, init=False, repr=False, compare=False)
+    metric_field: MatrixField = field(init=False, repr=False, compare=False)
+    frame_field: MatrixField = field(init=False, repr=False, compare=False)
+    torsion_field: MatrixField = field(init=False, repr=False, compare=False)
+    transition: FrameTransition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.deform:
-            self.transition = random_transition(seed=self.deform.get("seed", self.seed),
-                                                scale=float(self.deform.get("scale", 0.15)),
-                                                tangent=self.deform.get("tangent", True))
+        if not isinstance(self.name, str) or not self.name:
+            raise SpecError("spec needs a non-empty 'name'")
+        if self.mode not in ("chiral", "dirac", "both"):
+            raise SpecError("mode must be 'chiral', 'dirac' or 'both'")
+        if self.metric != "minkowski":
+            _require_grid(self.metric, (4, 4), "metric")
+        if self.frame is not None:
+            _require_grid(self.frame, (4, 4), "frame")
+        if self.torsion is not None:
+            _require_grid(self.torsion, (4, 4, 4), "torsion")
+        points = self.sample_points
+        if not isinstance(points, list) or not points:
+            raise SpecError("spec needs a non-empty 'sample_points' list")
+        for p in points:
+            if not (isinstance(p, list) and len(p) == 4 and all(map(_is_finite, p))):
+                raise SpecError(f"each sample point must be a list of 4 finite numbers, got {p!r}")
+        step = self.fd_step
+        _check("fd_step", step, _is_finite(step) and 0 < step <= 0.1, "a number in (0, 0.1]")
+        tolerances = _object(self.tolerances, "tolerances", DEFAULT_TOLERANCES)
+        for key, value in tolerances.items():
+            _check(f"tolerances.{key}", value, _is_finite(value) and value > 0,
+                   "a finite number > 0")
+        deform = _object(self.deform, "deform", ("seed", "scale", "tangent"))
+        scale = deform.get("scale", 0.15)
+        _check("deform.scale", scale, _is_finite(scale) and scale > 0, "a finite number > 0")
+        tangent = deform.get("tangent", True)
+        _check("deform.tangent", tangent, isinstance(tangent, bool), "true or false")
+        for label, seed in (("seed", self.seed), ("deform.seed", deform.get("seed", 0))):
+            is_int = isinstance(seed, int) and not isinstance(seed, bool)
+            _check(label, seed, is_int and seed >= 0, "a non-negative integer")
+        # fail fast on bad expressions; the spec keeps the parsed fields
+        parse = MatrixField.from_expressions
+        try:
+            self.metric_field = (MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
+                                 if self.metric == "minkowski" else parse(self.metric))
+            self.frame_field = (MatrixField.constant(np.eye(4)) if self.frame is None
+                                else parse(self.frame))
+            self.torsion_field = None if self.torsion is None else parse(self.torsion)
+        except ParseError as exc:
+            raise SpecError(f"bad expression in spec: {exc}") from exc
+        self.sample_points = [[float(c) for c in p] for p in points]
+        self.tolerances = {**DEFAULT_TOLERANCES, **tolerances}
+        self.deform = deform or None
+        self.transition = random_transition(seed=deform.get("seed", self.seed),
+                                            scale=float(scale), tangent=tangent) if deform else None
 
     @property
     def modes(self):
@@ -79,7 +123,7 @@ class ScenarioSpec:
 
 
 def load_scenario_spec(source) -> ScenarioSpec:
-    """Load and validate a spec from a path, JSON text or dict."""
+    """Load a spec from a path or dict; the ScenarioSpec checks it."""
     if isinstance(source, dict):
         data = source
     else:
@@ -97,61 +141,8 @@ def load_scenario_spec(source) -> ScenarioSpec:
         raise SpecError("spec must be a JSON object")
     if data.get("schema") != SPEC_SCHEMA:
         raise SpecError(f"spec schema must be {SPEC_SCHEMA!r}, got {data.get('schema')!r}")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        raise SpecError("spec needs a non-empty 'name'")
-    mode = data.get("mode", "both")
-    if mode not in ("chiral", "dirac", "both"):
-        raise SpecError("mode must be 'chiral', 'dirac' or 'both'")
-    metric = data.get("metric", "minkowski")
-    if metric != "minkowski":
-        _require_grid(metric, (4, 4), "metric")
-    frame = data.get("frame")
-    if frame is not None:
-        _require_grid(frame, (4, 4), "frame")
-    torsion = data.get("torsion")
-    if torsion is not None:
-        _require_grid(torsion, (4, 4, 4), "torsion")
-    points = data.get("sample_points")
-    if not isinstance(points, list) or not points:
-        raise SpecError("spec needs a non-empty 'sample_points' list")
-    for p in points:
-        if not (isinstance(p, list) and len(p) == 4 and all(map(_is_finite, p))):
-            raise SpecError(f"each sample point must be a list of 4 finite numbers, got {p!r}")
-    fd_step = data.get("fd_step", 1e-4)
-    _check("fd_step", fd_step, _is_finite(fd_step) and 0 < fd_step <= 0.1, "a number in (0, 0.1]")
-    tolerances = _object(data, "tolerances", DEFAULT_TOLERANCES)
-    for key, value in tolerances.items():
-        _check(f"tolerances.{key}", value, _is_finite(value) and value > 0, "a finite number > 0")
-    deform = _object(data, "deform", ("seed", "scale", "tangent"))
-    scale = deform.get("scale", 0.15)
-    _check("deform.scale", scale, _is_finite(scale) and scale > 0, "a finite number > 0")
-    tangent = deform.get("tangent", True)
-    _check("deform.tangent", tangent, isinstance(tangent, bool), "true or false")
-    for label, seed in (("seed", data.get("seed", 0)), ("deform.seed", deform.get("seed", 0))):
-        is_int = isinstance(seed, int) and not isinstance(seed, bool)
-        _check(label, seed, is_int and seed >= 0, "a non-negative integer")
-    # fail fast on bad expressions; the spec keeps the parsed fields
-    try:
-        metric_field, frame_field = _metric_field(metric), _frame_field(frame)
-        torsion_field = _torsion_field(torsion)
-    except ParseError as exc:
-        raise SpecError(f"bad expression in spec: {exc}") from exc
-    return ScenarioSpec(
-        name=name,
-        mode=mode,
-        metric=metric,
-        frame=frame,
-        torsion=torsion,
-        sample_points=[[float(c) for c in p] for p in points],
-        fd_step=fd_step,
-        tolerances={**DEFAULT_TOLERANCES, **tolerances},
-        seed=data.get("seed", 0),
-        deform=deform or None,
-        metric_field=metric_field,
-        frame_field=frame_field,
-        torsion_field=torsion_field,
-    )
+    keys = [f.name for f in fields(ScenarioSpec) if f.init and f.name in data]
+    return ScenarioSpec(**{key: data[key] for key in keys})
 
 
 def _is_finite(value):
@@ -165,9 +156,9 @@ def _check(label, value, ok, requirement):
         raise SpecError(f"{label} must be {requirement}, got {value!r}")
 
 
-def _object(data, key, known):
-    """The optional object data[key] ({} when absent), with only known keys."""
-    value = data.get(key)
+def _object(value, key, known):
+    """The optional object value of spec key ({} for None), with only
+    known keys."""
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -203,24 +194,6 @@ def bundled_scenario(name) -> ScenarioSpec:
 
 
 # --- fields from specs -----------------------------------------------
-
-
-def _metric_field(grid) -> MatrixField:
-    if grid == "minkowski":
-        return MatrixField.constant(np.diag([1.0, -1.0, -1.0, -1.0]))
-    return MatrixField.from_expressions(grid)
-
-
-def _frame_field(grid) -> MatrixField:
-    if grid is None:
-        return MatrixField.constant(np.eye(4))
-    return MatrixField.from_expressions(grid)
-
-
-def _torsion_field(grid):
-    if grid is None:
-        return None
-    return MatrixField.from_expressions(grid)
 
 
 def chiral_scenario_from_spec(spec: ScenarioSpec) -> ChiralScenario:

@@ -1,8 +1,10 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 from importlib import resources
@@ -101,6 +103,40 @@ def test_a_spec_of_another_type_is_one_line_naming_the_type(spec, capsys):
     err = capsys.readouterr().err
     assert err == ("bad input: spec must be a bundled scenario name, a path or a ScenarioSpec, "
                    f"not {type(spec).__name__}\n")
+
+
+POINT = [[0.1, 0.2, 0.3, 0.4]]
+
+
+@pytest.mark.parametrize("subcommand, make", [
+    ("all", lambda: scenarios.ScenarioSpec(name="x", sample_points=POINT)),
+    ("all", lambda: scenarios.ScenarioSpec(name="x", mode="both", metric="minkowski",
+                                           sample_points=POINT)),
+    ("covariance", lambda: dataclasses.replace(scenarios.bundled_scenario("diag-scale"),
+                                               tolerances={"concordance": 1e-6})),
+], ids=["defaults", "explicit-mode-and-metric", "replaced-tolerances"])
+def test_a_spec_made_in_code_runs(subcommand, make, capsys):
+    code, payload = run_captured(subcommand, spec_path=make())
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert json.loads(payload)["overall_pass"] is True
+
+
+@pytest.mark.parametrize("fields", [{"name": "x"}, {"name": "x", "mode": "both",
+                                                    "metric": "minkowski"}])
+def test_a_spec_made_in_code_is_checked_when_it_is_made(fields):
+    with pytest.raises(scenarios.SpecError,
+                       match="^spec needs a non-empty 'sample_points' list$"):
+        scenarios.ScenarioSpec(**fields)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_a_spec_built_in_code_reports_the_loaded_specs_bytes(name):
+    data = bundled_spec(name)
+    del data["schema"]
+    specs = (scenarios.bundled_scenario(name), scenarios.ScenarioSpec(**data))
+    loaded, direct = (run_captured("all", spec_path=spec)[1] for spec in specs)
+    timestamp = re.compile(r'"timestamp": "[^"]*"')
+    assert timestamp.sub("", direct) == timestamp.sub("", loaded)
 
 
 def test_unknown_subcommand_is_exit_2():
@@ -519,6 +555,14 @@ CATALOG = [
                  both(2, "bad input: bad expression in spec: expression is nested more than "
                          "200 levels deep at position 200\n"),
                  id="deep-unary-minus"),
+    pytest.param(with_metric("diag-scale", g00=True), GOOD,
+                 both(2, "bad input: metric entries must be finite numbers or expression "
+                         "strings\n"),
+                 id="boolean-cell"),
+    pytest.param(with_metric("diag-scale", g00=None), GOOD,
+                 both(2, "bad input: metric entries must be finite numbers or expression "
+                         "strings\n"),
+                 id="null-cell"),
 ]
 
 
@@ -538,6 +582,7 @@ def test_failing_spec_catalog(spec, points, expected, subcommand, capsys, tmp_pa
     pytest.param(b"[" * 100_000 + b"]" * 100_000,
                  "bad input: spec is not valid JSON: maximum recursion depth exceeded while "
                  "decoding a JSON array from a unicode string\n", id="deeply-nested-arrays"),
+    pytest.param(b"[1, 2]", "bad input: spec must be a JSON object\n", id="not-an-object"),
 ])
 def test_unreadable_spec_bytes(content, expected, subcommand, capsys, tmp_path):
     path = tmp_path / "spec.json"

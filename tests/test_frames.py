@@ -272,6 +272,15 @@ def test_einsum_result_does_not_depend_on_which_plan_came_first(subscripts, shap
         assert np.array_equal(warm, cold[first])
 
 
+@pytest.mark.parametrize("subscripts", ["ii,ij->j", "ij,jk->i"])
+def test_einsum_rejects_a_batched_diagonal_or_a_letter_summed_in_one_operand(subscripts):
+    # batch-free operands still go to np.einsum, which takes both
+    ops = [np.ones(BATCH + (3, 3)), np.ones(BATCH + (3, 3))]
+    np.einsum(subscripts, *(op[0, 0] for op in ops))
+    with pytest.raises(ValueError, match="'ij' with 'ii'|'jk' with 'ij'"):
+        einsum(subscripts, *ops)
+
+
 def test_along_frame_keeps_real_partials_real():
     rng = np.random.default_rng(2)
     u, d = rng.normal(size=(5, 4, 4)), rng.normal(size=(5, 4, 2, 3))

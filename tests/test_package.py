@@ -33,6 +33,15 @@ def test_runs_without_scipy():
         assert (run.returncode, run.stderr) == (0, ""), args
 
 
+def test_python_m_spintensor_runs_the_cli():
+    src = Path(spintensor.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "spintensor", "verify-identities",
+                          "--format", "text"], env=env, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout.endswith("overall: PASS\n")
+
+
 def test_readme_library_example_runs(capsys):
     # the one python block under README "Library example" runs as
     # written, so renaming or deleting a public name it uses fails here
